@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -41,21 +40,6 @@ from .model import load_checkpoint, observations_from_views
 from .rng import RngStream
 from .training import TrainConfig, config_hash, load_train_config, train
 from .unified import export_lexicon, read_unified, write_unified
-
-
-def thread_cap() -> int:
-    """Parallelism ceiling from LEXIFUSE_THREADS (everything here is
-    single-threaded, so any positive cap is honored)."""
-    raw = os.environ.get("LEXIFUSE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"LEXIFUSE_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"LEXIFUSE_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _split_view_arg(arg: str) -> tuple[str, ViewSchema | None]:
@@ -149,6 +133,13 @@ def cmd_train(args) -> int:
 def cmd_export(args) -> int:
     state, meta = load_checkpoint(args.checkpoint)
     views = _load_views(args.views)
+    for view in views:
+        trained = state.scales.get(view.id)
+        if trained is not None and trained != view.family:
+            raise ConfigError(
+                f"view {view.id!r} is {view.family.header()}, but the checkpoint "
+                f"was trained on {trained.header()}"
+            )
     vocab, obs = _observations(views)
     entries = export_lexicon(state, obs)
     extra = meta.get("extra") or {}
@@ -206,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lexifuse",
         description="Fuse sentiment lexica into one polarity representation "
         "and evaluate it on text classification.",
-        epilog="LEXIFUSE_THREADS caps parallelism (all stages are single-threaded).",
     )
     parser.add_argument("--version", action="version", version=f"lexifuse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        thread_cap()
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except LexifuseError as e:

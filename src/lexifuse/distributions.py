@@ -1,11 +1,9 @@
-"""Gamma/Dirichlet primitives: sampling, log-density, KL, and pathwise
-gradients through draws.
+"""Dirichlet primitives of the training objective: the closed-form KL and
+draws that are differentiable in the concentration.
 
-Two sampling routes exist on purpose.  `sample_gamma` is Marsaglia-Tsang
-(fast rejection, the right tool when no gradient is needed).  The tape route
-(`gamma_sample_var`, `dirichlet_sample_vars`) instead inverts the Gamma CDF
-at a fixed uniform, because the derivative of that inverse w.r.t. the shape
-is exactly the implicit-reparameterization partial
+A draw inverts the Gamma CDF at a fixed uniform, because the derivative of
+that inverse w.r.t. the shape is exactly the implicit-reparameterization
+partial
 
     dy/d(shape) = - (dP/d shape)(shape, y) / pdf(y; shape),
 
@@ -16,13 +14,9 @@ function of the variational parameters.
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .errors import ConfigError, DomainError
-from .rng import RngStream
 from .special import (
     digamma,
     gamma_log_pdf,
@@ -31,100 +25,11 @@ from .special import (
     lgamma,
     trigamma,
 )
-from .tape import Tape, Var, vsum
+from .tape import Var, clamp, vsum
 
 # Simplex draws are nudged off the boundary before use; at these magnitudes
 # renormalization changes nothing detectable at float64 scale.
 _SIMPLEX_EPS = 1e-8
-
-
-def sample_gamma(shape: float, rng: RngStream) -> float:
-    """One draw from Gamma(shape, rate=1) via Marsaglia-Tsang.
-
-    Shapes below 1 use the boost Gamma(shape) = Gamma(shape+1) * U^(1/shape).
-    """
-    if not shape > 0.0:
-        raise DomainError(f"sample_gamma requires shape > 0, got {shape!r}")
-    if shape < 1.0:
-        x = sample_gamma(shape + 1.0, rng)
-        u = rng.uniform()
-        return x * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = rng.normal()
-        t = 1.0 + c * x
-        if t <= 0.0:
-            continue
-        v = t * t * t
-        u = rng.uniform()
-        if u < 1.0 - 0.0331 * x * x * x * x:
-            return d * v
-        if u <= 0.0 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
-
-
-def _renormalized_simplex(ys: Sequence[float]) -> list[float]:
-    total = sum(ys)
-    zs = [y / total for y in ys]
-    zs = [min(max(z, _SIMPLEX_EPS), 1.0 - _SIMPLEX_EPS) for z in zs]
-    total = sum(zs)
-    return [z / total for z in zs]
-
-
-def sample_dirichlet(alpha: Sequence[float], rng: RngStream) -> list[float]:
-    """One Dirichlet draw as normalized independent Gamma(alpha_k) draws."""
-    for a in alpha:
-        if not a > 0.0:
-            raise DomainError(f"sample_dirichlet requires alpha > 0, got {list(alpha)!r}")
-    return _renormalized_simplex([sample_gamma(a, rng) for a in alpha])
-
-
-def gamma_from_uniform(shape: float, u: float) -> float:
-    """Gamma(shape) draw as a deterministic function of a uniform variate."""
-    return gamma_quantile(shape, u)
-
-
-def dirichlet_from_uniforms(alpha: Sequence[float], us: Sequence[float]) -> list[float]:
-    """Dirichlet draw from per-component uniforms; float twin of the tape route."""
-    if len(us) != len(alpha):
-        raise ConfigError("dirichlet_from_uniforms needs one uniform per component")
-    return _renormalized_simplex([gamma_quantile(a, u) for a, u in zip(alpha, us)])
-
-
-def dirichlet_log_pdf(z: Sequence[float], alpha: Sequence[float]) -> float:
-    """log Dirichlet(z; alpha) for z on the simplex.
-
-    Boundary z (some component 0) makes the density infinite when the
-    corresponding alpha_k < 1 and zero when alpha_k > 1; those calls return
-    the signed infinity and emit a RuntimeWarning as the flag.
-    """
-    if len(z) != len(alpha):
-        raise DomainError("dirichlet_log_pdf: dimension mismatch")
-    for a in alpha:
-        if not a > 0.0:
-            raise DomainError(f"dirichlet_log_pdf requires alpha > 0, got {list(alpha)!r}")
-    for zk in z:
-        if zk < 0.0:
-            raise DomainError(f"dirichlet_log_pdf requires z >= 0, got {list(z)!r}")
-    if abs(sum(z) - 1.0) > 1e-6:
-        raise DomainError(f"dirichlet_log_pdf: z does not sum to 1: {list(z)!r}")
-    norm = lgamma(sum(alpha)) - sum(lgamma(a) for a in alpha)
-    acc = norm
-    boundary = False
-    for zk, a in zip(z, alpha):
-        if zk == 0.0:
-            boundary = True
-            if a < 1.0:
-                acc += math.inf
-            elif a > 1.0:
-                acc += -math.inf
-            # a == 1: the factor is z^0 = 1, no contribution
-        else:
-            acc += (a - 1.0) * math.log(zk)
-    if boundary:
-        warnings.warn("dirichlet_log_pdf evaluated on the simplex boundary", RuntimeWarning)
-    return acc
 
 
 def dirichlet_kl(beta: Sequence[float], alpha: Sequence[float]) -> float:
@@ -180,48 +85,16 @@ def gamma_sample_var(shape: Var, u: float) -> Var:
 
 
 def dirichlet_sample_vars(betas: Sequence[Var], us: Sequence[float]) -> list[Var]:
-    """Dirichlet draw on the tape: normalized per-component Gamma quantiles.
-
-    Matches dirichlet_from_uniforms exactly at equal (beta, u), including the
-    boundary nudge, so float and tape routes are interchangeable in tests.
-    """
+    """Dirichlet draw on the tape: normalized per-component Gamma quantiles,
+    clamped into [eps, 1 - eps] and renormalized if a component reaches the
+    simplex boundary."""
     if len(us) != len(betas):
         raise ConfigError("dirichlet_sample_vars needs one uniform per component")
     ys = [gamma_sample_var(b, u) for b, u in zip(betas, us)]
     total = vsum(ys)
     zs = [y / total for y in ys]
     if any(not _SIMPLEX_EPS <= z.value <= 1.0 - _SIMPLEX_EPS for z in zs):
-        from .tape import clamp
-
         zs = [clamp(z, _SIMPLEX_EPS, 1.0 - _SIMPLEX_EPS) for z in zs]
         total = vsum(zs)
         zs = [z / total for z in zs]
     return zs
-
-
-def reparam_grad_elbo(
-    per_sample_objective: Callable[[Sequence[Var]], Var],
-    beta: Sequence[float],
-    n_samples: int,
-    rng: RngStream,
-) -> np.ndarray:
-    """Pathwise stochastic gradient of E_{Dir(beta)}[objective(z)] w.r.t. beta.
-
-    Each sample builds a fresh tape: beta leaves, a Dirichlet draw through
-    the implicit-gradient route, the objective, one backward pass.
-    """
-    if n_samples < 1:
-        raise ConfigError(f"reparam_grad_elbo requires n_samples >= 1, got {n_samples}")
-    for b in beta:
-        if not b > 0.0:
-            raise DomainError("reparam_grad_elbo requires positive beta")
-    acc = np.zeros(len(beta))
-    for _ in range(n_samples):
-        tape = Tape()
-        leaves = [tape.leaf(b) for b in beta]
-        us = [min(max(rng.uniform(), 1e-12), 1.0 - 1e-12) for _ in beta]
-        zs = dirichlet_sample_vars(leaves, us)
-        root = per_sample_objective(zs)
-        adj = tape.backward(root)
-        acc += [adj[leaf.idx] for leaf in leaves]
-    return acc / n_samples

@@ -173,19 +173,26 @@ def _concat_feature(label: PolarityLabel) -> np.ndarray:
 
 
 class Featurizer:
-    """Maps words (and token lists) to fixed-dimension polarity features."""
+    """Maps words (and token lists) to fixed-dimension polarity features.
 
-    mode: str
-    dim: int
+    table holds one feature row per covered word, keyed by the case-folded
+    word; lookups case-fold the token.  A text's features are the mean of
+    its covered tokens' rows, or zeros when it has none.
+    """
+
+    def __init__(self, mode: str, dim: int, table: dict[str, np.ndarray]):
+        self.mode = mode
+        self.dim = dim
+        self.table = table
 
     def word_feature(self, word: str) -> np.ndarray | None:
-        raise NotImplementedError
+        return self.table.get(word.casefold())
 
     def __contains__(self, word: str) -> bool:
-        return self.word_feature(word) is not None
+        return word.casefold() in self.table
 
     def featurize_text(self, tokens) -> np.ndarray:
-        feats = [f for t in tokens if (f := self.word_feature(t)) is not None]
+        feats = [f for t in tokens if (f := self.table.get(t.casefold())) is not None]
         if not feats:
             return np.zeros(self.dim)
         return np.mean(feats, axis=0)
@@ -194,93 +201,49 @@ class Featurizer:
         return np.array([self.featurize_text(text) for text in corpus.texts])
 
 
-class FusedMeanFeaturizer(Featurizer):
-    mode = "fused-mean"
-    dim = 3
-
-    def __init__(self, lexicon: UnifiedLexicon):
-        self.lexicon = lexicon
-
-    def word_feature(self, word: str) -> np.ndarray | None:
-        entry = self.lexicon.lookup(word)
-        return None if entry is None else np.array(entry.mean)
-
-
-class FusedBetaFeaturizer(Featurizer):
-    mode = "fused-beta"
-    dim = 3
-
-    def __init__(self, lexicon: UnifiedLexicon):
-        self.lexicon = lexicon
-
-    def word_feature(self, word: str) -> np.ndarray | None:
-        entry = self.lexicon.lookup(word)
-        return None if entry is None else np.array(entry.beta)
-
-
-class SingleLexiconFeaturizer(Featurizer):
-    """One view on its own numeric scale; rater histograms collapse to the
-    mean of per-rating buckets (below midpoint -1, midpoint 0, above +1)."""
-
-    def __init__(self, view: LexiconView):
-        self.view = view
-        self.mode = f"single:{view.id}"
-        self.dim = _single_dim(view.family)
-
-    def word_feature(self, word: str) -> np.ndarray | None:
-        label = self.view.entries.get(word.casefold())
-        return None if label is None else _single_feature(label)
-
-
-class ConcatFeaturizer(Featurizer):
-    """All views side by side (id order), each on its raw numeric scale;
-    rater histograms stay 10-dimensional, rescaled to [-1, 1].  Views that
-    miss a word contribute their neutral value (zeros after centering)."""
-
-    mode = "concat"
-
-    def __init__(self, views: list[LexiconView]):
-        if not views:
-            raise ConfigError("concat featurizer needs at least one view")
-        self.views = sorted(views, key=lambda v: v.id)
-        self.dim = sum(_concat_dim(v.family) for v in self.views)
-
-    def word_feature(self, word: str) -> np.ndarray | None:
-        word = word.casefold()
-        if not any(word in v.entries for v in self.views):
-            return None
-        parts = []
-        for v in self.views:
-            label = v.entries.get(word)
-            if label is None:
-                parts.append(np.zeros(_concat_dim(v.family)))
-            else:
-                parts.append(_concat_feature(label))
-        return np.concatenate(parts)
-
-
 def make_featurizer(
     mode: str,
     *,
     unified: UnifiedLexicon | None = None,
     views: list[LexiconView] | None = None,
 ) -> Featurizer:
-    """Build the featurizer named by mode: fused-mean, fused-beta,
-    single:<view id>, or concat."""
+    """Build the featurizer named by mode, computing each word's row once.
+
+    - fused-mean, fused-beta: the unified lexicon's posterior mean or
+      pseudocounts.
+    - single:<view id>: one view on its own numeric scale; rater histograms
+      collapse to the mean of per-rating buckets (below midpoint -1,
+      midpoint 0, above +1).
+    - concat: all views side by side (id order), each on its raw numeric
+      scale; rater histograms stay n_raters-dimensional, rescaled to
+      [-1, 1].  Views that miss a word contribute their neutral value
+      (zeros after centering).
+    """
     if mode == "fused-mean" or mode == "fused-beta":
         if unified is None:
             raise ConfigError(f"mode {mode} needs a unified lexicon")
-        cls = FusedMeanFeaturizer if mode == "fused-mean" else FusedBetaFeaturizer
-        return cls(unified)
+        field = "mean" if mode == "fused-mean" else "beta"
+        table = {e.word.casefold(): np.array(getattr(e, field)) for e in unified.entries()}
+        return Featurizer(mode, 3, table)
     if mode == "concat":
         if not views:
             raise ConfigError("mode concat needs input views")
-        return ConcatFeaturizer(views)
+        views = sorted(views, key=lambda v: v.id)
+        table = {
+            word: np.concatenate([
+                _concat_feature(v.entries[word]) if word in v.entries
+                else np.zeros(_concat_dim(v.family))
+                for v in views
+            ])
+            for word in set().union(*(v.entries for v in views))
+        }
+        return Featurizer(mode, sum(_concat_dim(v.family) for v in views), table)
     if mode.startswith("single:"):
         vid = mode.split(":", 1)[1]
         for v in views or []:
             if v.id == vid:
-                return SingleLexiconFeaturizer(v)
+                table = {word: _single_feature(label) for word, label in v.entries.items()}
+                return Featurizer(mode, _single_dim(v.family), table)
         raise ConfigError(f"mode {mode}: no view with id {vid!r}")
     raise ConfigError(
         f"unknown mode {mode!r} (expected fused-mean, fused-beta, single:<view>, concat)"

@@ -8,9 +8,10 @@ contributes exactly one pseudocount split across the three classes.  The
 decoder f maps a latent polarity draw z back to the parameters rho of that
 view's emission distribution over labels.
 
-Float and tape routes coexist: encode/decode/emission_log_likelihood are
-plain-float (used for export and evaluation, and as oracles), while
-ModelBinding + elbo_word build the differentiable training objective.
+Each quantity has one numerical path.  Training builds the ELBO on the tape
+(ModelBinding + elbo_word_on).  Export needs only the encoder outputs, so
+`encode` and `posterior_params` run the encoder as a plain numpy forward;
+the encoder is the one network with both a numpy and a tape forward.
 """
 
 from __future__ import annotations
@@ -208,10 +209,6 @@ def unpack_state(state: ModelState, vec: np.ndarray) -> None:
         pos += a.size
 
 
-def n_params(state: ModelState) -> int:
-    return sum(a.size for a in _state_arrays(state))
-
-
 def _softmax(v: np.ndarray) -> np.ndarray:
     e = np.exp(v - v.max())
     return e / e.sum()
@@ -240,61 +237,6 @@ def posterior_params(obs: WordObservation, encoders: dict[str, MlpHead]) -> Late
     return LatentPosterior.from_beta(beta)
 
 
-def decode(z, head: MlpHead, family: EmissionFamily) -> tuple[float, ...]:
-    """rho = f(z) mapped into the family's parameter space.
-
-    Links: PairGaussianFixedVar -> sigmoid means; Bernoulli -> sigmoid
-    probability; GaussianMeanVar -> (tanh mean, softplus variance + floor);
-    TenCategorical -> raw logits (the softmax lives in the likelihood).
-    """
-    if len(z) != 3:
-        raise ConfigError(f"latent point must have 3 components, got {len(z)}")
-    if head.input_dim != 3:
-        raise ConfigError(f"decoder input_dim must be 3, got {head.input_dim}")
-    if head.output_dim != family.rho_dim:
-        raise ConfigError(f"decoder output_dim {head.output_dim} != rho_dim {family.rho_dim}")
-    raw = head.forward(np.asarray(z, dtype=float))
-    if family.tag == PAIR_GAUSSIAN_FIXED_VAR:
-        return (_sigmoid(raw[0]), _sigmoid(raw[1]))
-    if family.tag == BERNOULLI:
-        return (_sigmoid(raw[0]),)
-    if family.tag == GAUSSIAN_MEAN_VAR:
-        return (math.tanh(raw[0]), _softplus(raw[1]) + VARIANCE_FLOOR)
-    return tuple(float(r) for r in raw)
-
-
-def _sigmoid(v: float) -> float:
-    if v >= 0.0:
-        return 1.0 / (1.0 + math.exp(-v))
-    e = math.exp(v)
-    return e / (1.0 + e)
-
-
-def _softplus(v: float) -> float:
-    return max(v, 0.0) + math.log1p(math.exp(-abs(v)))
-
-
-def _gauss_logpdf(x: float, mean: float, var: float) -> float:
-    return -0.5 * (_LOG_2PI + math.log(var)) - (x - mean) ** 2 / (2.0 * var)
-
-
-def emission_log_likelihood(label: PolarityLabel, rho, family: EmissionFamily) -> float:
-    """log P_d(x_d | rho) with rho already in parameter space (see decode)."""
-    _check_emission_match(label, family)
-    if family.tag == PAIR_GAUSSIAN_FIXED_VAR:
-        return _gauss_logpdf(label.value[0], rho[0], PAIR_VARIANCE) + _gauss_logpdf(
-            label.value[1], rho[1], PAIR_VARIANCE
-        )
-    if family.tag == BERNOULLI:
-        p = rho[0]
-        return math.log(p) if label.value == 1 else math.log(1.0 - p)
-    if family.tag == GAUSSIAN_MEAN_VAR:
-        return _gauss_logpdf(label.value, rho[0], rho[1])
-    logits = np.asarray(rho, dtype=float)
-    logz = float(np.logaddexp.reduce(logits))
-    return float(sum(logits[r] for r in label.value)) - len(label.value) * logz
-
-
 def _check_emission_match(label: PolarityLabel, family: EmissionFamily) -> None:
     want = emission_for_scale(label.family).tag
     if family.tag != want:
@@ -302,7 +244,7 @@ def _check_emission_match(label: PolarityLabel, family: EmissionFamily) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Tape route: the differentiable twin of the pipeline above.
+# Tape route: the differentiable training objective.
 
 
 @dataclass(eq=False)
@@ -462,15 +404,6 @@ def elbo_noise(rng: RngStream, n_mc: int) -> list[list[float]]:
     ]
 
 
-def elbo_word(obs: WordObservation, state: ModelState, n_mc: int, rng: RngStream) -> WordElbo:
-    """Single-word ELBO estimate on a fresh tape (see elbo_word_on)."""
-    if n_mc < 1:
-        raise ConfigError(f"n_mc must be >= 1, got {n_mc}")
-    tape = Tape()
-    binding = ModelBinding(tape, state)
-    return elbo_word_on(binding, obs, elbo_noise(rng, n_mc))
-
-
 def observations_from_views(views, vocab, priors: dict[str, DirichletPrior]) -> list[WordObservation]:
     """One WordObservation per vocabulary word, in sorted word order."""
     by_id = {v.id: v for v in views}
@@ -536,28 +469,45 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
-    """Read a checkpoint; returns (state, metadata including 'extra')."""
+    """Read a checkpoint; returns (state, metadata including 'extra').
+
+    A file that is not valid JSON, lacks a key or holds a non-numeric or
+    misshapen array raises ConfigError.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"checkpoint not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"checkpoint {path} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('format_version')!r}")
     if doc.get("component_order") != list(COMPONENTS):
         raise ConfigError(f"checkpoint component order {doc.get('component_order')!r} unsupported")
-    scales = {}
-    for vid, s in doc["scales"].items():
-        if s["tag"] == RATER_HISTOGRAM:
-            scales[vid] = ScaleFamily(s["tag"], n_raters=s["n_raters"], n_points=s["n_points"])
-        else:
-            scales[vid] = ScaleFamily(s["tag"])
-    state = ModelState(
-        scales=scales,
-        encoders={vid: _head_from_json(h) for vid, h in doc["encoders"].items()},
-        decoders={vid: _head_from_json(h) for vid, h in doc["decoders"].items()},
-    )
+    try:
+        scales = {}
+        for vid, s in doc["scales"].items():
+            if s["tag"] == RATER_HISTOGRAM:
+                scales[vid] = ScaleFamily(s["tag"], n_raters=s["n_raters"], n_points=s["n_points"])
+            else:
+                scales[vid] = ScaleFamily(s["tag"])
+        state = ModelState(
+            scales=scales,
+            encoders={vid: _head_from_json(h) for vid, h in doc["encoders"].items()},
+            decoders={vid: _head_from_json(h) for vid, h in doc["decoders"].items()},
+        )
+    except KeyError as e:
+        raise ConfigError(f"checkpoint {path} lacks key {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"checkpoint {path} is malformed: {e}") from None
+    extra = doc.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ConfigError(f"checkpoint {path}: 'extra' is not a JSON object")
     meta = {
         "config_hash": doc.get("config_hash", ""),
-        "extra": doc.get("extra", {}),
+        "extra": extra,
     }
     return state, meta

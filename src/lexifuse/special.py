@@ -192,7 +192,9 @@ def _gcf_da(a: float, x: float) -> tuple[float, float]:
         ddelta = dd * c + d * dc
         dh = dh * delta + h * ddelta
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        # At integer a the term an vanishes at i = a, which makes delta exactly
+        # 1 from then on while dQ/da still changes, so both must settle.
+        if abs(delta - 1.0) < _EPS and abs(h * ddelta) <= _EPS * abs(dh):
             break
     f = math.exp(-x + a * math.log(x) - lgamma(a))
     df = f * (math.log(x) - digamma(a))

@@ -18,9 +18,6 @@ import math
 from typing import Sequence
 
 from .errors import NumericError, UsageError
-from .special import digamma as _digamma
-from .special import lgamma as _lgamma
-from .special import trigamma as _trigamma
 
 
 class Tape:
@@ -68,13 +65,6 @@ class Tape:
             for p, d in zip(ps, partials[i]):
                 adj[p] += a * d
         return adj
-
-
-def grad(tape: Tape, root: "Var") -> list[float]:
-    """Adjoint per tape node for the scalar at `root` (see Tape.backward)."""
-    if not isinstance(tape, Tape):
-        raise UsageError("grad: first argument must be a Tape")
-    return tape.backward(root)
 
 
 class Var:
@@ -144,16 +134,6 @@ class Var:
     def __neg__(self):
         return self.tape._push(-self.value, (self.idx,), (-1.0,))
 
-    def __pow__(self, p):
-        p = float(p)
-        v = self.value
-        return self.tape._push(v**p, (self.idx,), (p * v ** (p - 1.0),))
-
-
-def exp(x: Var) -> Var:
-    e = math.exp(x.value)
-    return x.tape._push(e, (x.idx,), (e,))
-
 
 def log(x: Var) -> Var:
     v = x.value
@@ -184,14 +164,6 @@ def softplus(x: Var) -> Var:
     # max(v, 0) + log1p(exp(-|v|)) is overflow-safe on both sides
     val = max(v, 0.0) + math.log1p(math.exp(-abs(v)))
     return x.tape._push(val, (x.idx,), (_sigmoid_f(v),))
-
-
-def lgamma(x: Var) -> Var:
-    return x.tape._push(_lgamma(x.value), (x.idx,), (_digamma(x.value),))
-
-
-def digamma(x: Var) -> Var:
-    return x.tape._push(_digamma(x.value), (x.idx,), (_trigamma(x.value),))
 
 
 def clamp(x: Var, lo: float, hi: float) -> Var:

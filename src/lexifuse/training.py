@@ -174,7 +174,8 @@ def batch_gradient(
     noise: dict[str, list[list[float]]],
     scale: float,
 ) -> tuple[np.ndarray, dict[str, float]]:
-    """Gradient of loss = -scale * sum over the batch of elbo_word.
+    """Gradient of loss = -scale * sum over the batch of each word's ELBO
+    (elbo_word_on at the word's frozen noise).
 
     Returns (flat gradient in pack_state order, per-term sums).  Raises
     NumericError naming the offending word when any term is non-finite.

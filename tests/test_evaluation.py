@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from lexifuse.errors import ConfigError, ParseError, UsageError
 from lexifuse.evaluation import (
-    ConcatFeaturizer,
-    FusedBetaFeaturizer,
-    FusedMeanFeaturizer,
     LabeledCorpus,
     LogisticModel,
-    SingleLexiconFeaturizer,
     coverage,
     evaluate,
     fit_logistic,
@@ -35,11 +31,16 @@ from lexifuse.lexica import (
     signed_continuous,
 )
 from lexifuse.rng import RngStream
-from lexifuse.unified import UnifiedLexicon, entry_from_beta
+from lexifuse.unified import UnifiedLexicon
+from reference import entry_from_beta
 
 
 def view_of(vid, family, entries):
     return LexiconView(vid, family, {w: PolarityLabel(family, v) for w, v in entries.items()})
+
+
+def single(view):
+    return make_featurizer(f"single:{view.id}", views=[view])
 
 
 STANDARD_VIEWS = [
@@ -106,46 +107,48 @@ class TestLabeledCorpus:
 
 class TestWordFeature:
     def test_binary_sign_mapping(self):
-        f = SingleLexiconFeaturizer(view_of("b", binary(), {"good": 1, "bad": 0}))
+        f = single(view_of("b", binary(), {"good": 1, "bad": 0}))
         np.testing.assert_array_equal(f.word_feature("good"), [1.0])
         np.testing.assert_array_equal(f.word_feature("bad"), [-1.0])
         assert f.word_feature("absent") is None
         assert f.dim == 1
 
     def test_rater_midpoint_is_neutral(self):
-        f = SingleLexiconFeaturizer(
+        f = single(
             view_of("v", rater_histogram(10, 9), {"meh": (4,) * 10})
         )
         np.testing.assert_array_equal(f.word_feature("meh"), [0.0])
 
     def test_rater_bucketed_mean(self):
         # ratings 0-3 count -1, 4 counts 0, 5-8 count +1
-        f = SingleLexiconFeaturizer(
+        f = single(
             view_of("v", rater_histogram(10, 9), {"w": (0, 1, 2, 3, 4, 5, 6, 7, 8, 4)})
         )
         np.testing.assert_allclose(f.word_feature("w"), [0.0])
-        f2 = SingleLexiconFeaturizer(
+        f2 = single(
             view_of("v", rater_histogram(10, 9), {"w": (5, 6, 7, 8, 4, 5, 5, 5, 5, 5)})
         )
         np.testing.assert_allclose(f2.word_feature("w"), [0.9])
 
     def test_pair_two_dim(self):
-        f = SingleLexiconFeaturizer(view_of("p", pair_continuous(), {"w": (0.75, 0.125)}))
+        f = single(view_of("p", pair_continuous(), {"w": (0.75, 0.125)}))
         np.testing.assert_allclose(f.word_feature("w"), [0.75, 0.125])
         assert f.dim == 2
 
     def test_fused_features(self):
         lex = UnifiedLexicon([entry_from_beta("w", (2.0, 1.5, 1.5), 2)])
-        np.testing.assert_allclose(FusedMeanFeaturizer(lex).word_feature("w"), [0.4, 0.3, 0.3])
-        np.testing.assert_allclose(FusedBetaFeaturizer(lex).word_feature("W"), [2.0, 1.5, 1.5])
-        assert FusedMeanFeaturizer(lex).word_feature("absent") is None
+        fused_mean = make_featurizer("fused-mean", unified=lex)
+        np.testing.assert_allclose(fused_mean.word_feature("w"), [0.4, 0.3, 0.3])
+        fused_beta = make_featurizer("fused-beta", unified=lex)
+        np.testing.assert_allclose(fused_beta.word_feature("W"), [2.0, 1.5, 1.5])
+        assert fused_mean.word_feature("absent") is None
 
     def test_concat_dimension_16(self):
-        f = ConcatFeaturizer(STANDARD_VIEWS)
+        f = make_featurizer("concat", views=STANDARD_VIEWS)
         assert f.dim == 16
 
     def test_concat_layout_and_fill(self):
-        f = ConcatFeaturizer(STANDARD_VIEWS)
+        f = make_featurizer("concat", views=STANDARD_VIEWS)
         v = f.word_feature("good")
         # views in id order: gi, huliu, mpqa, sentic, swn, vader
         assert v[0] == 1.0 and v[1] == 1.0
@@ -156,7 +159,7 @@ class TestWordFeature:
         np.testing.assert_allclose(v[6:], [2 * r / 8 - 1 for r in raw])
 
     def test_concat_absent_everywhere(self):
-        f = ConcatFeaturizer(STANDARD_VIEWS)
+        f = make_featurizer("concat", views=STANDARD_VIEWS)
         assert f.word_feature("missing") is None
         v = f.word_feature("bad")
         assert v is not None and v.shape == (16,)
@@ -177,7 +180,7 @@ class TestWordFeature:
 
 class TestFeaturizeText:
     def setup_method(self):
-        self.f = SingleLexiconFeaturizer(
+        self.f = single(
             view_of("b", binary(), {"good": 1, "bad": 0, "fine": 1})
         )
 
@@ -268,7 +271,7 @@ class TestFitLogistic:
 
 class TestEvaluate:
     def test_separable_identity_split(self):
-        f = SingleLexiconFeaturizer(view_of("b", binary(), {"good": 1, "bad": 0}))
+        f = single(view_of("b", binary(), {"good": 1, "bad": 0}))
         c = LabeledCorpus(
             (("good",), ("bad",), ("good", "good"), ("bad", "bad")), (0, 1, 0, 1), 2
         )
@@ -277,11 +280,11 @@ class TestEvaluate:
     def test_deterministic(self):
         data = synth_generate(60, 1, 0.1, 120, 8, RngStream(4))
         tr, te = split_corpus(data.corpus, 90)
-        f = ConcatFeaturizer(data.views)
+        f = make_featurizer("concat", views=data.views)
         assert evaluate(tr, te, f) == evaluate(tr, te, f)
 
     def test_class_count_mismatch(self):
-        f = SingleLexiconFeaturizer(view_of("b", binary(), {"good": 1}))
+        f = single(view_of("b", binary(), {"good": 1}))
         a = LabeledCorpus((("good",), ("bad",)), (0, 1), 2)
         b = LabeledCorpus((("good",), ("bad",)), (0, 1), 3)
         with pytest.raises(ConfigError):
@@ -304,7 +307,7 @@ class TestCoverage:
             assert coverage(fused_words, data.corpus) >= coverage(set(v.entries), data.corpus)
 
     def test_featurizer_as_container(self):
-        f = SingleLexiconFeaturizer(view_of("b", binary(), {"good": 1}))
+        f = single(view_of("b", binary(), {"good": 1}))
         c = LabeledCorpus((("good", "bad"),), (0,), 2)
         assert coverage(f, c) == 50.0
 

@@ -121,6 +121,15 @@ class TestGammaincPDa:
         fd = (float(sps.gammainc(a + h, x)) - float(sps.gammainc(a - h, x))) / (2.0 * h)
         assert da == pytest.approx(fd, rel=2e-4, abs=1e-9)
 
+    @pytest.mark.parametrize("a", [1.0, 2.0, 3.0, 7.0])
+    def test_derivative_at_integer_shape_in_continued_fraction(self, a):
+        # x >= a + 1 takes the continued fraction, whose value terms end at i = a
+        x = a + 1.5
+        _, da = gammainc_p_da(a, x)
+        h = 1e-6 * a
+        fd = (float(sps.gammainc(a + h, x)) - float(sps.gammainc(a - h, x))) / (2.0 * h)
+        assert da == pytest.approx(fd, rel=1e-6)
+
     def test_zero_x(self):
         p, da = gammainc_p_da(2.0, 0.0)
         assert p == 0.0 and da == 0.0

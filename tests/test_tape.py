@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexifuse import tape as tp
 from lexifuse.errors import NumericError, UsageError
-from lexifuse.tape import Tape, Var, grad
+from lexifuse.tape import Tape
 
 
 def tape_value_and_grad(build, xs):
@@ -80,7 +79,8 @@ class TestBasicOps:
 
     def test_pow_and_neg(self):
         def build(t, xs):
-            return (-xs[0]) ** 2.0 + xs[0] ** 3.0
+            x = xs[0]
+            return (-x) * (-x) + x * x * x
 
         def f(xs):
             return xs[0] ** 2 + xs[0] ** 3
@@ -90,10 +90,12 @@ class TestBasicOps:
     @given(st.floats(min_value=-2.0, max_value=2.0))
     def test_unary_chain(self, x):
         def build(t, xs):
-            return tp.exp(tp.tanh(xs[0]) * 0.5) + tp.softplus(xs[0])
+            return tp.sigmoid(tp.tanh(xs[0]) * 0.5) + tp.softplus(xs[0])
 
         def f(vals):
-            return math.exp(math.tanh(vals[0]) * 0.5) + math.log1p(math.exp(-abs(vals[0]))) + max(vals[0], 0.0)
+            x = vals[0]
+            sig = 1.0 / (1.0 + math.exp(-0.5 * math.tanh(x)))
+            return sig + math.log1p(math.exp(-abs(x))) + max(x, 0.0)
 
         assert_grad_matches_fd(build, f, [x])
 
@@ -120,18 +122,6 @@ class TestBasicOps:
 
 
 class TestSpecialNodes:
-    @given(st.floats(min_value=0.2, max_value=20.0))
-    def test_lgamma_node(self, x):
-        val, g = tape_value_and_grad(lambda t, xs: tp.lgamma(xs[0]), [x])
-        assert val == pytest.approx(math.lgamma(x), rel=1e-12)
-        assert g[0] == pytest.approx(float(sps.digamma(x)), rel=1e-9)
-
-    @given(st.floats(min_value=0.2, max_value=20.0))
-    def test_digamma_node(self, x):
-        val, g = tape_value_and_grad(lambda t, xs: tp.digamma(xs[0]), [x])
-        assert val == pytest.approx(float(sps.digamma(x)), rel=1e-9)
-        assert g[0] == pytest.approx(float(sps.polygamma(1, x)), rel=1e-9)
-
     def test_clamp_passthrough_and_saturation(self):
         val, g = tape_value_and_grad(lambda t, xs: tp.clamp(xs[0], 0.0, 1.0), [0.4])
         assert (val, g[0]) == (0.4, 1.0)
@@ -249,7 +239,7 @@ class TestTapeStructure:
     def test_topological_by_construction(self):
         t = Tape()
         x = t.leaf(1.0)
-        y = tp.exp(x)
+        y = tp.tanh(x)
         z = y * x
         for i, ps in enumerate(t.parents):
             assert all(p < i for p in ps)
@@ -259,7 +249,7 @@ class TestTapeStructure:
         t = Tape()
         x = t.leaf(2.0)
         y = x * x
-        _ = tp.exp(y)  # appended after the root below
+        _ = tp.tanh(y)  # appended after the root below
         adj = t.backward(y)
         assert adj[x.idx] == 4.0
 
@@ -267,9 +257,9 @@ class TestTapeStructure:
         t1, t2 = Tape(), Tape()
         x = t1.leaf(1.0)
         with pytest.raises(UsageError):
-            grad(t2, x)
+            t2.backward(x)
         with pytest.raises(UsageError):
-            grad(t1, 3.0)  # not a Var
+            t1.backward(3.0)  # not a Var
 
     def test_mixing_tapes_raises(self):
         t1, t2 = Tape(), Tape()

@@ -17,11 +17,11 @@ from lexifuse.training import TrainConfig, init_model
 from lexifuse.unified import (
     UnifiedEntry,
     UnifiedLexicon,
-    entry_from_beta,
     export_lexicon,
     read_unified,
     write_unified,
 )
+from reference import entry_from_beta
 
 
 def make_setup(n_words=6, seed=0):
