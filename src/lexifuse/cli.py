@@ -57,12 +57,6 @@ def _load_views(view_args: list[str]) -> list[LexiconView]:
     return views
 
 
-def _observations(views: list[LexiconView]):
-    vocab = build_vocabulary(views)
-    priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
-    return vocab, observations_from_views(views, vocab, priors)
-
-
 def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -95,14 +89,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    for arg in args.views:
-        path, schema = _split_view_arg(arg)
-        view = parse_lexicon(path, schema)
+    views = _load_views(args.views)
+    for view in views:
         extras = ""
         if view.family.n_raters is not None:
             extras = f" ({view.family.n_raters} raters, {view.family.n_points} points)"
         print(f"{view.id}: {len(view)} words, family {view.family.tag}{extras}")
-    build_vocabulary(_load_views(args.views))
+    build_vocabulary(views)
     print("ok")
     return 0
 
@@ -112,7 +105,9 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     views = _load_views(args.views)
-    vocab, obs = _observations(views)
+    vocab = build_vocabulary(views)
+    priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
+    obs = observations_from_views(views, vocab, priors)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = train(
@@ -140,8 +135,7 @@ def cmd_export(args) -> int:
                 f"view {view.id!r} is {view.family.header()}, but the checkpoint "
                 f"was trained on {trained.header()}"
             )
-    vocab, obs = _observations(views)
-    entries = export_lexicon(state, obs)
+    entries = export_lexicon(state, views)
     extra = meta.get("extra") or {}
     write_unified(
         args.out,

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one reader of
+input files that maps their failures onto it.
 
 Each class maps to one CLI exit-code category: usage/configuration -> 2,
 parse/domain -> 3, numeric -> 4.
 """
+
+from pathlib import Path
 
 
 class LexifuseError(Exception):
@@ -44,3 +47,21 @@ class NumericError(LexifuseError):
     """Non-finite quantity encountered during optimization."""
 
     exit_code = 4
+
+
+def read_input(path: Path, what: str) -> str:
+    """An input file's text.  A missing, non-regular or unreadable file is a
+    ConfigError; bytes that are not UTF-8 are a ParseError naming the line."""
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{what} {path} is not a regular file")
+    try:
+        data = path.read_bytes()
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"not UTF-8: byte 0x{data[e.start]:02x}", path=str(path), line=line) from None

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NumericError, ParseError, UsageError
+from .errors import ConfigError, NumericError, ParseError, UsageError, read_input
 from .lexica import (
     BINARY,
     NEGATIVE,
@@ -74,11 +74,9 @@ class LabeledCorpus:
 def read_corpus(path: str | Path, n_classes: int | None = None) -> LabeledCorpus:
     """Read a `label<TAB>text` TSV; `#` lines and blanks are skipped."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"corpus file not found: {path}")
     texts: list[tuple[str, ...]] = []
     labels: list[int] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_input(path, "corpus file").splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         if "\t" not in raw:

@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError, ParseError, read_input
 
 log = logging.getLogger(__name__)
 
@@ -137,13 +137,6 @@ class CombinedVocabulary:
     """Union of view vocabularies with per-word view membership."""
 
     membership: dict[str, tuple[str, ...]]
-
-    @property
-    def words(self) -> set[str]:
-        return set(self.membership)
-
-    def count(self, word: str) -> int:
-        return len(self.membership[word])
 
     def sorted_words(self) -> list[str]:
         return sorted(self.membership)
@@ -312,10 +305,8 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
     counted and logged as warnings.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"lexicon file not found: {path}")
     schema = schema or ViewSchema()
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_input(path, "lexicon file").splitlines()
 
     family = schema.family
     if lines and lines[0].startswith("#family="):

@@ -10,8 +10,9 @@ view's emission distribution over labels.
 
 Each quantity has one numerical path.  Training builds the ELBO on the tape
 (ModelBinding + elbo_word_on).  Export needs only the encoder outputs, so
-`encode` and `posterior_params` run the encoder as a plain numpy forward;
-the encoder is the one network with both a numpy and a tape forward.
+`posterior_params` runs each view's encoder once, as a batched numpy
+forward (`encode`) over all of that view's labels; only export runs it.
+The encoder is the one network with both a numpy and a tape forward.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import tape as tp
 from .distributions import dirichlet_kl_var, dirichlet_sample_vars
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, read_input
 from .lexica import (
     BINARY,
     COMPONENTS,
@@ -34,6 +35,7 @@ from .lexica import (
     RATER_HISTOGRAM,
     SIGNED_CONTINUOUS,
     DirichletPrior,
+    LexiconView,
     PolarityLabel,
     ScaleFamily,
 )
@@ -135,20 +137,8 @@ class MlpHead:
             raise ConfigError(f"b2 shape {self.b2.shape} != {(self.output_dim,)}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.w2 @ np.tanh(self.w1 @ x + self.b1) + self.b2
-
-
-@dataclass(frozen=True)
-class LatentPosterior:
-    """Variational Dirichlet over one word's polarity."""
-
-    beta: tuple[float, float, float]
-    mean: tuple[float, float, float]
-
-    @classmethod
-    def from_beta(cls, beta) -> "LatentPosterior":
-        total = sum(beta)
-        return cls(tuple(float(b) for b in beta), tuple(float(b) / total for b in beta))
+        """The head applied to each row of x: (n, input) -> (n, output)."""
+        return np.tanh(x @ self.w1.T + self.b1) @ self.w2.T + self.b2
 
 
 @dataclass(frozen=True)
@@ -209,32 +199,31 @@ def unpack_state(state: ModelState, vec: np.ndarray) -> None:
         pos += a.size
 
 
-def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-def encode(label: PolarityLabel, head: MlpHead) -> tuple[float, float, float]:
-    """omega_d = softmax(g(x_d)): this view's pseudocount split for the word."""
-    x = encoder_input(label)
-    if head.input_dim != len(x):
-        raise ConfigError(f"encoder expects input_dim {len(x)} for {label.family.tag}, has {head.input_dim}")
+def encode(head: MlpHead, x: np.ndarray) -> np.ndarray:
+    """omega_d = softmax(g(x_d)) per row of encoder inputs: (n, input_dim) -> (n, 3)."""
+    if x.ndim != 2 or x.shape[1] != head.input_dim:
+        raise ConfigError(f"encoder expects rows of input_dim {head.input_dim}, got shape {x.shape}")
     if head.output_dim != 3:
         raise ConfigError(f"encoder output_dim must be 3, got {head.output_dim}")
-    omega = _softmax(head.forward(np.array(x)))
-    return (float(omega[0]), float(omega[1]), float(omega[2]))
+    raw = head.forward(x)
+    e = np.exp(raw - raw.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def posterior_params(obs: WordObservation, encoders: dict[str, MlpHead]) -> LatentPosterior:
-    """beta = 1 + sum over observed views of omega_d."""
-    beta = [1.0, 1.0, 1.0]
-    for vid in sorted(obs.labels):
-        if vid not in encoders:
-            raise ConfigError(f"no encoder for view {vid!r}")
-        omega = encode(obs.labels[vid], encoders[vid])
-        for k in range(3):
-            beta[k] += omega[k]
-    return LatentPosterior.from_beta(beta)
+def posterior_params(views: list[LexiconView], encoders: dict[str, MlpHead]) -> np.ndarray:
+    """beta = 1 + sum over each word's views of omega_d, one row per word in
+    sorted order; each view's encoder runs once, in sorted view-id order."""
+    words = sorted(set().union(*(view.entries for view in views)))
+    row = {w: i for i, w in enumerate(words)}
+    beta = np.ones((len(words), 3))
+    for view in sorted(views, key=lambda v: v.id):
+        if view.id not in encoders:
+            raise ConfigError(f"no encoder for view {view.id!r}")
+        labels = view.entries
+        x = np.array([encoder_input(label) for label in labels.values()], dtype=float)
+        x = x.reshape(len(labels), encoder_input_dim(view.family))
+        beta[[row[w] for w in labels]] += encode(encoders[view.id], x)
+    return beta
 
 
 def _check_emission_match(label: PolarityLabel, family: EmissionFamily) -> None:
@@ -471,15 +460,15 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     """Read a checkpoint; returns (state, metadata including 'extra').
 
-    A file that is not valid JSON, lacks a key or holds a non-numeric or
-    misshapen array raises ConfigError.
+    A missing path, a non-file, or a file that is not valid JSON, lacks a
+    key or holds a non-numeric or misshapen array raises ConfigError; bytes
+    that are not UTF-8 raise ParseError.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"checkpoint not found: {path}")
+    text = read_input(path, "checkpoint")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        doc = json.loads(text)
+    except ValueError as e:
         raise ConfigError(f"checkpoint {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"checkpoint {path} is not a JSON object")

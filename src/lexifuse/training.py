@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, UsageError
+from .errors import ConfigError, DomainError, NumericError, UsageError, read_input
 from .lexica import CombinedVocabulary, LexiconView, ScaleFamily
 from .model import (
     MlpHead,
@@ -71,11 +71,9 @@ class TrainConfig:
 def load_train_config(path: str | Path) -> TrainConfig:
     """Read a `key = value` config file; keys are TrainConfig field names."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     types = {f.name: f.type for f in fields(TrainConfig)}
     kwargs = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_input(path, "config file").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

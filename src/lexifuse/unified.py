@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, ParseError
-from .model import ModelState, WordObservation, posterior_params
+from .errors import ConfigError, ParseError, read_input
+from .lexica import LexiconView, build_vocabulary
+from .model import ModelState, posterior_params
 
 log = logging.getLogger(__name__)
 
@@ -58,28 +59,31 @@ class UnifiedEntry:
                 raise ConfigError(f"mean {self.mean} is not beta/sum(beta) for beta {self.beta}")
 
 
-def export_lexicon(model: ModelState, observations: list[WordObservation]) -> list[UnifiedEntry]:
-    """One entry per observed word via the trained encoders, sorted by word.
+def export_lexicon(model: ModelState, views: list[LexiconView]) -> list[UnifiedEntry]:
+    """One entry per word of the views via the trained encoders, sorted by word.
 
-    Words whose views lack an encoder are skipped with a warning rather
-    than aborting the export.
+    Words that a view without an encoder covers are skipped with a warning
+    rather than aborting the export.
     """
+    vocab = build_vocabulary(views)
+    missing = {v.id for v in views} - model.encoders.keys()
+    beta = posterior_params([v for v in views if v.id not in missing], model.encoders)
+    mean = beta / beta.sum(axis=1, keepdims=True)
+    rows = zip(beta.tolist(), mean.tolist())
     entries = []
     skipped = 0
-    for obs in sorted(observations, key=lambda o: o.word):
-        missing = [vid for vid in obs.labels if vid not in model.encoders]
-        if missing:
+    for word in vocab.sorted_words():
+        vids = vocab.membership[word]
+        lost = sorted(missing.intersection(vids))
+        if len(lost) < len(vids):  # a covered view gave the word a row
+            b, m = next(rows)
+        if lost:
             skipped += 1
-            log.warning("skipping %r: no encoder for views %s", obs.word, sorted(missing))
+            log.warning("skipping %r: no encoder for views %s", word, lost)
             continue
-        post = posterior_params(obs, model.encoders)
-        entries.append(
-            UnifiedEntry(
-                word=obs.word, beta=post.beta, mean=post.mean, n_views=len(obs.labels)
-            )
-        )
+        entries.append(UnifiedEntry(word=word, beta=tuple(b), mean=tuple(m), n_views=len(vids)))
     if skipped:
-        log.warning("export skipped %d of %d words", skipped, len(observations))
+        log.warning("export skipped %d of %d words", skipped, len(vocab))
     return entries
 
 
@@ -108,10 +112,6 @@ class UnifiedLexicon:
         return [self._by_word[w] for w in self.words()]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def write_unified(
     path: str | Path,
     entries: list[UnifiedEntry],
@@ -130,8 +130,8 @@ def write_unified(
             "\t".join(
                 (
                     e.word,
-                    *(_fmt(b) for b in e.beta),
-                    *(_fmt(m) for m in e.mean),
+                    *(f"{b:.12g}" for b in e.beta),
+                    *(f"{m:.12g}" for m in e.mean),
                     str(e.n_views),
                 )
             )
@@ -141,12 +141,11 @@ def write_unified(
 
 def read_unified(path: str | Path) -> UnifiedLexicon:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"unified lexicon file not found: {path}")
     meta: dict[str, str] = {}
     entries: list[UnifiedEntry] = []
+    first_line: dict[str, int] = {}
     saw_header = False
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_input(path, "unified lexicon file").splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -181,6 +180,12 @@ def read_unified(path: str | Path) -> UnifiedLexicon:
             )
         except (ValueError, ConfigError) as e:
             raise ParseError(str(e), path=str(path), line=lineno) from e
+        key = entry.word.casefold()
+        if key in first_line:
+            raise ParseError(
+                f"word {entry.word!r} repeats line {first_line[key]}", path=str(path), line=lineno
+            )
+        first_line[key] = lineno
         entries.append(entry)
     if not saw_header:
         raise ParseError("missing header row", path=str(path), line=1)

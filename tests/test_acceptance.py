@@ -32,7 +32,6 @@ from lexifuse.evaluation import (
 )
 from lexifuse.lexica import (
     COMPONENTS,
-    DirichletPrior,
     LexiconView,
     PolarityLabel,
     binary,
@@ -45,12 +44,12 @@ from lexifuse.lexica import (
 )
 from lexifuse.model import (
     ModelBinding,
-    WordObservation,
     decode_vars,
     emission_for_scale,
     emission_ll_var,
     encode,
     encode_vars,
+    encoder_input,
     observations_from_views,
     pack_state,
     posterior_params,
@@ -123,7 +122,7 @@ def synth_runs():
         priors = {w: compute_prior(w, data.views, vocab) for w in vocab.sorted_words()}
         obs = observations_from_views(data.views, vocab, priors)
         result = train(vocab, obs, TrainConfig(seed=seed))
-        lexicon = UnifiedLexicon(export_lexicon(result.state, obs))
+        lexicon = UnifiedLexicon(export_lexicon(result.state, data.views))
         runs.append(SynthRun(seed=seed, data=data, obs=obs, state=result.state, lexicon=lexicon))
     elapsed = time.perf_counter() - t0
     return runs, elapsed
@@ -139,11 +138,11 @@ class TestCriterion1:
                 k = int(gen.integers(1, len(vids) + 1))
                 subset = list(gen.choice(vids, size=k, replace=False))
                 labels = {vid: random_label(ALL_SCALES[vid], gen) for vid in subset}
-                obs = WordObservation("w", labels, DirichletPrior((1.0, 1.0, 1.0)))
-                post = posterior_params(obs, state.encoders)
+                views = [LexiconView(vid, ALL_SCALES[vid], {"w": labels[vid]}) for vid in subset]
+                (beta,) = posterior_params(views, state.encoders)
                 n_views = len(labels)
-                assert abs(sum(b - 1.0 for b in post.beta) - n_views) < 1e-9
-                assert abs(sum(post.beta) - (3.0 + n_views)) < 1e-9
+                assert abs(sum(b - 1.0 for b in beta) - n_views) < 1e-9
+                assert abs(sum(beta) - (3.0 + n_views)) < 1e-9
 
 
 class TestCriterion2:
@@ -200,7 +199,7 @@ class TestCriterion3:
             def enc_value(vec):
                 s2 = copy.deepcopy(state)
                 unpack_state(s2, vec)
-                om = encode(label, s2.encoders[vid])
+                (om,) = encode(s2.encoders[vid], np.array([encoder_input(label)]))
                 return om[0] + 2.0 * om[1] + 3.0 * om[2]
 
             fd = np.array([
@@ -306,8 +305,8 @@ class TestCriterion4:
                 for obs in run.obs:
                     if len(obs.labels) < 2:
                         continue
-                    post = posterior_params(obs, run.state.encoders)
-                    pred = max(range(3), key=lambda k: post.mean[k])
+                    mean = run.lexicon.lookup(obs.word).mean
+                    pred = max(range(3), key=lambda k: mean[k])
                     n += 1
                     hits += pred == run.data.word_classes[obs.word]
                 rates.append(hits / n)
@@ -457,7 +456,7 @@ class TestCriterion10:
             priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
             obs = observations_from_views(views, vocab, priors)
             result = train(vocab, obs, TrainConfig(seed=0))
-            lexicon = UnifiedLexicon(export_lexicon(result.state, obs))
+            lexicon = UnifiedLexicon(export_lexicon(result.state, views))
             tr = read_corpus(os.path.join(base, "corpus_train.tsv"))
             te = read_corpus(os.path.join(base, "corpus_test.tsv"))
             acc = evaluate(tr, te, make_featurizer("fused-beta", unified=lexicon))

@@ -161,6 +161,13 @@ class TestErrorExits:
         r = run_cli("validate", "--views", str(view), env_extra={"LEXIFUSE_THREADS": "many"})
         assert r.returncode == 0
 
+    def test_validate_warns_once_per_view(self, tmp_path):
+        view = tmp_path / "v.tsv"
+        view.write_text("#family=Binary\ngood\t1\ngood\t0\nbad\t0\n")
+        r = run_cli("validate", "--views", str(view))
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.count("1 duplicate words resolved last-wins") == 1
+
     def test_version_flag(self):
         r = run_cli("--version")
         assert r.returncode == 0
@@ -211,3 +218,43 @@ class TestCheckpointErrors:
         assert_clean_exit_2(r)
         assert "'v'" in r.stderr and "SignedContinuous" in r.stderr and "Binary" in r.stderr
         assert not (tmp_path / "u2.tsv").exists()
+
+
+def _reader_command(reader, bad, d):
+    """A CLI call whose first input read is `bad`, through the named reader."""
+    view = d / "v.tsv"
+    view.write_text("#family=Binary\ngood\t1\nbad\t0\n")
+    corpus = d / "c.tsv"
+    corpus.write_text("0\tgood\n1\tbad\n")
+    out = str(d / "out")
+    if reader == "lexicon":
+        return ["validate", "--views", bad]
+    if reader == "checkpoint":
+        return ["export", "--checkpoint", bad, "--views", str(view), "--out", out]
+    if reader == "config":
+        return ["train", "--views", str(view), "--config", bad, "--out", out]
+    if reader == "unified":
+        return ["eval", "--mode", "fused-beta", "--unified", bad,
+                "--corpus", str(corpus), str(corpus), "--out", out]
+    return ["eval", "--mode", "single:v", "--views", str(view),
+            "--corpus", bad, bad, "--out", out]
+
+
+@pytest.mark.parametrize("reader", ["lexicon", "checkpoint", "config", "unified", "corpus"])
+@pytest.mark.parametrize(
+    "case, code",
+    [("missing", 2), ("directory", 2), ("not_utf8", 3)],
+)
+def test_unreadable_input(tmp_path, reader, case, code):
+    bad = tmp_path / "bad.txt"
+    if case == "directory":
+        bad.mkdir()
+    elif case == "not_utf8":
+        bad.write_bytes(b"good\t1\n\xff\t0\n")
+    r = run_cli(*_reader_command(reader, str(bad), tmp_path))
+    assert r.returncode == code, r.stderr
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
+    assert str(bad) in r.stderr
+    if case == "not_utf8":
+        assert f"{bad}:2:" in r.stderr

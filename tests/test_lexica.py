@@ -217,15 +217,15 @@ class TestBuildVocabulary:
 
     def test_union_and_counts(self):
         vocab = build_vocabulary([self._view("A", ["x", "y"]), self._view("B", ["y", "z"])])
-        assert vocab.words == {"x", "y", "z"}
-        assert vocab.count("y") == 2
-        assert vocab.count("x") == 1
-        assert vocab.count("z") == 1
+        assert set(vocab.membership) == {"x", "y", "z"}
+        assert len(vocab.membership["y"]) == 2
+        assert len(vocab.membership["x"]) == 1
+        assert len(vocab.membership["z"]) == 1
         assert vocab.membership["y"] == ("A", "B")
 
     def test_single_view(self):
         vocab = build_vocabulary([self._view("A", ["x"])])
-        assert vocab.count("x") == 1
+        assert len(vocab.membership["x"]) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lexifuse.errors import ConfigError, UsageError
 from lexifuse.lexica import (
     DirichletPrior,
+    LexiconView,
     PolarityLabel,
     binary,
     pair_continuous,
@@ -18,7 +19,6 @@ from lexifuse.lexica import (
 )
 from lexifuse.model import (
     EmissionFamily,
-    LatentPosterior,
     ModelBinding,
     ModelState,
     WordObservation,
@@ -65,6 +65,11 @@ def example_label(scale):
     if tag == "PairContinuous":
         return PolarityLabel(scale, (0.75, 0.125))
     return PolarityLabel(scale, (4, 5, 3, 4, 6, 4, 4, 2, 4, 4))
+
+
+def encode_one(label, head):
+    """omega for one label through the batched numpy encoder."""
+    return encode(head, np.array([encoder_input(label)]))[0]
 
 
 def decode_on_tape(state, vid, z, family):
@@ -114,26 +119,40 @@ class TestEncode:
     def test_on_simplex(self):
         state = small_state()
         for vid, scale in ALL_SCALES.items():
-            omega = encode(example_label(scale), state.encoders[vid])
+            omega = encode_one(example_label(scale), state.encoders[vid])
             assert abs(sum(omega) - 1.0) < 1e-9
             assert all(w > 0 for w in omega)
 
     def test_zero_weights_uniform(self):
         cfg = TrainConfig(hidden_dim=4, weight_init_scale=0.0)
         state = init_model({"sig": signed_continuous()}, cfg, stream_for(0, "init"))
-        omega = encode(PolarityLabel(signed_continuous(), 0.65), state.encoders["sig"])
+        omega = encode_one(PolarityLabel(signed_continuous(), 0.65), state.encoders["sig"])
         assert omega == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_dim_mismatch(self):
         state = small_state()
         with pytest.raises(ConfigError):
-            encode(example_label(pair_continuous()), state.encoders["sig"])
+            encode_one(example_label(pair_continuous()), state.encoders["sig"])
+        with pytest.raises(ConfigError):
+            encode(state.encoders["sig"], np.array([0.65]))
+        # a decoder takes 3 inputs but does not put out 3 logits
+        with pytest.raises(ConfigError):
+            encode(state.decoders["sig"], np.zeros((1, 3)))
+
+    def test_rows_independent(self):
+        state = small_state()
+        labels = [PolarityLabel(signed_continuous(), v) for v in (-1.0, -0.25, 0.0, 0.65, 1.0)]
+        x = np.array([encoder_input(label) for label in labels])
+        omegas = encode(state.encoders["sig"], x)
+        assert omegas.shape == (5, 3)
+        for label, omega in zip(labels, omegas):
+            np.testing.assert_allclose(omega, encode_one(label, state.encoders["sig"]), rtol=1e-15)
 
     def test_golden_seed0(self):
         # Pinned output of the seed-0 default-config encoder on label 0.65;
         # guards against silent changes to init or forward order.
         state = init_model({"sig": signed_continuous()}, TrainConfig(seed=0), stream_for(0, "init"))
-        omega = encode(PolarityLabel(signed_continuous(), 0.65), state.encoders["sig"])
+        omega = encode_one(PolarityLabel(signed_continuous(), 0.65), state.encoders["sig"])
         golden = (0.33308868645984724, 0.33414938163772556, 0.3327619319024272)
         np.testing.assert_allclose(omega, golden, rtol=0, atol=1e-15)
 
@@ -142,27 +161,20 @@ class TestPosteriorParams:
     @given(st.sets(st.sampled_from(sorted(ALL_SCALES)), min_size=1))
     def test_pseudocount_identity(self, vids):
         state = small_state()
-        labels = {vid: example_label(ALL_SCALES[vid]) for vid in vids}
-        obs = WordObservation("w", labels, DirichletPrior((1.0, 1.0, 1.0)))
-        post = posterior_params(obs, state.encoders)
-        assert sum(post.beta) - 3.0 == pytest.approx(len(vids), abs=1e-9)
-        assert sum(b - 1.0 for b in post.beta) == pytest.approx(len(vids), abs=1e-9)
-        assert all(b > 1.0 for b in post.beta)
-        assert sum(post.mean) == pytest.approx(1.0, abs=1e-12)
-
-    def test_from_beta_normalization(self):
-        post = LatentPosterior.from_beta((2.0, 1.0, 1.0))
-        assert post.mean == pytest.approx((0.5, 0.25, 0.25))
-        post = LatentPosterior.from_beta((2.3, 1.5, 1.2))
-        assert post.mean == pytest.approx((0.46, 0.30, 0.24))
+        views = [
+            LexiconView(vid, ALL_SCALES[vid], {"w": example_label(ALL_SCALES[vid])}) for vid in vids
+        ]
+        (beta,) = posterior_params(views, state.encoders)
+        assert sum(beta) - 3.0 == pytest.approx(len(vids), abs=1e-9)
+        assert sum(b - 1.0 for b in beta) == pytest.approx(len(vids), abs=1e-9)
+        assert all(b > 1.0 for b in beta)
+        assert sum(beta / beta.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_encoder(self):
         state = small_state({"sig": signed_continuous()})
-        obs = WordObservation(
-            "w", {"other": example_label(binary())}, DirichletPrior((1.0, 1.0, 1.0))
-        )
+        view = LexiconView("other", binary(), {"w": example_label(binary())})
         with pytest.raises(ConfigError):
-            posterior_params(obs, state.encoders)
+            posterior_params([view], state.encoders)
 
 
 class TestDecode:
@@ -258,7 +270,7 @@ class TestTapeFloatParity:
             tape = Tape()
             binding = ModelBinding(tape, state)
             om_t = encode_vars(label, binding.heads[("enc", vid)])
-            om_f = encode(label, state.encoders[vid])
+            om_f = encode_one(label, state.encoders[vid])
             np.testing.assert_allclose([o.value for o in om_t], om_f, rtol=1e-12)
 
 

@@ -3,16 +3,17 @@ import pytest
 
 from lexifuse.errors import ConfigError, ParseError
 from lexifuse.lexica import (
-    DirichletPrior,
     LexiconView,
     PolarityLabel,
     binary,
     build_vocabulary,
-    compute_prior,
+    pair_continuous,
+    rater_histogram,
     signed_continuous,
 )
-from lexifuse.model import observations_from_views, posterior_params
+from lexifuse.model import ModelBinding, encode_vars
 from lexifuse.rng import stream_for
+from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model
 from lexifuse.unified import (
     UnifiedEntry,
@@ -25,6 +26,7 @@ from reference import entry_from_beta
 
 
 def make_setup(n_words=6, seed=0):
+    """One view per scale family over overlapping slices of the words."""
     words = [f"word{i}" for i in range(n_words)]
     bview = LexiconView(
         "bin", binary(), {w: PolarityLabel(binary(), i % 2) for i, w in enumerate(words)}
@@ -34,16 +36,23 @@ def make_setup(n_words=6, seed=0):
         signed_continuous(),
         {w: PolarityLabel(signed_continuous(), (i - 2) / 4) for i, w in enumerate(words[:4])},
     )
-    views = [bview, sview]
-    vocab = build_vocabulary(views)
-    priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
-    obs = observations_from_views(views, vocab, priors)
-    state = init_model(
-        {"bin": binary(), "sig": signed_continuous()},
-        TrainConfig(hidden_dim=4, seed=seed),
-        stream_for(seed, "init"),
+    pview = LexiconView(
+        "pair",
+        pair_continuous(),
+        {w: PolarityLabel(pair_continuous(), (i / 8, 0.5)) for i, w in enumerate(words[1:5])},
     )
-    return views, vocab, obs, state
+    rview = LexiconView(
+        "rater",
+        rater_histogram(10, 9),
+        {
+            w: PolarityLabel(rater_histogram(10, 9), tuple((i + r) % 9 for r in range(10)))
+            for i, w in enumerate(words[3:])
+        },
+    )
+    views = [bview, sview, pview, rview]
+    vocab = build_vocabulary(views)
+    state = init_model(views, TrainConfig(hidden_dim=4, seed=seed), stream_for(seed, "init"))
+    return views, vocab, state
 
 
 class TestUnifiedEntry:
@@ -66,37 +75,46 @@ class TestUnifiedEntry:
 
 class TestExportLexicon:
     def test_one_entry_per_word(self):
-        views, vocab, obs, state = make_setup()
-        entries = export_lexicon(state, obs)
+        views, vocab, state = make_setup()
+        entries = export_lexicon(state, views)
         assert len(entries) == len(vocab)
         assert [e.word for e in entries] == vocab.sorted_words()
 
     def test_matches_posterior(self):
-        views, vocab, obs, state = make_setup()
-        entries = {e.word: e for e in export_lexicon(state, obs)}
-        for o in obs:
-            post = posterior_params(o, state.encoders)
-            np.testing.assert_allclose(entries[o.word].beta, post.beta, rtol=0)
-            assert entries[o.word].n_views == len(o.labels)
+        # oracle: each view's omega on the tape, summed in sorted view order
+        views, vocab, state = make_setup()
+        entries = {e.word: e for e in export_lexicon(state, views)}
+        by_id = {v.id: v for v in views}
+        for word in vocab.sorted_words():
+            binding = ModelBinding(Tape(), state)
+            beta = [1.0, 1.0, 1.0]
+            for vid in vocab.membership[word]:
+                omega = encode_vars(by_id[vid].entries[word], binding.heads[("enc", vid)])
+                beta = [b + o.value for b, o in zip(beta, omega)]
+            np.testing.assert_allclose(entries[word].beta, beta, rtol=1e-12)
+            np.testing.assert_allclose(entries[word].mean, np.divide(beta, sum(beta)), rtol=1e-12)
+            assert entries[word].n_views == len(vocab.membership[word])
 
     def test_skips_uncovered_views_with_warning(self, caplog):
-        views, vocab, obs, state = make_setup()
-        extra = observations_from_views(
-            [
-                LexiconView(
-                    "other", binary(), {"zzz": PolarityLabel(binary(), 1)}
-                )
-            ],
-            build_vocabulary(
-                [LexiconView("other", binary(), {"zzz": PolarityLabel(binary(), 1)})]
-            ),
-            {"zzz": DirichletPrior((2.0, 1.0, 1.0))},
+        views, vocab, state = make_setup()
+        full = {e.word: e for e in export_lexicon(state, views)}
+        # "other" has no encoder: it alone covers zzz and also covers word0
+        other = LexiconView(
+            "other",
+            binary(),
+            {"zzz": PolarityLabel(binary(), 1), "word0": PolarityLabel(binary(), 0)},
         )
         with caplog.at_level("WARNING"):
-            entries = export_lexicon(state, obs + extra)
-        assert len(entries) == len(obs)
-        assert all(e.word != "zzz" for e in entries)
-        assert "zzz" in caplog.text
+            entries = export_lexicon(state, views + [other])
+        assert [e.word for e in entries] == [w for w in vocab.sorted_words() if w != "word0"]
+        assert all(e == full[e.word] for e in entries)
+        assert "'zzz'" in caplog.text and "'word0'" in caplog.text
+        assert "export skipped 2 of 7 words" in caplog.text
+
+    def test_duplicate_view_ids_rejected(self):
+        views, vocab, state = make_setup()
+        with pytest.raises(ConfigError):
+            export_lexicon(state, views + [views[0]])
 
 
 class TestLookup:
@@ -110,8 +128,8 @@ class TestLookup:
 
 class TestSerialization:
     def test_roundtrip_byte_identical(self, tmp_path):
-        views, vocab, obs, state = make_setup()
-        entries = export_lexicon(state, obs)
+        views, vocab, state = make_setup()
+        entries = export_lexicon(state, views)
         p1 = tmp_path / "a.tsv"
         p2 = tmp_path / "b.tsv"
         write_unified(p1, entries, seed=3, config_hash="deadbeef0123")
@@ -164,4 +182,13 @@ class TestSerialization:
         write_unified(p, [entry_from_beta("w", (2.0, 1.5, 1.5), 2)])
         p.write_text(p.read_text().replace("\t2\n", "\tmany\n"))
         with pytest.raises(ParseError):
+            read_unified(p)
+
+    def test_repeated_word(self, tmp_path):
+        p = tmp_path / "u.tsv"
+        write_unified(p, [entry_from_beta("a", (2.0, 1.5, 1.5), 2)])
+        q = tmp_path / "q.tsv"
+        write_unified(q, [entry_from_beta("a", (1.5, 2.0, 1.5), 2)])
+        p.write_text(p.read_text() + q.read_text().splitlines()[-1] + "\n")
+        with pytest.raises(ParseError, match=r"u.tsv:4: word 'a' repeats line 3"):
             read_unified(p)
