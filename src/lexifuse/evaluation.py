@@ -133,14 +133,6 @@ def _single_dim(family: ScaleFamily) -> int:
     return 1
 
 
-def _concat_dim(family: ScaleFamily) -> int:
-    if family.tag == PAIR_CONTINUOUS:
-        return 2
-    if family.tag == RATER_HISTOGRAM:
-        return family.n_raters
-    return 1
-
-
 def _bucket(rating: int, n_points: int) -> float:
     mid = (n_points - 1) / 2
     if rating < mid:
@@ -230,12 +222,12 @@ def make_featurizer(
         table = {
             word: np.concatenate([
                 _concat_feature(v.entries[word]) if word in v.entries
-                else np.zeros(_concat_dim(v.family))
+                else np.zeros(v.family.width)
                 for v in views
             ])
             for word in set().union(*(v.entries for v in views))
         }
-        return Featurizer(mode, sum(_concat_dim(v.family) for v in views), table)
+        return Featurizer(mode, sum(v.family.width for v in views), table)
     if mode.startswith("single:"):
         vid = mode.split(":", 1)[1]
         for v in views or []:
@@ -348,26 +340,14 @@ def fit_logistic(
     return LogisticModel(weights=w, bias=b, l2=l2, converged=converged, n_iter=it)
 
 
-def evaluate(
-    corpus_train: LabeledCorpus,
-    corpus_test: LabeledCorpus,
-    featurizer: Featurizer,
-    l2: float = 1e-4,
-    max_iter: int = 2000,
-    tol: float = 1e-8,
-) -> float:
-    """Fit on the training split, return accuracy on the test split."""
+def evaluate(corpus_train: LabeledCorpus, corpus_test: LabeledCorpus, featurizer: Featurizer) -> float:
+    """Fit on the training split (fit_logistic's defaults), return accuracy
+    on the test split."""
     if corpus_train.n_classes != corpus_test.n_classes:
         raise ConfigError(
             f"train has {corpus_train.n_classes} classes, test has {corpus_test.n_classes}"
         )
-    model = fit_logistic(
-        featurizer.featurize_corpus(corpus_train),
-        corpus_train.labels,
-        l2=l2,
-        max_iter=max_iter,
-        tol=tol,
-    )
+    model = fit_logistic(featurizer.featurize_corpus(corpus_train), corpus_train.labels)
     return model.accuracy(featurizer.featurize_corpus(corpus_test), corpus_test.labels)
 
 

@@ -50,10 +50,17 @@ class ScaleFamily:
         if self.tag == RATER_HISTOGRAM:
             if not (isinstance(self.n_raters, int) and self.n_raters > 0):
                 raise ConfigError("RaterHistogram needs a positive n_raters")
-            if not (isinstance(self.n_points, int) and self.n_points > 0):
-                raise ConfigError("RaterHistogram needs a positive n_points")
+            if not (isinstance(self.n_points, int) and self.n_points >= 2):
+                raise ConfigError("RaterHistogram needs n_points >= 2")
         elif self.n_raters is not None or self.n_points is not None:
             raise ConfigError(f"{self.tag} does not take n_raters/n_points")
+
+    @property
+    def width(self) -> int:
+        """Numbers per label: one rating per rater, two for a pair, else one."""
+        if self.tag == RATER_HISTOGRAM:
+            return self.n_raters
+        return 2 if self.tag == PAIR_CONTINUOUS else 1
 
     def header(self) -> str:
         if self.tag == RATER_HISTOGRAM:
@@ -168,9 +175,9 @@ class ViewSchema:
     """How to read one lexicon file.
 
     family None means the file's own `#family=` header declares it.  Binary
-    token maps let files spell 1/0 as e.g. positive/negative.  Column
-    indices select fields from tab-separated rows; pair labels may sit in
-    one comma-joined column or split across value_col/neg_col.
+    token maps let files spell 1/0 as e.g. positive/negative.  Nonnegative
+    column indices select fields from tab-separated rows; pair labels may
+    sit in one comma-joined column or split across value_col/neg_col.
     """
 
     family: ScaleFamily | None = None
@@ -179,6 +186,12 @@ class ViewSchema:
     value_col: int = 1
     neg_col: int | None = None
     binary_tokens: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key in ("word_col", "value_col", "neg_col"):
+            col = getattr(self, key)
+            if col is not None and col < 0:
+                raise ConfigError(f"schema option {key} must be a nonnegative column index, got {col}")
 
 
 def parse_schema(text: str) -> ViewSchema:
@@ -258,7 +271,10 @@ def _parse_header_family(line: str, path: str) -> ScaleFamily:
             raise ParseError(f"family header option {k!r} must be an integer", path=path, line=1) from e
     try:
         if tag == RATER_HISTOGRAM:
-            return ScaleFamily(tag, n_raters=kv.pop("n_raters", 10), n_points=kv.pop("n_points", 9))
+            unknown = sorted(set(kv) - {"n_raters", "n_points"})
+            if unknown:
+                raise ConfigError(f"unknown RaterHistogram header options {unknown}")
+            return ScaleFamily(tag, n_raters=kv.get("n_raters", 10), n_points=kv.get("n_points", 9))
         if kv:
             raise ConfigError(f"{tag} takes no header options")
         return ScaleFamily(tag)
@@ -390,56 +406,47 @@ def build_vocabulary(views: list[LexiconView]) -> CombinedVocabulary:
     return CombinedVocabulary({w: tuple(sorted(vs)) for w, vs in sorted(membership.items())})
 
 
-def coarse_sentiment(
-    label: PolarityLabel, tau: float = DEFAULT_TAU, tau_r: float = DEFAULT_TAU_R
-) -> str:
+def coarse_sentiment(label: PolarityLabel) -> str:
     """Collapse any label to one of positive/negative/neutral.
 
-    Continuous scales use a dead-zone of width tau around the neutral point
-    so near-zero strengths do not count as polar; rater histograms compare
-    the mean rating against the scale midpoint with slack tau_r.
+    Continuous scales use a dead-zone of width DEFAULT_TAU around the
+    neutral point so near-zero strengths do not count as polar; rater
+    histograms compare the mean rating against the scale midpoint with
+    slack DEFAULT_TAU_R.
     """
     tag = label.family.tag
     if tag == BINARY:
         return "positive" if label.value == 1 else "negative"
     if tag == SIGNED_CONTINUOUS:
-        if label.value > tau:
+        if label.value > DEFAULT_TAU:
             return "positive"
-        if label.value < -tau:
+        if label.value < -DEFAULT_TAU:
             return "negative"
         return "neutral"
     if tag == PAIR_CONTINUOUS:
         pos, neg = label.value
-        if pos - neg > tau:
+        if pos - neg > DEFAULT_TAU:
             return "positive"
-        if neg - pos > tau:
+        if neg - pos > DEFAULT_TAU:
             return "negative"
         return "neutral"
     mean = sum(label.value) / len(label.value)
     midpoint = (label.family.n_points - 1) / 2.0
-    if mean > midpoint + tau_r:
+    if mean > midpoint + DEFAULT_TAU_R:
         return "positive"
-    if mean < midpoint - tau_r:
+    if mean < midpoint - DEFAULT_TAU_R:
         return "negative"
     return "neutral"
 
 
-def compute_prior(
-    word: str,
-    views: list[LexiconView],
-    vocab: CombinedVocabulary,
-    tau: float = DEFAULT_TAU,
-    tau_r: float = DEFAULT_TAU_R,
-) -> DirichletPrior:
+def compute_prior(word: str, views: list[LexiconView], vocab: CombinedVocabulary) -> DirichletPrior:
     """Per-word prior: uniform (1,1,1), boosted by c(w) on the agreed class
     when every view containing the word assigns the same coarse class."""
     if word not in vocab:
         raise ConfigError(f"word {word!r} not in vocabulary")
     containing = vocab.membership[word]
     by_id = {v.id: v for v in views}
-    classes = {
-        coarse_sentiment(by_id[vid].entries[word], tau=tau, tau_r=tau_r) for vid in containing
-    }
+    classes = {coarse_sentiment(by_id[vid].entries[word]) for vid in containing}
     alpha = [1.0, 1.0, 1.0]
     if len(classes) == 1:
         alpha[COMPONENTS.index(classes.pop())] += float(len(containing))

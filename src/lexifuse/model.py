@@ -1,4 +1,4 @@
-"""Model core: per-lexicon encoder/decoder heads, emission families,
+"""Model core: per-lexicon encoder/decoder heads, emission likelihoods,
 posterior construction, and the per-word ELBO.
 
 Every lexicon view d gets two small MLPs.  The encoder g maps the word's
@@ -7,6 +7,16 @@ variational Dirichlet parameter is beta = 1 + sum_d omega_d, so each view
 contributes exactly one pseudocount split across the three classes.  The
 decoder f maps a latent polarity draw z back to the parameters rho of that
 view's emission distribution over labels.
+
+The view's scale family alone picks the emission:
+
+- Binary: Bernoulli with rho = sigmoid(f(z)), one number;
+- SignedContinuous: Gaussian with learned mean tanh(f_0) and variance
+  softplus(f_1) + VARIANCE_FLOOR;
+- PairContinuous: two independent Gaussians with means sigmoid(f_0),
+  sigmoid(f_1) and fixed variance PAIR_VARIANCE;
+- RaterHistogram: each rating drawn from one categorical over n_points,
+  whose logits are the n_points raw decoder outputs.
 
 Each quantity has one numerical path.  Training builds the ELBO on the tape
 (ModelBinding + elbo_word_on).  Export needs only the encoder outputs, so
@@ -42,11 +52,6 @@ from .lexica import (
 from .rng import RngStream
 from .tape import Tape, Var
 
-PAIR_GAUSSIAN_FIXED_VAR = "PairGaussianFixedVar"
-TEN_CATEGORICAL = "TenCategorical"
-BERNOULLI = "Bernoulli"
-GAUSSIAN_MEAN_VAR = "GaussianMeanVar"
-
 # Fixed per-component variance of the pair-continuous emission.
 PAIR_VARIANCE = 0.01
 # Additive floor keeping the learned variance away from zero.
@@ -55,38 +60,13 @@ VARIANCE_FLOOR = 0.01
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class EmissionFamily:
-    """Distribution family of one view's labels plus its parameter arity."""
-
-    tag: str
-    rho_dim: int
-
-    def __post_init__(self):
-        expected = {
-            PAIR_GAUSSIAN_FIXED_VAR: 2,
-            BERNOULLI: 1,
-            GAUSSIAN_MEAN_VAR: 2,
-        }
-        if self.tag in expected:
-            if self.rho_dim != expected[self.tag]:
-                raise ConfigError(f"{self.tag} has rho_dim {expected[self.tag]}, got {self.rho_dim}")
-        elif self.tag == TEN_CATEGORICAL:
-            if self.rho_dim < 2:
-                raise ConfigError(f"{self.tag} needs at least 2 logits, got {self.rho_dim}")
-        else:
-            raise ConfigError(f"unknown emission family {self.tag!r}")
-
-
-def emission_for_scale(scale: ScaleFamily) -> EmissionFamily:
-    """The emission family matching a label scale."""
+def decoder_width(scale: ScaleFamily) -> int:
+    """Raw decoder outputs per view: the emission's parameter count."""
     if scale.tag == BINARY:
-        return EmissionFamily(BERNOULLI, 1)
-    if scale.tag == SIGNED_CONTINUOUS:
-        return EmissionFamily(GAUSSIAN_MEAN_VAR, 2)
-    if scale.tag == PAIR_CONTINUOUS:
-        return EmissionFamily(PAIR_GAUSSIAN_FIXED_VAR, 2)
-    return EmissionFamily(TEN_CATEGORICAL, scale.n_points)
+        return 1
+    if scale.tag == RATER_HISTOGRAM:
+        return scale.n_points
+    return 2
 
 
 def encoder_input(label: PolarityLabel) -> list[float]:
@@ -104,14 +84,6 @@ def encoder_input(label: PolarityLabel) -> list[float]:
         return [label.value[0], label.value[1]]
     top = label.family.n_points - 1
     return [r / top for r in label.value]
-
-
-def encoder_input_dim(scale: ScaleFamily) -> int:
-    if scale.tag == BINARY or scale.tag == SIGNED_CONTINUOUS:
-        return 1
-    if scale.tag == PAIR_CONTINUOUS:
-        return 2
-    return scale.n_raters
 
 
 @dataclass(eq=False)
@@ -165,6 +137,15 @@ class ModelState:
     def __post_init__(self):
         if set(self.scales) != set(self.encoders) or set(self.scales) != set(self.decoders):
             raise ConfigError("scales/encoders/decoders must cover the same view ids")
+        for vid, scale in self.scales.items():
+            enc, dec = self.encoders[vid], self.decoders[vid]
+            want = (scale.width, 3, 3, decoder_width(scale))
+            got = (enc.input_dim, enc.output_dim, dec.input_dim, dec.output_dim)
+            if got != want:
+                raise ConfigError(
+                    f"view {vid!r} ({scale.header()}) needs encoder {want[0]} -> 3 and "
+                    f"decoder 3 -> {want[3]}, got {got[0]} -> {got[1]} and {got[2]} -> {got[3]}"
+                )
 
     def view_ids(self) -> list[str]:
         return sorted(self.scales)
@@ -221,15 +202,9 @@ def posterior_params(views: list[LexiconView], encoders: dict[str, MlpHead]) -> 
             raise ConfigError(f"no encoder for view {view.id!r}")
         labels = view.entries
         x = np.array([encoder_input(label) for label in labels.values()], dtype=float)
-        x = x.reshape(len(labels), encoder_input_dim(view.family))
+        x = x.reshape(len(labels), view.family.width)
         beta[[row[w] for w in labels]] += encode(encoders[view.id], x)
     return beta
-
-
-def _check_emission_match(label: PolarityLabel, family: EmissionFamily) -> None:
-    want = emission_for_scale(label.family).tag
-    if family.tag != want:
-        raise UsageError(f"label family {label.family.tag} needs emission {want}, got {family.tag}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +226,10 @@ class ModelBinding:
 
     Leaves occupy a contiguous index range, so a backward pass turns into a
     flat gradient via one slice.  Build a fresh binding per optimization
-    step (tapes are append-only and single-use).
+    step (tapes are append-only and single-use).  `encoded` holds each
+    (view id, label)'s omega nodes, so words with identical labels share
+    one encoder subgraph on the tape; binary and histogram views repeat
+    labels constantly, and omega depends on nothing else.
     """
 
     def __init__(self, tape: Tape, state: ModelState):
@@ -263,6 +241,7 @@ class ModelBinding:
             self.heads[("enc", vid)] = self._push_head(state.encoders[vid])
             self.heads[("dec", vid)] = self._push_head(state.decoders[vid])
         self.count = len(tape) - self.start
+        self.encoded: dict[tuple[str, PolarityLabel], tuple[Var, Var, Var]] = {}
 
     def _push_head(self, head: MlpHead) -> HeadLeaves:
         leaf = self.tape.leaf
@@ -285,38 +264,36 @@ def _mlp_forward_vars(leaves: HeadLeaves, xs) -> list[Var]:
 
 def encode_vars(label: PolarityLabel, leaves: HeadLeaves) -> tuple[Var, Var, Var]:
     out = _mlp_forward_vars(leaves, encoder_input(label))
-    if len(out) != 3:
-        raise ConfigError(f"encoder output_dim must be 3, got {len(out)}")
     return tp.softmax3(out[0], out[1], out[2])
 
 
-def decode_vars(zs, leaves: HeadLeaves, family: EmissionFamily) -> list[Var]:
+def decode_vars(zs, leaves: HeadLeaves, scale: ScaleFamily) -> list[Var]:
+    """The emission parameters rho of a view with this scale at latent z."""
     raw = _mlp_forward_vars(leaves, zs)
-    if len(raw) != family.rho_dim:
-        raise ConfigError(f"decoder output_dim {len(raw)} != rho_dim {family.rho_dim}")
-    if family.tag == PAIR_GAUSSIAN_FIXED_VAR:
-        return [tp.sigmoid(raw[0]), tp.sigmoid(raw[1])]
-    if family.tag == BERNOULLI:
+    if scale.tag == BINARY:
         return [tp.sigmoid(raw[0])]
-    if family.tag == GAUSSIAN_MEAN_VAR:
+    if scale.tag == SIGNED_CONTINUOUS:
         return [tp.tanh(raw[0]), tp.softplus(raw[1]) + VARIANCE_FLOOR]
+    if scale.tag == PAIR_CONTINUOUS:
+        return [tp.sigmoid(raw[0]), tp.sigmoid(raw[1])]
     return raw
 
 
-def emission_ll_var(label: PolarityLabel, rho: list[Var], family: EmissionFamily) -> Var:
-    _check_emission_match(label, family)
-    if family.tag == PAIR_GAUSSIAN_FIXED_VAR:
+def emission_ll_var(label: PolarityLabel, rho: list[Var]) -> Var:
+    """log P(label | rho) under the emission of the label's own scale."""
+    tag = label.family.tag
+    if tag == BINARY:
+        return tp.log(rho[0]) if label.value == 1 else tp.log(1.0 - rho[0])
+    if tag == SIGNED_CONTINUOUS:
+        mean, var = rho[0], rho[1]
+        d = mean - label.value
+        return (tp.log(var) + _LOG_2PI) * -0.5 - d * d / (2.0 * var)
+    if tag == PAIR_CONTINUOUS:
         c = -0.5 * (_LOG_2PI + math.log(PAIR_VARIANCE))
         inv2v = 0.5 / PAIR_VARIANCE
         d0 = rho[0] - label.value[0]
         d1 = rho[1] - label.value[1]
         return (d0 * d0 + d1 * d1) * (-inv2v) + 2.0 * c
-    if family.tag == BERNOULLI:
-        return tp.log(rho[0]) if label.value == 1 else tp.log(1.0 - rho[0])
-    if family.tag == GAUSSIAN_MEAN_VAR:
-        mean, var = rho[0], rho[1]
-        d = mean - label.value
-        return (tp.log(var) + _LOG_2PI) * -0.5 - d * d / (2.0 * var)
     counts = Counter(label.value)
     ratings = sorted(counts)
     picked = tp.weighted_sum([rho[r] for r in ratings], [float(counts[r]) for r in ratings])
@@ -333,40 +310,28 @@ class WordElbo:
     beta: tuple[Var, Var, Var]
 
 
-def elbo_word_on(
-    binding: ModelBinding,
-    obs: WordObservation,
-    noise: list[list[float]],
-    encode_cache: dict | None = None,
-) -> WordElbo:
+def elbo_word_on(binding: ModelBinding, obs: WordObservation, noise: list[list[float]]) -> WordElbo:
     """The word's ELBO on an existing binding, with explicit sampling noise.
 
     noise holds one triple of uniforms per Monte Carlo sample; passing the
     same noise twice makes the objective a deterministic function of the
     parameters (common random numbers), which both the finite-difference
-    gradient checks and the frozen-noise training scheme rely on.
-
-    encode_cache (optional, keyed by (view id, label)) shares encoder
-    subgraphs between words with identical labels on the same tape; binary
-    and histogram views repeat labels constantly, and omega depends on
-    nothing else.
+    gradient checks and the frozen-noise training scheme rely on.  Each
+    view's decoder and emission follow that view's scale in the binding's
+    state; train() checks once that every label shares it.
     """
-    state = binding.state
+    scales = binding.state.scales
     vids = sorted(obs.labels)
     for vid in vids:
-        if ("enc", vid) not in binding.heads:
+        if vid not in scales:
             raise ConfigError(f"no encoder for view {vid!r}")
 
     omegas = []
     for vid in vids:
-        label = obs.labels[vid]
-        if encode_cache is None:
-            omegas.append(encode_vars(label, binding.heads[("enc", vid)]))
-            continue
-        key = (vid, label)
-        if key not in encode_cache:
-            encode_cache[key] = encode_vars(label, binding.heads[("enc", vid)])
-        omegas.append(encode_cache[key])
+        key = (vid, obs.labels[vid])
+        if key not in binding.encoded:
+            binding.encoded[key] = encode_vars(key[1], binding.heads[("enc", vid)])
+        omegas.append(binding.encoded[key])
     beta = tuple(
         tp.weighted_sum([om[k] for om in omegas], [1.0] * len(omegas), const=1.0)
         for k in range(3)
@@ -378,9 +343,8 @@ def elbo_word_on(
     for us in noise:
         zs = dirichlet_sample_vars(beta, us)
         for vid in vids:
-            family = emission_for_scale(state.scales[vid])
-            rho = decode_vars(zs, binding.heads[("dec", vid)], family)
-            lls.append(emission_ll_var(obs.labels[vid], rho, family))
+            rho = decode_vars(zs, binding.heads[("dec", vid)], scales[vid])
+            lls.append(emission_ll_var(obs.labels[vid], rho))
     recon = tp.vsum(lls) / float(len(noise))
 
     return WordElbo(total=recon - kl, recon=recon, kl=kl, beta=beta)
@@ -433,14 +397,6 @@ def _head_from_json(d: dict) -> MlpHead:
     )
 
 
-def _scale_to_json(scale: ScaleFamily) -> dict:
-    d = {"tag": scale.tag}
-    if scale.tag == RATER_HISTOGRAM:
-        d["n_raters"] = scale.n_raters
-        d["n_points"] = scale.n_points
-    return d
-
-
 def save_checkpoint(
     path: str | Path, state: ModelState, config_hash: str = "", extra: dict | None = None
 ) -> None:
@@ -449,7 +405,10 @@ def save_checkpoint(
         "format_version": CHECKPOINT_VERSION,
         "component_order": list(COMPONENTS),
         "config_hash": config_hash,
-        "scales": {vid: _scale_to_json(s) for vid, s in state.scales.items()},
+        "scales": {
+            vid: {k: v for k, v in vars(s).items() if v is not None}
+            for vid, s in state.scales.items()
+        },
         "encoders": {vid: _head_to_json(h) for vid, h in state.encoders.items()},
         "decoders": {vid: _head_to_json(h) for vid, h in state.decoders.items()},
         "extra": extra or {},
@@ -477,14 +436,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     if doc.get("component_order") != list(COMPONENTS):
         raise ConfigError(f"checkpoint component order {doc.get('component_order')!r} unsupported")
     try:
-        scales = {}
-        for vid, s in doc["scales"].items():
-            if s["tag"] == RATER_HISTOGRAM:
-                scales[vid] = ScaleFamily(s["tag"], n_raters=s["n_raters"], n_points=s["n_points"])
-            else:
-                scales[vid] = ScaleFamily(s["tag"])
         state = ModelState(
-            scales=scales,
+            scales={vid: ScaleFamily(**s) for vid, s in doc["scales"].items()},
             encoders={vid: _head_from_json(h) for vid, h in doc["encoders"].items()},
             decoders={vid: _head_from_json(h) for vid, h in doc["decoders"].items()},
         )

@@ -29,10 +29,9 @@ from .model import (
     ModelBinding,
     ModelState,
     WordObservation,
+    decoder_width,
     elbo_noise,
     elbo_word_on,
-    emission_for_scale,
-    encoder_input_dim,
     pack_state,
     save_checkpoint,
     unpack_state,
@@ -154,8 +153,8 @@ def init_model(
     decoders = {}
     for vid in sorted(scales):
         scale = scales[vid]
-        encoders[vid] = _init_head(encoder_input_dim(scale), 3, config, gen)
-        decoders[vid] = _init_head(3, emission_for_scale(scale).rho_dim, config, gen)
+        encoders[vid] = _init_head(scale.width, 3, config, gen)
+        decoders[vid] = _init_head(3, decoder_width(scale), config, gen)
     return ModelState(scales=scales, encoders=encoders, decoders=decoders)
 
 
@@ -180,13 +179,12 @@ def batch_gradient(
     """
     tape = Tape()
     binding = ModelBinding(tape, state)
-    cache: dict = {}
     totals = []
     recon_sum = 0.0
     kl_sum = 0.0
     for obs in batch:
         try:
-            we = elbo_word_on(binding, obs, noise[obs.word], encode_cache=cache)
+            we = elbo_word_on(binding, obs, noise[obs.word])
         except (DomainError, NumericError) as e:
             raise NumericError(
                 f"ELBO evaluation failed for word {obs.word!r} "
@@ -262,11 +260,20 @@ def train(
     scales: dict[str, ScaleFamily] = {}
     for o in obs:
         for vid, label in o.labels.items():
-            scales[vid] = label.family
-
-    state = init_state if init_state is not None else init_model(
-        scales, config, stream_for(config.seed, "init")
-    )
+            if scales.setdefault(vid, label.family) != label.family:
+                raise ConfigError(
+                    f"view {vid!r} mixes {scales[vid].header()} and {label.family.header()}"
+                )
+    if init_state is None:
+        init_state = init_model(scales, config, stream_for(config.seed, "init"))
+    for vid, scale in sorted(scales.items()):
+        head = init_state.scales.get(vid)
+        if head != scale:
+            raise ConfigError(
+                f"view {vid!r} is {scale.header()} in the observations, but the initial "
+                f"state has {head.header() if head else 'no head for it'}"
+            )
+    state = init_state
     params = pack_state(state)
     adam = init_adam if init_adam is not None else AdamState.zeros(params.size)
     noise = frozen_noise(config, words)

@@ -45,7 +45,6 @@ from lexifuse.lexica import (
 from lexifuse.model import (
     ModelBinding,
     decode_vars,
-    emission_for_scale,
     emission_ll_var,
     encode,
     encode_vars,
@@ -184,7 +183,6 @@ class TestCriterion3:
             enc = state.encoders[vid]
             n_enc = enc.w1.size + enc.b1.size + enc.w2.size + enc.b2.size
             label = random_label(scale, np.random.default_rng(1))
-            fam = emission_for_scale(scale)
             z0 = (0.5, 0.3, 0.2)
 
             # encoder network through the softmax, weighted readout objective
@@ -212,8 +210,8 @@ class TestCriterion3:
             tape = Tape()
             binding = ModelBinding(tape, state)
             zs = [tape.leaf(v) for v in z0]
-            rho = decode_vars(zs, binding.heads[("dec", vid)], fam)
-            root = emission_ll_var(label, rho, fam)
+            rho = decode_vars(zs, binding.heads[("dec", vid)], scale)
+            root = emission_ll_var(label, rho)
             adjoints = tape.backward(root)
             grad_dec = binding.gradient(adjoints)[n_enc:]
             grad_z = np.array([adjoints[z.idx] for z in zs])
@@ -223,8 +221,8 @@ class TestCriterion3:
                 unpack_state(s2, vec)
                 t2 = Tape()
                 b2 = ModelBinding(t2, s2)
-                r = decode_vars([t2.leaf(v) for v in z], b2.heads[("dec", vid)], fam)
-                return emission_ll_var(label, r, fam).value
+                r = decode_vars([t2.leaf(v) for v in z], b2.heads[("dec", vid)], scale)
+                return emission_ll_var(label, r).value
 
             fd_dec = np.array([
                 (dec_value(_shift(base, n_enc + i, h)) - dec_value(_shift(base, n_enc + i, -h)))

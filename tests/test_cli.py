@@ -173,6 +173,26 @@ class TestErrorExits:
         assert r.returncode == 0
         assert "lexifuse" in r.stdout
 
+    def test_negative_schema_column_exit_2(self, tmp_path):
+        view = tmp_path / "b.tsv"
+        view.write_text("good\t1\n")
+        r = run_cli("validate", "--views", f"{view}:binary,word_col=-5")
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:") and "word_col" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "header",
+        ["#family=RaterHistogram,n_raters=3,n_point=5", "#family=RaterHistogram,n_raters=3,n_points=1"],
+    )
+    def test_bad_rater_header_exit_3(self, tmp_path, header):
+        view = tmp_path / "r.tsv"
+        view.write_text(f"{header}\ngood\t0,0,0\n")
+        r = run_cli("validate", "--views", str(view))
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("error:") and "r.tsv:1" in r.stderr
+        assert "Traceback" not in r.stderr
+
 
 def write_binary_checkpoint(d):
     """An untrained checkpoint for one Binary view with id "v", plus that view."""

@@ -1,5 +1,6 @@
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from lexifuse.errors import ConfigError, DomainError, ParseError
 from lexifuse.lexica import (
     COMPONENTS,
+    DEFAULT_TAU,
     CombinedVocabulary,
     DirichletPrior,
     LexiconView,
@@ -61,6 +63,18 @@ class TestScaleFamily:
     def test_unknown_tag(self):
         with pytest.raises(ConfigError):
             ScaleFamily("Ordinal")
+
+    def test_n_points_at_least_two(self):
+        with pytest.raises(ConfigError):
+            ScaleFamily("RaterHistogram", n_raters=3, n_points=1)
+        assert rater_histogram(3, 2).n_points == 2
+
+    def test_width(self):
+        assert binary().width == 1
+        assert signed_continuous().width == 1
+        assert pair_continuous().width == 2
+        assert rater_histogram(10, 9).width == 10
+        assert rater_histogram(3, 5).width == 3
 
 
 class TestPolarityLabel:
@@ -172,6 +186,20 @@ class TestParseLexicon:
         with pytest.raises(ConfigError):
             parse_lexicon(p)
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            "n_raters=3,n_point=5",  # misspelt: must not fall back to 9 points
+            "n_raters=3,n_points=1",
+        ],
+    )
+    def test_bad_rater_header(self, tmp_path, options):
+        p = tmp_path / "lex.tsv"
+        p.write_text(f"#family=RaterHistogram,{options}\ngood\t0,0,0\n")
+        with pytest.raises(ParseError) as e:
+            parse_lexicon(p)
+        assert e.value.line == 1
+
     def test_schema_header_conflict(self, tmp_path):
         p = tmp_path / "lex.tsv"
         p.write_text("#family=Binary\ngood\t1\n")
@@ -208,6 +236,11 @@ class TestParseSchema:
     def test_unknown_option(self):
         with pytest.raises(ConfigError):
             parse_schema("binary,wat=1")
+
+    @pytest.mark.parametrize("opt", ["word_col=-5", "value_col=-1", "neg_col=-2"])
+    def test_negative_column(self, opt):
+        with pytest.raises(ConfigError):
+            parse_schema(f"pair,{opt}")
 
 
 class TestBuildVocabulary:
@@ -268,10 +301,15 @@ class TestCoarseSentiment:
         assert coarse_sentiment(PolarityLabel(fam, (8,) * 10)) == "positive"
         assert coarse_sentiment(PolarityLabel(fam, (0,) * 10)) == "negative"
 
-    def test_threshold_configurable(self):
-        lab = PolarityLabel(signed_continuous(), 0.2)
-        assert coarse_sentiment(lab, tau=0.5) == "neutral"
-        assert coarse_sentiment(lab, tau=0.1) == "positive"
+    def test_threshold_boundary(self):
+        # the dead zone is closed: exactly DEFAULT_TAU is still neutral
+        def signed(v):
+            return coarse_sentiment(PolarityLabel(signed_continuous(), float(v)))
+
+        assert signed(DEFAULT_TAU) == "neutral"
+        assert signed(np.nextafter(DEFAULT_TAU, 1.0)) == "positive"
+        assert signed(-DEFAULT_TAU) == "neutral"
+        assert signed(np.nextafter(-DEFAULT_TAU, -1.0)) == "negative"
 
     @given(ANY_FAMILY.flatmap(label_strategy))
     def test_total_and_deterministic(self, label):

@@ -18,14 +18,13 @@ from lexifuse.lexica import (
     signed_continuous,
 )
 from lexifuse.model import (
-    EmissionFamily,
     ModelBinding,
     ModelState,
     WordObservation,
     decode_vars,
+    decoder_width,
     elbo_noise,
     elbo_word_on,
-    emission_for_scale,
     emission_ll_var,
     encode,
     encode_vars,
@@ -72,35 +71,30 @@ def encode_one(label, head):
     return encode(head, np.array([encoder_input(label)]))[0]
 
 
-def decode_on_tape(state, vid, z, family):
+def decode_on_tape(state, vid, z):
     """rho from view vid's decoder at constant z, as tape nodes."""
     tape = Tape()
     binding = ModelBinding(tape, state)
-    return decode_vars([tape.leaf(v) for v in z], binding.heads[("dec", vid)], family)
+    return decode_vars([tape.leaf(v) for v in z], binding.heads[("dec", vid)], state.scales[vid])
 
 
-def decode_values(state, vid, z, family):
-    return tuple(r.value for r in decode_on_tape(state, vid, z, family))
+def decode_values(state, vid, z):
+    return tuple(r.value for r in decode_on_tape(state, vid, z))
 
 
-def emission_ll(label, rho, family):
+def emission_ll(label, rho):
     """log P_d(x_d | rho) at constant rho."""
     tape = Tape()
-    return emission_ll_var(label, [tape.leaf(r) for r in rho], family).value
+    return emission_ll_var(label, [tape.leaf(r) for r in rho]).value
 
 
-class TestEmissionFamily:
+class TestDecoderWidth:
     def test_scale_mapping(self):
-        assert emission_for_scale(binary()) == EmissionFamily("Bernoulli", 1)
-        assert emission_for_scale(signed_continuous()) == EmissionFamily("GaussianMeanVar", 2)
-        assert emission_for_scale(pair_continuous()) == EmissionFamily("PairGaussianFixedVar", 2)
-        assert emission_for_scale(rater_histogram(10, 9)) == EmissionFamily("TenCategorical", 9)
-
-    def test_rho_dim_validation(self):
-        with pytest.raises(ConfigError):
-            EmissionFamily("Bernoulli", 2)
-        with pytest.raises(ConfigError):
-            EmissionFamily("Gamma", 1)
+        assert decoder_width(binary()) == 1
+        assert decoder_width(signed_continuous()) == 2
+        assert decoder_width(pair_continuous()) == 2
+        assert decoder_width(rater_histogram(10, 9)) == 9
+        assert decoder_width(rater_histogram(3, 5)) == 5
 
 
 class TestEncoderInput:
@@ -182,54 +176,52 @@ class TestDecode:
         cfg = TrainConfig(hidden_dim=4, weight_init_scale=0.0)
         state = init_model(ALL_SCALES, cfg, stream_for(0, "init"))
         z = (0.5, 0.3, 0.2)
-        pair = decode_values(state, "pair", z, emission_for_scale(pair_continuous()))
+        pair = decode_values(state, "pair", z)
         assert pair == pytest.approx((0.5, 0.5))
-        bern = decode_values(state, "bin", z, emission_for_scale(binary()))
+        bern = decode_values(state, "bin", z)
         assert bern == pytest.approx((0.5,))
-        gauss = decode_values(state, "sig", z, emission_for_scale(signed_continuous()))
+        gauss = decode_values(state, "sig", z)
         assert gauss[0] == pytest.approx(0.0)
         assert gauss[1] == pytest.approx(math.log(2.0) + 0.01)
-        cat = decode_values(state, "rater", z, emission_for_scale(rater_histogram(10, 9)))
+        cat = decode_values(state, "rater", z)
         assert cat == pytest.approx((0.0,) * 9)
 
     def test_gaussian_variance_positive_everywhere(self):
         state = small_state()
-        fam = emission_for_scale(signed_continuous())
         for z in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1 / 3, 1 / 3, 1 / 3)]:
-            rho = decode_values(state, "sig", z, fam)
+            rho = decode_values(state, "sig", z)
             assert rho[1] >= 0.01
 
     def test_dim_mismatch(self):
         state = small_state()
         with pytest.raises(ConfigError):
-            decode_on_tape(state, "sig", (0.5, 0.5), emission_for_scale(signed_continuous()))
+            decode_on_tape(state, "sig", (0.5, 0.5))
+        # a one-output Bernoulli decoder cannot serve a signed view, which
+        # needs a mean and a variance; the state refuses it once, up front
         with pytest.raises(ConfigError):
-            decode_on_tape(state, "bin", (0.5, 0.3, 0.2), emission_for_scale(signed_continuous()))
+            ModelState(
+                scales={"bin": signed_continuous()},
+                encoders={"bin": state.encoders["bin"]},
+                decoders={"bin": state.decoders["bin"]},
+            )
 
 
 class TestEmissionLogLikelihood:
     def test_bernoulli(self):
-        fam = emission_for_scale(binary())
-        assert emission_ll(PolarityLabel(binary(), 1), (0.5,), fam) == pytest.approx(
-            math.log(0.5)
-        )
-        assert emission_ll(PolarityLabel(binary(), 0), (0.25,), fam) == pytest.approx(
-            math.log(0.75)
-        )
+        assert emission_ll(PolarityLabel(binary(), 1), (0.5,)) == pytest.approx(math.log(0.5))
+        assert emission_ll(PolarityLabel(binary(), 0), (0.25,)) == pytest.approx(math.log(0.75))
 
     def test_pair_gaussian_at_mean(self):
-        fam = emission_for_scale(pair_continuous())
         label = PolarityLabel(pair_continuous(), (0.5, 0.5))
-        got = emission_ll(label, (0.5, 0.5), fam)
+        got = emission_ll(label, (0.5, 0.5))
         # two univariate normals with variance 0.01 evaluated at their mean
         want = 2 * float(scipy.stats.norm.logpdf(0.5, 0.5, math.sqrt(0.01)))
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(-math.log(2 * math.pi * 0.01), rel=1e-12)
 
     def test_ten_categorical_uniform(self):
-        fam = emission_for_scale(rater_histogram(10, 9))
         label = PolarityLabel(rater_histogram(10, 9), (0, 1, 2, 3, 4, 5, 6, 7, 8, 0))
-        got = emission_ll(label, (0.0,) * 9, fam)
+        got = emission_ll(label, (0.0,) * 9)
         assert got == pytest.approx(10 * math.log(1 / 9), rel=1e-12)
 
     @given(
@@ -238,16 +230,9 @@ class TestEmissionLogLikelihood:
         st.floats(min_value=0.011, max_value=2.0),
     )
     def test_gaussian_matches_scipy(self, x, mean, var):
-        fam = emission_for_scale(signed_continuous())
-        got = emission_ll(PolarityLabel(signed_continuous(), x), (mean, var), fam)
+        got = emission_ll(PolarityLabel(signed_continuous(), x), (mean, var))
         want = float(scipy.stats.norm.logpdf(x, mean, math.sqrt(var)))
         assert got == pytest.approx(want, rel=1e-10)
-
-    def test_family_mismatch(self):
-        with pytest.raises(UsageError):
-            emission_ll(
-                PolarityLabel(binary(), 1), (0.5,), emission_for_scale(signed_continuous())
-            )
 
     @given(st.sampled_from(sorted(ALL_SCALES)), st.floats(min_value=-40, max_value=40))
     @settings(max_examples=60)
@@ -256,9 +241,8 @@ class TestEmissionLogLikelihood:
         scale = ALL_SCALES[key]
         state = small_state()
         state.decoders[key].b2[...] = raw_scale
-        fam = emission_for_scale(scale)
-        rho = decode_on_tape(state, key, (1 / 3, 1 / 3, 1 / 3), fam)
-        ll = emission_ll_var(example_label(scale), rho, fam)
+        rho = decode_on_tape(state, key, (1 / 3, 1 / 3, 1 / 3))
+        ll = emission_ll_var(example_label(scale), rho)
         assert math.isfinite(ll.value)
 
 
@@ -355,22 +339,30 @@ class TestElboWord:
         assert abs(m1 - m2) < 3 * math.hypot(se1, se2)
 
     def test_encode_cache_changes_nothing(self):
+        # Two words sharing a binary label: on one binding the second reuses
+        # the first's encoder nodes, on fresh bindings each builds its own.
         state = small_state()
         noise = elbo_noise(RngStream(4), 1)
         obs_a = _word_obs(("bin", "sig"))
         obs_b = WordObservation(
             "w2", {"bin": example_label(binary())}, DirichletPrior((1.0, 1.0, 1.0))
         )
-        tape1 = Tape()
-        b1 = ModelBinding(tape1, state)
-        cache: dict = {}
-        tot_a1 = elbo_word_on(b1, obs_a, noise, encode_cache=cache).total.value
-        tot_b1 = elbo_word_on(b1, obs_b, noise, encode_cache=cache).total.value
-        tape2 = Tape()
-        b2 = ModelBinding(tape2, state)
-        tot_a2 = elbo_word_on(b2, obs_a, noise).total.value
-        tot_b2 = elbo_word_on(b2, obs_b, noise).total.value
-        assert (tot_a1, tot_b1) == (tot_a2, tot_b2)
+        shared_tape = Tape()
+        shared = ModelBinding(shared_tape, state)
+        we_a = elbo_word_on(shared, obs_a, noise)
+        we_b = elbo_word_on(shared, obs_b, noise)
+        assert len(shared.encoded) == 2  # the binary label is encoded once
+        grad = shared.gradient(shared_tape.backward(we_a.total + we_b.total))
+
+        totals, grad_sum = [], 0.0
+        for obs in (obs_a, obs_b):
+            tape = Tape()
+            binding = ModelBinding(tape, state)
+            we = elbo_word_on(binding, obs, noise)
+            totals.append(we.total.value)
+            grad_sum = grad_sum + binding.gradient(tape.backward(we.total))
+        assert [we_a.total.value, we_b.total.value] == totals
+        np.testing.assert_allclose(grad, grad_sum, rtol=1e-12, atol=1e-15)
 
 
 class TestPackUnpack:

@@ -309,6 +309,26 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(vocab, obs + [obs[0]], TrainConfig(epochs=1, hidden_dim=4))
 
+    def test_scale_mismatch_with_init_state(self):
+        # the initial state has a rater head where the observations carry
+        # signed labels; train refuses before any word is evaluated
+        vocab, obs = make_corpus(3, seed=8)
+        cfg = TrainConfig(epochs=1, hidden_dim=4)
+        init = init_model(
+            {"bin": binary(), "sig": rater_histogram(10, 9)}, cfg, stream_for(cfg.seed, "init")
+        )
+        with pytest.raises(ConfigError, match="'sig'.*SignedContinuous.*RaterHistogram"):
+            train(vocab, obs, cfg, init_state=init)
+        del init.scales["sig"], init.encoders["sig"], init.decoders["sig"]
+        with pytest.raises(ConfigError, match="'sig'"):
+            train(vocab, obs, cfg, init_state=init)
+
+    def test_mixed_families_in_one_view(self):
+        vocab, obs = make_corpus(3, seed=8)
+        obs[0].labels["bin"] = PolarityLabel(signed_continuous(), 0.5)
+        with pytest.raises(ConfigError, match="'bin'"):
+            train(vocab, obs, TrainConfig(epochs=1, hidden_dim=4))
+
     def test_empty_observations_rejected(self):
         vocab, obs = make_corpus(2, seed=9)
         with pytest.raises(ConfigError):
