@@ -135,15 +135,15 @@ def cmd_export(args) -> int:
                 f"view {view.id!r} is {view.family.header()}, but the checkpoint "
                 f"was trained on {trained.header()}"
             )
-    entries = export_lexicon(state, views)
+    lexicon = export_lexicon(state, views)
     extra = meta.get("extra") or {}
     write_unified(
         args.out,
-        entries,
+        lexicon,
         seed=extra.get("seed"),
         config_hash=meta.get("config_hash") or None,
     )
-    print(f"exported {len(entries)} words to {args.out}")
+    print(f"exported {len(lexicon)} words to {args.out}")
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import compress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -212,9 +213,8 @@ def make_featurizer(
     if mode == "fused-mean" or mode == "fused-beta":
         if unified is None:
             raise ConfigError(f"mode {mode} needs a unified lexicon")
-        field = "mean" if mode == "fused-mean" else "beta"
-        table = {e.word.casefold(): np.array(getattr(e, field)) for e in unified.entries()}
-        return Featurizer(mode, 3, table)
+        rows = unified.mean if mode == "fused-mean" else unified.beta
+        return Featurizer(mode, 3, dict(zip((w.casefold() for w in unified.words), rows)))
     if mode == "concat":
         if not views:
             raise ConfigError("mode concat needs input views")
@@ -362,9 +362,10 @@ def coverage(words, corpus: LabeledCorpus) -> float:
 
 
 def restrict_vocabulary(fused: UnifiedLexicon, view: LexiconView) -> UnifiedLexicon:
-    """Fused entries limited to the view's words."""
-    kept = [e for e in fused.entries() if e.word in view.entries]
-    return UnifiedLexicon(kept, fused.meta)
+    """Fused rows limited to the view's words."""
+    keep = np.array([w in view.entries for w in fused.words], dtype=bool)
+    words = list(compress(fused.words, keep))
+    return UnifiedLexicon(words, fused.beta[keep], fused.mean[keep], fused.n_views[keep], fused.meta)
 
 
 # ---------------------------------------------------------------------------

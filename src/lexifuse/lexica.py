@@ -194,23 +194,35 @@ class ViewSchema:
                 raise ConfigError(f"schema option {key} must be a nonnegative column index, got {col}")
 
 
+# Family words of a schema string; auto leaves the family to the file header.
+_SCHEMA_FAMILIES = {"auto": None, "binary": BINARY, "signed": SIGNED_CONTINUOUS,
+                    "pair": PAIR_CONTINUOUS, "rater": RATER_HISTOGRAM}
+
+
 def parse_schema(text: str) -> ViewSchema:
     """Parse a schema string like 'binary,pos=good,neg=bad' or 'auto'.
 
     Grammar: `<family>[,opt=val...]` with family in {auto, binary, signed,
     pair, rater}; options: id, word_col, value_col, neg_col, raters, points,
-    pos, neg.
+    pos, neg, each at most once.  raters and points need the rater family
+    (an auto schema takes them from the `#family=` header); parse_lexicon
+    checks neg_col, pos and neg against the family the view settles on.
     """
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ConfigError("empty schema string")
     fam_word = parts[0].lower()
+    if fam_word not in _SCHEMA_FAMILIES:
+        raise ConfigError(f"unknown schema family {fam_word!r}")
     opts: dict[str, str] = {}
     for p in parts[1:]:
         if "=" not in p:
             raise ConfigError(f"schema option {p!r} is not key=value")
         k, v = p.split("=", 1)
-        opts[k.strip()] = v.strip()
+        k = k.strip()
+        if k in opts:
+            raise ConfigError(f"schema option {k} is given twice")
+        opts[k] = v.strip()
 
     def pop_int(key: str, default: int | None) -> int | None:
         if key not in opts:
@@ -220,8 +232,11 @@ def parse_schema(text: str) -> ViewSchema:
         except ValueError as e:
             raise ConfigError(f"schema option {key} must be an integer") from e
 
-    raters = pop_int("raters", 10)
-    points = pop_int("points", 9)
+    tag = _SCHEMA_FAMILIES[fam_word]
+    if tag == RATER_HISTOGRAM:
+        family = rater_histogram(n_raters=pop_int("raters", 10), n_points=pop_int("points", 9))
+    else:
+        family = None if tag is None else ScaleFamily(tag)
     word_col = pop_int("word_col", 0)
     value_col = pop_int("value_col", 1)
     neg_col = pop_int("neg_col", None)
@@ -232,20 +247,7 @@ def parse_schema(text: str) -> ViewSchema:
     if "neg" in opts:
         binary_tokens[opts.pop("neg").casefold()] = 0
     if opts:
-        raise ConfigError(f"unknown schema options: {sorted(opts)}")
-
-    if fam_word == "auto":
-        family = None
-    elif fam_word == "binary":
-        family = binary()
-    elif fam_word == "signed":
-        family = signed_continuous()
-    elif fam_word == "pair":
-        family = pair_continuous()
-    elif fam_word == "rater":
-        family = rater_histogram(n_raters=raters, n_points=points)
-    else:
-        raise ConfigError(f"unknown schema family {fam_word!r}")
+        raise ConfigError(f"schema options {sorted(opts)} are unknown or do not apply to {fam_word}")
     return ViewSchema(
         family=family,
         id=view_id,
@@ -265,8 +267,11 @@ def _parse_header_family(line: str, path: str) -> ScaleFamily:
         if "=" not in p:
             raise ParseError(f"bad family header option {p!r}", path=path, line=1)
         k, v = p.split("=", 1)
+        k = k.strip()
+        if k in kv:
+            raise ParseError(f"family header option {k!r} is given twice", path=path, line=1)
         try:
-            kv[k.strip()] = int(v)
+            kv[k] = int(v)
         except ValueError as e:
             raise ParseError(f"family header option {k!r} must be an integer", path=path, line=1) from e
     try:
@@ -335,6 +340,13 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
             )
     if family is None:
         raise ConfigError(f"{path}: no schema given and no #family= header present")
+    for option, given, tag in (
+        ("neg_col", schema.neg_col is not None, PAIR_CONTINUOUS),
+        ("pos", 1 in schema.binary_tokens.values(), BINARY),
+        ("neg", 0 in schema.binary_tokens.values(), BINARY),
+    ):
+        if given and family.tag != tag:
+            raise ConfigError(f"{path}: schema option {option} applies only to {tag}, not {family.tag}")
 
     entries: dict[str, PolarityLabel] = {}
     n_dupes = 0
@@ -358,7 +370,7 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
             continue
         word = word.casefold()
         token = fields[schema.value_col].strip()
-        if schema.neg_col is not None and family.tag == PAIR_CONTINUOUS:
+        if schema.neg_col is not None:
             token = f"{token},{fields[schema.neg_col].strip()}"
         label = _parse_label(token, family, schema, str(path), lineno)
         if word in entries:

@@ -191,9 +191,12 @@ def encode(head: MlpHead, x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def posterior_params(views: list[LexiconView], encoders: dict[str, MlpHead]) -> np.ndarray:
-    """beta = 1 + sum over each word's views of omega_d, one row per word in
-    sorted order; each view's encoder runs once, in sorted view-id order."""
+def posterior_params(
+    views: list[LexiconView], encoders: dict[str, MlpHead]
+) -> tuple[list[str], np.ndarray]:
+    """The views' words, sorted, and beta = 1 + sum over each word's views of
+    omega_d, one row per word; each view's encoder runs once, in sorted
+    view-id order."""
     words = sorted(set().union(*(view.entries for view in views)))
     row = {w: i for i, w in enumerate(words)}
     beta = np.ones((len(words), 3))
@@ -204,7 +207,7 @@ def posterior_params(views: list[LexiconView], encoders: dict[str, MlpHead]) -> 
         x = np.array([encoder_input(label) for label in labels.values()], dtype=float)
         x = x.reshape(len(labels), view.family.width)
         beta[[row[w] for w in labels]] += encode(encoders[view.id], x)
-    return beta
+    return words, beta
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,31 @@
-"""Materialized fused lexicon: per-word concentration vector and posterior mean.
+"""The fused lexicon: one Dirichlet concentration per word, held as arrays.
 
-The on-disk form is a UTF-8 TSV, sorted by word, with `#` attribution
-headers (tool version, seed, config hash) and values printed with `%.12g`.
-That does not round-trip a double exactly (1/3 needs 17 digits): a value
-read back can differ from the exported one by half a unit in its 12th
-significant digit.  Reruns are byte-identical because equal doubles format
-the same way, and rewriting a file that was read back reproduces it byte for
-byte, because a 12-digit decimal survives the trip through a double.
+`UnifiedLexicon` is the only in-memory form.  It keeps four parallel arrays
+sorted by case-folded word: `words`, `beta` (n, 3), `mean` (n, 3) and
+`n_views` (n,).  Its constructor checks the invariants once, vectorized, for
+an export and a file read alike: every beta component is finite and >= 1,
+n_views >= 1, sum(beta) - 3 equals n_views, and mean equals beta / sum(beta).
+Each test is written to pass only on a good value, so nan and inf fail it;
+`read_unified` reports the first failing row as a ParseError at its line.
+
+The on-disk form is a UTF-8 TSV with `#` attribution headers (tool version,
+seed, config hash) and values printed with `%.12g`, one row per word in the
+lexicon's order.  That does not round-trip a double exactly (1/3 needs 17
+digits): a value read back can differ from the exported one by half a unit
+in its 12th significant digit.  Reruns are byte-identical because equal
+doubles format the same way, and rewriting a file that was read back
+reproduces it byte for byte, because a 12-digit decimal survives the trip
+through a double.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ParseError, read_input
@@ -36,85 +48,112 @@ _COLUMNS = (
 
 @dataclass(frozen=True)
 class UnifiedEntry:
+    """One row of a fused lexicon, as `lookup` and `entries` return it."""
+
     word: str
     beta: tuple[float, float, float]
     mean: tuple[float, float, float]
     n_views: int
 
-    def __post_init__(self):
-        if len(self.beta) != 3 or len(self.mean) != 3:
-            raise ConfigError("beta and mean must have 3 components")
-        if self.n_views < 1:
-            raise ConfigError(f"n_views must be >= 1, got {self.n_views}")
-        total = sum(self.beta)
-        for b in self.beta:
-            if not b >= 1.0:
-                raise ConfigError(f"beta components must be >= 1, got {self.beta}")
-        if abs(sum(self.beta) - 3.0 - self.n_views) > 1e-9 * max(1.0, total):
+
+class _InvalidRow(ConfigError):
+    """A row that breaks an invariant; `row` is its index in the input order."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def _check_rows(words: list[str], beta: np.ndarray, mean: np.ndarray, n_views: np.ndarray) -> None:
+    total = beta.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        passed = {
+            "n_views must be >= 1": n_views >= 1,
+            "beta components must be finite and >= 1":
+                np.isfinite(beta).all(axis=1) & (beta >= 1.0).all(axis=1),
+            "sum(beta) - 3 must equal n_views":
+                np.abs(total - 3.0 - n_views) <= 1e-9 * np.maximum(1.0, total),
+            "mean must equal beta / sum(beta)":
+                (np.abs(mean - beta / total[:, None]) <= 1e-9).all(axis=1),
+        }
+    ok = np.logical_and.reduce(list(passed.values()))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        reason = next(message for message, rows in passed.items() if not rows[i])
+        raise _InvalidRow(
+            f"{reason}: word {words[i]!r}, beta {beta[i].tolist()}, "
+            f"mean {mean[i].tolist()}, n_views {n_views[i]}",
+            i,
+        )
+
+
+class UnifiedLexicon:
+    """A fused lexicon as parallel arrays sorted by case-folded word, with
+    case-folded exact lookup.  The rows may come in any order; a word that
+    repeats (after case-folding) is a ConfigError."""
+
+    def __init__(self, words, beta, mean, n_views, meta: dict[str, str] | None = None):
+        beta, mean = np.asarray(beta, dtype=float), np.asarray(mean, dtype=float)
+        n_views = np.asarray(n_views, dtype=int)
+        n = len(words)
+        if beta.shape != (n, 3) or mean.shape != (n, 3) or n_views.shape != (n,):
             raise ConfigError(
-                f"sum(beta) - 3 must equal n_views: beta={self.beta}, n_views={self.n_views}"
+                f"{n} words need beta and mean of shape ({n}, 3) and n_views of shape "
+                f"({n},), got {beta.shape}, {mean.shape} and {n_views.shape}"
             )
-        for m, b in zip(self.mean, self.beta):
-            if abs(m - b / total) > 1e-9:
-                raise ConfigError(f"mean {self.mean} is not beta/sum(beta) for beta {self.beta}")
+        _check_rows(words, beta, mean, n_views)
+        keys = [w.casefold() for w in words]
+        order = sorted(range(n), key=keys.__getitem__)
+        self._index: dict[str, int] = {}
+        for row, i in enumerate(order):
+            if self._index.setdefault(keys[i], row) != row:
+                raise _InvalidRow(f"word {words[i]!r} repeats", i)
+        self.words = [words[i] for i in order]
+        self.beta, self.mean, self.n_views = beta[order], mean[order], n_views[order]
+        self.meta = dict(meta or {})
+
+    def _entry(self, row: int) -> UnifiedEntry:
+        beta, mean = tuple(self.beta[row].tolist()), tuple(self.mean[row].tolist())
+        return UnifiedEntry(self.words[row], beta, mean, int(self.n_views[row]))
+
+    def lookup(self, word: str) -> UnifiedEntry | None:
+        row = self._index.get(word.casefold())
+        return None if row is None else self._entry(row)
+
+    def __contains__(self, word: str) -> bool:
+        return word.casefold() in self._index
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def entries(self) -> list[UnifiedEntry]:
+        return [self._entry(row) for row in range(len(self.words))]
 
 
-def export_lexicon(model: ModelState, views: list[LexiconView]) -> list[UnifiedEntry]:
-    """One entry per word of the views via the trained encoders, sorted by word.
+def export_lexicon(model: ModelState, views: list[LexiconView]) -> UnifiedLexicon:
+    """The fused lexicon of the views' words, via the trained encoders.
 
     Words that a view without an encoder covers are skipped with a warning
     rather than aborting the export.
     """
     vocab = build_vocabulary(views)
     missing = {v.id for v in views} - model.encoders.keys()
-    beta = posterior_params([v for v in views if v.id not in missing], model.encoders)
+    words, beta = posterior_params([v for v in views if v.id not in missing], model.encoders)
+    lost = sorted(set().union(*(v.entries for v in views if v.id in missing)))
+    for word in lost:
+        vids = sorted(missing.intersection(vocab.membership[word]))
+        log.warning("skipping %r: no encoder for views %s", word, vids)
+    if lost:
+        log.warning("export skipped %d of %d words", len(lost), len(vocab))
+        keep = np.isin(words, lost, invert=True)
+        words, beta = list(compress(words, keep)), beta[keep]
     mean = beta / beta.sum(axis=1, keepdims=True)
-    rows = zip(beta.tolist(), mean.tolist())
-    entries = []
-    skipped = 0
-    for word in vocab.sorted_words():
-        vids = vocab.membership[word]
-        lost = sorted(missing.intersection(vids))
-        if len(lost) < len(vids):  # a covered view gave the word a row
-            b, m = next(rows)
-        if lost:
-            skipped += 1
-            log.warning("skipping %r: no encoder for views %s", word, lost)
-            continue
-        entries.append(UnifiedEntry(word=word, beta=tuple(b), mean=tuple(m), n_views=len(vids)))
-    if skipped:
-        log.warning("export skipped %d of %d words", skipped, len(vocab))
-    return entries
-
-
-class UnifiedLexicon:
-    """Loaded fused lexicon with case-folded exact lookup."""
-
-    def __init__(self, entries: list[UnifiedEntry], meta: dict[str, str] | None = None):
-        self.meta = dict(meta or {})
-        self._by_word: dict[str, UnifiedEntry] = {}
-        for e in entries:
-            self._by_word[e.word.casefold()] = e
-
-    def lookup(self, word: str) -> UnifiedEntry | None:
-        return self._by_word.get(word.casefold())
-
-    def __contains__(self, word: str) -> bool:
-        return word.casefold() in self._by_word
-
-    def __len__(self) -> int:
-        return len(self._by_word)
-
-    def words(self) -> list[str]:
-        return sorted(self._by_word)
-
-    def entries(self) -> list[UnifiedEntry]:
-        return [self._by_word[w] for w in self.words()]
+    return UnifiedLexicon(words, beta, mean, [len(vocab.membership[w]) for w in words])
 
 
 def write_unified(
     path: str | Path,
-    entries: list[UnifiedEntry],
+    lexicon: UnifiedLexicon,
     *,
     seed: int | None = None,
     config_hash: str | None = None,
@@ -125,24 +164,18 @@ def write_unified(
     if config_hash is not None:
         lines.append(f"# config_hash: {config_hash}")
     lines.append("\t".join(_COLUMNS))
-    for e in sorted(entries, key=lambda e: e.word):
-        lines.append(
-            "\t".join(
-                (
-                    e.word,
-                    *(f"{b:.12g}" for b in e.beta),
-                    *(f"{m:.12g}" for m in e.mean),
-                    str(e.n_views),
-                )
-            )
-        )
+    values = np.hstack([lexicon.beta, lexicon.mean]).tolist()
+    for word, row, n in zip(lexicon.words, values, lexicon.n_views.tolist()):
+        lines.append("\t".join((word, *(f"{x:.12g}" for x in row), str(n))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_unified(path: str | Path) -> UnifiedLexicon:
     path = Path(path)
     meta: dict[str, str] = {}
-    entries: list[UnifiedEntry] = []
+    words: list[str] = []
+    values: list[list[float]] = []
+    n_views: list[int] = []
     first_line: dict[str, int] = {}
     saw_header = False
     for lineno, raw in enumerate(read_input(path, "unified lexicon file").splitlines(), start=1):
@@ -172,21 +205,25 @@ def read_unified(path: str | Path) -> UnifiedLexicon:
                 line=lineno,
             )
         try:
-            entry = UnifiedEntry(
-                word=parts[0],
-                beta=tuple(float(p) for p in parts[1:4]),
-                mean=tuple(float(p) for p in parts[4:7]),
-                n_views=int(parts[7]),
-            )
-        except (ValueError, ConfigError) as e:
+            row = [float(p) for p in parts[1:7]]
+            n = int(parts[7])
+        except ValueError as e:
             raise ParseError(str(e), path=str(path), line=lineno) from e
-        key = entry.word.casefold()
+        key = parts[0].casefold()
         if key in first_line:
             raise ParseError(
-                f"word {entry.word!r} repeats line {first_line[key]}", path=str(path), line=lineno
+                f"word {parts[0]!r} repeats line {first_line[key]}", path=str(path), line=lineno
             )
         first_line[key] = lineno
-        entries.append(entry)
+        words.append(parts[0])
+        values.append(row)
+        n_views.append(n)
     if not saw_header:
         raise ParseError("missing header row", path=str(path), line=1)
-    return UnifiedLexicon(entries, meta)
+    table = np.array(values, dtype=float).reshape(-1, 6)
+    try:
+        return UnifiedLexicon(words, table[:, :3], table[:, 3:], n_views, meta)
+    except (ConfigError, OverflowError) as e:  # OverflowError: an n_views beyond int64
+        row_lines = list(first_line.values())  # each row's line, in file order
+        at = row_lines[e.row] if isinstance(e, _InvalidRow) else None
+        raise ParseError(str(e), path=str(path), line=at) from e

@@ -1,7 +1,7 @@
 """Reference code that only the tests use: a rejection sampler for Gamma and
 Dirichlet draws (independent of the quantile route training runs), the
-pathwise-gradient harness, a one-word ELBO on a fresh tape, and a unified
-entry built from pseudocounts.
+pathwise-gradient harness, a one-word ELBO on a fresh tape, and a fused
+lexicon built from pseudocounts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from lexifuse.model import (
 )
 from lexifuse.rng import RngStream
 from lexifuse.tape import Tape, Var
-from lexifuse.unified import UnifiedEntry
+from lexifuse.unified import UnifiedLexicon
 
 
 def sample_gamma(shape: float, rng: RngStream) -> float:
@@ -105,11 +105,9 @@ def reparam_grad_elbo(
     return acc / n_samples
 
 
-def entry_from_beta(word: str, beta, n_views: int) -> UnifiedEntry:
-    total = sum(beta)
-    return UnifiedEntry(
-        word=word,
-        beta=tuple(float(b) for b in beta),
-        mean=tuple(float(b) / total for b in beta),
-        n_views=n_views,
+def lexicon_from_betas(rows) -> UnifiedLexicon:
+    """A fused lexicon from (word, beta, n_views) rows, each mean beta / sum(beta)."""
+    beta = np.array([b for _, b, _ in rows], dtype=float).reshape(-1, 3)
+    return UnifiedLexicon(
+        [w for w, _, _ in rows], beta, beta / beta.sum(axis=1, keepdims=True), [n for _, _, n in rows]
     )

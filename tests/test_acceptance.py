@@ -121,7 +121,7 @@ def synth_runs():
         priors = {w: compute_prior(w, data.views, vocab) for w in vocab.sorted_words()}
         obs = observations_from_views(data.views, vocab, priors)
         result = train(vocab, obs, TrainConfig(seed=seed))
-        lexicon = UnifiedLexicon(export_lexicon(result.state, data.views))
+        lexicon = export_lexicon(result.state, data.views)
         runs.append(SynthRun(seed=seed, data=data, obs=obs, state=result.state, lexicon=lexicon))
     elapsed = time.perf_counter() - t0
     return runs, elapsed
@@ -138,7 +138,7 @@ class TestCriterion1:
                 subset = list(gen.choice(vids, size=k, replace=False))
                 labels = {vid: random_label(ALL_SCALES[vid], gen) for vid in subset}
                 views = [LexiconView(vid, ALL_SCALES[vid], {"w": labels[vid]}) for vid in subset]
-                (beta,) = posterior_params(views, state.encoders)
+                _, (beta,) = posterior_params(views, state.encoders)
                 n_views = len(labels)
                 assert abs(sum(b - 1.0 for b in beta) - n_views) < 1e-9
                 assert abs(sum(beta) - (3.0 + n_views)) < 1e-9
@@ -454,7 +454,7 @@ class TestCriterion10:
             priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
             obs = observations_from_views(views, vocab, priors)
             result = train(vocab, obs, TrainConfig(seed=0))
-            lexicon = UnifiedLexicon(export_lexicon(result.state, views))
+            lexicon = export_lexicon(result.state, views)
             tr = read_corpus(os.path.join(base, "corpus_train.tsv"))
             te = read_corpus(os.path.join(base, "corpus_test.tsv"))
             acc = evaluate(tr, te, make_featurizer("fused-beta", unified=lexicon))

@@ -182,8 +182,32 @@ class TestErrorExits:
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize(
+        "schema, option",
+        [("binary,points=1,raters=0", "raters"), ("signed,pos=x", "pos"), ("binary,neg_col=7", "neg_col")],
+    )
+    def test_option_outside_its_family_exit_2(self, tmp_path, schema, option):
+        view = tmp_path / "b.tsv"
+        view.write_text("good\t1\n")
+        r = run_cli("validate", "--views", f"{view}:{schema}")
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:") and option in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_repeated_schema_option_exit_2(self, tmp_path):
+        view = tmp_path / "b.tsv"
+        view.write_text("good\t1\n")
+        r = run_cli("validate", "--views", f"{view}:binary,pos=good,pos=great")
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:") and "pos" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
         "header",
-        ["#family=RaterHistogram,n_raters=3,n_point=5", "#family=RaterHistogram,n_raters=3,n_points=1"],
+        [
+            "#family=RaterHistogram,n_raters=3,n_point=5",
+            "#family=RaterHistogram,n_raters=3,n_points=1",
+            "#family=RaterHistogram,n_raters=3,n_raters=2",
+        ],
     )
     def test_bad_rater_header_exit_3(self, tmp_path, header):
         view = tmp_path / "r.tsv"
@@ -191,6 +215,33 @@ class TestErrorExits:
         r = run_cli("validate", "--views", str(view))
         assert r.returncode == 3, r.stderr
         assert r.stderr.startswith("error:") and "r.tsv:1" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "good inf 1 1 nan 0 0 1",
+            "good inf inf inf nan nan nan 1",
+            "good -inf 1 1 0 0 0 1",
+            "good nan 1.5 1.5 0.4 0.3 0.3 2",
+            "good 2 1.5 1.5 nan 0.3 0.3 2",
+            "good 2 1.5 1.5 inf 0.3 0.3 2",
+            "good 2 1.5 1.5 -inf 0.3 0.3 2",
+        ],
+    )
+    def test_non_finite_unified_exit_3(self, tmp_path, row):
+        unified = tmp_path / "u.tsv"
+        unified.write_text(
+            "word\tbeta_pos\tbeta_neg\tbeta_neu\tmean_pos\tmean_neg\tmean_neu\tn_views\n"
+            + row.replace(" ", "\t") + "\n"
+        )
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("0\tgood\n1\tbad\n")
+        r = run_cli("eval", "--mode", "fused-mean", "--unified", str(unified),
+                    "--corpus", str(corpus), str(corpus), "--out", str(tmp_path / "r.csv"))
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("error:") and "u.tsv:2" in r.stderr
         assert "Traceback" not in r.stderr
 
 

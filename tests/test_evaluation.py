@@ -31,8 +31,7 @@ from lexifuse.lexica import (
     signed_continuous,
 )
 from lexifuse.rng import RngStream
-from lexifuse.unified import UnifiedLexicon
-from reference import entry_from_beta
+from reference import lexicon_from_betas
 
 
 def view_of(vid, family, entries):
@@ -136,7 +135,7 @@ class TestWordFeature:
         assert f.dim == 2
 
     def test_fused_features(self):
-        lex = UnifiedLexicon([entry_from_beta("w", (2.0, 1.5, 1.5), 2)])
+        lex = lexicon_from_betas([("w", (2.0, 1.5, 1.5), 2)])
         fused_mean = make_featurizer("fused-mean", unified=lex)
         np.testing.assert_allclose(fused_mean.word_feature("w"), [0.4, 0.3, 0.3])
         fused_beta = make_featurizer("fused-beta", unified=lex)
@@ -165,7 +164,7 @@ class TestWordFeature:
         assert v is not None and v.shape == (16,)
 
     def test_make_featurizer(self):
-        lex = UnifiedLexicon([entry_from_beta("w", (2.0, 1.5, 1.5), 2)])
+        lex = lexicon_from_betas([("w", (2.0, 1.5, 1.5), 2)])
         assert make_featurizer("fused-mean", unified=lex).mode == "fused-mean"
         assert make_featurizer("fused-beta", unified=lex).dim == 3
         assert make_featurizer("single:gi", views=STANDARD_VIEWS).mode == "single:gi"
@@ -314,13 +313,13 @@ class TestCoverage:
 
 class TestRestrictVocabulary:
     def make_fused(self, words):
-        return UnifiedLexicon([entry_from_beta(w, (2.0, 1.5, 1.5), 2) for w in words])
+        return lexicon_from_betas([(w, (2.0, 1.5, 1.5), 2) for w in words])
 
     def test_superset_unchanged(self):
         fused = self.make_fused(["a", "b"])
         view = view_of("v", binary(), {"a": 1, "b": 0, "c": 1})
         out = restrict_vocabulary(fused, view)
-        assert out.words() == ["a", "b"]
+        assert out.words == ["a", "b"]
 
     def test_empty_view(self):
         fused = self.make_fused(["a", "b"])
@@ -331,8 +330,8 @@ class TestRestrictVocabulary:
         fused = self.make_fused(["a", "b", "c"])
         view = view_of("v", binary(), {"b": 1, "c": 0, "d": 1})
         out = restrict_vocabulary(fused, view)
-        assert out.words() == ["b", "c"]
-        assert fused.lookup("b") is out.lookup("b")
+        assert out.words == ["b", "c"]
+        assert fused.lookup("b") == out.lookup("b")
 
 
 class TestReport:

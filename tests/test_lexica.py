@@ -191,6 +191,7 @@ class TestParseLexicon:
         [
             "n_raters=3,n_point=5",  # misspelt: must not fall back to 9 points
             "n_raters=3,n_points=1",
+            "n_raters=3,n_raters=2",  # repeated: must not keep the last value
         ],
     )
     def test_bad_rater_header(self, tmp_path, options):
@@ -241,6 +242,39 @@ class TestParseSchema:
     def test_negative_column(self, opt):
         with pytest.raises(ConfigError):
             parse_schema(f"pair,{opt}")
+
+    @pytest.mark.parametrize("text", ["binary,pos=good,pos=great", "rater,raters=3,raters=2"])
+    def test_repeated_option(self, text):
+        with pytest.raises(ConfigError, match="given twice"):
+            parse_schema(text)
+
+    @pytest.mark.parametrize("text, option", [
+        ("binary,points=1,raters=0", "raters"),
+        ("signed,points=5", "points"),
+        ("auto,raters=3", "raters"),
+    ])
+    def test_rater_option_outside_rater(self, text, option):
+        with pytest.raises(ConfigError, match=rf"options \[.*'{option}'.*\] are unknown or do not apply"):
+            parse_schema(text)
+
+    @pytest.mark.parametrize("header, schema, option", [
+        ("", "signed,pos=x", "pos"),
+        ("", "pair,neg=x", "neg"),
+        ("", "binary,neg_col=7", "neg_col"),
+        ("#family=SignedContinuous\n", "auto,neg_col=2", "neg_col"),
+        ("#family=PairContinuous\n", "auto,pos=x", "pos"),
+    ])
+    def test_option_outside_its_family(self, tmp_path, header, schema, option):
+        p = tmp_path / "lex.tsv"
+        p.write_text(f"{header}good\t1\n")
+        with pytest.raises(ConfigError, match=f"option {option} applies only to"):
+            parse_lexicon(p, parse_schema(schema))
+
+    def test_auto_options_fitting_header(self, tmp_path):
+        p = tmp_path / "lex.tsv"
+        p.write_text("#family=Binary\ngood\tyes\n")
+        view = parse_lexicon(p, parse_schema("auto,pos=yes"))
+        assert view.entries["good"].value == 1
 
 
 class TestBuildVocabulary:

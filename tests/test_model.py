@@ -158,7 +158,8 @@ class TestPosteriorParams:
         views = [
             LexiconView(vid, ALL_SCALES[vid], {"w": example_label(ALL_SCALES[vid])}) for vid in vids
         ]
-        (beta,) = posterior_params(views, state.encoders)
+        words, (beta,) = posterior_params(views, state.encoders)
+        assert words == ["w"]
         assert sum(beta) - 3.0 == pytest.approx(len(vids), abs=1e-9)
         assert sum(b - 1.0 for b in beta) == pytest.approx(len(vids), abs=1e-9)
         assert all(b > 1.0 for b in beta)

@@ -16,13 +16,12 @@ from lexifuse.rng import stream_for
 from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model
 from lexifuse.unified import (
-    UnifiedEntry,
     UnifiedLexicon,
     export_lexicon,
     read_unified,
     write_unified,
 )
-from reference import entry_from_beta
+from reference import lexicon_from_betas
 
 
 def make_setup(n_words=6, seed=0):
@@ -56,34 +55,65 @@ def make_setup(n_words=6, seed=0):
 
 
 class TestUnifiedEntry:
+    """The invariants every row must meet, checked by the lexicon constructor."""
+
     def test_from_beta_normalizes(self):
-        e = entry_from_beta("w", (2.3, 1.5, 1.2), n_views=2)
+        e = lexicon_from_betas([("w", (2.3, 1.5, 1.2), 2)]).lookup("w")
         assert e.mean == pytest.approx((0.46, 0.30, 0.24))
 
     def test_component_floor(self):
         with pytest.raises(ConfigError):
-            entry_from_beta("w", (0.9, 2.0, 1.2), n_views=1)
+            lexicon_from_betas([("w", (0.9, 2.0, 1.2), 1)])
 
     def test_view_count_consistency(self):
         with pytest.raises(ConfigError):
-            entry_from_beta("w", (2.0, 1.5, 1.5), n_views=3)
+            lexicon_from_betas([("w", (2.0, 1.5, 1.5), 3)])
 
     def test_mean_consistency(self):
         with pytest.raises(ConfigError):
-            UnifiedEntry("w", (2.0, 1.5, 1.5), (0.5, 0.25, 0.25), 2)
+            UnifiedLexicon(["w"], [(2.0, 1.5, 1.5)], [(0.5, 0.25, 0.25)], [2])
+
+
+class TestLexiconArrays:
+    """Shapes, row order and repeated words of the array form."""
+
+    @pytest.mark.parametrize("beta, mean, n_views", [
+        ([(2.0, 1.5)], [(0.4, 0.3, 0.3)], [2]),
+        ([(2.0, 1.5, 1.5)], [(0.4, 0.3, 0.3)], [[2]]),
+        ([(2.0, 1.5, 1.5), (2.0, 1.5, 1.5)], [(0.4, 0.3, 0.3)], [2]),
+    ])
+    def test_shapes(self, beta, mean, n_views):
+        with pytest.raises(ConfigError, match="shape"):
+            UnifiedLexicon(["w"], beta, mean, n_views)
+
+    def test_first_failing_row_named(self):
+        rows = [("a", (2.0, 1.5, 1.5), 2), ("b", (2.0, 1.5, 1.5), 1), ("c", (0.5, 3.0, 2.5), 3)]
+        with pytest.raises(ConfigError, match="n_views: word 'b'"):
+            lexicon_from_betas(rows)
+
+    def test_repeated_word(self):
+        with pytest.raises(ConfigError, match="'A' repeats"):
+            lexicon_from_betas([("a", (2.0, 1.5, 1.5), 2), ("A", (2.0, 1.5, 1.5), 2)])
+
+    def test_rows_sorted_by_casefolded_word(self):
+        lex = lexicon_from_betas(
+            [("b", (2.0, 1.5, 1.5), 2), ("A", (1.5, 2.0, 1.5), 2), ("c", (3.0, 1.0, 1.0), 2)]
+        )
+        assert lex.words == ["A", "b", "c"]
+        np.testing.assert_array_equal(lex.beta[:, 0], [1.5, 2.0, 3.0])
 
 
 class TestExportLexicon:
     def test_one_entry_per_word(self):
         views, vocab, state = make_setup()
-        entries = export_lexicon(state, views)
-        assert len(entries) == len(vocab)
-        assert [e.word for e in entries] == vocab.sorted_words()
+        lexicon = export_lexicon(state, views)
+        assert len(lexicon) == len(vocab)
+        assert lexicon.words == vocab.sorted_words()
 
     def test_matches_posterior(self):
         # oracle: each view's omega on the tape, summed in sorted view order
         views, vocab, state = make_setup()
-        entries = {e.word: e for e in export_lexicon(state, views)}
+        entries = {e.word: e for e in export_lexicon(state, views).entries()}
         by_id = {v.id: v for v in views}
         for word in vocab.sorted_words():
             binding = ModelBinding(Tape(), state)
@@ -97,7 +127,7 @@ class TestExportLexicon:
 
     def test_skips_uncovered_views_with_warning(self, caplog):
         views, vocab, state = make_setup()
-        full = {e.word: e for e in export_lexicon(state, views)}
+        full = {e.word: e for e in export_lexicon(state, views).entries()}
         # "other" has no encoder: it alone covers zzz and also covers word0
         other = LexiconView(
             "other",
@@ -105,9 +135,9 @@ class TestExportLexicon:
             {"zzz": PolarityLabel(binary(), 1), "word0": PolarityLabel(binary(), 0)},
         )
         with caplog.at_level("WARNING"):
-            entries = export_lexicon(state, views + [other])
-        assert [e.word for e in entries] == [w for w in vocab.sorted_words() if w != "word0"]
-        assert all(e == full[e.word] for e in entries)
+            lexicon = export_lexicon(state, views + [other])
+        assert lexicon.words == [w for w in vocab.sorted_words() if w != "word0"]
+        assert all(e == full[e.word] for e in lexicon.entries())
         assert "'zzz'" in caplog.text and "'word0'" in caplog.text
         assert "export skipped 2 of 7 words" in caplog.text
 
@@ -119,9 +149,9 @@ class TestExportLexicon:
 
 class TestLookup:
     def test_casefold_and_absent(self):
-        lex = UnifiedLexicon([entry_from_beta("peppy", (2.0, 1.5, 1.5), 2)])
+        lex = lexicon_from_betas([("peppy", (2.0, 1.5, 1.5), 2)])
         assert lex.lookup("peppy") is not None
-        assert lex.lookup("Peppy") is lex.lookup("peppy")
+        assert lex.lookup("Peppy") == lex.lookup("peppy")
         assert lex.lookup("absent") is None
         assert "PEPPY" in lex and "absent" not in lex
 
@@ -129,17 +159,17 @@ class TestLookup:
 class TestSerialization:
     def test_roundtrip_byte_identical(self, tmp_path):
         views, vocab, state = make_setup()
-        entries = export_lexicon(state, views)
+        lexicon = export_lexicon(state, views)
         p1 = tmp_path / "a.tsv"
         p2 = tmp_path / "b.tsv"
-        write_unified(p1, entries, seed=3, config_hash="deadbeef0123")
+        write_unified(p1, lexicon, seed=3, config_hash="deadbeef0123")
         lex = read_unified(p1)
-        write_unified(p2, lex.entries(), seed=3, config_hash="deadbeef0123")
+        write_unified(p2, lex, seed=3, config_hash="deadbeef0123")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_and_meta(self, tmp_path):
         p = tmp_path / "u.tsv"
-        write_unified(p, [entry_from_beta("w", (2.0, 1.5, 1.5), 2)], seed=7, config_hash="abc")
+        write_unified(p, lexicon_from_betas([("w", (2.0, 1.5, 1.5), 2)]), seed=7, config_hash="abc")
         text = p.read_text()
         assert text.splitlines()[0].startswith("#")
         assert "seed: 7" in text
@@ -155,7 +185,7 @@ class TestSerialization:
 
     def test_sorted_rows(self, tmp_path):
         p = tmp_path / "u.tsv"
-        es = [entry_from_beta(w, (2.0, 1.5, 1.5), 2) for w in ("zebra", "apple", "mango")]
+        es = lexicon_from_betas([(w, (2.0, 1.5, 1.5), 2) for w in ("zebra", "apple", "mango")])
         write_unified(p, es)
         rows = [l.split("\t")[0] for l in p.read_text().splitlines() if "\t" in l][1:]
         assert rows == ["apple", "mango", "zebra"]
@@ -172,23 +202,52 @@ class TestSerialization:
 
     def test_bad_row(self, tmp_path):
         p = tmp_path / "u.tsv"
-        write_unified(p, [entry_from_beta("w", (2.0, 1.5, 1.5), 2)])
+        write_unified(p, lexicon_from_betas([("w", (2.0, 1.5, 1.5), 2)]))
         p.write_text(p.read_text() + "x\t1\t2\n")
         with pytest.raises(ParseError, match=":4"):
             read_unified(p)
 
     def test_bad_value(self, tmp_path):
         p = tmp_path / "u.tsv"
-        write_unified(p, [entry_from_beta("w", (2.0, 1.5, 1.5), 2)])
+        write_unified(p, lexicon_from_betas([("w", (2.0, 1.5, 1.5), 2)]))
         p.write_text(p.read_text().replace("\t2\n", "\tmany\n"))
         with pytest.raises(ParseError):
             read_unified(p)
 
     def test_repeated_word(self, tmp_path):
         p = tmp_path / "u.tsv"
-        write_unified(p, [entry_from_beta("a", (2.0, 1.5, 1.5), 2)])
+        write_unified(p, lexicon_from_betas([("a", (2.0, 1.5, 1.5), 2)]))
         q = tmp_path / "q.tsv"
-        write_unified(q, [entry_from_beta("a", (1.5, 2.0, 1.5), 2)])
+        write_unified(q, lexicon_from_betas([("a", (1.5, 2.0, 1.5), 2)]))
         p.write_text(p.read_text() + q.read_text().splitlines()[-1] + "\n")
         with pytest.raises(ParseError, match=r"u.tsv:4: word 'a' repeats line 3"):
+            read_unified(p)
+
+    @pytest.mark.parametrize("column", range(1, 7))
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value(self, tmp_path, column, value):
+        p = tmp_path / "u.tsv"
+        write_unified(p, lexicon_from_betas([("a", (2.0, 1.5, 1.5), 2), ("w", (2.0, 1.5, 1.5), 2)]))
+        lines = p.read_text().splitlines()
+        parts = lines[-1].split("\t")
+        parts[column] = value
+        p.write_text("\n".join(lines[:-1] + ["\t".join(parts)]) + "\n")
+        with pytest.raises(ParseError, match=r"u.tsv:4: .*'w'"):
+            read_unified(p)
+
+    @pytest.mark.parametrize("row", ["w inf 1 1 nan 0 0 1", "w inf inf inf nan nan nan 1"])
+    def test_infinite_beta_with_nan_mean(self, tmp_path, row):
+        p = tmp_path / "u.tsv"
+        write_unified(p, lexicon_from_betas([("a", (2.0, 1.5, 1.5), 2)]))
+        p.write_text(p.read_text() + row.replace(" ", "\t") + "\n")
+        with pytest.raises(ParseError, match=r"u.tsv:4: beta components must be finite"):
+            read_unified(p)
+
+    def test_first_bad_line_reported(self, tmp_path):
+        p = tmp_path / "u.tsv"
+        write_unified(p, lexicon_from_betas([("a", (2.0, 1.5, 1.5), 2)]))
+        p.write_text(
+            p.read_text() + "good\tinf\t1\t1\tnan\t0\t0\t1\nbad\t1\t1\t1\t0.3\t0.3\t0.3\t0\n"
+        )
+        with pytest.raises(ParseError, match=r"u.tsv:4: beta components must be finite"):
             read_unified(p)
