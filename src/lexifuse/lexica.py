@@ -204,7 +204,8 @@ def parse_schema(text: str) -> ViewSchema:
 
     Grammar: `<family>[,opt=val...]` with family in {auto, binary, signed,
     pair, rater}; options: id, word_col, value_col, neg_col, raters, points,
-    pos, neg, each at most once.  raters and points need the rater family
+    pos, neg, each at most once, with pos and neg different tokens once
+    case-folded.  raters and points need the rater family
     (an auto schema takes them from the `#family=` header); parse_lexicon
     checks neg_col, pos and neg against the family the view settles on.
     """
@@ -241,11 +242,10 @@ def parse_schema(text: str) -> ViewSchema:
     value_col = pop_int("value_col", 1)
     neg_col = pop_int("neg_col", None)
     view_id = opts.pop("id", None)
-    binary_tokens: dict[str, int] = {}
-    if "pos" in opts:
-        binary_tokens[opts.pop("pos").casefold()] = 1
-    if "neg" in opts:
-        binary_tokens[opts.pop("neg").casefold()] = 0
+    tokens = {value: opts.pop(key).casefold() for key, value in (("pos", 1), ("neg", 0)) if key in opts}
+    if len(set(tokens.values())) < len(tokens):
+        raise ConfigError(f"schema options pos and neg share the token {tokens[1]!r}")
+    binary_tokens = {token: value for value, token in tokens.items()}
     if opts:
         raise ConfigError(f"schema options {sorted(opts)} are unknown or do not apply to {fam_word}")
     return ViewSchema(

@@ -209,6 +209,8 @@ def read_unified(path: str | Path) -> UnifiedLexicon:
             n = int(parts[7])
         except ValueError as e:
             raise ParseError(str(e), path=str(path), line=lineno) from e
+        if not -2**63 <= n < 2**63:
+            raise ParseError(f"n_views {n} is beyond int64", path=str(path), line=lineno)
         key = parts[0].casefold()
         if key in first_line:
             raise ParseError(
@@ -223,7 +225,7 @@ def read_unified(path: str | Path) -> UnifiedLexicon:
     table = np.array(values, dtype=float).reshape(-1, 6)
     try:
         return UnifiedLexicon(words, table[:, :3], table[:, 3:], n_views, meta)
-    except (ConfigError, OverflowError) as e:  # OverflowError: an n_views beyond int64
+    except ConfigError as e:
         row_lines = list(first_line.values())  # each row's line, in file order
         at = row_lines[e.row] if isinstance(e, _InvalidRow) else None
         raise ParseError(str(e), path=str(path), line=at) from e

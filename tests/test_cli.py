@@ -183,7 +183,12 @@ class TestErrorExits:
 
     @pytest.mark.parametrize(
         "schema, option",
-        [("binary,points=1,raters=0", "raters"), ("signed,pos=x", "pos"), ("binary,neg_col=7", "neg_col")],
+        [
+            ("binary,points=1,raters=0", "raters"),
+            ("signed,pos=x", "pos"),
+            ("binary,neg_col=7", "neg_col"),
+            ("binary,pos=same,neg=same", "same"),
+        ],
     )
     def test_option_outside_its_family_exit_2(self, tmp_path, schema, option):
         view = tmp_path / "b.tsv"

@@ -1,12 +1,16 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lexifuse.errors import ConfigError, ParseError, UsageError
 from lexifuse.evaluation import (
+    GRAD_TOL,
+    L2,
     LabeledCorpus,
     LogisticModel,
     coverage,
@@ -212,7 +216,7 @@ class TestFitLogistic:
 
     def test_zero_weight_loss_is_log_k(self):
         model = LogisticModel(
-            weights=np.zeros((3, 2)), bias=np.zeros(3), l2=0.0, converged=True, n_iter=0
+            weights=np.zeros((3, 2)), bias=np.zeros(3), converged=True, n_iter=0
         )
         x = np.array([[0.3, -0.2], [0.1, 0.5], [-0.4, 0.2]])
         logits = model.decision(x)
@@ -226,7 +230,7 @@ class TestFitLogistic:
         x = rng.normal(size=(40, 2))
         y = (x[:, 0] + 0.3 * rng.normal(size=40) > 0).astype(int)
         l2, tol = 1e-4, 1e-8
-        model = fit_logistic(x, y, l2=l2, tol=tol, max_iter=20000)
+        model = fit_logistic(x, y)
         assert model.converged
         n, k = x.shape[0], 2
         onehot = np.zeros((n, k))
@@ -240,24 +244,48 @@ class TestFitLogistic:
         gnorm = math.sqrt(float(np.sum(gw**2) + np.sum(gb**2)))
         assert gnorm < 10 * tol
 
-    def test_convex_final_loss_independent_of_init(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(60, 3))
-        logits_true = x @ np.array([[1.0, -0.5, 0.2], [-1.0, 0.5, -0.2]]).T
-        y = np.argmax(logits_true + rng.normal(scale=2.0, size=(60, 2)), axis=1)
+    @staticmethod
+    def _objective(theta, x, y, k):
+        """fit_logistic's objective and gradient at theta = [W | b] flattened."""
+        n, d = x.shape
+        theta = theta.reshape(k, d + 1)
+        logits = x @ theta[:, :d].T + theta[:, d]
+        m = logits.max(axis=1, keepdims=True)
+        logp = logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+        resid = (np.exp(logp) - np.eye(k)[y]) / n
+        val = -logp[np.arange(n), y].mean() + 0.5 * L2 * float(np.sum(theta[:, :d] ** 2))
+        grad = np.hstack([resid.T @ x + L2 * theta[:, :d], resid.sum(axis=0)[:, None]])
+        return val, grad.ravel()
 
-        def final_loss(seed):
-            r = np.random.default_rng(seed)
-            init = (r.normal(size=(2, 3)), r.normal(size=2))
-            m = fit_logistic(x, y, max_iter=20000, init=init)
-            logp = m.decision(x)
-            logp = logp - logp.max(axis=1, keepdims=True)
-            logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-            nll = -logp[np.arange(len(y)), y].mean()
-            return nll + 0.5 * m.l2 * float(np.sum(m.weights**2))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_matches_bfgs_optimum(self, k, d):
+        rng = np.random.default_rng(100 * k + d)
+        x = rng.normal(size=(150, d)) * rng.uniform(0.2, 3.0, size=d)
+        y = np.argmax(x @ rng.normal(size=(d, k)) + rng.normal(size=(150, k)), axis=1)
+        y[:k] = np.arange(k)
+        model = fit_logistic(x, y)
+        theta = np.hstack([model.weights, model.bias[:, None]]).ravel()
+        val, grad = self._objective(theta, x, y, k)
+        oracle = scipy.optimize.minimize(
+            self._objective, np.zeros(k * (d + 1)), args=(x, y, k), jac=True,
+            method="BFGS", options={"gtol": 1e-12, "maxiter": 10000},
+        )
+        assert model.converged
+        assert model.n_iter <= 20
+        assert np.linalg.norm(grad) < GRAD_TOL
+        assert abs(val - oracle.fun) < 1e-12
 
-        losses = [final_loss(s) for s in (10, 20, 30)]
-        assert max(losses) - min(losses) < 1e-6
+    def test_huge_features_end_unconverged_with_warning(self, caplog):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(200, 4))
+        y = (x[:, 0] + 0.3 * rng.normal(size=200) > 0).astype(int)
+        with caplog.at_level(logging.WARNING, logger="lexifuse.evaluation"):
+            model = fit_logistic(x * 1e9, y)
+        assert not model.converged
+        assert [r.name for r in caplog.records] == ["lexifuse.evaluation"]
+        assert f"after {model.n_iter} Newton steps" in caplog.text
+        assert "gradient norm" in caplog.text
 
     def test_single_class_rejected(self):
         with pytest.raises(UsageError):

@@ -248,6 +248,11 @@ class TestParseSchema:
         with pytest.raises(ConfigError, match="given twice"):
             parse_schema(text)
 
+    @pytest.mark.parametrize("text, token", [("binary,pos=x,neg=x", "x"), ("auto,pos=Yes,neg=yES", "yes")])
+    def test_shared_binary_token(self, text, token):
+        with pytest.raises(ConfigError, match=f"pos and neg share the token '{token}'"):
+            parse_schema(text)
+
     @pytest.mark.parametrize("text, option", [
         ("binary,points=1,raters=0", "raters"),
         ("signed,points=5", "points"),

@@ -214,6 +214,15 @@ class TestSerialization:
         with pytest.raises(ParseError):
             read_unified(p)
 
+    @pytest.mark.parametrize("n_views", [str(2**63), str(-2**63 - 1), "9" * 40])
+    def test_n_views_beyond_int64_names_line(self, tmp_path, n_views):
+        p = tmp_path / "u.tsv"
+        write_unified(p, lexicon_from_betas([("a", (2.0, 1.5, 1.5), 2), ("w", (2.0, 1.5, 1.5), 2)]))
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\t" + n_views]) + "\n")
+        with pytest.raises(ParseError, match=r"u.tsv:4: n_views .* is beyond int64"):
+            read_unified(p)
+
     def test_repeated_word(self, tmp_path):
         p = tmp_path / "u.tsv"
         write_unified(p, lexicon_from_betas([("a", (2.0, 1.5, 1.5), 2)]))
