@@ -1,100 +1,89 @@
-"""Dirichlet primitives of the training objective: the closed-form KL and
-draws that are differentiable in the concentration.
+"""Dirichlet primitives of the training objective, one row per word: the
+closed-form KL and draws that are differentiable in the concentration.
 
 A draw inverts the Gamma CDF at a fixed uniform, because the derivative of
 that inverse w.r.t. the shape is exactly the implicit-reparameterization
-partial
+partial (Figurnov, Mohamed & Mnih, 2018)
 
     dy/d(shape) = - (dP/d shape)(shape, y) / pdf(y; shape),
 
 so holding the uniforms fixed makes the ELBO a deterministic, differentiable
-function of the variational parameters.
+function of the variational parameters.  Shapes 1 + sum omega reach exactly
+1.0 when a softmax component underflows; the quantile and its derivative
+hold there too.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
+import numpy as np
 
+from . import tape as tp
 from .errors import ConfigError, DomainError
-from .special import (
-    digamma,
-    gamma_log_pdf,
-    gamma_quantile,
-    gammainc_p_da,
-    lgamma,
-    trigamma,
-)
-from .tape import Var, clamp, vsum
+from .special import digamma, gamma_log_pdf, gamma_quantile, gammainc_p_da, lgamma, trigamma
 
 # Simplex draws are nudged off the boundary before use; at these magnitudes
 # renormalization changes nothing detectable at float64 scale.
 _SIMPLEX_EPS = 1e-8
 
 
-def dirichlet_kl(beta: Sequence[float], alpha: Sequence[float]) -> float:
-    """KL(Dir(beta) || Dir(alpha)) in closed form."""
-    if len(beta) != len(alpha):
+def dirichlet_kl(beta, alpha) -> np.ndarray:
+    """KL(Dir(beta) || Dir(alpha)) in closed form, one value per row."""
+    beta = np.asarray(beta, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    if beta.shape[-1] != alpha.shape[-1]:
         raise DomainError("dirichlet_kl: dimension mismatch")
-    for v in (*beta, *alpha):
-        if not v > 0.0:
-            raise DomainError("dirichlet_kl requires positive parameters")
-    bsum = sum(beta)
-    asum = sum(alpha)
+    if not (np.all(beta > 0.0) and np.all(alpha > 0.0)):
+        raise DomainError("dirichlet_kl requires positive parameters")
+    bsum = beta.sum(axis=-1)
     dg_bsum = digamma(bsum)
-    acc = lgamma(bsum) - lgamma(asum)
-    for b, a in zip(beta, alpha):
-        acc += lgamma(a) - lgamma(b) + (b - a) * (digamma(b) - dg_bsum)
+    acc = lgamma(bsum) - lgamma(alpha.sum(axis=-1))
+    for k in range(beta.shape[-1]):
+        b, a = beta[..., k], alpha[..., k]
+        acc = acc + (lgamma(a) - lgamma(b) + (b - a) * (digamma(b) - dg_bsum))
     return acc
 
 
-def dirichlet_kl_var(betas: Sequence[Var], alpha: Sequence[float]) -> Var:
-    """KL(Dir(beta) || Dir(alpha)) as one fused tape node over the betas.
+def dirichlet_kl_var(beta: tp.Node, alpha: np.ndarray) -> tp.Node:
+    """KL(Dir(beta_i) || Dir(alpha_i)) per row as one tape node.
 
     d KL / d beta_k = (beta_k - alpha_k) psi'(beta_k)
                       - psi'(sum beta) * sum_j (beta_j - alpha_j).
     """
-    if len(betas) != len(alpha):
-        raise DomainError("dirichlet_kl_var: dimension mismatch")
-    tape = betas[0].tape
-    bvals = [b.value for b in betas]
-    val = dirichlet_kl(bvals, alpha)
-    bsum = sum(bvals)
-    diff_sum = sum(b - a for b, a in zip(bvals, alpha))
-    tg_bsum = trigamma(bsum)
-    parts = tuple(
-        (b - a) * trigamma(b) - tg_bsum * diff_sum for b, a in zip(bvals, alpha)
-    )
-    return tape._push(val, tuple(b.idx for b in betas), parts)
+    b = beta.value
+    diff = b - alpha
+    jac = diff * trigamma(b) - (trigamma(b.sum(axis=1)) * diff.sum(axis=1))[:, None]
+    return tp.rowwise(beta, dirichlet_kl(b, alpha), jac)
 
 
-def gamma_sample_var(shape: Var, u: float) -> Var:
-    """Gamma(shape) draw at fixed uniform u, differentiable in the shape.
-
-    The node's value is the quantile y = P^{-1}(shape, u); its partial is the
-    implicit derivative of that quantile in the shape.
-    """
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"gamma_sample_var requires u in (0, 1), got {u!r}")
-    a = shape.value
-    y = gamma_quantile(a, u)
-    _, dp_da = gammainc_p_da(a, y)
-    pdf = math.exp(gamma_log_pdf(y, a))
-    dy_da = -dp_da / pdf
-    return shape.tape._push(y, (shape.idx,), (dy_da,))
+def gamma_draws(shape, u) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(shape) draws at fixed uniforms u, and their implicit derivatives
+    in the shape: the quantiles y = P^{-1}(shape, u) and dy/d(shape)."""
+    y = gamma_quantile(shape, u)
+    _, dp_da = gammainc_p_da(shape, y)
+    return y, -dp_da / np.exp(gamma_log_pdf(y, shape))
 
 
-def dirichlet_sample_vars(betas: Sequence[Var], us: Sequence[float]) -> list[Var]:
-    """Dirichlet draw on the tape: normalized per-component Gamma quantiles,
-    clamped into [eps, 1 - eps] and renormalized if a component reaches the
-    simplex boundary."""
-    if len(us) != len(betas):
+def dirichlet_sample_vars(beta: tp.Node, us: np.ndarray) -> tp.Node:
+    """One Dirichlet draw per row of beta at that row's uniforms, on the tape:
+    normalized per-component Gamma quantiles; a row with a component outside
+    [eps, 1 - eps] is clamped into it and renormalized."""
+    if us.shape != beta.value.shape:
         raise ConfigError("dirichlet_sample_vars needs one uniform per component")
-    ys = [gamma_sample_var(b, u) for b, u in zip(betas, us)]
-    total = vsum(ys)
-    zs = [y / total for y in ys]
-    if any(not _SIMPLEX_EPS <= z.value <= 1.0 - _SIMPLEX_EPS for z in zs):
-        zs = [clamp(z, _SIMPLEX_EPS, 1.0 - _SIMPLEX_EPS) for z in zs]
-        total = vsum(zs)
-        zs = [z / total for z in zs]
-    return zs
+    y, dy = gamma_draws(beta.value, us)
+    ys = tp.pointwise(beta, y, dy)
+    total = y.sum(axis=1, keepdims=True)
+    z = y / total
+    zs = ys.tape.push(z, (ys,), lambda g: ((g - (g * z).sum(axis=1, keepdims=True)) / total,))
+    off = ((z < _SIMPLEX_EPS) | (z > 1.0 - _SIMPLEX_EPS)).any(axis=1, keepdims=True)
+    if not off.any():
+        return zs
+    inside = ~off | ((z >= _SIMPLEX_EPS) & (z <= 1.0 - _SIMPLEX_EPS))
+    clamped = np.where(off, np.clip(z, _SIMPLEX_EPS, 1.0 - _SIMPLEX_EPS), z)
+    norm = np.where(off, clamped.sum(axis=1, keepdims=True), 1.0)
+    out = clamped / norm
+
+    def vjp(g):
+        # renormalization of the clamped rows, then zero where the clamp is active
+        return (np.where(off, (g - (g * out).sum(axis=1, keepdims=True)) / norm, g) * inside,)
+
+    return zs.tape.push(out, (zs,), vjp)

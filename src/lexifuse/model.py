@@ -1,5 +1,5 @@
 """Model core: per-lexicon encoder/decoder heads, emission likelihoods,
-posterior construction, and the per-word ELBO.
+posterior construction, and the minibatch ELBO.
 
 Every lexicon view d gets two small MLPs.  The encoder g maps the word's
 label in that view to a point omega_d on the polarity simplex; the word's
@@ -18,18 +18,20 @@ The view's scale family alone picks the emission:
 - RaterHistogram: each rating drawn from one categorical over n_points,
   whose logits are the n_points raw decoder outputs.
 
-Each quantity has one numerical path.  Training builds the ELBO on the tape
-(ModelBinding + elbo_word_on).  Export needs only the encoder outputs, so
-`posterior_params` runs each view's encoder once, as a batched numpy
-forward (`encode`) over all of that view's labels; only export runs it.
-The encoder is the one network with both a numpy and a tape forward.
+Each quantity has one numerical path.  Training builds a minibatch's ELBO
+on the array tape (ModelBinding + elbo_batch): each layer function
+(encode_vars, decode_vars, emission_ll_var, and the Dirichlet ops
+dirichlet_kl_var and dirichlet_sample_vars) is one batched node over the
+rows a view covers, looked up through this module.  Export needs only the
+encoder outputs, so `posterior_params` runs each view's encoder once as a
+plain numpy forward (`encode`); the encoder is the one network with both a
+numpy and a tape forward.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import tape as tp
 from .distributions import dirichlet_kl_var, dirichlet_sample_vars
-from .errors import ConfigError, UsageError, read_input
+from .errors import ConfigError, NumericError, UsageError, read_input
 from .lexica import (
     BINARY,
     COMPONENTS,
@@ -49,8 +51,7 @@ from .lexica import (
     PolarityLabel,
     ScaleFamily,
 )
-from .rng import RngStream
-from .tape import Tape, Var
+from .tape import Tape
 
 # Fixed per-component variance of the pair-continuous emission.
 PAIR_VARIANCE = 0.01
@@ -211,153 +212,182 @@ def posterior_params(
 
 
 # ---------------------------------------------------------------------------
-# Tape route: the differentiable training objective.
+# Array-tape route: the differentiable training objective.
 
 
 @dataclass(eq=False)
-class HeadLeaves:
-    """One head's parameters as tape leaves, shaped like the arrays."""
+class HeadNodes:
+    """One head's four parameter arrays as tape leaves."""
 
-    w1: list[list[Var]]
-    b1: list[Var]
-    w2: list[list[Var]]
-    b2: list[Var]
+    w1: tp.Node
+    b1: tp.Node
+    w2: tp.Node
+    b2: tp.Node
 
 
 class ModelBinding:
-    """All model parameters pushed onto one tape, in pack_state order.
+    """All model parameters on one tape, one leaf per array.
 
-    Leaves occupy a contiguous index range, so a backward pass turns into a
-    flat gradient via one slice.  Build a fresh binding per optimization
-    step (tapes are append-only and single-use).  `encoded` holds each
-    (view id, label)'s omega nodes, so words with identical labels share
-    one encoder subgraph on the tape; binary and histogram views repeat
-    labels constantly, and omega depends on nothing else.
+    Build a fresh binding per optimization step (tapes are append-only and
+    single-use); `gradient` flattens the leaves' adjoints in pack_state order.
     """
 
     def __init__(self, tape: Tape, state: ModelState):
         self.tape = tape
         self.state = state
-        self.start = len(tape)
-        self.heads: dict[tuple[str, str], HeadLeaves] = {}
+        self.heads: dict[tuple[str, str], HeadNodes] = {}
         for vid in state.view_ids():
-            self.heads[("enc", vid)] = self._push_head(state.encoders[vid])
-            self.heads[("dec", vid)] = self._push_head(state.decoders[vid])
-        self.count = len(tape) - self.start
-        self.encoded: dict[tuple[str, PolarityLabel], tuple[Var, Var, Var]] = {}
+            for kind, head in (("enc", state.encoders[vid]), ("dec", state.decoders[vid])):
+                self.heads[(kind, vid)] = HeadNodes(*(tape.leaf(a) for a in _head_arrays(head)))
 
-    def _push_head(self, head: MlpHead) -> HeadLeaves:
-        leaf = self.tape.leaf
-        return HeadLeaves(
-            w1=[[leaf(v) for v in row] for row in head.w1],
-            b1=[leaf(v) for v in head.b1],
-            w2=[[leaf(v) for v in row] for row in head.w2],
-            b2=[leaf(v) for v in head.b2],
-        )
-
-    def gradient(self, adjoints: list[float]) -> np.ndarray:
+    def gradient(self, adjoints: list) -> np.ndarray:
         """The flat parameter gradient (pack_state order) from adjoints."""
-        return np.array(adjoints[self.start : self.start + self.count])
+        parts = []
+        for head in self.heads.values():
+            for leaf in (head.w1, head.b1, head.w2, head.b2):
+                g = adjoints[leaf.idx]
+                parts.append(np.zeros(leaf.value.size) if g is None else g.ravel())
+        return np.concatenate(parts)
 
 
-def _mlp_forward_vars(leaves: HeadLeaves, xs) -> list[Var]:
-    hidden = [tp.tanh(a) for a in tp.linear_layer(leaves.w1, xs, leaves.b1)]
-    return tp.linear_layer(leaves.w2, hidden, leaves.b2)
+def _mlp_vars(x, head: HeadNodes) -> tp.Node:
+    return tp.affine(tp.tanh(tp.affine(x, head.w1, head.b1)), head.w2, head.b2)
 
 
-def encode_vars(label: PolarityLabel, leaves: HeadLeaves) -> tuple[Var, Var, Var]:
-    out = _mlp_forward_vars(leaves, encoder_input(label))
-    return tp.softmax3(out[0], out[1], out[2])
+def encode_vars(x: np.ndarray, head: HeadNodes) -> tp.Node:
+    """omega = softmax(g(x)) for each row of encoder inputs: (m, 3)."""
+    return tp.softmax(_mlp_vars(x, head))
 
 
-def decode_vars(zs, leaves: HeadLeaves, scale: ScaleFamily) -> list[Var]:
-    """The emission parameters rho of a view with this scale at latent z."""
-    raw = _mlp_forward_vars(leaves, zs)
-    if scale.tag == BINARY:
-        return [tp.sigmoid(raw[0])]
+def decode_vars(z: tp.Node, head: HeadNodes, scale: ScaleFamily) -> tp.Node:
+    """The emission parameters rho of a view with this scale at each row of z."""
+    raw = _mlp_vars(z, head)
+    r = raw.value
+    if scale.tag in (BINARY, PAIR_CONTINUOUS):
+        s = _sigmoid(r)
+        return tp.pointwise(raw, s, s * (1.0 - s))
     if scale.tag == SIGNED_CONTINUOUS:
-        return [tp.tanh(raw[0]), tp.softplus(raw[1]) + VARIANCE_FLOOR]
-    if scale.tag == PAIR_CONTINUOUS:
-        return [tp.sigmoid(raw[0]), tp.sigmoid(raw[1])]
+        t = np.tanh(r[:, 0])
+        # max(v, 0) + log1p(exp(-|v|)) is overflow-safe on both sides
+        softplus = np.maximum(r[:, 1], 0.0) + np.log1p(np.exp(-np.abs(r[:, 1])))
+        rho = np.column_stack([t, softplus + VARIANCE_FLOOR])
+        return tp.pointwise(raw, rho, np.column_stack([1.0 - t * t, _sigmoid(r[:, 1])]))
     return raw
 
 
-def emission_ll_var(label: PolarityLabel, rho: list[Var]) -> Var:
-    """log P(label | rho) under the emission of the label's own scale."""
-    tag = label.family.tag
-    if tag == BINARY:
-        return tp.log(rho[0]) if label.value == 1 else tp.log(1.0 - rho[0])
-    if tag == SIGNED_CONTINUOUS:
-        mean, var = rho[0], rho[1]
-        d = mean - label.value
-        return (tp.log(var) + _LOG_2PI) * -0.5 - d * d / (2.0 * var)
-    if tag == PAIR_CONTINUOUS:
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def emission_targets(scale: ScaleFamily, labels: list[PolarityLabel]) -> np.ndarray:
+    """The labels as the array their emission reads: the value per row, or for
+    rater histograms the count of each rating per row."""
+    if scale.tag != RATER_HISTOGRAM:
+        return np.array([label.value for label in labels], dtype=float)
+    ratings = np.array([label.value for label in labels], dtype=np.intp).reshape(len(labels), -1)
+    counts = np.zeros((len(labels), scale.n_points))
+    np.add.at(counts, (np.arange(len(labels))[:, None], ratings), 1.0)
+    return counts
+
+
+def emission_ll_var(scale: ScaleFamily, y: np.ndarray, rho: tp.Node) -> tp.Node:
+    """log P(label | rho) per row under the emission of this scale, for the
+    targets y of emission_targets; a zero-probability label gives -inf."""
+    r = rho.value
+    with np.errstate(divide="ignore"):
+        if scale.tag == BINARY:
+            p = r[:, 0]
+            one = y == 1.0
+            q = np.where(one, p, 1.0 - p)
+            return tp.rowwise(rho, np.log(q), (np.where(one, 1.0, -1.0) / q)[:, None])
+    if scale.tag == SIGNED_CONTINUOUS:
+        mean, var = r[:, 0], r[:, 1]
+        d = mean - y
+        ll = (np.log(var) + _LOG_2PI) * -0.5 - d * d / (2.0 * var)
+        return tp.rowwise(rho, ll, np.column_stack([-d / var, -0.5 / var + d * d / (2.0 * var * var)]))
+    if scale.tag == PAIR_CONTINUOUS:
         c = -0.5 * (_LOG_2PI + math.log(PAIR_VARIANCE))
         inv2v = 0.5 / PAIR_VARIANCE
-        d0 = rho[0] - label.value[0]
-        d1 = rho[1] - label.value[1]
-        return (d0 * d0 + d1 * d1) * (-inv2v) + 2.0 * c
-    counts = Counter(label.value)
-    ratings = sorted(counts)
-    picked = tp.weighted_sum([rho[r] for r in ratings], [float(counts[r]) for r in ratings])
-    return picked - float(len(label.value)) * tp.logsumexp(rho)
+        d = r - y
+        ll = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) * (-inv2v) + 2.0 * c
+        return tp.rowwise(rho, ll, d * (-2.0 * inv2v))
+    top = r.max(axis=1, keepdims=True)
+    e = np.exp(r - top)
+    total = e.sum(axis=1, keepdims=True)
+    n = y.sum(axis=1)
+    ll = (y * r).sum(axis=1) - n * (top[:, 0] + np.log(total[:, 0]))
+    return tp.rowwise(rho, ll, y - n[:, None] * (e / total))
 
 
 @dataclass(eq=False)
-class WordElbo:
-    """One word's ELBO with its two terms exposed: total = recon - kl."""
+class BatchElbo:
+    """A minibatch's ELBO: total = sum over words of recon - kl, as a node."""
 
-    total: Var
-    recon: Var
-    kl: Var
-    beta: tuple[Var, Var, Var]
+    total: tp.Node
+    recon: np.ndarray  # (n,) per word
+    kl: np.ndarray  # (n,) per word
 
 
-def elbo_word_on(binding: ModelBinding, obs: WordObservation, noise: list[list[float]]) -> WordElbo:
-    """The word's ELBO on an existing binding, with explicit sampling noise.
+def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> BatchElbo:
+    """The batch's ELBO on an existing binding, with explicit sampling noise.
 
-    noise holds one triple of uniforms per Monte Carlo sample; passing the
-    same noise twice makes the objective a deterministic function of the
-    parameters (common random numbers), which both the finite-difference
-    gradient checks and the frozen-noise training scheme rely on.  Each
-    view's decoder and emission follow that view's scale in the binding's
-    state; train() checks once that every label shares it.
+    noise maps each word to one triple of uniforms per Monte Carlo sample;
+    passing the same noise twice makes the objective a deterministic
+    function of the parameters (common random numbers), which both the
+    finite-difference gradient checks and the frozen-noise training scheme
+    rely on.  Each view runs its encoder once over the batch rows it covers,
+    beta = 1 + the omegas added in sorted view order, and each sample runs
+    each view's decoder and emission once.  A word whose beta is not finite
+    raises NumericError, naming the first such word in batch order.
     """
     scales = binding.state.scales
-    vids = sorted(obs.labels)
-    for vid in vids:
-        if vid not in scales:
-            raise ConfigError(f"no encoder for view {vid!r}")
+    rows: dict[str, list[int]] = {}
+    labels: dict[str, list[PolarityLabel]] = {}
+    for i, obs in enumerate(batch):
+        for vid, label in obs.labels.items():
+            if vid not in scales:
+                raise ConfigError(f"no encoder for view {vid!r}")
+            rows.setdefault(vid, []).append(i)
+            labels.setdefault(vid, []).append(label)
+    views = []
+    for vid in sorted(rows):
+        x = np.array([encoder_input(label) for label in labels[vid]], dtype=float)
+        views.append((vid, np.array(rows[vid]), x, emission_targets(scales[vid], labels[vid])))
 
-    omegas = []
-    for vid in vids:
-        key = (vid, obs.labels[vid])
-        if key not in binding.encoded:
-            binding.encoded[key] = encode_vars(key[1], binding.heads[("enc", vid)])
-        omegas.append(binding.encoded[key])
-    beta = tuple(
-        tp.weighted_sum([om[k] for om in omegas], [1.0] * len(omegas), const=1.0)
-        for k in range(3)
+    n = len(batch)
+    beta = tp.scatter_rows(
+        n, [(r, encode_vars(x, binding.heads[("enc", vid)])) for vid, r, x, _ in views], base=1.0
     )
+    bad = ~np.isfinite(beta.value).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericError(
+            f"non-finite ELBO for word {batch[i].word!r} (views {sorted(batch[i].labels)}): "
+            f"beta={beta.value[i].tolist()}"
+        )
+    kl = dirichlet_kl_var(beta, np.array([obs.prior.alpha for obs in batch]))
 
-    kl = dirichlet_kl_var(beta, obs.prior.alpha)
+    us = np.array([noise[obs.word] for obs in batch], dtype=float)
+    n_mc = us.shape[1]
+    lls = []
+    recon = np.zeros(n)
+    for s in range(n_mc):
+        z = dirichlet_sample_vars(beta, us[:, s])
+        for vid, r, _, y in views:
+            rho = decode_vars(tp.take(z, r), binding.heads[("dec", vid)], scales[vid])
+            ll = emission_ll_var(scales[vid], y, rho)
+            np.add.at(recon, r, ll.value)
+            lls.append(ll)
+    recon /= n_mc
 
-    lls: list[Var] = []
-    for us in noise:
-        zs = dirichlet_sample_vars(beta, us)
-        for vid in vids:
-            rho = decode_vars(zs, binding.heads[("dec", vid)], scales[vid])
-            lls.append(emission_ll_var(obs.labels[vid], rho))
-    recon = tp.vsum(lls) / float(len(noise))
+    sizes = [len(r) for _ in range(n_mc) for _, r, _, _ in views]
 
-    return WordElbo(total=recon - kl, recon=recon, kl=kl, beta=beta)
+    def vjp(g):
+        return tuple(np.full(m, g / n_mc) for m in sizes) + (np.full(n, -g),)
 
-
-def elbo_noise(rng: RngStream, n_mc: int) -> list[list[float]]:
-    """n_mc triples of uniforms, nudged off {0, 1} for quantile stability."""
-    return [
-        [min(max(rng.uniform(), 1e-12), 1.0 - 1e-12) for _ in range(3)] for _ in range(n_mc)
-    ]
+    total = binding.tape.push((recon - kl.value).sum(), lls + [kl], vjp)
+    return BatchElbo(total=total, recon=recon, kl=kl.value)
 
 
 def observations_from_views(views, vocab, priors: dict[str, DirichletPrior]) -> list[WordObservation]:

@@ -1,10 +1,13 @@
-"""Special functions: log-gamma, digamma, trigamma, and the regularized
-lower incomplete gamma function P(a, x) together with its derivative in the
-shape parameter and its inverse in x.
+"""Special functions on float64 arrays: log-gamma, digamma, trigamma, the
+regularized incomplete gamma functions P(a, x) and Q(a, x) = 1 - P(a, x)
+with the shape derivative of P, and the Gamma quantile.
 
-Everything is scalar float64.  The shape-derivative of P is what makes
-pathwise (implicit reparameterization) gradients of Gamma/Dirichlet draws
-possible: for y = P^{-1}(a, u) at fixed u,
+Every function works elementwise on arrays (scalars become 0-d results).
+Iterative ones keep only the elements still converging: each element
+follows the same recurrence, and stops at the same step, as it would alone.
+The shape-derivative of P is what makes pathwise (implicit
+reparameterization) gradients of Gamma/Dirichlet draws possible: for
+y = P^{-1}(a, u) at fixed u,
 
     dy/da = - (dP/da)(a, y) / pdf(y; a).
 
@@ -15,7 +18,7 @@ difference.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .errors import DomainError, NumericError
 
@@ -32,187 +35,237 @@ _LANCZOS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-
-_EULER_GAMMA = 0.5772156649015328606
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 _EPS = 1e-15
 _ITMAX = 400
 _FPMIN = 1e-300
 
 
-def lgamma(x: float) -> float:
+def _check(name: str, what: str, x: np.ndarray, ok: np.ndarray) -> None:
+    if not np.all(ok):
+        raise DomainError(f"{name} requires {what}, got {x[~ok].ravel()[:3].tolist()}")
+
+
+def _positive(name: str, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    _check(name, "x > 0", x, x > 0.0)
+    return x
+
+
+def lgamma(x):
     """log Gamma(x) for x > 0, accurate to well beyond 10 significant digits."""
-    if not x > 0.0:
-        raise DomainError(f"lgamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # Recurrence Gamma(x) = Gamma(x + 1) / x keeps the Lanczos core away
-        # from its least accurate region.
-        return lgamma(x + 1.0) - math.log(x)
-    z = x - 1.0
+    x = _positive("lgamma", x)
+    # Below 0.5, Gamma(x) = Gamma(x + 1) / x keeps the Lanczos core away from
+    # its least accurate region.
+    small = x < 0.5
+    z = np.where(small, x + 1.0, x) - 1.0
     acc = _LANCZOS[0]
     for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
+        acc = acc + _LANCZOS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
+    out = _HALF_LOG_2PI + (z + 0.5) * np.log(t) - t + np.log(acc)
+    return np.where(small, out - np.log(x), out)
 
 
-def digamma(x: float) -> float:
+def _shift_to_ten(x: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
+    """(x shifted up by whole steps until >= 10, sum of step(x) over the shifts)."""
+    x = x.copy()
+    acc = np.zeros_like(x)
+    low = x < 10.0
+    while low.any():
+        acc[low] += step(x[low])
+        x[low] += 1.0
+        low = x < 10.0
+    return x, acc
+
+
+def digamma(x):
     """psi(x) = d/dx log Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x!r}")
-    val = 0.0
-    while x < 10.0:
-        val -= 1.0 / x
-        x += 1.0
+    x, acc = _shift_to_ten(_positive("digamma", x), lambda v: -1.0 / v)
     inv = 1.0 / x
     inv2 = inv * inv
     # Asymptotic series: ln x - 1/(2x) - sum B_{2n} / (2n x^{2n}).
-    val += (
-        math.log(x)
+    return acc + (
+        np.log(x)
         - 0.5 * inv
         - inv2
         * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 * (1.0 / 132.0)))))
     )
-    return val
 
 
-def trigamma(x: float) -> float:
-    """psi'(x) for x > 0 (needed as the local derivative of digamma)."""
-    if not x > 0.0:
-        raise DomainError(f"trigamma requires x > 0, got {x!r}")
-    val = 0.0
-    while x < 10.0:
-        val += 1.0 / (x * x)
-        x += 1.0
+def trigamma(x):
+    """psi'(x) for x > 0 (the derivative of digamma)."""
+    x, acc = _shift_to_ten(_positive("trigamma", x), lambda v: 1.0 / (v * v))
     inv = 1.0 / x
     inv2 = inv * inv
-    val += inv * (1.0 + 0.5 * inv + inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0))))
-    return val
+    return acc + inv * (1.0 + 0.5 * inv + inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0))))
 
 
-def _gser(a: float, x: float) -> float:
-    """Series for P(a, x), convergent for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    ap = a
+def _prefactor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x^a e^{-x} / Gamma(a)."""
+    return np.exp(-x + a * np.log(x) - lgamma(a))
+
+
+def _iterate(step, state: list[np.ndarray]) -> list[np.ndarray]:
+    """Run step(*state) -> (state, converged) on the live elements until each
+    has converged (or _ITMAX rounds pass); returns the final state."""
+    out = [s.copy() for s in state]
+    live = np.arange(state[0].size)
     for _ in range(_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - lgamma(a))
+        if not live.size:
+            return out
+        state, done = step(*state)
+        if done.any():
+            for o, s in zip(out, state):
+                o[live[done]] = s[done]
+            keep = ~done
+            live = live[keep]
+            state = [s[keep] for s in state]
+    for o, s in zip(out, state):
+        o[live] = s
+    return out
 
 
-def _gcf(a: float, x: float) -> float:
+def _gser(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Series for P(a, x), convergent for x < a + 1."""
+
+    def step(a, x, ap, term, total):
+        ap = ap + 1.0
+        term = term * (x / ap)
+        total = total + term
+        return (a, x, ap, term, total), np.abs(term) < np.abs(total) * _EPS
+
+    term = 1.0 / a
+    total = _iterate(step, [a, x, a, term, term])[4]
+    return total * _prefactor(a, x)
+
+
+def _gcf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Modified Lentz continued fraction for Q(a, x), for x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _ITMAX + 1):
+
+    def step(a, i, b, c, d, h):
+        i = i + 1.0
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
+        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
         c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x + a * math.log(x) - lgamma(a)) * h
+        return (a, i, b, c, d, h * delta), np.abs(delta - 1.0) < _EPS
+
+    b = x + 1.0 - a
+    d = 1.0 / b
+    h = _iterate(step, [a, np.zeros_like(a), b, np.full_like(a, 1.0 / _FPMIN), d, d])[5]
+    return _prefactor(a, x) * h
 
 
-def gammainc_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    if not a > 0.0:
-        raise DomainError(f"gammainc_p requires a > 0, got {a!r}")
-    if x < 0.0:
-        raise DomainError(f"gammainc_p requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gser(a, x)
-    return 1.0 - _gcf(a, x)
+def _shape_and_x(name: str, a, x) -> tuple[np.ndarray, np.ndarray]:
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+    _check(name, "a > 0", a, a > 0.0)
+    _check(name, "x >= 0", x, x >= 0.0)
+    return a, x
 
 
-def _gser_da(a: float, x: float) -> tuple[float, float]:
+def gammainc_p(a, x, upper=False):
+    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0; where
+    `upper` is true, the upper one Q(a, x) = 1 - P(a, x) instead.
+
+    The series gives P and the continued fraction gives Q; each is only
+    subtracted from 1 where the other is asked for, so Q keeps its relative
+    accuracy in the upper tail, where P rounds to 1.
+    """
+    a, x = _shape_and_x("gammainc_p", a, x)
+    upper = np.broadcast_to(upper, a.shape)
+    lower = np.zeros(a.shape)
+    pos = x > 0.0
+    ser = pos & (x < a + 1.0)
+    cf = pos & ~ser
+    lower[ser] = _gser(a[ser], x[ser])
+    tail = np.ones(a.shape)
+    tail[cf] = _gcf(a[cf], x[cf])
+    lower[cf] = 1.0 - tail[cf]
+    tail[ser] = 1.0 - lower[ser]
+    return np.where(upper, tail, lower)
+
+
+def _gser_da(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P, dP/da) via the series recurrence on value/derivative pairs."""
-    term = 1.0 / a
-    dterm = -1.0 / (a * a)
-    total = term
-    dtotal = dterm
-    ap = a
-    for _ in range(_ITMAX):
-        ap += 1.0
+
+    def step(a, x, ap, term, dterm, total, dtotal):
+        ap = ap + 1.0
         r = x / ap
         dterm = dterm * r - term * r / ap
-        term *= r
-        total += term
-        dtotal += dterm
-        if abs(term) < abs(total) * _EPS:
-            break
-    f = math.exp(-x + a * math.log(x) - lgamma(a))
-    df = f * (math.log(x) - digamma(a))
+        term = term * r
+        total = total + term
+        dtotal = dtotal + dterm
+        return (a, x, ap, term, dterm, total, dtotal), np.abs(term) < np.abs(total) * _EPS
+
+    term = 1.0 / a
+    dterm = -1.0 / (a * a)
+    *_, total, dtotal = _iterate(step, [a, x, a, term, dterm, term, dterm])
+    f = _prefactor(a, x)
+    df = f * (np.log(x) - digamma(a))
     return total * f, dtotal * f + total * df
 
 
-def _gcf_da(a: float, x: float) -> tuple[float, float]:
+def _gcf_da(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q, dQ/da) via the Lentz recurrence on value/derivative pairs."""
-    b = x + 1.0 - a
-    db = -1.0
-    c = 1.0 / _FPMIN
-    dc = 0.0
-    d = 1.0 / b
-    dd = -db * d * d
-    h = d
-    dh = dd
-    for i in range(1, _ITMAX + 1):
+
+    def step(a, i, b, c, dc, d, dd, h, dh):
+        i = i + 1.0
         an = -i * (i - a)
-        dan = float(i)
-        b += 2.0
-        # d <- 1 / (an * d + b)
+        dan = i
+        b = b + 2.0
+        # d <- 1 / (an * d + b); db = -1 throughout
         t = an * d + b
-        dt = dan * d + an * dd + db
-        if abs(t) < _FPMIN:
-            t, dt = _FPMIN, 0.0
+        dt = dan * d + an * dd - 1.0
+        tiny = np.abs(t) < _FPMIN
+        t = np.where(tiny, _FPMIN, t)
+        dt = np.where(tiny, 0.0, dt)
         d = 1.0 / t
         dd = -dt * d * d
         # c <- b + an / c
-        if abs(c) < _FPMIN:
-            c, dc = _FPMIN, 0.0
+        tiny = np.abs(c) < _FPMIN
+        c = np.where(tiny, _FPMIN, c)
+        dc = np.where(tiny, 0.0, dc)
         t = b + an / c
-        dt = db + (dan * c - an * dc) / (c * c)
+        with np.errstate(over="ignore"):  # c starts at 1 / _FPMIN; c * c is then inf
+            dt = -1.0 + (dan * c - an * dc) / (c * c)
         c, dc = t, dt
         delta = d * c
         ddelta = dd * c + d * dc
         dh = dh * delta + h * ddelta
-        h *= delta
+        h = h * delta
         # At integer a the term an vanishes at i = a, which makes delta exactly
         # 1 from then on while dQ/da still changes, so both must settle.
-        if abs(delta - 1.0) < _EPS and abs(h * ddelta) <= _EPS * abs(dh):
-            break
-    f = math.exp(-x + a * math.log(x) - lgamma(a))
-    df = f * (math.log(x) - digamma(a))
+        done = (np.abs(delta - 1.0) < _EPS) & (np.abs(h * ddelta) <= _EPS * np.abs(dh))
+        return (a, i, b, c, dc, d, dd, h, dh), done
+
+    b = x + 1.0 - a
+    d = 1.0 / b
+    dd = d * d  # -db * d * d with db = -1
+    zero = np.zeros_like(a)
+    *_, h, dh = _iterate(step, [a, zero, b, np.full_like(a, 1.0 / _FPMIN), zero, d, dd, d, dd])
+    f = _prefactor(a, x)
+    df = f * (np.log(x) - digamma(a))
     return f * h, df * h + f * dh
 
 
-def gammainc_p_da(a: float, x: float) -> tuple[float, float]:
+def gammainc_p_da(a, x) -> tuple[np.ndarray, np.ndarray]:
     """(P(a, x), dP/da) for a > 0, x >= 0."""
-    if not a > 0.0:
-        raise DomainError(f"gammainc_p_da requires a > 0, got {a!r}")
-    if x < 0.0:
-        raise DomainError(f"gammainc_p_da requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0, 0.0
-    if x < a + 1.0:
-        return _gser_da(a, x)
-    q, dq = _gcf_da(a, x)
-    return 1.0 - q, -dq
+    a, x = _shape_and_x("gammainc_p_da", a, x)
+    p = np.zeros(a.shape)
+    dp = np.zeros(a.shape)
+    pos = x > 0.0
+    ser = pos & (x < a + 1.0)
+    cf = pos & ~ser
+    p[ser], dp[ser] = _gser_da(a[ser], x[ser])
+    q, dq = _gcf_da(a[cf], x[cf])
+    p[cf], dp[cf] = 1.0 - q, -dq
+    return p, dp
 
 
 # Acklam's rational approximation to the standard normal quantile; used only
@@ -227,91 +280,104 @@ _NQ_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
          3.754408661907416e00)
 
 
-def normal_quantile(u: float) -> float:
+def _unit_open(name: str, u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    _check(name, "u in (0, 1)", u, (u > 0.0) & (u < 1.0))
+    return u
+
+
+def normal_quantile(u):
     """Inverse standard normal CDF for u in (0, 1)."""
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"normal_quantile requires u in (0, 1), got {u!r}")
+    u = _unit_open("normal_quantile", u)
     p_low = 0.02425
-    if u < p_low:
-        q = math.sqrt(-2.0 * math.log(u))
+
+    def tail(q):
         return (((((_NQ_C[0] * q + _NQ_C[1]) * q + _NQ_C[2]) * q + _NQ_C[3]) * q + _NQ_C[4]) * q + _NQ_C[5]) / \
             ((((_NQ_D[0] * q + _NQ_D[1]) * q + _NQ_D[2]) * q + _NQ_D[3]) * q + 1.0)
-    if u > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        return -(((((_NQ_C[0] * q + _NQ_C[1]) * q + _NQ_C[2]) * q + _NQ_C[3]) * q + _NQ_C[4]) * q + _NQ_C[5]) / \
-            ((((_NQ_D[0] * q + _NQ_D[1]) * q + _NQ_D[2]) * q + _NQ_D[3]) * q + 1.0)
+
     q = u - 0.5
     r = q * q
-    return (((((_NQ_A[0] * r + _NQ_A[1]) * r + _NQ_A[2]) * r + _NQ_A[3]) * r + _NQ_A[4]) * r + _NQ_A[5]) * q / \
+    out = (((((_NQ_A[0] * r + _NQ_A[1]) * r + _NQ_A[2]) * r + _NQ_A[3]) * r + _NQ_A[4]) * r + _NQ_A[5]) * q / \
         (((((_NQ_B[0] * r + _NQ_B[1]) * r + _NQ_B[2]) * r + _NQ_B[3]) * r + _NQ_B[4]) * r + 1.0)
+    low = u < p_low
+    high = u > 1.0 - p_low
+    out = np.where(low, tail(np.sqrt(-2.0 * np.log(np.where(low, u, 0.5)))), out)
+    return np.where(high, -tail(np.sqrt(-2.0 * np.log(1.0 - np.where(high, u, 0.5)))), out)
 
 
-def gamma_log_pdf(x: float, shape: float) -> float:
+def gamma_log_pdf(x, shape):
     """log density of Gamma(shape, rate=1) at x > 0."""
-    return (shape - 1.0) * math.log(x) - x - lgamma(shape)
+    return (shape - 1.0) * np.log(x) - x - lgamma(shape)
 
 
-def gamma_quantile(shape: float, u: float) -> float:
-    """Inverse of P(shape, .) at u: the x with P(shape, x) = u.
+def gamma_quantile(shape, u):
+    """Inverse of P(shape, .) at u: the x with P(shape, x) = u, elementwise.
 
-    Bracketed Newton iteration; the Wilson-Hilferty transform provides the
-    starting point.  Converges to ~1e-13 in P for the shapes this package
-    uses (anything in (0, 1e4)).
+    Bracketed Newton iteration from a Wilson-Hilferty start (a series start
+    for shapes up to 1).  Above the median the residual is taken on Q, so
+    that upper-tail quantiles are as accurate as lower-tail ones.  Each
+    round evaluates gammainc_p once, on the elements still iterating; an
+    element stops after a relative step of 1e-12, which is applied (the
+    residual is then quadratically smaller, below roundoff).  Converges for
+    the shapes this package uses (anything in (0, 1e4)).
     """
-    if not shape > 0.0:
-        raise DomainError(f"gamma_quantile requires shape > 0, got {shape!r}")
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"gamma_quantile requires u in (0, 1), got {u!r}")
+    shape, u = np.broadcast_arrays(np.asarray(shape, dtype=float), _unit_open("gamma_quantile", u))
+    _check("gamma_quantile", "shape > 0", shape, shape > 0.0)
+    a = shape.ravel()
+    u = u.ravel()
 
-    if shape > 1.0:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = normal_quantile(u)
-        t = 1.0 - 1.0 / (9.0 * shape) + z / (3.0 * math.sqrt(shape))
-        x = shape * t * t * t if t > 0.0 else shape * math.exp(z / math.sqrt(shape))
-    else:
+        t = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
+        wilson = np.where(t > 0.0, a * t * t * t, a * np.exp(z / np.sqrt(a)))
         # Small-shape inversion of the leading series term, P(a, x) ~ (x^a / Gamma(a+1));
         # without this the quantile can sit hundreds of orders of magnitude below
         # any Wilson-Hilferty start.
-        t = 1.0 - shape * (0.253 + shape * 0.12)
-        if u < t:
-            x = math.exp(math.log(u / t) / shape)
-        else:
-            x = 1.0 - math.log(1.0 - (u - t) / (1.0 - t))
-    if x <= 0.0 or not math.isfinite(x):
-        x = shape * u  # crude but positive
+        t = 1.0 - a * (0.253 + a * 0.12)
+        series = np.where(u < t, np.exp(np.log(u / t) / a), 1.0 - np.log(1.0 - (u - t) / (1.0 - t)))
+    x = np.where(a > 1.0, wilson, series)
+    x = np.where((x > 0.0) & np.isfinite(x), x, a * u)
 
-    lo, hi = 0.0, math.inf
+    upper = u > 0.5
+    target = np.where(upper, 1.0 - u, u)
+    out = np.empty_like(x)
+    live = np.arange(a.size)
+    lo = np.zeros_like(x)
+    hi = np.full_like(x, np.inf)
     for _ in range(200):
-        p = gammainc_p(shape, x)
-        if p > u:
-            hi = x
-        else:
-            lo = x
-        err = p - u
-        pdf = math.exp(gamma_log_pdf(x, shape))
-        if err == 0.0:
-            break
-        if pdf > 0.0 and math.isfinite(pdf):
-            x_new = x - err / pdf
-        else:
-            x_new = math.nan
-        if not (lo < x_new < hi) or not math.isfinite(x_new):
-            # Newton left the bracket; take a geometric step so brackets
-            # spanning many orders of magnitude still close quickly.
-            if not math.isfinite(hi):
-                x_new = max(2.0 * x, 1.0)
-            elif lo == 0.0:
-                x_new = 0.5 * hi
-            else:
-                x_new = math.sqrt(lo * hi)
-        # The step is applied before breaking, so the residual after a
-        # relative step of 1e-12 is quadratically smaller (below roundoff).
-        if abs(x_new - x) <= 1e-12 * x:
-            x = x_new
-            break
-        if math.isfinite(hi) and hi - lo <= 1e-12 * hi:
-            x = x_new
-            break
-        x = x_new
-    else:
-        raise NumericError(f"gamma_quantile failed to converge (shape={shape}, u={u})")
-    return x
+        if not live.size:
+            return out.reshape(shape.shape)
+        f = gammainc_p(a, x, upper)
+        err = np.where(upper, target - f, f - target)  # P(x) - u either way
+        above = err > 0.0
+        hi = np.where(above, x, hi)
+        lo = np.where(above, lo, x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            pdf = np.exp(gamma_log_pdf(x, a))
+            newton = x - err / pdf
+        x_new = np.where((pdf > 0.0) & np.isfinite(pdf), newton, np.nan)
+        # Newton left the bracket: a geometric step, so brackets spanning
+        # many orders of magnitude still close quickly.  A step below 1e-12
+        # relative is kept even where rounding puts it on the bracket's edge.
+        tiny = np.abs(x_new - x) <= 1e-12 * x
+        left = ~((lo < x_new) & (x_new < hi) | tiny) | ~np.isfinite(x_new)
+        with np.errstate(invalid="ignore"):
+            geometric = np.where(
+                ~np.isfinite(hi), np.maximum(2.0 * x, 1.0), np.where(lo == 0.0, 0.5 * hi, np.sqrt(lo * hi))
+            )
+        x_new = np.where(left, geometric, x_new)
+        exact = err == 0.0
+        with np.errstate(invalid="ignore"):
+            # the step is applied before stopping, so the residual after a
+            # relative step of 1e-12 is quadratically smaller (below roundoff)
+            settled = (np.abs(x_new - x) <= 1e-12 * x) | (np.isfinite(hi) & (hi - lo <= 1e-12 * hi))
+        x = np.where(exact, x, x_new)
+        done = exact | settled
+        if done.any():
+            out[live[done]] = x[done]
+            keep = ~done
+            live = live[keep]
+            a, u, x, upper, target, lo, hi = (v[keep] for v in (a, u, x, upper, target, lo, hi))
+    raise NumericError(
+        f"gamma_quantile failed to converge (shape={a[0]}, u={u[0]}, {live.size} elements)"
+    )

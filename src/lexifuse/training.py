@@ -30,14 +30,13 @@ from .model import (
     ModelState,
     WordObservation,
     decoder_width,
-    elbo_noise,
-    elbo_word_on,
+    elbo_batch,
     pack_state,
     save_checkpoint,
     unpack_state,
 )
 from .rng import RngStream, stream_for
-from .tape import Tape, vsum
+from .tape import Tape
 
 log = logging.getLogger(__name__)
 
@@ -159,9 +158,13 @@ def init_model(
 
 
 def frozen_noise(config: TrainConfig, words: list[str]) -> dict[str, list[list[float]]]:
-    """Per-word Monte Carlo uniforms, a pure function of (seed, word)."""
+    """Per-word Monte Carlo uniforms, a pure function of (seed, word): n_mc
+    triples drawn from the word's stream, nudged off {0, 1} for quantile
+    stability."""
+    root = stream_for(config.seed, "noise")
+    shape = (config.n_mc, 3)
     return {
-        w: elbo_noise(stream_for(config.seed, "noise", w), config.n_mc) for w in words
+        w: np.clip(root.split(w).numpy().random(shape), 1e-12, 1.0 - 1e-12).tolist() for w in words
     }
 
 
@@ -172,37 +175,33 @@ def batch_gradient(
     scale: float,
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Gradient of loss = -scale * sum over the batch of each word's ELBO
-    (elbo_word_on at the word's frozen noise).
+    (elbo_batch at the words' frozen noise).
 
     Returns (flat gradient in pack_state order, per-term sums).  Raises
-    NumericError naming the offending word when any term is non-finite.
+    NumericError naming the first word in batch order whose ELBO is
+    non-finite.
     """
     tape = Tape()
     binding = ModelBinding(tape, state)
-    totals = []
-    recon_sum = 0.0
-    kl_sum = 0.0
-    for obs in batch:
-        try:
-            we = elbo_word_on(binding, obs, noise[obs.word])
-        except (DomainError, NumericError) as e:
-            raise NumericError(
-                f"ELBO evaluation failed for word {obs.word!r} "
-                f"(views {sorted(obs.labels)}): {e}"
-            ) from e
-        if not np.isfinite(we.total.value):
-            raise NumericError(
-                f"non-finite ELBO for word {obs.word!r} (views {sorted(obs.labels)}): "
-                f"recon={we.recon.value!r}, kl={we.kl.value!r}"
-            )
-        totals.append(we.total)
-        recon_sum += we.recon.value
-        kl_sum += we.kl.value
-    loss = vsum(totals) * (-scale)
-    adjoints = tape.backward(loss)
-    grad = binding.gradient(adjoints)
+    try:
+        elbo = elbo_batch(binding, batch, noise)
+    except DomainError as e:
+        raise NumericError(
+            f"ELBO evaluation failed in the batch starting at word {batch[0].word!r}: {e}"
+        ) from e
+    bad = ~np.isfinite(elbo.recon - elbo.kl)
+    if bad.any():
+        i = int(np.argmax(bad))
+        obs = batch[i]
+        raise NumericError(
+            f"non-finite ELBO for word {obs.word!r} (views {sorted(obs.labels)}): "
+            f"recon={float(elbo.recon[i])!r}, kl={float(elbo.kl[i])!r}"
+        )
+    grad = binding.gradient(tape.backward(elbo.total)) * (-scale)
     if not np.isfinite(grad).all():
         raise NumericError(f"non-finite gradient in batch starting at word {batch[0].word!r}")
+    recon_sum = float(elbo.recon.sum())
+    kl_sum = float(elbo.kl.sum())
     stats = {
         "elbo_sum": recon_sum - kl_sum,
         "recon_sum": recon_sum,

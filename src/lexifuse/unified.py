@@ -44,6 +44,8 @@ _COLUMNS = (
     "mean_neu",
     "n_views",
 )
+# Rows formatted per write when a unified file is written.
+_WRITE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -164,10 +166,17 @@ def write_unified(
     if config_hash is not None:
         lines.append(f"# config_hash: {config_hash}")
     lines.append("\t".join(_COLUMNS))
-    values = np.hstack([lexicon.beta, lexicon.mean]).tolist()
-    for word, row, n in zip(lexicon.words, values, lexicon.n_views.tolist()):
-        lines.append("\t".join((word, *(f"{x:.12g}" for x in row), str(n))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    values = np.hstack([lexicon.beta, lexicon.mean])
+    n_views = lexicon.n_views.tolist()
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+        # a block of rows at a time, so the rows never exist as text all at once
+        for lo in range(0, len(n_views), _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            f.writelines(
+                "\t".join((word, *(f"{x:.12g}" for x in row), str(n))) + "\n"
+                for word, row, n in zip(lexicon.words[lo:hi], values[lo:hi].tolist(), n_views[lo:hi])
+            )
 
 
 def read_unified(path: str | Path) -> UnifiedLexicon:

@@ -1,7 +1,8 @@
 """Reference code that only the tests use: a rejection sampler for Gamma and
 Dirichlet draws (independent of the quantile route training runs), the
-pathwise-gradient harness, a one-word ELBO on a fresh tape, and a fused
-lexicon built from pseudocounts.
+per-word noise route training used before it drew each word's uniforms in
+one call, the pathwise-gradient harness, a one-word ELBO on a fresh tape,
+and a fused lexicon built from pseudocounts.
 """
 
 from __future__ import annotations
@@ -13,16 +14,9 @@ import numpy as np
 
 from lexifuse.distributions import _SIMPLEX_EPS, dirichlet_sample_vars
 from lexifuse.errors import ConfigError, DomainError
-from lexifuse.model import (
-    ModelBinding,
-    ModelState,
-    WordElbo,
-    WordObservation,
-    elbo_noise,
-    elbo_word_on,
-)
+from lexifuse.model import BatchElbo, ModelBinding, ModelState, WordObservation, elbo_batch
 from lexifuse.rng import RngStream
-from lexifuse.tape import Tape, Var
+from lexifuse.tape import Node, Tape, rowwise
 from lexifuse.unified import UnifiedLexicon
 
 
@@ -68,41 +62,78 @@ def sample_dirichlet(alpha: Sequence[float], rng: RngStream) -> list[float]:
     return _renormalized_simplex([sample_gamma(a, rng) for a in alpha])
 
 
-def elbo_word(obs: WordObservation, state: ModelState, n_mc: int, rng: RngStream) -> WordElbo:
-    """Single-word ELBO estimate on a fresh tape (see elbo_word_on)."""
+def elbo_noise(rng: RngStream, n_mc: int) -> list[list[float]]:
+    """n_mc triples of uniforms, nudged off {0, 1} for quantile stability."""
+    return [
+        [min(max(rng.uniform(), 1e-12), 1.0 - 1e-12) for _ in range(3)] for _ in range(n_mc)
+    ]
+
+
+def elbo_word(obs: WordObservation, state: ModelState, n_mc: int, rng: RngStream) -> BatchElbo:
+    """Single-word ELBO estimate on a fresh tape (see elbo_batch)."""
     if n_mc < 1:
         raise ConfigError(f"n_mc must be >= 1, got {n_mc}")
-    tape = Tape()
-    binding = ModelBinding(tape, state)
-    return elbo_word_on(binding, obs, elbo_noise(rng, n_mc))
+    return elbo_batch(ModelBinding(Tape(), state), [obs], {obs.word: elbo_noise(rng, n_mc)})
 
 
-def reparam_grad_elbo(
-    per_sample_objective: Callable[[Sequence[Var]], Var],
+def reparam_grad_samples(
+    per_sample_objective: Callable[[Node], Node],
     beta: Sequence[float],
     n_samples: int,
     rng: RngStream,
 ) -> np.ndarray:
-    """Pathwise stochastic gradient of E_{Dir(beta)}[objective(z)] w.r.t. beta.
+    """Pathwise stochastic gradients of E_{Dir(beta)}[objective(z)] w.r.t.
+    beta, one row per draw: (n_samples, len(beta)).
 
-    Each sample builds a fresh tape: beta leaves, a Dirichlet draw through
-    the implicit-gradient route, the objective, one backward pass.
+    One tape holds every draw: a beta leaf per draw, Dirichlet draws through
+    the implicit-gradient route, the objective (one value per draw), one
+    backward pass.  Draw i reads the i-th len(beta) uniforms of the stream.
     """
     if n_samples < 1:
         raise ConfigError(f"reparam_grad_elbo requires n_samples >= 1, got {n_samples}")
     for b in beta:
         if not b > 0.0:
             raise DomainError("reparam_grad_elbo requires positive beta")
-    acc = np.zeros(len(beta))
-    for _ in range(n_samples):
-        tape = Tape()
-        leaves = [tape.leaf(b) for b in beta]
-        us = [min(max(rng.uniform(), 1e-12), 1.0 - 1e-12) for _ in beta]
-        zs = dirichlet_sample_vars(leaves, us)
-        root = per_sample_objective(zs)
-        adj = tape.backward(root)
-        acc += [adj[leaf.idx] for leaf in leaves]
-    return acc / n_samples
+    us = np.clip(rng.numpy().random((n_samples, len(beta))), 1e-12, 1.0 - 1e-12)
+    tape = Tape()
+    leaves = tape.leaf(np.tile(np.asarray(beta, dtype=float), (n_samples, 1)))
+    adj = tape.backward(summed(per_sample_objective(dirichlet_sample_vars(leaves, us))))[leaves.idx]
+    return np.zeros((n_samples, len(beta))) if adj is None else adj
+
+
+def reparam_grad_elbo(
+    per_sample_objective: Callable[[Node], Node],
+    beta: Sequence[float],
+    n_samples: int,
+    rng: RngStream,
+) -> np.ndarray:
+    """The mean of reparam_grad_samples over n_samples draws."""
+    return reparam_grad_samples(per_sample_objective, beta, n_samples, rng).mean(axis=0)
+
+
+def summed(x: Node) -> Node:
+    """The sum of every element of x, as a scalar node."""
+    shape = x.value.shape
+    return x.tape.push(x.value.sum(), (x,), lambda g: (np.full(shape, g),))
+
+
+def linear_objective(coeffs: Sequence[float]) -> Callable[[Node], Node]:
+    """z -> coeffs . z per draw."""
+    c = np.asarray(coeffs, dtype=float)
+    return lambda z: rowwise(z, z.value @ c, np.broadcast_to(c, z.value.shape))
+
+
+def sum_of_squares(z: Node) -> Node:
+    """z -> sum_k z_k^2 per draw."""
+    return rowwise(z, (z.value * z.value).sum(axis=1), 2.0 * z.value)
+
+
+def product01(z: Node) -> Node:
+    """z -> z_0 * z_1 per draw."""
+    v = z.value
+    jac = np.zeros_like(v)
+    jac[:, 0], jac[:, 1] = v[:, 1], v[:, 0]
+    return rowwise(z, v[:, 0] * v[:, 1], jac)
 
 
 def lexicon_from_betas(rows) -> UnifiedLexicon:

@@ -46,6 +46,7 @@ from lexifuse.model import (
     ModelBinding,
     decode_vars,
     emission_ll_var,
+    emission_targets,
     encode,
     encode_vars,
     encoder_input,
@@ -56,10 +57,10 @@ from lexifuse.model import (
 )
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.special import digamma
-from lexifuse.tape import Tape, weighted_sum
+from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model, train
 from lexifuse.unified import UnifiedLexicon, export_lexicon
-from reference import reparam_grad_elbo, sample_dirichlet
+from reference import linear_objective, reparam_grad_samples, sample_dirichlet, sum_of_squares, summed
 
 ALL_SCALES = {
     "bin": binary(),
@@ -188,8 +189,8 @@ class TestCriterion3:
             # encoder network through the softmax, weighted readout objective
             tape = Tape()
             binding = ModelBinding(tape, state)
-            omegas = encode_vars(label, binding.heads[("enc", vid)])
-            root = weighted_sum(list(omegas), [1.0, 2.0, 3.0])
+            omegas = encode_vars(np.array([encoder_input(label)]), binding.heads[("enc", vid)])
+            root = summed(linear_objective([1.0, 2.0, 3.0])(omegas))
             grad = binding.gradient(tape.backward(root))[:n_enc]
 
             base = pack_state(state)
@@ -207,22 +208,23 @@ class TestCriterion3:
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
             # decoder network composed with the emission log-likelihood
+            y = emission_targets(scale, [label])
             tape = Tape()
             binding = ModelBinding(tape, state)
-            zs = [tape.leaf(v) for v in z0]
+            zs = tape.leaf([z0])
             rho = decode_vars(zs, binding.heads[("dec", vid)], scale)
-            root = emission_ll_var(label, rho)
+            root = summed(emission_ll_var(scale, y, rho))
             adjoints = tape.backward(root)
             grad_dec = binding.gradient(adjoints)[n_enc:]
-            grad_z = np.array([adjoints[z.idx] for z in zs])
+            grad_z = adjoints[zs.idx][0]
 
             def dec_value(vec, z=z0):
                 s2 = copy.deepcopy(state)
                 unpack_state(s2, vec)
                 t2 = Tape()
                 b2 = ModelBinding(t2, s2)
-                r = decode_vars([t2.leaf(v) for v in z], b2.heads[("dec", vid)], scale)
-                return emission_ll_var(label, r).value
+                r = decode_vars(t2.leaf([z]), b2.heads[("dec", vid)], scale)
+                return emission_ll_var(scale, y, r).value[0]
 
             fd_dec = np.array([
                 (dec_value(_shift(base, n_enc + i, h)) - dec_value(_shift(base, n_enc + i, -h)))
@@ -255,9 +257,7 @@ class TestCriterion3:
         )
         rng = RngStream(11)
         n = 20_000
-        samples = np.array(
-            [reparam_grad_elbo(lambda zs: zs[0], beta, 1, rng) for _ in range(n)]
-        )
+        samples = reparam_grad_samples(linear_objective([1.0, 0.0, 0.0]), beta, n, rng)
         mean = samples.mean(axis=0)
         se = samples.std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(mean - analytic) < 3 * se + 1e-12), (mean, analytic, se)
@@ -266,14 +266,7 @@ class TestCriterion3:
         beta = (3.0, 2.0, 4.0)
         n_path, n_score = 20_000, 200_000
         rng = RngStream(12)
-        path = np.array(
-            [
-                reparam_grad_elbo(
-                    lambda zs: zs[0] * zs[0] + zs[1] * zs[1] + zs[2] * zs[2], beta, 1, rng
-                )
-                for _ in range(n_path)
-            ]
-        )
+        path = reparam_grad_samples(sum_of_squares, beta, n_path, rng)
         sgen = RngStream(13)
         psi_total = digamma(sum(beta))
         score = np.empty((n_score, 3))

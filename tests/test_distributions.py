@@ -11,13 +11,22 @@ from lexifuse.distributions import (
     dirichlet_kl,
     dirichlet_kl_var,
     dirichlet_sample_vars,
-    gamma_sample_var,
+    gamma_draws,
 )
 from lexifuse.errors import ConfigError, DomainError
 from lexifuse.rng import RngStream
 from lexifuse.special import gamma_quantile
-from lexifuse.tape import Tape, vsum
-from reference import reparam_grad_elbo, sample_dirichlet, sample_gamma
+from lexifuse.tape import Tape
+from reference import (
+    linear_objective,
+    product01,
+    reparam_grad_elbo,
+    reparam_grad_samples,
+    sample_dirichlet,
+    sample_gamma,
+    sum_of_squares,
+    summed,
+)
 
 pos_param = st.floats(min_value=0.3, max_value=20.0)
 
@@ -113,10 +122,10 @@ class TestDirichletKlVar:
     @settings(max_examples=100)
     def test_value_and_gradient(self, beta, alpha):
         tape = Tape()
-        leaves = [tape.leaf(b) for b in beta]
-        node = dirichlet_kl_var(leaves, alpha)
-        assert node.value == pytest.approx(dirichlet_kl(beta, alpha), rel=1e-12)
-        adj = tape.backward(node)
+        leaf = tape.leaf([beta])
+        node = dirichlet_kl_var(leaf, np.array([alpha]))
+        assert node.value[0] == pytest.approx(dirichlet_kl(beta, alpha), rel=1e-12)
+        adj = tape.backward(node)[leaf.idx][0]
         h = 1e-6
         for k in range(3):
             up = list(beta)
@@ -124,7 +133,21 @@ class TestDirichletKlVar:
             up[k] += h
             dn[k] -= h
             fd = (dirichlet_kl(up, alpha) - dirichlet_kl(dn, alpha)) / (2 * h)
-            assert adj[leaves[k].idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+            assert adj[k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    def test_rows_independent(self):
+        beta = np.array([[2.0, 1.5, 1.2], [1.0, 1.0, 4.0], [3.0, 2.0, 1.0]])
+        alpha = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 3.0]])
+        tape = Tape()
+        leaf = tape.leaf(beta)
+        node = dirichlet_kl_var(leaf, alpha)
+        adj = tape.backward(summed(node))
+        for i in range(3):
+            t1 = Tape()
+            one = t1.leaf(beta[i : i + 1])
+            kl = dirichlet_kl_var(one, alpha[i : i + 1])
+            assert node.value[i] == kl.value[0]
+            np.testing.assert_array_equal(adj[leaf.idx][i], t1.backward(kl)[one.idx][0])
 
 
 class TestGammaSampleVar:
@@ -134,20 +157,15 @@ class TestGammaSampleVar:
     )
     @settings(max_examples=100)
     def test_value_and_implicit_gradient(self, shape, u):
-        tape = Tape()
-        a = tape.leaf(shape)
-        y = gamma_sample_var(a, u)
-        assert y.value == pytest.approx(gamma_quantile(shape, u), rel=1e-12)
-        adj = tape.backward(y)
+        y, dy = gamma_draws(shape, u)
+        assert y == pytest.approx(gamma_quantile(shape, u), rel=1e-12)
         h = 1e-5 * max(shape, 1.0)
         fd = (gamma_quantile(shape + h, u) - gamma_quantile(shape - h, u)) / (2 * h)
-        assert adj[a.idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+        assert dy == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_domain(self):
-        tape = Tape()
-        a = tape.leaf(2.0)
         with pytest.raises(DomainError):
-            gamma_sample_var(a, 0.0)
+            gamma_draws(2.0, 0.0)
 
 
 class TestDirichletSampleVars:
@@ -159,25 +177,23 @@ class TestDirichletSampleVars:
     def test_matches_float_twin(self, beta, us):
         # the float computation: Gamma quantiles normalized onto the simplex
         tape = Tape()
-        leaves = [tape.leaf(b) for b in beta]
-        zs = dirichlet_sample_vars(leaves, us)
-        ys = [gamma_quantile(b, u) for b, u in zip(beta, us)]
+        zs = dirichlet_sample_vars(tape.leaf([beta]), np.array([us])).value[0]
+        ys = [float(gamma_quantile(b, u)) for b, u in zip(beta, us)]
         want = [y / sum(ys) for y in ys]
-        np.testing.assert_allclose([z.value for z in zs], want, rtol=1e-12)
-        assert abs(sum(z.value for z in zs) - 1.0) < 1e-9
+        np.testing.assert_allclose(zs, want, rtol=1e-12)
+        assert abs(zs.sum() - 1.0) < 1e-9
 
     def test_gradient_vs_float_twin_fd(self):
         beta = [2.0, 1.3, 4.0]
-        us = [0.3, 0.7, 0.52]
+        us = np.array([[0.3, 0.7, 0.52]])
         tape = Tape()
-        leaves = [tape.leaf(b) for b in beta]
-        zs = dirichlet_sample_vars(leaves, us)
+        leaf = tape.leaf([beta])
+        zs = dirichlet_sample_vars(leaf, us)
         # differentiate z_0 w.r.t. each beta_k
-        adj = tape.backward(zs[0])
+        adj = tape.backward(linear_objective([1.0, 0.0, 0.0])(zs))[leaf.idx][0]
 
         def z0_value(b):
-            t = Tape()
-            return dirichlet_sample_vars([t.leaf(v) for v in b], us)[0].value
+            return dirichlet_sample_vars(Tape().leaf([b]), us).value[0, 0]
 
         h = 1e-6
         for k in range(3):
@@ -186,15 +202,32 @@ class TestDirichletSampleVars:
             up[k] += h
             dn[k] -= h
             fd = (z0_value(up) - z0_value(dn)) / (2 * h)
-            assert adj[leaves[k].idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+            assert adj[k] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
+    def test_clamped_rows_vs_fd(self):
+        # a component far below eps is clamped and its row renormalized; the
+        # clamp passes no gradient, which finite differences of the value see
+        beta = np.array([[1.0, 1.0, 9.0], [2.0, 1.3, 4.0]])
+        us = np.array([[1e-12, 0.5, 0.5], [0.3, 0.7, 0.52]])
+        tape = Tape()
+        leaf = tape.leaf(beta)
+        zs = dirichlet_sample_vars(leaf, us)
+        assert zs.value[0, 0] == pytest.approx(1e-8 / (1.0 + 1e-8), rel=1e-6)
+        assert abs(zs.value[0].sum() - 1.0) < 1e-15
+        c = np.array([0.5, 2.0, 3.0])
+        adj = tape.backward(summed(linear_objective(c)(zs)))[leaf.idx]
 
-def pathwise_samples(objective, beta, n, rng):
-    """Per-sample pathwise gradients, for standard-error computation."""
-    out = np.empty((n, len(beta)))
-    for i in range(n):
-        out[i] = reparam_grad_elbo(objective, beta, 1, rng)
-    return out
+        def value(b):
+            return (dirichlet_sample_vars(Tape().leaf(b), us).value @ c).sum()
+
+        h = 1e-6
+        for i in range(2):
+            for k in range(3):
+                up, dn = beta.copy(), beta.copy()
+                up[i, k] += h
+                dn[i, k] -= h
+                fd = (value(up) - value(dn)) / (2 * h)
+                assert adj[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
 def score_function_samples(objective_f, beta, n, rng):
@@ -213,7 +246,7 @@ def score_function_samples(objective_f, beta, n, rng):
 class TestReparamGradElbo:
     def test_constant_objective_exactly_zero(self):
         g = reparam_grad_elbo(
-            lambda zs: zs[0].tape.leaf(5.0), (2.0, 2.0, 2.0), 16, RngStream(5)
+            lambda z: z.tape.leaf(np.full(len(z.value), 5.0)), (2.0, 2.0, 2.0), 16, RngStream(5)
         )
         np.testing.assert_array_equal(g, np.zeros(3))
 
@@ -221,7 +254,7 @@ class TestReparamGradElbo:
         # E[z_1] = b1/(b1+b2+b3); closed-form gradient available
         beta = (2.0, 2.0, 2.0)
         n = 20_000
-        samples = pathwise_samples(lambda zs: zs[0], beta, n, RngStream(6))
+        samples = reparam_grad_samples(linear_objective([1.0, 0.0, 0.0]), beta, n, RngStream(6))
         bsum = sum(beta)
         truth = np.array(
             [(bsum - beta[0]) / bsum**2, -beta[0] / bsum**2, -beta[0] / bsum**2]
@@ -233,14 +266,11 @@ class TestReparamGradElbo:
     def test_agrees_with_score_function(self):
         beta = (3.0, 2.0, 4.0)
 
-        def obj_tape(zs):
-            return vsum([z * z for z in zs])
-
         def obj_float(z):
             return sum(zk * zk for zk in z)
 
         n_path, n_score = 20_000, 200_000
-        path = pathwise_samples(obj_tape, beta, n_path, RngStream(7))
+        path = reparam_grad_samples(sum_of_squares, beta, n_path, RngStream(7))
         score = score_function_samples(obj_float, beta, n_score, RngStream(8))
         se = np.sqrt(
             path.var(axis=0) / n_path + score.var(axis=0) / n_score
@@ -250,9 +280,9 @@ class TestReparamGradElbo:
 
     def test_bad_sample_count(self):
         with pytest.raises(ConfigError):
-            reparam_grad_elbo(lambda zs: zs[0], (1.0, 1.0, 1.0), 0, RngStream(0))
+            reparam_grad_elbo(linear_objective([1.0, 0.0, 0.0]), (1.0, 1.0, 1.0), 0, RngStream(0))
 
     def test_reproducible(self):
-        g1 = reparam_grad_elbo(lambda zs: zs[0] * zs[1], (2.0, 3.0, 1.5), 32, RngStream(9))
-        g2 = reparam_grad_elbo(lambda zs: zs[0] * zs[1], (2.0, 3.0, 1.5), 32, RngStream(9))
+        g1 = reparam_grad_elbo(product01, (2.0, 3.0, 1.5), 32, RngStream(9))
+        g2 = reparam_grad_elbo(product01, (2.0, 3.0, 1.5), 32, RngStream(9))
         np.testing.assert_array_equal(g1, g2)

@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexifuse.errors import ConfigError, UsageError
+from lexifuse.errors import ConfigError, NumericError, UsageError
 from lexifuse.lexica import (
     DirichletPrior,
     LexiconView,
@@ -23,9 +23,9 @@ from lexifuse.model import (
     WordObservation,
     decode_vars,
     decoder_width,
-    elbo_noise,
-    elbo_word_on,
+    elbo_batch,
     emission_ll_var,
+    emission_targets,
     encode,
     encode_vars,
     encoder_input,
@@ -38,7 +38,7 @@ from lexifuse.model import (
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model
-from reference import elbo_word
+from reference import elbo_noise, elbo_word
 
 SMALL = TrainConfig(hidden_dim=4, seed=0)
 ALL_SCALES = {
@@ -72,20 +72,24 @@ def encode_one(label, head):
 
 
 def decode_on_tape(state, vid, z):
-    """rho from view vid's decoder at constant z, as tape nodes."""
+    """rho from view vid's decoder at constant z, as a (1, width) node."""
     tape = Tape()
     binding = ModelBinding(tape, state)
-    return decode_vars([tape.leaf(v) for v in z], binding.heads[("dec", vid)], state.scales[vid])
+    return decode_vars(tape.leaf([z]), binding.heads[("dec", vid)], state.scales[vid])
 
 
 def decode_values(state, vid, z):
-    return tuple(r.value for r in decode_on_tape(state, vid, z))
+    return tuple(decode_on_tape(state, vid, z).value[0])
+
+
+def label_ll_var(label, rho):
+    """log P_d(x_d | rho) of one label, from a (1, width) rho node."""
+    return emission_ll_var(label.family, emission_targets(label.family, [label]), rho)
 
 
 def emission_ll(label, rho):
     """log P_d(x_d | rho) at constant rho."""
-    tape = Tape()
-    return emission_ll_var(label, [tape.leaf(r) for r in rho]).value
+    return label_ll_var(label, Tape().leaf([rho])).value[0]
 
 
 class TestDecoderWidth:
@@ -243,8 +247,8 @@ class TestEmissionLogLikelihood:
         state = small_state()
         state.decoders[key].b2[...] = raw_scale
         rho = decode_on_tape(state, key, (1 / 3, 1 / 3, 1 / 3))
-        ll = emission_ll_var(example_label(scale), rho)
-        assert math.isfinite(ll.value)
+        ll = label_ll_var(example_label(scale), rho)
+        assert math.isfinite(ll.value[0])
 
 
 class TestTapeFloatParity:
@@ -254,9 +258,9 @@ class TestTapeFloatParity:
             label = example_label(scale)
             tape = Tape()
             binding = ModelBinding(tape, state)
-            om_t = encode_vars(label, binding.heads[("enc", vid)])
+            om_t = encode_vars(np.array([encoder_input(label)]), binding.heads[("enc", vid)])
             om_f = encode_one(label, state.encoders[vid])
-            np.testing.assert_allclose([o.value for o in om_t], om_f, rtol=1e-12)
+            np.testing.assert_array_equal(om_t.value[0], om_f)
 
 
 def _word_obs(vids=("bin", "sig", "pair", "rater"), prior=(2.0, 1.0, 1.0)):
@@ -268,7 +272,7 @@ class TestElboWord:
     def test_decomposition_exact(self):
         state = small_state()
         we = elbo_word(_word_obs(), state, n_mc=2, rng=RngStream(1))
-        assert we.total.value == we.recon.value - we.kl.value
+        assert we.total.value == we.recon[0] - we.kl[0]
 
     def test_reproducible(self):
         state = small_state()
@@ -290,7 +294,7 @@ class TestElboWord:
         )
         we = elbo_word(obs, state, 1, RngStream(2))
         want = dirichlet_kl((4 / 3, 4 / 3, 4 / 3), (1.0, 1.0, 1.0))
-        assert we.kl.value == pytest.approx(want, rel=1e-9)
+        assert we.kl[0] == pytest.approx(want, rel=1e-9)
 
     def test_bad_n_mc(self):
         with pytest.raises(ConfigError):
@@ -299,11 +303,11 @@ class TestElboWord:
     def test_gradient_matches_fd_under_crn(self):
         state = small_state()
         obs = _word_obs()
-        noise = elbo_noise(RngStream(3), 2)
+        noise = {obs.word: elbo_noise(RngStream(3), 2)}
 
         tape = Tape()
         binding = ModelBinding(tape, state)
-        we = elbo_word_on(binding, obs, noise)
+        we = elbo_batch(binding, [obs], noise)
         grad = binding.gradient(tape.backward(we.total))
 
         base = pack_state(state)
@@ -311,9 +315,7 @@ class TestElboWord:
         def value_at(vec):
             s2 = copy.deepcopy(state)
             unpack_state(s2, vec)
-            t2 = Tape()
-            b2 = ModelBinding(t2, s2)
-            return elbo_word_on(b2, obs, noise).total.value
+            return elbo_batch(ModelBinding(Tape(), s2), [obs], noise).total.value
 
         h = 1e-5
         rng = np.random.default_rng(0)
@@ -340,30 +342,40 @@ class TestElboWord:
         assert abs(m1 - m2) < 3 * math.hypot(se1, se2)
 
     def test_encode_cache_changes_nothing(self):
-        # Two words sharing a binary label: on one binding the second reuses
-        # the first's encoder nodes, on fresh bindings each builds its own.
+        # Two words sharing a binary label, evaluated in one batch (one
+        # encoder forward per view over both) and each in a batch of its own.
         state = small_state()
         noise = elbo_noise(RngStream(4), 1)
         obs_a = _word_obs(("bin", "sig"))
         obs_b = WordObservation(
             "w2", {"bin": example_label(binary())}, DirichletPrior((1.0, 1.0, 1.0))
         )
+        noise = {"w": noise, "w2": noise}
         shared_tape = Tape()
         shared = ModelBinding(shared_tape, state)
-        we_a = elbo_word_on(shared, obs_a, noise)
-        we_b = elbo_word_on(shared, obs_b, noise)
-        assert len(shared.encoded) == 2  # the binary label is encoded once
-        grad = shared.gradient(shared_tape.backward(we_a.total + we_b.total))
+        we = elbo_batch(shared, [obs_a, obs_b], noise)
+        grad = shared.gradient(shared_tape.backward(we.total))
 
         totals, grad_sum = [], 0.0
         for obs in (obs_a, obs_b):
             tape = Tape()
             binding = ModelBinding(tape, state)
-            we = elbo_word_on(binding, obs, noise)
-            totals.append(we.total.value)
-            grad_sum = grad_sum + binding.gradient(tape.backward(we.total))
-        assert [we_a.total.value, we_b.total.value] == totals
+            one = elbo_batch(binding, [obs], noise)
+            totals.append(one.recon[0] - one.kl[0])
+            grad_sum = grad_sum + binding.gradient(tape.backward(one.total))
+        assert (we.recon - we.kl).tolist() == totals
         np.testing.assert_allclose(grad, grad_sum, rtol=1e-12, atol=1e-15)
+
+    def test_beta_non_finite_names_word(self):
+        state = small_state()
+        state.encoders["sig"].b2[0] = np.inf
+        second = WordObservation(
+            "w2", {"sig": example_label(signed_continuous())}, DirichletPrior((1.0, 1.0, 1.0))
+        )
+        batch = [_word_obs(("bin",)), second]
+        noise = {"w": elbo_noise(RngStream(4), 1), "w2": elbo_noise(RngStream(5), 1)}
+        with pytest.raises(NumericError, match="'w2'"):
+            elbo_batch(ModelBinding(Tape(), state), batch, noise)
 
 
 class TestPackUnpack:
@@ -383,15 +395,28 @@ class TestPackUnpack:
 
     def test_binding_gradient_alignment(self):
         # d/dw of (first w1 entry of the first view's encoder * 2) must land
-        # at flat index 0
+        # at flat index 0, and the last decoder's last bias at the last index
         state = small_state()
         tape = Tape()
         binding = ModelBinding(tape, state)
-        first_vid = state.view_ids()[0]
-        root = binding.heads[("enc", first_vid)].w1[0][0] * 2.0
-        grad = binding.gradient(tape.backward(root))
+        vids = state.view_ids()
+
+        def scaled_entry(leaf, index, c):
+            mask = np.zeros(leaf.value.shape)
+            mask[index] = c
+            return tape.push((mask * leaf.value).sum(), (leaf,), lambda g: (g * mask,))
+
+        first = scaled_entry(binding.heads[("enc", vids[0])].w1, (0, 0), 2.0)
+        last = scaled_entry(binding.heads[("dec", vids[-1])].b2, -1, 3.0)
+        grad = binding.gradient(tape.backward(first))
         assert grad[0] == 2.0
         assert np.count_nonzero(grad) == 1
+        grad = binding.gradient(tape.backward(last))
+        assert grad[-1] == 3.0
+        assert np.count_nonzero(grad) == 1
+        leaves = [leaf for h in binding.heads.values() for leaf in (h.w1, h.b1, h.w2, h.b2)]
+        flat = np.concatenate([leaf.value.ravel() for leaf in leaves])
+        np.testing.assert_array_equal(flat, pack_state(state))
 
 
 class TestCheckpoint:

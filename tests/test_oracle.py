@@ -1,0 +1,118 @@
+"""The library's batched numerics against the scalar code they replaced.
+
+The array-tape minibatch gradient is compared with the per-word ELBO on the
+scalar tape (tests/scalar_model.py), the vectorized Gamma quantile and its
+implicit derivative with the scalar ones (tests/scalar_special.py), and the
+one-call-per-word frozen noise with the per-uniform route it replaced.
+Summation orders differ, so values agree to a tolerance, not bitwise,
+except for the noise, which is the same draws.
+"""
+
+import numpy as np
+import pytest
+import scipy.special as sps
+
+import scalar_model
+import scalar_special
+import scalar_tape
+from lexifuse.distributions import gamma_draws
+from lexifuse.model import WordObservation, pack_state, unpack_state
+from lexifuse.rng import stream_for
+from lexifuse.special import gamma_quantile
+from lexifuse.training import TrainConfig, batch_gradient, frozen_noise, init_model
+from reference import elbo_noise
+from test_training import ALL_SCALES, make_corpus
+
+VIEWS = ("bin", "pair", "rater", "sig")
+
+
+def moved_state(n_mc, seed=0):
+    """A small four-family model with its parameters moved off the init point."""
+    cfg = TrainConfig(hidden_dim=6, n_mc=n_mc, seed=seed)
+    state = init_model({v: ALL_SCALES[v] for v in VIEWS}, cfg, stream_for(seed, "init"))
+    params = pack_state(state)
+    unpack_state(state, params + np.random.default_rng(seed).normal(0.0, 0.5, params.size))
+    return cfg, state
+
+
+@pytest.mark.parametrize("n_mc", [1, 3])
+def test_batch_gradient_matches_scalar_tape(n_mc):
+    vocab, obs = make_corpus(40, seed=3, vids=VIEWS)
+    # words seen by some of the views only, so batch rows differ per view
+    obs = [
+        WordObservation(o.word, {v: o.labels[v] for v in VIEWS[: 1 + i % 4]}, o.prior)
+        for i, o in enumerate(obs)
+    ]
+    cfg, state = moved_state(n_mc)
+    noise = frozen_noise(cfg, [o.word for o in obs])
+    grad, stats = batch_gradient(state, obs, noise, scale=3.0)
+    want, want_stats = scalar_model.batch_gradient(state, obs, noise, scale=3.0)
+    for key in ("elbo_sum", "recon_sum", "kl_sum"):
+        assert stats[key] == pytest.approx(want_stats[key], rel=1e-9)
+    np.testing.assert_allclose(grad, want, rtol=1e-9, atol=1e-12)
+
+
+def test_underflowing_softmax_gives_unit_shapes():
+    # a binary encoder whose first logit is 800 above the others: exp of the
+    # rest underflows to 0, so a word seen only by that view has beta
+    # (2, 1, 1) exactly and two draws at shape exactly 1.0
+    vocab, obs = make_corpus(12, seed=4, vids=VIEWS)
+    obs = [WordObservation(o.word, {"bin": o.labels["bin"]}, o.prior) if i % 2 else o
+           for i, o in enumerate(obs)]
+    cfg, state = moved_state(3, seed=1)
+    state.encoders["bin"].w2[...] = 0.0
+    state.encoders["bin"].b2[...] = (800.0, 0.0, 0.0)
+    noise = frozen_noise(cfg, [o.word for o in obs])
+
+    tape = scalar_tape.Tape()
+    binding = scalar_model.ModelBinding(tape, state)
+    beta = scalar_model.elbo_word_on(binding, obs[1], noise[obs[1].word]).beta
+    assert [b.value for b in beta] == [2.0, 1.0, 1.0]
+
+    grad, stats = batch_gradient(state, obs, noise, scale=1.0)
+    want, want_stats = scalar_model.batch_gradient(state, obs, noise, scale=1.0)
+    for key in ("elbo_sum", "recon_sum", "kl_sum"):
+        assert stats[key] == pytest.approx(want_stats[key], rel=1e-9)
+    np.testing.assert_allclose(grad, want, rtol=1e-9, atol=1e-12)
+
+
+# Training shapes are 1 + sum of omegas over at most D views, uniforms lie in
+# [1e-12, 1 - 1e-12]; the grid takes both ends of each.
+SHAPES = [1.0, 1.0 + 1e-9, 1.2, 1.5, 2.0, 2.7, 3.999, 5.5, 9.0]
+UNIFORMS = [1e-12, 1e-8, 1e-3, 0.05, 0.3, 0.5, 0.5 + 1e-12, 0.7, 0.95, 0.999, 1 - 1e-8, 1 - 1e-12]
+
+
+def test_gamma_quantile_and_derivative_match_scalar():
+    a, u = (g.ravel() for g in np.meshgrid(SHAPES, UNIFORMS))
+    y, dy = gamma_draws(a, u)
+    want_y = np.array([scalar_special.gamma_quantile(s, v) for s, v in zip(a, u)])
+    np.testing.assert_allclose(y, want_y, rtol=1e-12, atol=0)
+    want_dy = []
+    for s, v in zip(a, u):
+        tape = scalar_tape.Tape()
+        leaf = tape.leaf(s)
+        want_dy.append(tape.backward(scalar_model.gamma_sample_var(leaf, v))[leaf.idx])
+    np.testing.assert_allclose(dy, want_dy, rtol=1e-12, atol=0)
+    # a 2-d batch agrees with one call per element
+    grid = gamma_quantile(a.reshape(len(UNIFORMS), -1), u.reshape(len(UNIFORMS), -1))
+    one_by_one = [gamma_quantile(s, v) for s, v in zip(a, u)]
+    np.testing.assert_allclose(grid.ravel(), one_by_one, rtol=1e-15, atol=0)
+
+
+def test_scalar_quantile_upper_tail_matches_scipy():
+    # the residual on Q keeps the upper tail as accurate as the lower one
+    for a in SHAPES:
+        for q in (1e-12, 1e-8, 1e-3):
+            x = scalar_special.gamma_quantile(a, 1.0 - q)
+            assert x == pytest.approx(float(sps.gammainccinv(a, 1.0 - (1.0 - q))), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_mc", [1, 3])
+def test_frozen_noise_matches_per_uniform_route(n_mc):
+    cfg = TrainConfig(n_mc=n_mc, seed=7)
+    words = [f"w{i}" for i in range(50)] + ["", "naïve"]
+    noise = frozen_noise(cfg, words)
+    for w in words:
+        want = elbo_noise(stream_for(cfg.seed, "noise", w), n_mc)
+        assert noise[w] == want
+        assert all(type(v) is float for row in noise[w] for v in row)

@@ -1,3 +1,7 @@
+"""The array tape of the library (TestArray*) and the scalar tape the
+tests keep as their gradient oracle (the other classes), each against
+finite differences."""
+
 import math
 
 import numpy as np
@@ -5,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexifuse import tape as tp
+import scalar_tape as tp
+from lexifuse import tape as at
 from lexifuse.errors import NumericError, UsageError
-from lexifuse.tape import Tape
+from scalar_tape import Tape
 
 
 def tape_value_and_grad(build, xs):
@@ -283,3 +288,126 @@ class TestTapeStructure:
         t = Tape()
         with pytest.raises(UsageError):
             tp.weighted_sum([t.leaf(1.0)], [1.0, 2.0])
+
+
+def array_fd(f, x, h=1e-6):
+    """Central differences of the scalar f at every element of the array x."""
+    out = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        up, dn = x.copy(), x.copy()
+        up[i] += h
+        dn[i] -= h
+        out[i] = (f(up) - f(dn)) / (2.0 * h)
+    return out
+
+
+def weighted(node, c):
+    """sum(c * node) as a scalar node, c an array of node's shape."""
+    return node.tape.push((c * node.value).sum(), (node,), lambda g: (g * c,))
+
+
+def check_vjp(op, xs, h=1e-6, rtol=1e-6, atol=1e-8):
+    """op(*leaves) -> node: its VJP against central differences of a random
+    weighted readout, for every input array."""
+    tape = at.Tape()
+    leaves = [tape.leaf(x) for x in xs]
+    out = op(*leaves)
+    c = np.random.default_rng(0).normal(size=out.value.shape)
+    adj = tape.backward(weighted(out, c))
+    for k, x in enumerate(xs):
+        def f(v, k=k):
+            t = at.Tape()
+            args = [t.leaf(v if j == k else y) for j, y in enumerate(xs)]
+            return float((c * op(*args).value).sum())
+
+        np.testing.assert_allclose(adj[leaves[k].idx], array_fd(f, np.array(xs[k], dtype=float), h),
+                                   rtol=rtol, atol=atol)
+
+
+class TestArrayOps:
+    def test_affine_node_input(self):
+        gen = np.random.default_rng(1)
+        check_vjp(at.affine, [gen.normal(size=(5, 3)), gen.normal(size=(4, 3)), gen.normal(size=4)])
+
+    def test_affine_constant_input(self):
+        gen = np.random.default_rng(2)
+        x = gen.normal(size=(5, 3))
+        check_vjp(lambda w, b: at.affine(x, w, b), [gen.normal(size=(4, 3)), gen.normal(size=4)])
+        with pytest.raises(UsageError):
+            t = at.Tape()
+            at.affine(np.zeros((5, 2)), t.leaf(np.zeros((4, 3))), t.leaf(np.zeros(4)))
+
+    def test_tanh_and_pointwise(self):
+        check_vjp(at.tanh, [np.random.default_rng(3).normal(size=(4, 3))])
+
+    def test_softmax_rows(self):
+        x = np.random.default_rng(4).normal(size=(6, 3)) * 3.0
+        check_vjp(at.softmax, [x])
+        s = at.softmax(at.Tape().leaf(x)).value
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, rtol=1e-15)
+
+    def test_take_repeats_and_order(self):
+        rows = np.array([2, 0, 2, 3])
+        check_vjp(lambda x: at.take(x, rows), [np.random.default_rng(5).normal(size=(4, 3))])
+
+    def test_scatter_rows(self):
+        r1, r2 = np.array([0, 2, 3]), np.array([3, 1])
+        gen = np.random.default_rng(6)
+        check_vjp(lambda a, b: at.scatter_rows(5, [(r1, a), (r2, b)], base=1.0),
+                  [gen.normal(size=(3, 3)), gen.normal(size=(2, 3))])
+        t = at.Tape()
+        out = at.scatter_rows(5, [(r1, t.leaf(np.ones((3, 3)))), (r2, t.leaf(np.ones((2, 3))))], base=1.0)
+        np.testing.assert_array_equal(out.value[:, 0], [2.0, 2.0, 2.0, 3.0, 1.0])
+        with pytest.raises(UsageError):
+            at.scatter_rows(5, [], base=1.0)
+
+    def test_rowwise(self):
+        x = np.random.default_rng(7).normal(size=(4, 3))
+        check_vjp(lambda n: at.rowwise(n, (n.value ** 2).sum(axis=1), 2.0 * n.value), [x])
+
+
+class TestArrayTapeStructure:
+    def test_topological_and_node_count(self):
+        t = at.Tape()
+        x = t.leaf(np.ones((2, 3)))
+        y = at.tanh(x)
+        z = at.softmax(y)
+        assert len(t) == 3 and z.idx == 2
+        for i, ps in enumerate(t.parents):
+            assert all(p < i for p in ps)
+
+    def test_leaf_copies_its_value(self):
+        a = np.ones(3)
+        t = at.Tape()
+        x = t.leaf(a)
+        a[0] = 5.0
+        assert x.value[0] == 1.0
+
+    def test_backward_skips_nodes_after_root_and_unrelated_leaves(self):
+        t = at.Tape()
+        x = t.leaf(np.array([2.0, 3.0]))
+        other = t.leaf(np.array([1.0]))
+        y = weighted(x, np.array([1.0, 2.0]))
+        _ = at.tanh(x)  # appended after the root
+        adj = t.backward(y)
+        np.testing.assert_array_equal(adj[x.idx], [1.0, 2.0])
+        assert adj[other.idx] is None
+
+    def test_fanout_accumulates(self):
+        t = at.Tape()
+        x = t.leaf(np.array([[0.3, -0.2, 0.1]]))
+        y = at.scatter_rows(1, [(np.array([0]), at.tanh(x)), (np.array([0]), x)], base=0.0)
+        adj = t.backward(weighted(y, np.ones((1, 3))))
+        np.testing.assert_allclose(adj[x.idx], 2.0 - np.tanh(x.value) ** 2, rtol=1e-15)
+
+    def test_rejects_foreign_root_non_scalar_root_and_mixed_tapes(self):
+        t1, t2 = at.Tape(), at.Tape()
+        x = t1.leaf(np.ones(3))
+        with pytest.raises(UsageError):
+            t2.backward(weighted(x, np.ones(3)))
+        with pytest.raises(UsageError):
+            t1.backward(x)  # three elements, not a scalar
+        with pytest.raises(UsageError):
+            t1.backward(3.0)
+        with pytest.raises(UsageError):
+            at.affine(x.value[None, :], t2.leaf(np.ones((1, 3))), x)

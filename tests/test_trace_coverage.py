@@ -1,0 +1,34 @@
+"""Every point the benchmark's tracer patches is reached by a traced pass.
+
+tests/test_trace_points.py checks that each patched name exists; a name that
+exists but is never called passes it, and its per-layer metric is then
+missing or NaN.  This runs bench/pipeline.py traced on the small input of
+tests/test_bench_pipeline.py and reads the trace it writes: every span name
+of bench/tracing.py occurs, and every counter is above zero.
+"""
+
+import json
+import subprocess
+import sys
+
+from test_bench_pipeline import ROOT, inputs  # noqa: F401  (inputs is a fixture)
+from test_trace_points import tracing
+
+
+def test_every_trace_point_is_called(tmp_path, inputs):  # noqa: F811
+    spec = dict(inputs, src=str(ROOT / "src"), seed=1, epochs=1, train_words=None,
+                modes=["fused-beta"], out_dir=str(tmp_path), trace=True)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-B", str(ROOT / "bench" / "pipeline.py"), str(spec_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads((tmp_path / "trace.json").read_text(encoding="utf-8"))
+    seen = {trace["names"][span[0]] for span in trace["spans"]}
+    never = sorted({name for name, *_ in tracing.SPANS} - seen)
+    assert not never, f"spans never recorded: {never}"
+    counts = trace["counts"]
+    zero = sorted(name for name, *_ in tracing.COUNTERS if not counts.get(name, 0) > 0)
+    assert not zero, f"counters never incremented: {zero}"

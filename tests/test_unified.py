@@ -11,9 +11,7 @@ from lexifuse.lexica import (
     rater_histogram,
     signed_continuous,
 )
-from lexifuse.model import ModelBinding, encode_vars
 from lexifuse.rng import stream_for
-from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model
 from lexifuse.unified import (
     UnifiedLexicon,
@@ -22,6 +20,8 @@ from lexifuse.unified import (
     write_unified,
 )
 from reference import lexicon_from_betas
+from scalar_model import ModelBinding, encode_vars
+from scalar_tape import Tape
 
 
 def make_setup(n_words=6, seed=0):
@@ -111,7 +111,7 @@ class TestExportLexicon:
         assert lexicon.words == vocab.sorted_words()
 
     def test_matches_posterior(self):
-        # oracle: each view's omega on the tape, summed in sorted view order
+        # oracle: each view's omega on the scalar tape, summed in sorted view order
         views, vocab, state = make_setup()
         entries = {e.word: e for e in export_lexicon(state, views).entries()}
         by_id = {v.id: v for v in views}
@@ -166,6 +166,24 @@ class TestSerialization:
         lex = read_unified(p1)
         write_unified(p2, lex, seed=3, config_hash="deadbeef0123")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_rows_across_write_blocks(self, tmp_path):
+        # more rows than one write block holds: every row once, in order
+        gen = np.random.default_rng(0)
+        n = 2 * 4096 + 3
+        n_views = gen.integers(1, 7, size=n)
+        beta = 1.0 + n_views[:, None] * gen.dirichlet((1.0, 1.0, 1.0), size=n)
+        rows = [(f"w{i:05d}", tuple(beta[i]), int(n_views[i])) for i in range(n)]
+        lexicon = lexicon_from_betas(rows)
+        p = tmp_path / "u.tsv"
+        write_unified(p, lexicon)
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 + n
+        assert lines[-1].startswith(f"w{n - 1:05d}\t")
+        back = read_unified(p)
+        assert back.words == lexicon.words
+        np.testing.assert_allclose(back.beta, lexicon.beta, rtol=1e-11)
+        np.testing.assert_array_equal(back.n_views, lexicon.n_views)
 
     def test_header_and_meta(self, tmp_path):
         p = tmp_path / "u.tsv"
