@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, LexifuseError
+from .errors import ConfigError, LexifuseError, atomic_write
 from .evaluation import (
     coverage,
     evaluate,
@@ -75,7 +75,8 @@ def cmd_synth(args) -> int:
     truth_lines += [
         f"{w}\t{COMPONENTS[c]}" for w, c in sorted(data.word_classes.items())
     ]
-    (out / "truth.tsv").write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
+    with atomic_write(out / "truth.tsv") as f:
+        f.write("\n".join(truth_lines) + "\n")
     if args.train_fraction is not None:
         n_train = round(args.train_fraction * len(data.corpus))
         train_c, test_c = split_corpus(data.corpus, n_train)

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the package, and the one reader of
-input files that maps their failures onto it.
+"""Exception hierarchy shared across the package, the one reader of input
+files that maps their failures onto it, and the one writer of artifacts.
 
 Each class maps to one CLI exit-code category: usage/configuration -> 2,
 parse/domain -> 3, numeric -> 4.
 """
 
+import contextlib
+import os
+import secrets
 from pathlib import Path
 
 
@@ -65,3 +68,31 @@ def read_input(path: Path, what: str) -> str:
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
         raise ParseError(f"not UTF-8: byte 0x{data[e.start]:02x}", path=str(path), line=line) from None
+
+
+def read_lines(path: Path, what: str) -> list[str]:
+    """An input file's lines.  Only a line feed ends a line, so line i of the
+    list is line i of read_input's error messages; a carriage return right
+    before it is dropped.  Other Unicode line boundaries (U+0085, U+2028,
+    ...) stay inside their line."""
+    lines = read_input(path, what).replace("\r\n", "\n").split("\n")
+    if lines[-1].endswith("\r"):
+        lines[-1] = lines[-1][:-1]
+    return lines
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path):
+    """A UTF-8 text file to write `path` through.  The block writes a new file
+    beside it, which os.replace moves onto `path` once the block completes;
+    if the block raises, the new file is removed and `path` is untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    f = open(tmp, "x", encoding="utf-8")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ParseError, UsageError, read_input
+from .errors import ConfigError, ParseError, UsageError, atomic_write, read_lines
 from .lexica import (
     BINARY,
     NEGATIVE,
@@ -30,9 +30,9 @@ from .lexica import (
     RATER_HISTOGRAM,
     SIGNED_CONTINUOUS,
     LexiconView,
-    PolarityLabel,
     ScaleFamily,
     binary,
+    merge_words,
     pair_continuous,
     rater_histogram,
     signed_continuous,
@@ -81,7 +81,7 @@ def read_corpus(path: str | Path, n_classes: int | None = None) -> LabeledCorpus
     path = Path(path)
     texts: list[tuple[str, ...]] = []
     labels: list[int] = []
-    for lineno, raw in enumerate(read_input(path, "corpus file").splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path, "corpus file"), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         if "\t" not in raw:
@@ -115,7 +115,8 @@ def write_corpus(
         lines.append(f"# config_hash: {config_hash}")
     for label, text in zip(corpus.labels, corpus.texts):
         lines.append(f"{label}\t{' '.join(text)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def split_corpus(corpus: LabeledCorpus, n_train: int) -> tuple[LabeledCorpus, LabeledCorpus]:
@@ -132,33 +133,24 @@ def split_corpus(corpus: LabeledCorpus, n_train: int) -> tuple[LabeledCorpus, La
 # ---------------------------------------------------------------------------
 # Featurizers
 
-def _bucket(rating: int, n_points: int) -> float:
-    mid = (n_points - 1) / 2
-    if rating < mid:
-        return -1.0
-    if rating > mid:
-        return 1.0
-    return 0.0
-
-
-def _single_feature(label: PolarityLabel) -> np.ndarray:
-    tag = label.family.tag
+def _single_feature(family: ScaleFamily, values: np.ndarray) -> np.ndarray:
+    """Each label row on its view's own numeric scale: (n, 2) for pairs, else
+    (n, 1); a rater histogram is the mean of its ratings' buckets (below the
+    midpoint -1, at it 0, above it +1)."""
+    tag = family.tag
     if tag == BINARY:
-        return np.array([1.0 if label.value == 1 else -1.0])
-    if tag == SIGNED_CONTINUOUS:
-        return np.array([float(label.value)])
-    if tag == PAIR_CONTINUOUS:
-        return np.array([float(label.value[0]), float(label.value[1])])
-    buckets = [_bucket(r, label.family.n_points) for r in label.value]
-    return np.array([sum(buckets) / len(buckets)])
-
-
-def _concat_feature(label: PolarityLabel) -> np.ndarray:
-    tag = label.family.tag
+        return np.where(values == 1.0, 1.0, -1.0)
     if tag == RATER_HISTOGRAM:
-        top = label.family.n_points - 1
-        return np.array([2.0 * r / top - 1.0 for r in label.value])
-    return _single_feature(label)
+        buckets = np.sign(values - (family.n_points - 1) / 2)
+        return buckets.sum(axis=1, keepdims=True) / family.width
+    return values
+
+
+def _concat_feature(family: ScaleFamily, values: np.ndarray) -> np.ndarray:
+    """Each label row as its block of a concat feature, family.width wide."""
+    if family.tag == RATER_HISTOGRAM:
+        return 2.0 * values / (family.n_points - 1) - 1.0
+    return _single_feature(family, values)
 
 
 class Featurizer:
@@ -217,21 +209,18 @@ def make_featurizer(
         if not views:
             raise ConfigError("mode concat needs input views")
         views = sorted(views, key=lambda v: v.id)
-        table = {
-            word: np.concatenate([
-                _concat_feature(v.entries[word]) if word in v.entries
-                else np.zeros(v.family.width)
-                for v in views
-            ])
-            for word in set().union(*(v.entries for v in views))
-        }
-        return Featurizer(mode, sum(v.family.width for v in views), table)
+        words, rows = merge_words(views)
+        ends = np.cumsum([v.family.width for v in views])
+        table = np.zeros((len(words), ends[-1]))
+        for v, at, end in zip(views, rows, ends):
+            table[at, end - v.family.width:end] = _concat_feature(v.family, v.values)
+        return Featurizer(mode, int(ends[-1]), dict(zip(words, table)))
     if mode.startswith("single:"):
         vid = mode.split(":", 1)[1]
         for v in views or []:
             if v.id == vid:
-                table = {word: _single_feature(label) for word, label in v.entries.items()}
-                return Featurizer(mode, 2 if v.family.tag == PAIR_CONTINUOUS else 1, table)
+                features = _single_feature(v.family, v.values)
+                return Featurizer(mode, features.shape[1], dict(zip(v.words, features)))
         raise ConfigError(f"mode {mode}: no view with id {vid!r}")
     raise ConfigError(
         f"unknown mode {mode!r} (expected fused-mean, fused-beta, single:<view>, concat)"
@@ -357,7 +346,7 @@ def coverage(words, corpus: LabeledCorpus) -> float:
 
 def restrict_vocabulary(fused: UnifiedLexicon, view: LexiconView) -> UnifiedLexicon:
     """Fused rows limited to the view's words."""
-    keep = np.array([w in view.entries for w in fused.words], dtype=bool)
+    keep = np.fromiter(map(set(view.words).__contains__, fused.words), bool, len(fused))
     words = list(compress(fused.words, keep))
     return UnifiedLexicon(words, fused.beta[keep], fused.mean[keep], fused.n_views[keep], fused.meta)
 
@@ -380,7 +369,8 @@ def write_report(path: str | Path, rows: list[dict], *, seed=None, config_hash=N
             f"{r['mode']},{r['dataset']},{r['n_train']},{r['n_test']},"
             f"{r['accuracy']:.12g},{r['coverage']:.12g},{r['feature_dim']}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +386,25 @@ class SynthData:
     word_classes: dict[str, int]
 
 
-def _emit_label(family: ScaleFamily, cls: int, rng: RngStream) -> PolarityLabel:
+def _emit_label(family: ScaleFamily, cls: int, rng: RngStream) -> tuple:
+    """One label of the class as its row of values."""
     tag = family.tag
     if tag == BINARY:
-        return PolarityLabel(family, 1 if cls == POSITIVE else 0)
+        return (1 if cls == POSITIVE else 0,)
     if tag == SIGNED_CONTINUOUS:
         if cls == POSITIVE:
-            return PolarityLabel(family, rng.uniform(0.1, 1.0))
+            return (rng.uniform(0.1, 1.0),)
         if cls == NEGATIVE:
-            return PolarityLabel(family, rng.uniform(-1.0, -0.1))
-        return PolarityLabel(family, rng.uniform(-0.04, 0.04))
+            return (rng.uniform(-1.0, -0.1),)
+        return (rng.uniform(-0.04, 0.04),)
     if tag == PAIR_CONTINUOUS:
         if cls == POSITIVE:
-            return PolarityLabel(family, (rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.3)))
+            return (rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.3))
         if cls == NEGATIVE:
-            return PolarityLabel(family, (rng.uniform(0.0, 0.3), rng.uniform(0.6, 1.0)))
+            return (rng.uniform(0.0, 0.3), rng.uniform(0.6, 1.0))
         center = rng.uniform(0.1, 0.4)
         delta = rng.uniform(-0.02, 0.02)
-        return PolarityLabel(family, (center + delta, center - delta))
+        return (center + delta, center - delta)
     # rater histogram: ratings concentrated above/below the midpoint for
     # polar classes, symmetric around it for neutral
     mid = (family.n_points - 1) // 2
@@ -430,7 +421,7 @@ def _emit_label(family: ScaleFamily, cls: int, rng: RngStream) -> PolarityLabel:
         if family.n_raters % 2:
             pairs.append(mid)
         ratings = tuple(pairs)
-    return PolarityLabel(family, ratings)
+    return ratings
 
 
 def _synth_families() -> list[tuple[str, ScaleFamily]]:
@@ -484,13 +475,13 @@ def synth_generate(
             n_cov = max(1, round(frac * len(eligible)))
             order = view_rng.permutation(len(eligible))
             covered = sorted(eligible[i] for i in order[:n_cov])
-            entries = {}
+            values = []
             for w in covered:
                 cls = word_classes[w]
                 if view_rng.uniform(0.0, 1.0) < label_noise:
                     cls = expressible[int(view_rng.integers(0, len(expressible)))]
-                entries[w] = _emit_label(family, cls, view_rng)
-            views.append(LexiconView(vid, family, entries))
+                values.append(_emit_label(family, cls, view_rng))
+            views.append(LexiconView(vid, family, covered, values))
 
     text_rng = rng.split("texts")
     texts = []

@@ -4,8 +4,13 @@ vocabulary, and per-word Dirichlet priors.
 Sentiment lexica disagree about what a label even is: some give a hard
 positive/negative call, some a signed strength, some a (positive, negative)
 pair, some a histogram of rater scores.  Each file is parsed into a
-LexiconView whose labels are validated against its declared ScaleFamily;
-everything downstream works over these normalized views.
+LexiconView held as columns: its words, sorted, case-folded and unique, and
+one (n, width) float array of their label values, checked against the
+view's declared ScaleFamily.  Parsing checks the rows' field counts and
+words, converts every label token, and checks each family's domain on the
+whole array at once; only when a check fails does it look for the first
+failing row, which it reports at its line.  The vocabulary, the priors, the
+encoder inputs, the featurizers and the writers all read these columns.
 
 The latent polarity components are indexed (positive, negative, neutral) =
 (0, 1, 2) everywhere in this package.
@@ -15,9 +20,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import lt
 from pathlib import Path
 
-from .errors import ConfigError, DomainError, ParseError, read_input
+import numpy as np
+
+from .errors import ConfigError, DomainError, ParseError, atomic_write, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -84,90 +93,127 @@ def rater_histogram(n_raters: int = 10, n_points: int = 9) -> ScaleFamily:
     return ScaleFamily(RATER_HISTOGRAM, n_raters=n_raters, n_points=n_points)
 
 
-@dataclass(frozen=True)
-class PolarityLabel:
-    """One word's label under a specific scale family.
-
-    value shapes: Binary -> int in {0, 1}; SignedContinuous -> float in
-    [-1, 1]; PairContinuous -> (pos, neg) floats each in [0, 1];
-    RaterHistogram -> tuple of n_raters ints each in [0, n_points).
-    """
-
-    family: ScaleFamily
-    value: int | float | tuple
-
-    def __post_init__(self):
-        tag = self.family.tag
-        v = self.value
-        if tag == BINARY:
-            if v not in (0, 1):
-                raise DomainError(f"Binary label must be 0 or 1, got {v!r}")
-        elif tag == SIGNED_CONTINUOUS:
-            if not isinstance(v, float) or not -1.0 <= v <= 1.0:
-                raise DomainError(f"SignedContinuous label must be a float in [-1, 1], got {v!r}")
-        elif tag == PAIR_CONTINUOUS:
-            if not (isinstance(v, tuple) and len(v) == 2) or not all(
-                isinstance(x, float) and 0.0 <= x <= 1.0 for x in v
-            ):
-                raise DomainError(f"PairContinuous label must be two floats in [0, 1], got {v!r}")
-        else:  # RATER_HISTOGRAM
-            n, p = self.family.n_raters, self.family.n_points
-            if not (isinstance(v, tuple) and len(v) == n) or not all(
-                isinstance(x, int) and 0 <= x < p for x in v
-            ):
-                raise DomainError(
-                    f"RaterHistogram label must be {n} integers in [0, {p}), got {v!r}"
-                )
+def out_of_domain(family: ScaleFamily, values: np.ndarray) -> np.ndarray:
+    """Per row of an (n, width) value array, whether it is not a label of the
+    family: Binary 0 or 1; SignedContinuous in [-1, 1]; PairContinuous two
+    values in [0, 1]; RaterHistogram n_raters integers in [0, n_points).
+    Each test passes only a good value, so nan fails it."""
+    tag = family.tag
+    if tag == BINARY:
+        ok = (values == 0.0) | (values == 1.0)
+    elif tag == SIGNED_CONTINUOUS:
+        ok = (values >= -1.0) & (values <= 1.0)
+    elif tag == PAIR_CONTINUOUS:
+        ok = (values >= 0.0) & (values <= 1.0)
+    else:
+        ok = (values >= 0.0) & (values < family.n_points) & (values == np.floor(values))
+    return ~ok.all(axis=1)
 
 
-@dataclass(frozen=True)
+def _domain_message(family: ScaleFamily, value) -> str:
+    tag = family.tag
+    if tag == BINARY:
+        return f"Binary label must be 0 or 1, got {value!r}"
+    if tag == SIGNED_CONTINUOUS:
+        return f"SignedContinuous label must be a float in [-1, 1], got {value!r}"
+    if tag == PAIR_CONTINUOUS:
+        return f"PairContinuous label must be two floats in [0, 1], got {value!r}"
+    n, p = family.n_raters, family.n_points
+    return f"RaterHistogram label must be {n} integers in [0, {p}), got {value!r}"
+
+
+def casefold_each(strings: list[str]) -> list[str]:
+    """Each string case-folded.  Folding goes character by character and never
+    makes or removes a line feed, so unless a string holds one, folding the
+    strings joined by line feeds in one call and splitting gives the same."""
+    folded = "\n".join(strings).casefold().split("\n") if strings else []
+    return folded if len(folded) == len(strings) else [s.casefold() for s in strings]
+
+
+@dataclass(frozen=True, eq=False)
 class LexiconView:
-    """One parsed lexicon: id, scale family, word -> label."""
+    """One parsed lexicon as columns: id, scale family, `words` (sorted,
+    case-folded, unique) and `values`, an (n, width) float array holding
+    word i's label in row i, read-only.  The constructor checks the columns
+    once, on whole arrays; a row outside the family's domain is a
+    DomainError."""
 
     id: str
     family: ScaleFamily
-    entries: dict[str, PolarityLabel]
+    words: list[str]
+    values: np.ndarray
 
     def __post_init__(self):
-        for word, label in self.entries.items():
-            if label.family != self.family:
-                raise ConfigError(f"entry {word!r} has family {label.family.tag}, view has {self.family.tag}")
-            if word != word.casefold():
-                raise ConfigError(f"entry {word!r} is not case-folded")
+        words = list(self.words)
+        values = np.array(self.values, dtype=float)
+        shape = (len(words), self.family.width)
+        if values.shape != shape and not (values.size == 0 == len(words)):
+            raise ConfigError(f"view {self.id!r} needs values of shape {shape}, got {values.shape}")
+        values = values.reshape(shape)
+        if not all(map(lt, words, words[1:])):
+            raise ConfigError(f"view {self.id!r}: words must be sorted and unique")
+        if casefold_each(words) != words:
+            word = next(w for w in words if w != w.casefold())
+            raise ConfigError(f"entry {word!r} is not case-folded")
+        bad = out_of_domain(self.family, values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            value = values[i].tolist()
+            raise DomainError(
+                f"view {self.id!r}, word {words[i]!r}: "
+                + _domain_message(self.family, value[0] if len(value) == 1 else tuple(value))
+            )
+        values.flags.writeable = False
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.words)
+
+    @cached_property
+    def entries(self) -> dict[str, np.ndarray]:
+        """word -> its row of values, for lookups by word."""
+        return dict(zip(self.words, self.values))
 
 
-@dataclass(frozen=True)
+def merge_words(views: list[LexiconView]) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted union of the views' words, and for each view the union's
+    row of each of its words."""
+    words = sorted(set().union(*(view.words for view in views)))
+    index = dict(zip(words, range(len(words))))
+    return words, [np.fromiter(map(index.__getitem__, v.words), np.intp, len(v)) for v in views]
+
+
+@dataclass(frozen=True, eq=False)
 class CombinedVocabulary:
-    """Union of view vocabularies with per-word view membership."""
+    """The union of the views' words as columns: `words` sorted, and per view
+    id `rows`, the vocabulary row of each of the view's words in the view's
+    order, and `families`, the view's scale family."""
 
-    membership: dict[str, tuple[str, ...]]
+    words: list[str]
+    rows: dict[str, np.ndarray]
+    families: dict[str, ScaleFamily]
+    # prior tables computed by compute_prior, keyed by the tuple of views
+    _priors: dict = field(default_factory=dict, init=False, repr=False)
 
     def sorted_words(self) -> list[str]:
-        return sorted(self.membership)
+        return list(self.words)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """word -> its vocabulary row."""
+        return dict(zip(self.words, range(len(self.words))))
 
     def __contains__(self, word: str) -> bool:
-        return word in self.membership
+        return word in self.index
 
     def __len__(self) -> int:
-        return len(self.membership)
+        return len(self.words)
 
-
-@dataclass(frozen=True)
-class DirichletPrior:
-    """Per-word prior concentration over (positive, negative, neutral)."""
-
-    alpha: tuple[float, float, float]
-
-    def __post_init__(self):
-        if len(self.alpha) != 3:
-            raise ConfigError(f"prior must have 3 components, got {len(self.alpha)}")
-        if any(a < 1.0 for a in self.alpha):
-            raise ConfigError(f"prior components must be >= 1, got {self.alpha}")
-        if sum(a > 1.0 for a in self.alpha) > 1:
-            raise ConfigError(f"at most one prior component may exceed 1, got {self.alpha}")
+    @cached_property
+    def n_views(self) -> np.ndarray:
+        """The number of views containing each word, in vocabulary order."""
+        return np.bincount(np.concatenate(list(self.rows.values())), minlength=len(self.words))
 
 
 @dataclass(frozen=True)
@@ -287,34 +333,113 @@ def _parse_header_family(line: str, path: str) -> ScaleFamily:
         raise ParseError(str(e), path=path, line=1) from e
 
 
-def _parse_label(token: str, family: ScaleFamily, schema: ViewSchema, path: str, lineno: int) -> PolarityLabel:
-    tag = family.tag
+class _FirstBad:
+    """The earliest failing row found so far and the error it raises.
+
+    The parser's checks run in the order a row-by-row reader meets them,
+    each on the rows before `at` only, which passed every earlier check; so
+    the row left at `at` and its error are the first a row-by-row reader
+    raises.
+    """
+
+    def __init__(self, n: int):
+        self.at = n
+        self.error: tuple[type, str] | None = None
+
+    def note(self, i: int, error: type, message: str) -> None:
+        if i < self.at:
+            self.at, self.error = i, (error, message)
+
+    def raise_at(self, path, line_numbers: list[int]) -> None:
+        """Raise the noted error, if any, at its row's line."""
+        if self.error:
+            error, message = self.error
+            raise error(message, path=str(path), line=line_numbers[self.at])
+
+
+def _first_rejected(convert, items: list[str]) -> int:
+    """The index of the first item that convert rejects with ValueError."""
+    for i, item in enumerate(items):
+        try:
+            convert(item)
+        except ValueError:
+            return i
+    raise AssertionError("every item converts")
+
+
+def _single_digit_ratings(tokens: list[str], width: int) -> np.ndarray | None:
+    """The ratings as an (n, width) array if every token is `width` single
+    ASCII digits joined by commas (then every odd character of the tokens
+    joined by commas is a comma), else None."""
+    flat = ",".join(tokens)
+    digits = flat[0::2]
+    if (set(map(len, tokens)) <= {2 * width - 1} and flat[1::2] == "," * (len(digits) - 1)
+            and digits.isascii() and digits.isdigit()):
+        return (np.frombuffer(digits.encode("ascii"), np.uint8) - 48).reshape(-1, width).astype(float)
+    return None
+
+
+def _label_values(tokens: list[str], family: ScaleFamily, binary_tokens: dict[str, int],
+                  bad: _FirstBad) -> np.ndarray:
+    """The tokens' labels as an (n, width) float array, valid for the tokens
+    before bad.at once bad has noted the first token that is not a label of
+    the family (its index into tokens)."""
+    tag, width = family.tag, family.width
+    if tag == BINARY:
+        table = {"0": 0, "1": 1, **binary_tokens}
+        numbers = list(map(table.get, casefold_each(tokens)))
+        if None in numbers:
+            i = numbers.index(None)
+            bad.note(i, DomainError, f"unrecognized binary label {tokens[i]!r}")
+            del numbers[i:]
+        return np.array(numbers, dtype=float).reshape(-1, 1)
+    if tag == RATER_HISTOGRAM:
+        values = _single_digit_ratings(tokens, width)
+        if values is not None:
+            outside = out_of_domain(family, values)
+            if outside.any():
+                i = int(np.argmax(outside))
+                bad.note(i, DomainError, _domain_message(family, tuple(map(int, values[i]))))
+            return values
+
+    if tag == SIGNED_CONTINUOUS:
+        fields, starts = tokens, range(len(tokens) + 1)
+    else:
+        sizes = [t.count(",") + 1 for t in tokens]
+        if tag == PAIR_CONTINUOUS and sizes and (min(sizes) < 2 or max(sizes) > 2):
+            i = [size != 2 for size in sizes].index(True)
+            bad.note(i, ParseError, f"pair label needs two comma-separated values, got {tokens[i]!r}")
+            del sizes[i:]
+        fields = ",".join(tokens[: len(sizes)]).split(",") if sizes else []
+        starts = [0, *np.cumsum(sizes).tolist()]  # each row's first field
+    convert = int if tag == RATER_HISTOGRAM else float
     try:
-        if tag == BINARY:
-            t = token.casefold()
-            if t in schema.binary_tokens:
-                v: int | float | tuple = schema.binary_tokens[t]
-            elif t in ("0", "1"):
-                v = int(t)
-            else:
-                raise DomainError(f"unrecognized binary label {token!r}")
-        elif tag == SIGNED_CONTINUOUS:
-            v = float(token)
-        elif tag == PAIR_CONTINUOUS:
-            fields = token.split(",")
-            if len(fields) != 2:
-                raise ParseError(f"pair label needs two comma-separated values, got {token!r}")
-            v = (float(fields[0]), float(fields[1]))
-        else:
-            fields = token.split(",")
-            v = tuple(int(f) for f in fields)
-        return PolarityLabel(family, v)
-    except ValueError as e:
-        raise ParseError(f"unparseable label {token!r}", path=path, line=lineno) from e
-    except DomainError as e:
-        raise DomainError(str(e), path=path, line=lineno) from e
-    except ParseError as e:
-        raise ParseError(str(e), path=path, line=lineno) from e
+        numbers = list(map(convert, fields))
+    except ValueError:
+        i = int(np.searchsorted(starts, _first_rejected(convert, fields), side="right")) - 1
+        bad.note(i, ParseError, f"unparseable label {tokens[i]!r}")
+        numbers = list(map(convert, fields[: starts[i]]))
+
+    def value(i):  # row i as the parsed label a message shows
+        row = numbers[starts[i]:starts[i + 1]]
+        return row[0] if tag == SIGNED_CONTINUOUS else tuple(row)
+
+    if tag == RATER_HISTOGRAM:
+        wrong_size = np.diff(starts[: bad.at + 1]) != width
+        if wrong_size.any():
+            i = int(np.argmax(wrong_size))
+            bad.note(i, DomainError, _domain_message(family, value(i)))
+    numbers = numbers[: bad.at * width]
+    try:
+        values = np.array(numbers, dtype=float).reshape(-1, width)
+    except OverflowError:  # a rating beyond the float range, outside the domain either way
+        clipped = [min(max(x, -1), family.n_points) for x in numbers]
+        values = np.array(clipped, dtype=float).reshape(-1, width)
+    outside = out_of_domain(family, values)
+    if outside.any():
+        i = int(np.argmax(outside))
+        bad.note(i, DomainError, _domain_message(family, value(i)))
+    return values
 
 
 def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> LexiconView:
@@ -323,14 +448,16 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
     Files in the normalized format declare their family on line one
     (`#family=...`); other layouts need an explicit schema.  Duplicate words
     resolve last-wins; entries containing whitespace are skipped.  Both are
-    counted and logged as warnings.
+    counted and logged as warnings.  The first bad row (too few fields, an
+    empty word, or a label that does not parse or lies outside the family's
+    domain) raises a ParseError or DomainError at its line.
     """
     path = Path(path)
     schema = schema or ViewSchema()
-    lines = read_input(path, "lexicon file").splitlines()
+    lines = read_lines(path, "lexicon file")
 
     family = schema.family
-    if lines and lines[0].startswith("#family="):
+    if lines[0].startswith("#family="):
         header_family = _parse_header_family(lines[0], str(path))
         if family is None:
             family = header_family
@@ -348,60 +475,54 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
         if given and family.tag != tag:
             raise ConfigError(f"{path}: schema option {option} applies only to {tag}, not {family.tag}")
 
-    entries: dict[str, PolarityLabel] = {}
-    n_dupes = 0
-    n_skipped = 0
+    # data rows: the lines that are neither blank nor a comment
+    numbers = [n for n, s in enumerate(map(str.lstrip, lines), start=1) if s[:1] not in ("", "#")]
+    rows = [lines[n - 1].split("\t") for n in numbers]
+    bad = _FirstBad(len(rows))
     needed = max(schema.word_col, schema.value_col, schema.neg_col or 0) + 1
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) < needed:
-            raise ParseError(
-                f"expected at least {needed} tab-separated fields, got {len(fields)}",
-                path=str(path),
-                line=lineno,
-            )
-        word = fields[schema.word_col].strip()
-        if not word:
-            raise ParseError("empty word", path=str(path), line=lineno)
-        if any(ch.isspace() for ch in word):
-            n_skipped += 1
-            continue
-        word = word.casefold()
-        token = fields[schema.value_col].strip()
-        if schema.neg_col is not None:
-            token = f"{token},{fields[schema.neg_col].strip()}"
-        label = _parse_label(token, family, schema, str(path), lineno)
-        if word in entries:
-            n_dupes += 1
-        entries[word] = label
+    if rows and min(map(len, rows)) < needed:
+        i = [len(fields) < needed for fields in rows].index(True)
+        bad.note(i, ParseError, f"expected at least {needed} tab-separated fields, got {len(rows[i])}")
+    words = [fields[schema.word_col].strip() for fields in rows[: bad.at]]
+    if "" in words:
+        bad.note(words.index(""), ParseError, "empty word")
+        del words[bad.at:]
+    # a stripped word splits into more than one part only if it holds whitespace
+    kept = range(len(words))
+    if len(" ".join(words).split()) != len(words):
+        kept = [i for i, word in enumerate(words) if len(word.split()) == 1]
+    tokens = [rows[i][schema.value_col].strip() for i in kept]
+    if schema.neg_col is not None:
+        tokens = [f"{t},{rows[i][schema.neg_col].strip()}" for t, i in zip(tokens, kept)]
+    label_bad = _FirstBad(len(tokens))
+    values = _label_values(tokens, family, schema.binary_tokens, label_bad)
+    if label_bad.error:
+        bad.note(kept[label_bad.at], *label_bad.error)
+    bad.raise_at(path, numbers)
 
+    folded = casefold_each([words[i] for i in kept])
+    last = dict(zip(folded, range(len(folded))))  # a repeated word keeps its last row
+    n_dupes = len(folded) - len(last)
+    n_skipped = len(words) - len(kept)
     if n_dupes:
         log.warning("%s: %d duplicate words resolved last-wins", path, n_dupes)
     if n_skipped:
         log.warning("%s: %d multi-word entries skipped", path, n_skipped)
-    return LexiconView(id=schema.id or path.stem, family=family, entries=entries)
-
-
-def _format_label(label: PolarityLabel) -> str:
-    tag = label.family.tag
-    if tag == BINARY:
-        return str(label.value)
-    if tag == SIGNED_CONTINUOUS:
-        return repr(label.value)
-    if tag == PAIR_CONTINUOUS:
-        return f"{label.value[0]!r},{label.value[1]!r}"
-    return ",".join(str(r) for r in label.value)
+    order = sorted(last)
+    rows_kept = np.fromiter(map(last.__getitem__, order), np.intp, len(order))
+    return LexiconView(id=schema.id or path.stem, family=family, words=order, values=values[rows_kept])
 
 
 def write_lexicon(view: LexiconView, path: str | Path) -> None:
-    """Serialize a view to the normalized format (sorted, round-trip exact)."""
-    path = Path(path)
-    rows = [view.family.header()]
-    for word in sorted(view.entries):
-        rows.append(f"{word}\t{_format_label(view.entries[word])}")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    """Serialize a view to the normalized format (sorted, round-trip exact):
+    integers for binary and rater labels, repr() floats otherwise."""
+    if view.family.tag in (BINARY, RATER_HISTOGRAM):
+        labels = [",".join(map(str, row)) for row in view.values.astype(np.int64).tolist()]
+    else:
+        labels = [",".join(map(repr, row)) for row in view.values.tolist()]
+    with atomic_write(path) as f:
+        f.write(view.family.header() + "\n")
+        f.writelines(f"{word}\t{label}\n" for word, label in zip(view.words, labels))
 
 
 def build_vocabulary(views: list[LexiconView]) -> CombinedVocabulary:
@@ -411,55 +532,58 @@ def build_vocabulary(views: list[LexiconView]) -> CombinedVocabulary:
     ids = [v.id for v in views]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"view ids must be unique, got {ids}")
-    membership: dict[str, list[str]] = {}
-    for view in views:
-        for word in view.entries:
-            membership.setdefault(word, []).append(view.id)
-    return CombinedVocabulary({w: tuple(sorted(vs)) for w, vs in sorted(membership.items())})
+    words, rows = merge_words(views)
+    return CombinedVocabulary(words, dict(zip(ids, rows)), {v.id: v.family for v in views})
 
 
-def coarse_sentiment(label: PolarityLabel) -> str:
-    """Collapse any label to one of positive/negative/neutral.
+def coarse_class(family: ScaleFamily, values: np.ndarray) -> np.ndarray:
+    """Each label row collapsed to the index of positive, negative or neutral.
 
     Continuous scales use a dead-zone of width DEFAULT_TAU around the
     neutral point so near-zero strengths do not count as polar; rater
     histograms compare the mean rating against the scale midpoint with
     slack DEFAULT_TAU_R.
     """
-    tag = label.family.tag
+    tag = family.tag
     if tag == BINARY:
-        return "positive" if label.value == 1 else "negative"
+        return np.where(values[:, 0] == 1.0, POSITIVE, NEGATIVE)
     if tag == SIGNED_CONTINUOUS:
-        if label.value > DEFAULT_TAU:
-            return "positive"
-        if label.value < -DEFAULT_TAU:
-            return "negative"
-        return "neutral"
-    if tag == PAIR_CONTINUOUS:
-        pos, neg = label.value
-        if pos - neg > DEFAULT_TAU:
-            return "positive"
-        if neg - pos > DEFAULT_TAU:
-            return "negative"
-        return "neutral"
-    mean = sum(label.value) / len(label.value)
-    midpoint = (label.family.n_points - 1) / 2.0
-    if mean > midpoint + DEFAULT_TAU_R:
-        return "positive"
-    if mean < midpoint - DEFAULT_TAU_R:
-        return "negative"
-    return "neutral"
+        up, down = values[:, 0] > DEFAULT_TAU, values[:, 0] < -DEFAULT_TAU
+    elif tag == PAIR_CONTINUOUS:
+        pos, neg = values[:, 0], values[:, 1]
+        up, down = pos - neg > DEFAULT_TAU, neg - pos > DEFAULT_TAU
+    else:
+        mean = values.sum(axis=1) / family.width
+        midpoint = (family.n_points - 1) / 2.0
+        up, down = mean > midpoint + DEFAULT_TAU_R, mean < midpoint - DEFAULT_TAU_R
+    return np.where(up, POSITIVE, np.where(down, NEGATIVE, NEUTRAL))
 
 
-def compute_prior(word: str, views: list[LexiconView], vocab: CombinedVocabulary) -> DirichletPrior:
-    """Per-word prior: uniform (1,1,1), boosted by c(w) on the agreed class
-    when every view containing the word assigns the same coarse class."""
-    if word not in vocab:
+def prior_table(views: list[LexiconView], vocab: CombinedVocabulary) -> np.ndarray:
+    """Each vocabulary word's prior concentration over the components, one
+    row per word in vocabulary order: uniform (1, 1, 1), boosted by c(w), the
+    number of views containing the word, on the class they all assign it
+    when they agree.  views are the ones the vocabulary was built from."""
+    if sorted(v.id for v in views) != sorted(vocab.rows) or any(
+        len(v) != len(vocab.rows[v.id]) for v in views
+    ):
+        raise ConfigError(f"views {[v.id for v in views]} are not the ones the vocabulary was built from")
+    votes = np.zeros((len(vocab), 3))
+    for view in views:
+        votes[vocab.rows[view.id], coarse_class(view.family, view.values)] += 1.0
+    n = votes.sum(axis=1, keepdims=True)
+    return 1.0 + np.where(votes == n, n, 0.0)
+
+
+def compute_prior(word: str, views: list[LexiconView], vocab: CombinedVocabulary) -> np.ndarray:
+    """The word's row of prior_table(views, vocab), a read-only (3,) array.
+    The table is computed once per list of views and kept on the vocabulary."""
+    row = vocab.index.get(word)
+    if row is None:
         raise ConfigError(f"word {word!r} not in vocabulary")
-    containing = vocab.membership[word]
-    by_id = {v.id: v for v in views}
-    classes = {coarse_sentiment(by_id[vid].entries[word]) for vid in containing}
-    alpha = [1.0, 1.0, 1.0]
-    if len(classes) == 1:
-        alpha[COMPONENTS.index(classes.pop())] += float(len(containing))
-    return DirichletPrior(tuple(alpha))
+    key = tuple(views)  # views hash by identity
+    if key not in vocab._priors:
+        table = prior_table(views, vocab)
+        table.flags.writeable = False
+        vocab._priors[key] = table
+    return vocab._priors[key][row]

@@ -25,7 +25,8 @@ dirichlet_kl_var and dirichlet_sample_vars) is one batched node over the
 rows a view covers, looked up through this module.  Export needs only the
 encoder outputs, so `posterior_params` runs each view's encoder once as a
 plain numpy forward (`encode`); the encoder is the one network with both a
-numpy and a tape forward.
+numpy and a tape forward.  Both read a view's labels from its value
+columns (`encoder_input`, `emission_targets`).
 """
 
 from __future__ import annotations
@@ -39,17 +40,16 @@ import numpy as np
 
 from . import tape as tp
 from .distributions import dirichlet_kl_var, dirichlet_sample_vars
-from .errors import ConfigError, NumericError, UsageError, read_input
+from .errors import ConfigError, NumericError, UsageError, atomic_write, read_input
 from .lexica import (
     BINARY,
     COMPONENTS,
     PAIR_CONTINUOUS,
     RATER_HISTOGRAM,
     SIGNED_CONTINUOUS,
-    DirichletPrior,
     LexiconView,
-    PolarityLabel,
     ScaleFamily,
+    merge_words,
 )
 from .tape import Tape
 
@@ -70,21 +70,15 @@ def decoder_width(scale: ScaleFamily) -> int:
     return 2
 
 
-def encoder_input(label: PolarityLabel) -> list[float]:
-    """A label as the fixed-length float vector its encoder consumes.
+def encoder_input(scale: ScaleFamily, values: np.ndarray) -> np.ndarray:
+    """Label rows (n, width) as the rows their encoder consumes.
 
     Rater histograms feed the raw ratings rescaled to [0, 1]; the other
     scales pass through unchanged.
     """
-    tag = label.family.tag
-    if tag == BINARY:
-        return [float(label.value)]
-    if tag == SIGNED_CONTINUOUS:
-        return [label.value]
-    if tag == PAIR_CONTINUOUS:
-        return [label.value[0], label.value[1]]
-    top = label.family.n_points - 1
-    return [r / top for r in label.value]
+    if scale.tag == RATER_HISTOGRAM:
+        return values / (scale.n_points - 1)
+    return values
 
 
 @dataclass(eq=False)
@@ -116,11 +110,12 @@ class MlpHead:
 
 @dataclass(frozen=True)
 class WordObservation:
-    """One word's labels across the views that contain it, plus its prior."""
+    """One word's labels across the views that contain it, each its row of
+    the view's values, plus its prior concentration (3,)."""
 
     word: str
-    labels: dict[str, PolarityLabel]
-    prior: DirichletPrior
+    labels: dict[str, np.ndarray]
+    prior: np.ndarray
 
     def __post_init__(self):
         if not self.labels:
@@ -188,7 +183,8 @@ def encode(head: MlpHead, x: np.ndarray) -> np.ndarray:
     if head.output_dim != 3:
         raise ConfigError(f"encoder output_dim must be 3, got {head.output_dim}")
     raw = head.forward(x)
-    e = np.exp(raw - raw.max(axis=1, keepdims=True))
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row stays nan
+        e = np.exp(raw - raw.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -196,18 +192,14 @@ def posterior_params(
     views: list[LexiconView], encoders: dict[str, MlpHead]
 ) -> tuple[list[str], np.ndarray]:
     """The views' words, sorted, and beta = 1 + sum over each word's views of
-    omega_d, one row per word; each view's encoder runs once, in sorted
-    view-id order."""
-    words = sorted(set().union(*(view.entries for view in views)))
-    row = {w: i for i, w in enumerate(words)}
+    omega_d, one row per word; each view's encoder runs once over its value
+    array, in sorted view-id order."""
+    words, rows = merge_words(views)
     beta = np.ones((len(words), 3))
-    for view in sorted(views, key=lambda v: v.id):
+    for view, at in sorted(zip(views, rows), key=lambda pair: pair[0].id):
         if view.id not in encoders:
             raise ConfigError(f"no encoder for view {view.id!r}")
-        labels = view.entries
-        x = np.array([encoder_input(label) for label in labels.values()], dtype=float)
-        x = x.reshape(len(labels), view.family.width)
-        beta[[row[w] for w in labels]] += encode(encoders[view.id], x)
+        beta[at] += encode(encoders[view.id], encoder_input(view.family, view.values))
     return words, beta
 
 
@@ -280,14 +272,17 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def emission_targets(scale: ScaleFamily, labels: list[PolarityLabel]) -> np.ndarray:
-    """The labels as the array their emission reads: the value per row, or for
-    rater histograms the count of each rating per row."""
+def emission_targets(scale: ScaleFamily, values: np.ndarray) -> np.ndarray:
+    """Label rows (n, width) as the array their emission reads: the value per
+    row (a pair per row for pairs), or for rater histograms the count of each
+    rating per row."""
+    if scale.tag == PAIR_CONTINUOUS:
+        return values
     if scale.tag != RATER_HISTOGRAM:
-        return np.array([label.value for label in labels], dtype=float)
-    ratings = np.array([label.value for label in labels], dtype=np.intp).reshape(len(labels), -1)
-    counts = np.zeros((len(labels), scale.n_points))
-    np.add.at(counts, (np.arange(len(labels))[:, None], ratings), 1.0)
+        return values[:, 0]
+    n = len(values)
+    counts = np.zeros((n, scale.n_points))
+    np.add.at(counts, (np.arange(n)[:, None], values.astype(np.intp)), 1.0)
     return counts
 
 
@@ -343,7 +338,7 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> Ba
     """
     scales = binding.state.scales
     rows: dict[str, list[int]] = {}
-    labels: dict[str, list[PolarityLabel]] = {}
+    labels: dict[str, list[np.ndarray]] = {}
     for i, obs in enumerate(batch):
         for vid, label in obs.labels.items():
             if vid not in scales:
@@ -352,8 +347,9 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> Ba
             labels.setdefault(vid, []).append(label)
     views = []
     for vid in sorted(rows):
-        x = np.array([encoder_input(label) for label in labels[vid]], dtype=float)
-        views.append((vid, np.array(rows[vid]), x, emission_targets(scales[vid], labels[vid])))
+        values = np.array(labels[vid], dtype=float)
+        x = encoder_input(scales[vid], values)
+        views.append((vid, np.array(rows[vid]), x, emission_targets(scales[vid], values)))
 
     n = len(batch)
     beta = tp.scatter_rows(
@@ -366,7 +362,7 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> Ba
             f"non-finite ELBO for word {batch[i].word!r} (views {sorted(batch[i].labels)}): "
             f"beta={beta.value[i].tolist()}"
         )
-    kl = dirichlet_kl_var(beta, np.array([obs.prior.alpha for obs in batch]))
+    kl = dirichlet_kl_var(beta, np.array([obs.prior for obs in batch], dtype=float))
 
     us = np.array([noise[obs.word] for obs in batch], dtype=float)
     n_mc = us.shape[1]
@@ -390,14 +386,14 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> Ba
     return BatchElbo(total=total, recon=recon, kl=kl.value)
 
 
-def observations_from_views(views, vocab, priors: dict[str, DirichletPrior]) -> list[WordObservation]:
-    """One WordObservation per vocabulary word, in sorted word order."""
-    by_id = {v.id: v for v in views}
-    out = []
-    for word in vocab.sorted_words():
-        labels = {vid: by_id[vid].entries[word] for vid in vocab.membership[word]}
-        out.append(WordObservation(word=word, labels=labels, prior=priors[word]))
-    return out
+def observations_from_views(views, vocab, priors: dict[str, np.ndarray]) -> list[WordObservation]:
+    """One WordObservation per vocabulary word, in sorted word order, its
+    labels keyed by view id in sorted order."""
+    labels: list[dict[str, np.ndarray]] = [{} for _ in vocab.words]
+    for view in sorted(views, key=lambda v: v.id):
+        for row, value in zip(vocab.rows[view.id].tolist(), view.values):
+            labels[row][view.id] = value
+    return [WordObservation(word, by_view, priors[word]) for word, by_view in zip(vocab.words, labels)]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +442,8 @@ def save_checkpoint(
         "decoders": {vid: _head_to_json(h) for vid, h in state.decoders.items()},
         "extra": extra or {},
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write(json.dumps(doc, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:

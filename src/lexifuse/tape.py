@@ -120,7 +120,8 @@ def affine(x, w: Node, b: Node) -> Node:
 def softmax(x: Node) -> Node:
     """Softmax over each row of x."""
     raw = x.value
-    e = np.exp(raw - raw.max(axis=1, keepdims=True))
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row stays nan
+        e = np.exp(raw - raw.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
     return x.tape.push(s, (x,), lambda g: (s * (g - (g * s).sum(axis=1, keepdims=True)),))
 

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, UsageError, read_input
-from .lexica import CombinedVocabulary, LexiconView, ScaleFamily
+from .errors import ConfigError, DomainError, NumericError, UsageError, atomic_write, read_lines
+from .lexica import CombinedVocabulary, LexiconView, ScaleFamily, out_of_domain
 from .model import (
     MlpHead,
     ModelBinding,
@@ -71,7 +71,7 @@ def load_train_config(path: str | Path) -> TrainConfig:
     path = Path(path)
     types = {f.name: f.type for f in fields(TrainConfig)}
     kwargs = {}
-    for lineno, raw in enumerate(read_input(path, "config file").splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path, "config file"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -225,7 +225,8 @@ def write_training_log(path: str | Path, rows: list[dict]) -> None:
             f"{r['epoch']},{r['mean_elbo']:.12g},{r['recon_term']:.12g},"
             f"{r['kl_term']:.12g},{r['wall_time_s']:.3f}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def train(
@@ -256,13 +257,24 @@ def train(
         if word not in vocab:
             raise ConfigError(f"observation word {word!r} missing from the vocabulary")
 
-    scales: dict[str, ScaleFamily] = {}
+    labels: dict[str, list[np.ndarray]] = {}
     for o in obs:
         for vid, label in o.labels.items():
-            if scales.setdefault(vid, label.family) != label.family:
-                raise ConfigError(
-                    f"view {vid!r} mixes {scales[vid].header()} and {label.family.header()}"
-                )
+            labels.setdefault(vid, []).append(label)
+    scales: dict[str, ScaleFamily] = {}
+    for vid, view_labels in sorted(labels.items()):
+        scale = vocab.families.get(vid)
+        if scale is None:
+            raise ConfigError(f"observations have labels of view {vid!r}, which the vocabulary lacks")
+        try:
+            values = np.array(view_labels, dtype=float)
+        except ValueError:  # rows of differing lengths
+            values = np.empty(0)
+        if values.shape != (len(view_labels), scale.width) or out_of_domain(scale, values).any():
+            raise ConfigError(
+                f"view {vid!r} is {scale.header()}, but an observation's label is not one of its labels"
+            )
+        scales[vid] = scale
     if init_state is None:
         init_state = init_model(scales, config, stream_for(config.seed, "init"))
     for vid, scale in sorted(scales.items()):

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ParseError, read_input
-from .lexica import LexiconView, build_vocabulary
+from .errors import ConfigError, ParseError, atomic_write, read_lines
+from .lexica import LexiconView, build_vocabulary, casefold_each
 from .model import ModelState, posterior_params
 
 log = logging.getLogger(__name__)
@@ -104,13 +104,15 @@ class UnifiedLexicon:
                 f"({n},), got {beta.shape}, {mean.shape} and {n_views.shape}"
             )
         _check_rows(words, beta, mean, n_views)
-        keys = [w.casefold() for w in words]
+        keys = casefold_each(list(words))
         order = sorted(range(n), key=keys.__getitem__)
-        self._index: dict[str, int] = {}
-        for row, i in enumerate(order):
-            if self._index.setdefault(keys[i], row) != row:
-                raise _InvalidRow(f"word {words[i]!r} repeats", i)
-        self.words = [words[i] for i in order]
+        self._index: dict[str, int] = dict(zip(map(keys.__getitem__, order), range(n)))
+        if len(self._index) < n:
+            first: dict[str, int] = {}
+            for row, i in enumerate(order):
+                if first.setdefault(keys[i], row) != row:
+                    raise _InvalidRow(f"word {words[i]!r} repeats", i)
+        self.words = list(map(words.__getitem__, order))
         self.beta, self.mean, self.n_views = beta[order], mean[order], n_views[order]
         self.meta = dict(meta or {})
 
@@ -139,18 +141,22 @@ def export_lexicon(model: ModelState, views: list[LexiconView]) -> UnifiedLexico
     rather than aborting the export.
     """
     vocab = build_vocabulary(views)
-    missing = {v.id for v in views} - model.encoders.keys()
+    missing = sorted({v.id for v in views} - model.encoders.keys())
     words, beta = posterior_params([v for v in views if v.id not in missing], model.encoders)
-    lost = sorted(set().union(*(v.entries for v in views if v.id in missing)))
-    for word in lost:
-        vids = sorted(missing.intersection(vocab.membership[word]))
-        log.warning("skipping %r: no encoder for views %s", word, vids)
-    if lost:
+    n_views = vocab.n_views
+    if missing:
+        lost: dict[int, list[str]] = {}  # vocabulary row -> its views without an encoder
+        for vid in missing:
+            for row in vocab.rows[vid].tolist():
+                lost.setdefault(row, []).append(vid)
+        for row in sorted(lost):
+            log.warning("skipping %r: no encoder for views %s", vocab.words[row], lost[row])
         log.warning("export skipped %d of %d words", len(lost), len(vocab))
-        keep = np.isin(words, lost, invert=True)
-        words, beta = list(compress(words, keep)), beta[keep]
+        at = np.fromiter(map(vocab.index.__getitem__, words), np.intp, len(words))
+        keep = np.isin(at, list(lost), invert=True)
+        words, beta, n_views = list(compress(words, keep)), beta[keep], n_views[at[keep]]
     mean = beta / beta.sum(axis=1, keepdims=True)
-    return UnifiedLexicon(words, beta, mean, [len(vocab.membership[w]) for w in words])
+    return UnifiedLexicon(words, beta, mean, n_views)
 
 
 def write_unified(
@@ -166,17 +172,13 @@ def write_unified(
     if config_hash is not None:
         lines.append(f"# config_hash: {config_hash}")
     lines.append("\t".join(_COLUMNS))
-    values = np.hstack([lexicon.beta, lexicon.mean])
-    n_views = lexicon.n_views.tolist()
-    with open(path, "w", encoding="utf-8") as f:
+    row = "\t".join(["%s", *["%.12g"] * 6, "%d"]) + "\n"
+    columns = [lexicon.words, *np.hstack([lexicon.beta, lexicon.mean]).T.tolist(), lexicon.n_views.tolist()]
+    with atomic_write(path) as f:
         f.write("\n".join(lines) + "\n")
         # a block of rows at a time, so the rows never exist as text all at once
-        for lo in range(0, len(n_views), _WRITE_ROWS):
-            hi = lo + _WRITE_ROWS
-            f.writelines(
-                "\t".join((word, *(f"{x:.12g}" for x in row), str(n))) + "\n"
-                for word, row, n in zip(lexicon.words[lo:hi], values[lo:hi].tolist(), n_views[lo:hi])
-            )
+        for lo in range(0, len(lexicon), _WRITE_ROWS):
+            f.writelines(map(row.__mod__, zip(*(column[lo:lo + _WRITE_ROWS] for column in columns))))
 
 
 def read_unified(path: str | Path) -> UnifiedLexicon:
@@ -187,7 +189,7 @@ def read_unified(path: str | Path) -> UnifiedLexicon:
     n_views: list[int] = []
     first_line: dict[str, int] = {}
     saw_header = False
-    for lineno, raw in enumerate(read_input(path, "unified lexicon file").splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path, "unified lexicon file"), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -15,15 +15,15 @@ import numpy as np
 
 import scalar_tape as tp
 from lexifuse.errors import ConfigError, DomainError
-from lexifuse.lexica import BINARY, PAIR_CONTINUOUS, SIGNED_CONTINUOUS, PolarityLabel, ScaleFamily
+from lexifuse.lexica import BINARY, PAIR_CONTINUOUS, SIGNED_CONTINUOUS, ScaleFamily
 from lexifuse.model import (
     PAIR_VARIANCE,
     VARIANCE_FLOOR,
     MlpHead,
     ModelState,
     WordObservation,
-    encoder_input,
 )
+from row_lexica import PolarityLabel, label_of
 from scalar_special import digamma, gamma_log_pdf, gamma_quantile, gammainc_p_da, lgamma, trigamma
 from scalar_tape import Tape, Var, clamp, vsum
 
@@ -150,6 +150,20 @@ def _mlp_forward_vars(leaves: HeadLeaves, xs) -> list[Var]:
     return tp.linear_layer(leaves.w2, hidden, leaves.b2)
 
 
+def encoder_input(label: PolarityLabel) -> list[float]:
+    """A label as the fixed-length float vector its encoder consumes: rater
+    ratings rescaled to [0, 1], other scales unchanged."""
+    tag = label.family.tag
+    if tag == BINARY:
+        return [float(label.value)]
+    if tag == SIGNED_CONTINUOUS:
+        return [label.value]
+    if tag == PAIR_CONTINUOUS:
+        return [label.value[0], label.value[1]]
+    top = label.family.n_points - 1
+    return [r / top for r in label.value]
+
+
 def encode_vars(label: PolarityLabel, leaves: HeadLeaves) -> tuple[Var, Var, Var]:
     out = _mlp_forward_vars(leaves, encoder_input(label))
     return tp.softmax3(out[0], out[1], out[2])
@@ -213,10 +227,11 @@ def elbo_word_on(binding: ModelBinding, obs: WordObservation, noise: list[list[f
     for vid in vids:
         if vid not in scales:
             raise ConfigError(f"no encoder for view {vid!r}")
+    labels = {vid: label_of(scales[vid], obs.labels[vid]) for vid in vids}
 
     omegas = []
     for vid in vids:
-        key = (vid, obs.labels[vid])
+        key = (vid, labels[vid])
         if key not in binding.encoded:
             binding.encoded[key] = encode_vars(key[1], binding.heads[("enc", vid)])
         omegas.append(binding.encoded[key])
@@ -225,14 +240,14 @@ def elbo_word_on(binding: ModelBinding, obs: WordObservation, noise: list[list[f
         for k in range(3)
     )
 
-    kl = dirichlet_kl_var(beta, obs.prior.alpha)
+    kl = dirichlet_kl_var(beta, tuple(float(a) for a in obs.prior))
 
     lls: list[Var] = []
     for us in noise:
         zs = dirichlet_sample_vars(beta, us)
         for vid in vids:
             rho = decode_vars(zs, binding.heads[("dec", vid)], scales[vid])
-            lls.append(emission_ll_var(obs.labels[vid], rho))
+            lls.append(emission_ll_var(labels[vid], rho))
     recon = tp.vsum(lls) / float(len(noise))
 
     return WordElbo(total=recon - kl, recon=recon, kl=kl, beta=beta)

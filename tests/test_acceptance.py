@@ -32,8 +32,6 @@ from lexifuse.evaluation import (
 )
 from lexifuse.lexica import (
     COMPONENTS,
-    LexiconView,
-    PolarityLabel,
     binary,
     build_vocabulary,
     compute_prior,
@@ -61,6 +59,7 @@ from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model, train
 from lexifuse.unified import UnifiedLexicon, export_lexicon
 from reference import linear_objective, reparam_grad_samples, sample_dirichlet, sum_of_squares, summed
+from row_lexica import PolarityLabel, view_of
 
 ALL_SCALES = {
     "bin": binary(),
@@ -138,7 +137,7 @@ class TestCriterion1:
                 k = int(gen.integers(1, len(vids) + 1))
                 subset = list(gen.choice(vids, size=k, replace=False))
                 labels = {vid: random_label(ALL_SCALES[vid], gen) for vid in subset}
-                views = [LexiconView(vid, ALL_SCALES[vid], {"w": labels[vid]}) for vid in subset]
+                views = [view_of(vid, ALL_SCALES[vid], {"w": labels[vid]}) for vid in subset]
                 _, (beta,) = posterior_params(views, state.encoders)
                 n_views = len(labels)
                 assert abs(sum(b - 1.0 for b in beta) - n_views) < 1e-9
@@ -189,7 +188,8 @@ class TestCriterion3:
             # encoder network through the softmax, weighted readout objective
             tape = Tape()
             binding = ModelBinding(tape, state)
-            omegas = encode_vars(np.array([encoder_input(label)]), binding.heads[("enc", vid)])
+            x = encoder_input(scale, np.array([label.row]))
+            omegas = encode_vars(x, binding.heads[("enc", vid)])
             root = summed(linear_objective([1.0, 2.0, 3.0])(omegas))
             grad = binding.gradient(tape.backward(root))[:n_enc]
 
@@ -198,7 +198,7 @@ class TestCriterion3:
             def enc_value(vec):
                 s2 = copy.deepcopy(state)
                 unpack_state(s2, vec)
-                (om,) = encode(s2.encoders[vid], np.array([encoder_input(label)]))
+                (om,) = encode(s2.encoders[vid], x)
                 return om[0] + 2.0 * om[1] + 3.0 * om[2]
 
             fd = np.array([
@@ -208,7 +208,7 @@ class TestCriterion3:
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
             # decoder network composed with the emission log-likelihood
-            y = emission_targets(scale, [label])
+            y = emission_targets(scale, np.array([label.row]))
             tape = Tape()
             binding = ModelBinding(tape, state)
             zs = tape.leaf([z0])
@@ -356,24 +356,12 @@ class TestCriterion8:
     def test_concat_dimension(self):
         with criterion(8, "concatenation feature dimension", budget_s=1.0):
             views = [
-                LexiconView("gi", binary(), {"good": PolarityLabel(binary(), 1)}),
-                LexiconView("huliu", binary(), {"bad": PolarityLabel(binary(), 0)}),
-                LexiconView("mpqa", binary(), {"good": PolarityLabel(binary(), 1)}),
-                LexiconView(
-                    "sentic",
-                    signed_continuous(),
-                    {"good": PolarityLabel(signed_continuous(), 0.7)},
-                ),
-                LexiconView(
-                    "swn",
-                    pair_continuous(),
-                    {"good": PolarityLabel(pair_continuous(), (0.75, 0.125))},
-                ),
-                LexiconView(
-                    "vader",
-                    rater_histogram(10, 9),
-                    {"good": PolarityLabel(rater_histogram(10, 9), (5,) * 10)},
-                ),
+                view_of("gi", binary(), {"good": 1}),
+                view_of("huliu", binary(), {"bad": 0}),
+                view_of("mpqa", binary(), {"good": 1}),
+                view_of("sentic", signed_continuous(), {"good": 0.7}),
+                view_of("swn", pair_continuous(), {"good": (0.75, 0.125)}),
+                view_of("vader", rater_histogram(10, 9), {"good": (5,) * 10}),
             ]
             assert make_featurizer("concat", views=views).dim == 16
 

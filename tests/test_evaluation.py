@@ -26,20 +26,15 @@ from lexifuse.evaluation import (
     write_report,
 )
 from lexifuse.lexica import (
-    LexiconView,
-    PolarityLabel,
     binary,
-    coarse_sentiment,
+    coarse_class,
     pair_continuous,
     rater_histogram,
     signed_continuous,
 )
 from lexifuse.rng import RngStream
 from reference import lexicon_from_betas
-
-
-def view_of(vid, family, entries):
-    return LexiconView(vid, family, {w: PolarityLabel(family, v) for w, v in entries.items()})
+from row_lexica import PolarityLabel, coarse_sentiment, concat_feature, label_of, single_feature, view_of
 
 
 def single(view):
@@ -100,6 +95,16 @@ class TestLabeledCorpus:
         with pytest.raises(ConfigError):
             read_corpus(tmp_path / "absent.tsv")
 
+    def test_read_line_boundaries(self, tmp_path):
+        # only "\n" ends a line, as in the line numbers read_input reports
+        p = tmp_path / "c.tsv"
+        p.write_text("0\tgood\u2028movie\n1\tbad\nx\tfilm\n", encoding="utf-8")
+        with pytest.raises(ParseError) as e:
+            read_corpus(p)
+        assert e.value.line == 3
+        p.write_text("0\tgood\u0085bad\r\n1\tfine\r\n", encoding="utf-8")
+        assert read_corpus(p).texts == (("good", "bad"), ("fine",))
+
     def test_split(self):
         c = LabeledCorpus((("a",), ("b",), ("c",)), (0, 1, 0), 2)
         tr, te = split_corpus(c, 2)
@@ -109,6 +114,29 @@ class TestLabeledCorpus:
 
 
 class TestWordFeature:
+    @given(st.sampled_from([binary(), signed_continuous(), pair_continuous(), rater_histogram(10, 9),
+                            rater_histogram(3, 4)]), st.data())
+    def test_columns_match_per_label_features(self, family, data):
+        n = data.draw(st.integers(1, 8))
+        if family.tag == "Binary":
+            values = st.integers(0, 1)
+        elif family.tag == "SignedContinuous":
+            values = st.floats(-1.0, 1.0)
+        elif family.tag == "PairContinuous":
+            values = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+        else:
+            values = st.tuples(*[st.integers(0, family.n_points - 1)] * family.n_raters)
+        labels = data.draw(st.dictionaries(st.sampled_from("abcdefghij"), values, min_size=n, max_size=n))
+        view = view_of("v", family, labels)
+        other = view_of("w", binary(), {"a": 1, "z": 0})
+        single_f, concat_f = single(view), make_featurizer("concat", views=[view, other])
+        for word, value in labels.items():
+            label = PolarityLabel(family, value)
+            assert single_f.word_feature(word).tolist() == single_feature(label).tolist()
+            tail = [1.0] if word == "a" else [0.0]
+            assert concat_f.word_feature(word).tolist() == concat_feature(label).tolist() + tail
+        assert concat_f.word_feature("z").tolist() == [0.0] * family.width + [-1.0]
+
     def test_binary_sign_mapping(self):
         f = single(view_of("b", binary(), {"good": 1, "bad": 0}))
         np.testing.assert_array_equal(f.word_feature("good"), [1.0])
@@ -391,12 +419,15 @@ class TestSynthGenerate:
         from lexifuse.lexica import COMPONENTS
 
         for view in data.views:
-            for word, label in view.entries.items():
+            classes = coarse_class(view.family, view.values)
+            for word, row, c in zip(view.words, view.values, classes):
+                label = label_of(view.family, row)
                 assert coarse_sentiment(label) == COMPONENTS[data.word_classes[word]], (
                     view.id,
                     word,
                     label.value,
                 )
+                assert c == data.word_classes[word]
 
     def test_seed_fixed_identical(self):
         a = synth_generate(50, 1, 0.2, 40, 6, RngStream(9))
@@ -404,15 +435,16 @@ class TestSynthGenerate:
         assert a.word_classes == b.word_classes
         assert a.corpus == b.corpus
         for va, vb in zip(a.views, b.views):
-            assert va.id == vb.id and va.entries == vb.entries
+            assert va.id == vb.id and va.words == vb.words
+            assert va.values.tobytes() == vb.values.tobytes()
 
     def test_binary_views_polar_domain(self):
         data = synth_generate(90, 2, 0.3, 5, 5, RngStream(2))
         bins = [v for v in data.views if v.family.tag == "Binary"]
         assert len(bins) == 2
         for v in bins:
-            for word, label in v.entries.items():
-                assert label.value in (0, 1)
+            for word, row in v.entries.items():
+                assert row.tolist() in ([0.0], [1.0])
                 assert data.word_classes[word] in (0, 1)
 
     def test_coverage_fraction_window(self):

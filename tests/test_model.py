@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,6 @@ from hypothesis import strategies as st
 
 from lexifuse.errors import ConfigError, NumericError, UsageError
 from lexifuse.lexica import (
-    DirichletPrior,
-    LexiconView,
-    PolarityLabel,
     binary,
     pair_continuous,
     rater_histogram,
@@ -39,6 +37,7 @@ from lexifuse.rng import RngStream, stream_for
 from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model
 from reference import elbo_noise, elbo_word
+from row_lexica import PolarityLabel, view_of
 
 SMALL = TrainConfig(hidden_dim=4, seed=0)
 ALL_SCALES = {
@@ -66,9 +65,19 @@ def example_label(scale):
     return PolarityLabel(scale, (4, 5, 3, 4, 6, 4, 4, 2, 4, 4))
 
 
+def rows_of(*labels):
+    """Labels of one family as the (n, width) values of a view."""
+    return np.array([label.row for label in labels])
+
+
+def encoder_row(label):
+    """One label's encoder input, as a list."""
+    return encoder_input(label.family, rows_of(label))[0].tolist()
+
+
 def encode_one(label, head):
     """omega for one label through the batched numpy encoder."""
-    return encode(head, np.array([encoder_input(label)]))[0]
+    return encode(head, encoder_input(label.family, rows_of(label)))[0]
 
 
 def decode_on_tape(state, vid, z):
@@ -84,7 +93,7 @@ def decode_values(state, vid, z):
 
 def label_ll_var(label, rho):
     """log P_d(x_d | rho) of one label, from a (1, width) rho node."""
-    return emission_ll_var(label.family, emission_targets(label.family, [label]), rho)
+    return emission_ll_var(label.family, emission_targets(label.family, rows_of(label)), rho)
 
 
 def emission_ll(label, rho):
@@ -103,12 +112,12 @@ class TestDecoderWidth:
 
 class TestEncoderInput:
     def test_dims(self):
-        assert encoder_input(PolarityLabel(binary(), 0)) == [0.0]
-        assert encoder_input(PolarityLabel(signed_continuous(), -0.5)) == [-0.5]
-        assert encoder_input(PolarityLabel(pair_continuous(), (0.25, 1.0))) == [0.25, 1.0]
+        assert encoder_row(PolarityLabel(binary(), 0)) == [0.0]
+        assert encoder_row(PolarityLabel(signed_continuous(), -0.5)) == [-0.5]
+        assert encoder_row(PolarityLabel(pair_continuous(), (0.25, 1.0))) == [0.25, 1.0]
 
     def test_rater_rescaled_to_unit(self):
-        x = encoder_input(PolarityLabel(rater_histogram(10, 9), (0, 8, 4, 4, 4, 4, 4, 4, 4, 4)))
+        x = encoder_row(PolarityLabel(rater_histogram(10, 9), (0, 8, 4, 4, 4, 4, 4, 4, 4, 4)))
         assert len(x) == 10
         assert x[0] == 0.0 and x[1] == 1.0 and x[2] == 0.5
 
@@ -140,7 +149,7 @@ class TestEncode:
     def test_rows_independent(self):
         state = small_state()
         labels = [PolarityLabel(signed_continuous(), v) for v in (-1.0, -0.25, 0.0, 0.65, 1.0)]
-        x = np.array([encoder_input(label) for label in labels])
+        x = encoder_input(signed_continuous(), rows_of(*labels))
         omegas = encode(state.encoders["sig"], x)
         assert omegas.shape == (5, 3)
         for label, omega in zip(labels, omegas):
@@ -159,9 +168,7 @@ class TestPosteriorParams:
     @given(st.sets(st.sampled_from(sorted(ALL_SCALES)), min_size=1))
     def test_pseudocount_identity(self, vids):
         state = small_state()
-        views = [
-            LexiconView(vid, ALL_SCALES[vid], {"w": example_label(ALL_SCALES[vid])}) for vid in vids
-        ]
+        views = [view_of(vid, ALL_SCALES[vid], {"w": example_label(ALL_SCALES[vid])}) for vid in vids]
         words, (beta,) = posterior_params(views, state.encoders)
         assert words == ["w"]
         assert sum(beta) - 3.0 == pytest.approx(len(vids), abs=1e-9)
@@ -171,7 +178,7 @@ class TestPosteriorParams:
 
     def test_missing_encoder(self):
         state = small_state({"sig": signed_continuous()})
-        view = LexiconView("other", binary(), {"w": example_label(binary())})
+        view = view_of("other", binary(), {"w": example_label(binary())})
         with pytest.raises(ConfigError):
             posterior_params([view], state.encoders)
 
@@ -258,14 +265,14 @@ class TestTapeFloatParity:
             label = example_label(scale)
             tape = Tape()
             binding = ModelBinding(tape, state)
-            om_t = encode_vars(np.array([encoder_input(label)]), binding.heads[("enc", vid)])
+            om_t = encode_vars(encoder_input(scale, rows_of(label)), binding.heads[("enc", vid)])
             om_f = encode_one(label, state.encoders[vid])
             np.testing.assert_array_equal(om_t.value[0], om_f)
 
 
 def _word_obs(vids=("bin", "sig", "pair", "rater"), prior=(2.0, 1.0, 1.0)):
-    labels = {vid: example_label(ALL_SCALES[vid]) for vid in vids}
-    return WordObservation("w", labels, DirichletPrior(prior))
+    labels = {vid: rows_of(example_label(ALL_SCALES[vid]))[0] for vid in vids}
+    return WordObservation("w", labels, np.array(prior))
 
 
 class TestElboWord:
@@ -289,9 +296,7 @@ class TestElboWord:
 
         cfg = TrainConfig(hidden_dim=4, weight_init_scale=0.0)
         state = init_model({"sig": signed_continuous()}, cfg, stream_for(0, "init"))
-        obs = WordObservation(
-            "w", {"sig": example_label(signed_continuous())}, DirichletPrior((1.0, 1.0, 1.0))
-        )
+        obs = WordObservation("w", {"sig": rows_of(example_label(signed_continuous()))[0]}, np.ones(3))
         we = elbo_word(obs, state, 1, RngStream(2))
         want = dirichlet_kl((4 / 3, 4 / 3, 4 / 3), (1.0, 1.0, 1.0))
         assert we.kl[0] == pytest.approx(want, rel=1e-9)
@@ -347,9 +352,7 @@ class TestElboWord:
         state = small_state()
         noise = elbo_noise(RngStream(4), 1)
         obs_a = _word_obs(("bin", "sig"))
-        obs_b = WordObservation(
-            "w2", {"bin": example_label(binary())}, DirichletPrior((1.0, 1.0, 1.0))
-        )
+        obs_b = WordObservation("w2", {"bin": rows_of(example_label(binary()))[0]}, np.ones(3))
         noise = {"w": noise, "w2": noise}
         shared_tape = Tape()
         shared = ModelBinding(shared_tape, state)
@@ -369,13 +372,16 @@ class TestElboWord:
     def test_beta_non_finite_names_word(self):
         state = small_state()
         state.encoders["sig"].b2[0] = np.inf
-        second = WordObservation(
-            "w2", {"sig": example_label(signed_continuous())}, DirichletPrior((1.0, 1.0, 1.0))
-        )
+        second = WordObservation("w2", {"sig": rows_of(example_label(signed_continuous()))[0]}, np.ones(3))
         batch = [_word_obs(("bin",)), second]
         noise = {"w": elbo_noise(RngStream(4), 1), "w2": elbo_noise(RngStream(5), 1)}
-        with pytest.raises(NumericError, match="'w2'"):
-            elbo_batch(ModelBinding(Tape(), state), batch, noise)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match="'w2'"):
+                elbo_batch(ModelBinding(Tape(), state), batch, noise)
+            # the typed error is all a user sees: numpy prints no warning first
+            encode(state.encoders["sig"], np.array([[0.5]]))
+        assert not seen, [str(w.message) for w in seen]
 
 
 class TestPackUnpack:
@@ -447,7 +453,7 @@ class TestCheckpoint:
 class TestObservationAssembly:
     def test_empty_labels_rejected(self):
         with pytest.raises(ConfigError):
-            WordObservation("w", {}, DirichletPrior((1.0, 1.0, 1.0)))
+            WordObservation("w", {}, np.ones(3))
 
     def test_state_key_mismatch_rejected(self):
         state = small_state()

@@ -6,8 +6,6 @@ import pytest
 
 from lexifuse.errors import ConfigError, NumericError, UsageError
 from lexifuse.lexica import (
-    LexiconView,
-    PolarityLabel,
     binary,
     build_vocabulary,
     compute_prior,
@@ -33,6 +31,7 @@ from lexifuse.training import (
     load_train_config,
     train,
 )
+from row_lexica import view_of
 
 ALL_SCALES = {
     "bin": binary(),
@@ -51,16 +50,14 @@ def make_corpus(n_words=10, seed=0, vids=("bin", "sig")):
         entries = {}
         for w in words:
             if vid == "bin":
-                entries[w] = PolarityLabel(scale, int(rng.integers(0, 2)))
+                entries[w] = int(rng.integers(0, 2))
             elif vid == "sig":
-                entries[w] = PolarityLabel(scale, rng.uniform(-1.0, 1.0))
+                entries[w] = rng.uniform(-1.0, 1.0)
             elif vid == "pair":
-                entries[w] = PolarityLabel(scale, (rng.uniform(0, 1), rng.uniform(0, 1)))
+                entries[w] = (rng.uniform(0, 1), rng.uniform(0, 1))
             else:
-                entries[w] = PolarityLabel(
-                    scale, tuple(int(rng.integers(0, 9)) for _ in range(10))
-                )
-        views.append(LexiconView(vid, scale, entries))
+                entries[w] = tuple(int(rng.integers(0, 9)) for _ in range(10))
+        views.append(view_of(vid, scale, entries))
     vocab = build_vocabulary(views)
     priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
     return vocab, observations_from_views(views, vocab, priors)
@@ -119,6 +116,16 @@ class TestTrainConfig:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_train_config(tmp_path / "absent.cfg")
+
+    def test_load_line_boundaries(self, tmp_path):
+        # only "\n" ends a line: a U+2028 inside a comment does not end it
+        p = tmp_path / "train.cfg"
+        p.write_text("# about\u2028epochs = 9\r\nseed = 2\r\nbogus\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"train.cfg:3: expected"):
+            load_train_config(p)
+        p.write_text("# about\u2028epochs = 9\nseed = 2\n", encoding="utf-8")
+        cfg = load_train_config(p)
+        assert (cfg.epochs, cfg.seed) == (50, 2)
 
     def test_hash_stable_and_sensitive(self):
         a = config_hash(TrainConfig())
@@ -324,10 +331,12 @@ class TestTrain:
             train(vocab, obs, cfg, init_state=init)
 
     def test_mixed_families_in_one_view(self):
-        vocab, obs = make_corpus(3, seed=8)
-        obs[0].labels["bin"] = PolarityLabel(signed_continuous(), 0.5)
-        with pytest.raises(ConfigError, match="'bin'"):
-            train(vocab, obs, TrainConfig(epochs=1, hidden_dim=4))
+        # a signed label (or a pair, or nan) where the binary view has 0 or 1
+        for label in ([0.5], [0.0, 1.0], [np.nan]):
+            vocab, obs = make_corpus(3, seed=8)
+            obs[0].labels["bin"] = np.array(label)
+            with pytest.raises(ConfigError, match="'bin'"):
+                train(vocab, obs, TrainConfig(epochs=1, hidden_dim=4))
 
     def test_empty_observations_rejected(self):
         vocab, obs = make_corpus(2, seed=9)

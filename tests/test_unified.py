@@ -3,8 +3,6 @@ import pytest
 
 from lexifuse.errors import ConfigError, ParseError
 from lexifuse.lexica import (
-    LexiconView,
-    PolarityLabel,
     binary,
     build_vocabulary,
     pair_continuous,
@@ -20,6 +18,7 @@ from lexifuse.unified import (
     write_unified,
 )
 from reference import lexicon_from_betas
+from row_lexica import label_of, membership, view_of
 from scalar_model import ModelBinding, encode_vars
 from scalar_tape import Tape
 
@@ -27,26 +26,13 @@ from scalar_tape import Tape
 def make_setup(n_words=6, seed=0):
     """One view per scale family over overlapping slices of the words."""
     words = [f"word{i}" for i in range(n_words)]
-    bview = LexiconView(
-        "bin", binary(), {w: PolarityLabel(binary(), i % 2) for i, w in enumerate(words)}
-    )
-    sview = LexiconView(
-        "sig",
-        signed_continuous(),
-        {w: PolarityLabel(signed_continuous(), (i - 2) / 4) for i, w in enumerate(words[:4])},
-    )
-    pview = LexiconView(
-        "pair",
-        pair_continuous(),
-        {w: PolarityLabel(pair_continuous(), (i / 8, 0.5)) for i, w in enumerate(words[1:5])},
-    )
-    rview = LexiconView(
+    bview = view_of("bin", binary(), {w: i % 2 for i, w in enumerate(words)})
+    sview = view_of("sig", signed_continuous(), {w: (i - 2) / 4 for i, w in enumerate(words[:4])})
+    pview = view_of("pair", pair_continuous(), {w: (i / 8, 0.5) for i, w in enumerate(words[1:5])})
+    rview = view_of(
         "rater",
         rater_histogram(10, 9),
-        {
-            w: PolarityLabel(rater_histogram(10, 9), tuple((i + r) % 9 for r in range(10)))
-            for i, w in enumerate(words[3:])
-        },
+        {w: tuple((i + r) % 9 for r in range(10)) for i, w in enumerate(words[3:])},
     )
     views = [bview, sview, pview, rview]
     vocab = build_vocabulary(views)
@@ -115,25 +101,23 @@ class TestExportLexicon:
         views, vocab, state = make_setup()
         entries = {e.word: e for e in export_lexicon(state, views).entries()}
         by_id = {v.id: v for v in views}
+        members = membership(vocab)
         for word in vocab.sorted_words():
             binding = ModelBinding(Tape(), state)
             beta = [1.0, 1.0, 1.0]
-            for vid in vocab.membership[word]:
-                omega = encode_vars(by_id[vid].entries[word], binding.heads[("enc", vid)])
+            for vid in members[word]:
+                label = label_of(by_id[vid].family, by_id[vid].entries[word])
+                omega = encode_vars(label, binding.heads[("enc", vid)])
                 beta = [b + o.value for b, o in zip(beta, omega)]
             np.testing.assert_allclose(entries[word].beta, beta, rtol=1e-12)
             np.testing.assert_allclose(entries[word].mean, np.divide(beta, sum(beta)), rtol=1e-12)
-            assert entries[word].n_views == len(vocab.membership[word])
+            assert entries[word].n_views == len(members[word])
 
     def test_skips_uncovered_views_with_warning(self, caplog):
         views, vocab, state = make_setup()
         full = {e.word: e for e in export_lexicon(state, views).entries()}
         # "other" has no encoder: it alone covers zzz and also covers word0
-        other = LexiconView(
-            "other",
-            binary(),
-            {"zzz": PolarityLabel(binary(), 1), "word0": PolarityLabel(binary(), 0)},
-        )
+        other = view_of("other", binary(), {"zzz": 1, "word0": 0})
         with caplog.at_level("WARNING"):
             lexicon = export_lexicon(state, views + [other])
         assert lexicon.words == [w for w in vocab.sorted_words() if w != "word0"]
@@ -278,3 +262,29 @@ class TestSerialization:
         )
         with pytest.raises(ParseError, match=r"u.tsv:4: beta components must be finite"):
             read_unified(p)
+
+
+class TestLineBoundaries:
+    # Only "\n" ends a line, as in the line numbers read_input reports.
+    def test_line_number_after_unicode_separator(self, tmp_path):
+        p = tmp_path / "u.tsv"
+        write_unified(p, lexicon_from_betas([("a", (2.0, 1.5, 1.5), 2)]), seed=7)
+        p.write_text(p.read_text().replace("# seed: 7", "# seed: 7\u2028") + "bad\t1\t1\n",
+                     encoding="utf-8")
+        with pytest.raises(ParseError) as e:
+            read_unified(p)
+        assert e.value.line == 5  # title, seed, column header, a, bad
+
+    def test_word_with_next_line_char_kept_whole(self, tmp_path):
+        p = tmp_path / "u.tsv"
+        write_unified(p, lexicon_from_betas([("x\u0085y", (2.0, 1.5, 1.5), 2), ("z", (3.0, 1.0, 1.0), 2)]))
+        assert read_unified(p).words == ["x\u0085y", "z"]
+
+    def test_crlf(self, tmp_path):
+        p = tmp_path / "u.tsv"
+        lexicon = lexicon_from_betas([("a", (2.0, 1.5, 1.5), 2), ("b", (3.0, 1.0, 1.0), 2)])
+        write_unified(p, lexicon, seed=7)
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        back = read_unified(p)
+        assert back.words == ["a", "b"] and back.meta["seed"] == "7"
+        np.testing.assert_allclose(back.beta, lexicon.beta, rtol=1e-11)
