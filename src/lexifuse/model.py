@@ -47,9 +47,9 @@ from .lexica import (
     PAIR_CONTINUOUS,
     RATER_HISTOGRAM,
     SIGNED_CONTINUOUS,
+    CombinedVocabulary,
     LexiconView,
     ScaleFamily,
-    merge_words,
 )
 from .tape import Tape
 
@@ -189,18 +189,18 @@ def encode(head: MlpHead, x: np.ndarray) -> np.ndarray:
 
 
 def posterior_params(
-    views: list[LexiconView], encoders: dict[str, MlpHead]
-) -> tuple[list[str], np.ndarray]:
-    """The views' words, sorted, and beta = 1 + sum over each word's views of
-    omega_d, one row per word; each view's encoder runs once over its value
-    array, in sorted view-id order."""
-    words, rows = merge_words(views)
-    beta = np.ones((len(words), 3))
-    for view, at in sorted(zip(views, rows), key=lambda pair: pair[0].id):
+    views: list[LexiconView], encoders: dict[str, MlpHead], vocab: CombinedVocabulary
+) -> np.ndarray:
+    """beta = 1 + sum of omega_d over the given views covering each word of
+    the vocabulary, one row per vocabulary word (the views' rows are
+    vocab.rows); each view's encoder runs once over its value array, in
+    sorted view-id order."""
+    beta = np.ones((len(vocab), 3))
+    for view in sorted(views, key=lambda v: v.id):
         if view.id not in encoders:
             raise ConfigError(f"no encoder for view {view.id!r}")
-        beta[at] += encode(encoders[view.id], encoder_input(view.family, view.values))
-    return words, beta
+        beta[vocab.rows[view.id]] += encode(encoders[view.id], encoder_input(view.family, view.values))
+    return beta
 
 
 # ---------------------------------------------------------------------------

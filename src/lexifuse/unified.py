@@ -142,8 +142,8 @@ def export_lexicon(model: ModelState, views: list[LexiconView]) -> UnifiedLexico
     """
     vocab = build_vocabulary(views)
     missing = sorted({v.id for v in views} - model.encoders.keys())
-    words, beta = posterior_params([v for v in views if v.id not in missing], model.encoders)
-    n_views = vocab.n_views
+    beta = posterior_params([v for v in views if v.id not in missing], model.encoders, vocab)
+    words, n_views = vocab.words, vocab.n_views
     if missing:
         lost: dict[int, list[str]] = {}  # vocabulary row -> its views without an encoder
         for vid in missing:
@@ -152,9 +152,9 @@ def export_lexicon(model: ModelState, views: list[LexiconView]) -> UnifiedLexico
         for row in sorted(lost):
             log.warning("skipping %r: no encoder for views %s", vocab.words[row], lost[row])
         log.warning("export skipped %d of %d words", len(lost), len(vocab))
-        at = np.fromiter(map(vocab.index.__getitem__, words), np.intp, len(words))
-        keep = np.isin(at, list(lost), invert=True)
-        words, beta, n_views = list(compress(words, keep)), beta[keep], n_views[at[keep]]
+        keep = np.ones(len(vocab), dtype=bool)
+        keep[list(lost)] = False
+        words, beta, n_views = list(compress(words, keep)), beta[keep], n_views[keep]
     mean = beta / beta.sum(axis=1, keepdims=True)
     return UnifiedLexicon(words, beta, mean, n_views)
 

@@ -138,7 +138,7 @@ class TestCriterion1:
                 subset = list(gen.choice(vids, size=k, replace=False))
                 labels = {vid: random_label(ALL_SCALES[vid], gen) for vid in subset}
                 views = [view_of(vid, ALL_SCALES[vid], {"w": labels[vid]}) for vid in subset]
-                _, (beta,) = posterior_params(views, state.encoders)
+                (beta,) = posterior_params(views, state.encoders, build_vocabulary(views))
                 n_views = len(labels)
                 assert abs(sum(b - 1.0 for b in beta) - n_views) < 1e-9
                 assert abs(sum(beta) - (3.0 + n_views)) < 1e-9

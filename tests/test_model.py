@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lexifuse.errors import ConfigError, NumericError, UsageError
 from lexifuse.lexica import (
     binary,
+    build_vocabulary,
     pair_continuous,
     rater_histogram,
     signed_continuous,
@@ -169,8 +170,9 @@ class TestPosteriorParams:
     def test_pseudocount_identity(self, vids):
         state = small_state()
         views = [view_of(vid, ALL_SCALES[vid], {"w": example_label(ALL_SCALES[vid])}) for vid in vids]
-        words, (beta,) = posterior_params(views, state.encoders)
-        assert words == ["w"]
+        vocab = build_vocabulary(views)
+        (beta,) = posterior_params(views, state.encoders, vocab)
+        assert vocab.words == ["w"]
         assert sum(beta) - 3.0 == pytest.approx(len(vids), abs=1e-9)
         assert sum(b - 1.0 for b in beta) == pytest.approx(len(vids), abs=1e-9)
         assert all(b > 1.0 for b in beta)
@@ -180,7 +182,7 @@ class TestPosteriorParams:
         state = small_state({"sig": signed_continuous()})
         view = view_of("other", binary(), {"w": example_label(binary())})
         with pytest.raises(ConfigError):
-            posterior_params([view], state.encoders)
+            posterior_params([view], state.encoders, build_vocabulary([view]))
 
 
 class TestDecode:

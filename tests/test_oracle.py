@@ -15,6 +15,7 @@ import scipy.special as sps
 import scalar_model
 import scalar_special
 import scalar_tape
+from lexifuse import special
 from lexifuse.distributions import gamma_draws
 from lexifuse.model import WordObservation, pack_state, unpack_state
 from lexifuse.rng import stream_for
@@ -93,10 +94,40 @@ def test_gamma_quantile_and_derivative_match_scalar():
         leaf = tape.leaf(s)
         want_dy.append(tape.backward(scalar_model.gamma_sample_var(leaf, v))[leaf.idx])
     np.testing.assert_allclose(dy, want_dy, rtol=1e-12, atol=0)
-    # a 2-d batch agrees with one call per element
-    grid = gamma_quantile(a.reshape(len(UNIFORMS), -1), u.reshape(len(UNIFORMS), -1))
-    one_by_one = [gamma_quantile(s, v) for s, v in zip(a, u)]
-    np.testing.assert_allclose(grid.ravel(), one_by_one, rtol=1e-15, atol=0)
+    # a 2-d batch equals one call per element exactly: every recurrence
+    # decides per element, in blocks that do not depend on the others
+    grid_y, grid_dy = gamma_draws(a.reshape(len(UNIFORMS), -1), u.reshape(len(UNIFORMS), -1))
+    alone = np.array([gamma_draws(s, v) for s, v in zip(a, u)])
+    np.testing.assert_array_equal(grid_y.ravel(), alone[:, 0])
+    np.testing.assert_array_equal(grid_dy.ravel(), alone[:, 1])
+
+
+def count_rounds(monkeypatch, shape, u):
+    """gammainc_p calls of one gamma_quantile call, counted at the module
+    attribute the benchmark's tracer wraps."""
+    calls = []
+    inner = special.gammainc_p
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(special, "gammainc_p", counted)
+    gamma_quantile(shape, u)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_gamma_quantile_rounds(monkeypatch):
+    # Halley rounds from tail-corrected starts: three evaluations of P per
+    # batched quantile on the grid and on a training-sized batch
+    a, u = np.meshgrid(SHAPES, UNIFORMS)
+    assert 1 <= count_rounds(monkeypatch, a, u) <= 3
+    gen = np.random.default_rng(0)
+    shape = 1.0 + 8.0 * gen.random((256, 3))
+    shape[0] = 1.0
+    u = np.clip(gen.random((256, 3)), 1e-12, 1.0 - 1e-12)
+    assert 1 <= count_rounds(monkeypatch, shape, u) <= 3
 
 
 def test_scalar_quantile_upper_tail_matches_scipy():

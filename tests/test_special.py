@@ -6,6 +6,7 @@ from scipy.stats import gamma as sp_gamma
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexifuse.distributions import gamma_draws
 from lexifuse.errors import DomainError
 from lexifuse.special import (
     digamma,
@@ -184,6 +185,29 @@ class TestGammaQuantile:
             gamma_quantile(-1.0, 0.5)
         with pytest.raises(DomainError):
             gamma_quantile(1.0, 1.5)
+
+
+def scipy_quantile(shape, u):
+    # from Q above the median, as the library does, so the upper tail keeps
+    # its digits (1 - u is exact there)
+    return sps.gammainccinv(shape, 1.0 - u) if u > 0.5 else sps.gammaincinv(shape, u)
+
+
+class TestGammaDrawsTrainingRange:
+    # Training shapes are 1 plus one softmax component per covering view, so
+    # [1, 9] for up to 8 views (exactly 1 when the component underflows);
+    # uniforms lie in [1e-12, 1 - 1e-12].
+    @given(
+        st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=9.0)),
+        st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
+    )
+    @settings(max_examples=300)
+    def test_matches_scipy(self, shape, u):
+        y, dy = gamma_draws(shape, u)
+        assert y == pytest.approx(scipy_quantile(shape, u), rel=1e-12, abs=0.0)
+        h = 1e-5 * shape
+        fd = (scipy_quantile(shape + h, u) - scipy_quantile(shape - h, u)) / (2.0 * h)
+        assert dy == pytest.approx(fd, rel=1e-6, abs=0.0)
 
 
 class TestGammaLogPdf:
