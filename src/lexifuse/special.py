@@ -112,9 +112,9 @@ def trigamma(x):
     return acc + inv * (1.0 + 0.5 * inv + inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0))))
 
 
-def _prefactor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x^a e^{-x} / Gamma(a)."""
-    return np.exp(-x + a * np.log(x) - lgamma(a))
+def _prefactor(a: np.ndarray, x: np.ndarray, lgamma_a: np.ndarray) -> np.ndarray:
+    """x^a e^{-x} / Gamma(a), given lgamma(a)."""
+    return np.exp(-x + a * np.log(x) - lgamma_a)
 
 
 def _iterate(block, state: np.ndarray, steps: int, n_out: int) -> np.ndarray:
@@ -280,13 +280,14 @@ def _shape_and_x(name: str, a, x) -> tuple[np.ndarray, np.ndarray]:
     return a, x
 
 
-def gammainc_p(a, x, upper=False):
+def gammainc_p(a, x, upper=False, *, lgamma_a=None):
     """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0; where
     `upper` is true, the upper one Q(a, x) = 1 - P(a, x) instead.
 
     The series gives P and the continued fraction gives Q; each is only
     subtracted from 1 where the other is asked for, so Q keeps its relative
-    accuracy in the upper tail, where P rounds to 1.
+    accuracy in the upper tail, where P rounds to 1.  A caller that already
+    holds lgamma(a) passes it as lgamma_a, and the prefactor reuses it.
     """
     a, x = _shape_and_x("gammainc_p", a, x)
     upper = np.broadcast_to(upper, a.shape)
@@ -295,7 +296,8 @@ def gammainc_p(a, x, upper=False):
     pos = x > 0.0
     ser = pos & (x < a + 1.0)
     cf = pos & ~ser
-    f = _prefactor(a[pos], x[pos])
+    lgamma_a = lgamma(a) if lgamma_a is None else np.broadcast_to(lgamma_a, a.shape)
+    f = _prefactor(a[pos], x[pos], lgamma_a[pos])
     lower[ser] = _gser(a[ser], x[ser]) * f[ser[pos]]
     tail[cf] = _gcf(a[cf], x[cf]) * f[cf[pos]]
     lower[cf] = 1.0 - tail[cf]
@@ -312,7 +314,7 @@ def gammainc_p_da(a, x) -> tuple[np.ndarray, np.ndarray]:
     ser = pos & (x < a + 1.0)
     cf = pos & ~ser
     ap, xp = a[pos], x[pos]
-    f = _prefactor(ap, xp)
+    f = _prefactor(ap, xp, lgamma(ap))
     df = f * (np.log(xp) - digamma(ap))
     fs, dfs, (s, ds) = f[ser[pos]], df[ser[pos]], _gser_da(a[ser], x[ser])
     p[ser], dp[ser] = fs * s, dfs * s + fs * ds
@@ -421,7 +423,7 @@ def gamma_quantile(shape, u):
     for _ in range(200):
         if not live.size:
             return out.reshape(shape.shape)
-        f = gammainc_p(a, x, upper)
+        f = gammainc_p(a, x, upper, lgamma_a=log_norm)
         err = np.where(upper, target - f, f - target)  # P(x) - u either way
         above = err > 0.0
         hi = np.where(above, x, hi)

@@ -2,7 +2,7 @@
 Dirichlet draws (independent of the quantile route training runs), the
 per-word noise route training used before it drew each word's uniforms in
 one call, the pathwise-gradient harness, a one-word ELBO on a fresh tape,
-and a fused lexicon built from pseudocounts.
+a fused lexicon built from pseudocounts, and the text-by-text featurizer.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 
 from lexifuse.distributions import _SIMPLEX_EPS, dirichlet_sample_vars
 from lexifuse.errors import ConfigError, DomainError
+from lexifuse.evaluation import Featurizer, LabeledCorpus
 from lexifuse.model import BatchElbo, ModelBinding, ModelState, WordObservation, elbo_batch
 from lexifuse.rng import RngStream
 from lexifuse.tape import Node, Tape, rowwise
@@ -142,3 +143,17 @@ def lexicon_from_betas(rows) -> UnifiedLexicon:
     return UnifiedLexicon(
         [w for w, _, _ in rows], beta, beta / beta.sum(axis=1, keepdims=True), [n for _, _, n in rows]
     )
+
+
+def featurize_text(featurizer: Featurizer, tokens) -> np.ndarray:
+    """One text's features token by token: the mean of its covered tokens'
+    rows (each token case-folded and looked up), or zeros without one."""
+    feats = [f for t in tokens if (f := featurizer.word_feature(t)) is not None]
+    if not feats:
+        return np.zeros(featurizer.dim)
+    return np.mean(feats, axis=0)
+
+
+def featurize_corpus(featurizer: Featurizer, corpus: LabeledCorpus) -> np.ndarray:
+    """Featurizer.featurize_corpus, one text at a time."""
+    return np.array([featurize_text(featurizer, text) for text in corpus.texts])

@@ -269,12 +269,13 @@ class TestCriterion3:
         path = reparam_grad_samples(sum_of_squares, beta, n_path, rng)
         sgen = RngStream(13)
         psi_total = digamma(sum(beta))
+        psi_beta = [digamma(b) for b in beta]  # loop-invariant
         score = np.empty((n_score, 3))
         for i in range(n_score):
             z = sample_dirichlet(beta, sgen)
             f = z[0] ** 2 + z[1] ** 2 + z[2] ** 2
             for k in range(3):
-                score[i, k] = f * (psi_total - digamma(beta[k]) + math.log(z[k]))
+                score[i, k] = f * (psi_total - psi_beta[k] + math.log(z[k]))
         mp, sp = path.mean(axis=0), path.std(axis=0) / math.sqrt(n_path)
         ms, ss = score.mean(axis=0), score.std(axis=0) / math.sqrt(n_score)
         assert np.all(np.abs(mp - ms) < 3 * np.hypot(sp, ss)), (mp, ms, sp, ss)

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexifuse.errors import ConfigError, ParseError, UsageError
+from lexifuse import evaluation
+from lexifuse.errors import ConfigError, LexifuseError, ParseError, UsageError
 from lexifuse.evaluation import (
     GRAD_TOL,
     L2,
+    Featurizer,
     LabeledCorpus,
     LogisticModel,
     coverage,
@@ -33,6 +35,7 @@ from lexifuse.lexica import (
     signed_continuous,
 )
 from lexifuse.rng import RngStream
+from reference import featurize_corpus as oracle_corpus
 from reference import lexicon_from_betas
 from row_lexica import PolarityLabel, coarse_sentiment, concat_feature, label_of, single_feature, view_of
 
@@ -111,6 +114,40 @@ class TestLabeledCorpus:
         assert len(tr) == 2 and len(te) == 1
         with pytest.raises(ConfigError):
             split_corpus(c, 3)
+
+
+# A corpus line: a label-like head, a tab (sometimes missing) and any text.
+CORPUS_LINE = st.builds(
+    lambda head, sep, body: head + sep + body,
+    st.one_of(st.sampled_from(["0", "1", "-1", "+2", " 3", "1_0", "\u0663", "9" * 5000, "#", ""]),
+              st.text(max_size=4)),
+    st.sampled_from(["\t", "\t", " ", ""]),
+    st.text(),
+)
+# A line read_corpus accepts: a row, a comment or a blank.
+GOOD_LINE = st.one_of(st.builds("{}\t{}".format, st.sampled_from(["0", "1", "2", " 1", "+1", "\u0663"]), st.text()),
+                      st.sampled_from(["", "  ", "# note", " #\tx"]))
+
+
+class TestReadCorpusFuzz:
+    @given(st.one_of(st.text(), st.binary(), st.lists(CORPUS_LINE).map("\n".join),
+                     st.lists(GOOD_LINE).map("\n".join),
+                     st.lists(st.one_of(CORPUS_LINE, st.binary().map(lambda b: b.decode("latin-1"))))
+                     .map("\r\n".join)),
+           st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_only_typed_errors_escape(self, tmp_path_factory, body, n_classes):
+        path = tmp_path_factory.mktemp("fuzz") / "corpus.tsv"
+        path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8", "surrogatepass"))
+        try:
+            corpus = read_corpus(path, n_classes)
+        except LexifuseError:
+            return
+        assert len(corpus.texts) == len(corpus.labels) >= 1
+        assert all(0 <= y < corpus.n_classes for y in corpus.labels)
+        types, token_type, lengths = corpus.token_index
+        assert [types[i] for i in token_type] == [t for text in corpus.texts for t in text]
+        assert lengths.tolist() == [len(text) for text in corpus.texts]
 
 
 class TestWordFeature:
@@ -209,6 +246,11 @@ class TestWordFeature:
             make_featurizer("bogus", unified=lex)
 
 
+def featurize_one(featurizer, tokens):
+    """The library's features of one text, as a one-text corpus."""
+    return featurizer.featurize_corpus(LabeledCorpus((tuple(tokens),), (0,), 1))[0]
+
+
 class TestFeaturizeText:
     def setup_method(self):
         self.f = single(
@@ -216,23 +258,90 @@ class TestFeaturizeText:
         )
 
     def test_mean_of_covered(self):
-        np.testing.assert_allclose(self.f.featurize_text(["good", "bad"]), [0.0])
-        np.testing.assert_allclose(self.f.featurize_text(["good", "unknown"]), [1.0])
+        np.testing.assert_allclose(featurize_one(self.f, ["good", "bad"]), [0.0])
+        np.testing.assert_allclose(featurize_one(self.f, ["good", "unknown"]), [1.0])
 
     def test_uncovered_is_zero(self):
-        np.testing.assert_array_equal(self.f.featurize_text(["x", "y"]), [0.0])
-        np.testing.assert_array_equal(self.f.featurize_text([]), [0.0])
+        np.testing.assert_array_equal(featurize_one(self.f, ["x", "y"]), [0.0])
+        np.testing.assert_array_equal(featurize_one(self.f, []), [0.0])
 
     @given(st.permutations(["good", "bad", "fine", "zzz"]))
     def test_permutation_invariant(self, tokens):
-        base = self.f.featurize_text(["good", "bad", "fine", "zzz"])
-        np.testing.assert_allclose(self.f.featurize_text(tokens), base)
+        base = featurize_one(self.f, ["good", "bad", "fine", "zzz"])
+        np.testing.assert_allclose(featurize_one(self.f, tokens), base)
 
     def test_duplication_invariant(self):
         tokens = ["good", "bad", "zzz"]
         np.testing.assert_allclose(
-            self.f.featurize_text(tokens * 3), self.f.featurize_text(tokens)
+            featurize_one(self.f, tokens * 3), featurize_one(self.f, tokens)
         )
+
+
+# Words of the differential test's views and lexicon: mixed case, and "ß",
+# which case-folds to "ss".
+DIFF_WORDS = ["good", "bad", "fine", "meh", "ss", "awful", "great", "okay", "dull", "vivid"]
+DIFF_TOKENS = DIFF_WORDS + ["Good", "BAD", "ß", "SS", "Straße", "zzz", "", "unknown"]
+DIFF_MODES = ["fused-mean", "fused-beta", "concat", "single:bin", "single:pair", "single:rater", "single:sig"]
+
+
+def _diff_featurizers(data):
+    def covered(values):
+        return data.draw(st.dictionaries(st.sampled_from(DIFF_WORDS), values, min_size=1))
+
+    unit = st.floats(0.0, 1.0)
+    views = [
+        view_of("bin", binary(), covered(st.integers(0, 1))),
+        view_of("pair", pair_continuous(), covered(st.tuples(unit, unit))),
+        view_of("rater", rater_histogram(3, 5), covered(st.tuples(*[st.integers(0, 4)] * 3))),
+        view_of("sig", signed_continuous(), covered(st.floats(-1.0, 1.0))),
+    ]
+    # the fused lexicon keeps its words' case; lookups case-fold both sides
+    fused_words = data.draw(st.lists(st.sampled_from(DIFF_WORDS + ["Vivid", "DULL", "Straße"]),
+                                     unique_by=str.casefold, min_size=1))
+    rows = []
+    for w in fused_words:
+        n, share = data.draw(st.integers(1, 6)), np.array(data.draw(st.tuples(*[st.floats(0.01, 1.0)] * 3)))
+        rows.append((w, tuple(1.0 + n * share / share.sum()), n))
+    lex = lexicon_from_betas(rows)
+    return {mode: make_featurizer(mode, unified=lex, views=views) for mode in DIFF_MODES}
+
+
+class TestFeaturizeCorpus:
+    """featurize_corpus against the text-by-text oracle, bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_text_by_text_oracle(self, data):
+        featurizers = _diff_featurizers(data)
+        drawn = data.draw(st.lists(st.lists(st.sampled_from(DIFF_TOKENS), max_size=40), max_size=12))
+        texts = [
+            [],  # empty
+            ["zzz", "unknown", "Zzz"],  # nothing covered
+            ["Good"],  # one token
+            DIFF_WORDS * 4,  # 40 tokens, more than 8 covered in every mode
+            ["good", "GOOD", "good", "ß", "Straße"],  # repeats and mixed case
+        ] + drawn
+        corpus = LabeledCorpus(tuple(map(tuple, data.draw(st.permutations(texts)))), (0,) * len(texts), 1)
+        for mode, f in featurizers.items():
+            got = f.featurize_corpus(corpus)
+            want = oracle_corpus(f, corpus)
+            assert got.shape == (len(texts), f.dim), mode
+            assert np.array_equal(got, want), mode
+
+    @pytest.mark.parametrize("gather_floats", [100, evaluation._GATHER_FLOATS])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 14])
+    def test_means_of_m_rows(self, dim, gather_floats, monkeypatch):
+        # numpy sums 8 or more values pairwise along a contiguous axis; the
+        # grouped mean must round as the one-text mean does at every count,
+        # whether a group is gathered whole or in parts
+        monkeypatch.setattr(evaluation, "_GATHER_FLOATS", gather_floats)
+        rng = np.random.default_rng(dim)
+        rows = rng.standard_normal((43, dim)) * 10.0 ** np.arange(dim)
+        f = Featurizer("test", {f"w{i}": i for i in range(43)}, rows)
+        texts = tuple(tuple(f"w{i}" for i in rng.integers(0, 43, m)) for m in range(41))
+        texts += tuple(t[::-1] for t in texts) + texts[-3:] * 20
+        corpus = LabeledCorpus(texts, (0,) * len(texts), 1)
+        assert np.array_equal(f.featurize_corpus(corpus), oracle_corpus(f, corpus))
 
 
 class TestFitLogistic:
