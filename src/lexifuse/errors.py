@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, the one reader of input
-files that maps their failures onto it, and the one writer of artifacts.
+files that maps their failures onto it, the one splitter of tab-separated
+input files into fields, and the one writer of artifacts.
 
 Each class maps to one CLI exit-code category: usage/configuration -> 2,
 parse/domain -> 3, numeric -> 4.
@@ -8,7 +9,10 @@ parse/domain -> 3, numeric -> 4.
 import contextlib
 import os
 import secrets
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 
 class LexifuseError(Exception):
@@ -75,10 +79,55 @@ def read_lines(path: Path, what: str) -> list[str]:
     list is line i of read_input's error messages; a carriage return right
     before it is dropped.  Other Unicode line boundaries (U+0085, U+2028,
     ...) stay inside their line."""
-    lines = read_input(path, what).replace("\r\n", "\n").split("\n")
+    text = read_input(path, what)
+    lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
     if lines[-1].endswith("\r"):
         lines[-1] = lines[-1][:-1]
     return lines
+
+
+# First bytes that surely start a data line; other lines are classed by str.lstrip.
+_DATA_START = np.array([0x20 < b < 0x7F and b != ord("#") for b in range(256)])
+
+
+class Rows:
+    """An input file's data rows, split into tab-separated fields in one pass.
+
+    The data rows are the lines (as read_lines gives them) that are neither
+    blank nor a comment by str.lstrip().  `numbers` holds each row's line
+    number, `fields` all rows' fields one row after another, `counts` each
+    row's number of fields, and `others` each other line by its number.
+    """
+
+    def __init__(self, path: Path, what: str):
+        lines = read_lines(path, what)
+        raw = np.frombuffer("\n".join(lines).encode() + b"\n", np.uint8)
+        ends = np.flatnonzero(raw == 10)
+        data = _DATA_START[raw[np.concatenate(([0], ends[:-1] + 1))]]  # each line's first byte
+        for i in np.flatnonzero(~data).tolist():
+            data[i] = lines[i].lstrip()[:1] not in ("", "#")
+        # an ASCII byte never occurs inside a multi-byte UTF-8 sequence
+        tabs = np.searchsorted(np.flatnonzero(raw == ord("\t")), ends)
+        self.numbers = np.flatnonzero(data) + 1
+        self.counts = np.diff(tabs, prepend=0)[data] + 1
+        self.others = {i + 1: lines[i] for i in np.flatnonzero(~data).tolist()}
+        joined = "\t".join(compress(lines, data.tolist()))
+        del raw, lines  # freed before the fields exist, which hold the same text
+        self.fields = joined.split("\t") if len(self.numbers) else []
+
+    def column(self, c: int) -> list[str]:
+        """Field c of every row; every row must have more than c fields."""
+        k = self.counts
+        if len(k) and k.min() == k.max():
+            return self.fields[c::k[0]]
+        return list(map(self.fields.__getitem__, (np.cumsum(k) - k + c).tolist()))
+
+    def walk(self):
+        """Each row's line number and fields, in file order."""
+        start = 0
+        for line, count in zip(self.numbers.tolist(), self.counts.tolist()):
+            yield line, self.fields[start:start + count]
+            start += count
 
 
 @contextlib.contextmanager

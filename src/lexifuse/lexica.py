@@ -6,11 +6,13 @@ positive/negative call, some a signed strength, some a (positive, negative)
 pair, some a histogram of rater scores.  Each file is parsed into a
 LexiconView held as columns: its words, sorted, case-folded and unique, and
 one (n, width) float array of their label values, checked against the
-view's declared ScaleFamily.  Parsing checks the rows' field counts and
-words, converts every label token, and checks each family's domain on the
-whole array at once; only when a check fails does it look for the first
-failing row, which it reports at its line.  The vocabulary, the priors, the
-encoder inputs, the featurizers and the writers all read these columns.
+view's declared ScaleFamily.  Parsing splits the file into fields in one
+pass (errors.Rows), then checks the field counts and the words, converts
+the labels and checks the family's domain a whole column at a time; only
+when one of these checks fails does it walk the rows one by one, in file
+order, to raise the first bad row's error at its line.  The vocabulary, the
+priors, the encoder inputs, the featurizers and the writers all read these
+columns.
 
 The latent polarity components are indexed (positive, negative, neutral) =
 (0, 1, 2) everywhere in this package.
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError, atomic_write, read_lines
+from .errors import ConfigError, DomainError, ParseError, Rows, atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -333,40 +335,6 @@ def _parse_header_family(line: str, path: str) -> ScaleFamily:
         raise ParseError(str(e), path=path, line=1) from e
 
 
-class _FirstBad:
-    """The earliest failing row found so far and the error it raises.
-
-    The parser's checks run in the order a row-by-row reader meets them,
-    each on the rows before `at` only, which passed every earlier check; so
-    the row left at `at` and its error are the first a row-by-row reader
-    raises.
-    """
-
-    def __init__(self, n: int):
-        self.at = n
-        self.error: tuple[type, str] | None = None
-
-    def note(self, i: int, error: type, message: str) -> None:
-        if i < self.at:
-            self.at, self.error = i, (error, message)
-
-    def raise_at(self, path, line_numbers: list[int]) -> None:
-        """Raise the noted error, if any, at its row's line."""
-        if self.error:
-            error, message = self.error
-            raise error(message, path=str(path), line=line_numbers[self.at])
-
-
-def _first_rejected(convert, items: list[str]) -> int:
-    """The index of the first item that convert rejects with ValueError."""
-    for i, item in enumerate(items):
-        try:
-            convert(item)
-        except ValueError:
-            return i
-    raise AssertionError("every item converts")
-
-
 def _single_digit_ratings(tokens: list[str], width: int) -> np.ndarray | None:
     """The ratings as an (n, width) array if every token is `width` single
     ASCII digits joined by commas (then every odd character of the tokens
@@ -379,67 +347,56 @@ def _single_digit_ratings(tokens: list[str], width: int) -> np.ndarray | None:
     return None
 
 
-def _label_values(tokens: list[str], family: ScaleFamily, binary_tokens: dict[str, int],
-                  bad: _FirstBad) -> np.ndarray:
-    """The tokens' labels as an (n, width) float array, valid for the tokens
-    before bad.at once bad has noted the first token that is not a label of
-    the family (its index into tokens)."""
+def _stripped(fields: list[str]) -> list[str]:
+    """The fields, each str.strip()ped; they hold no whitespace (and need no
+    stripping) if they split at whitespace into one part once joined."""
+    joined = "".join(fields)
+    return fields if joined.split() == [joined] else list(map(str.strip, fields))
+
+
+def _label_values(tokens: list[str], family: ScaleFamily, binary_tokens: dict) -> np.ndarray | None:
+    """The tokens' labels as an (n, width) float array, converted on whole
+    columns as float() (int() for ratings) reads each number; None unless
+    every token is a label of the family."""
     tag, width = family.tag, family.width
+    try:
+        if tag == BINARY:
+            table = {"0": 0, "1": 1, **binary_tokens}  # any other token maps to None, then nan
+            values = np.array(list(map(table.get, casefold_each(tokens))), dtype=float)
+        elif tag == SIGNED_CONTINUOUS:
+            values = np.array(tokens, dtype=float)
+        elif tag == PAIR_CONTINUOUS or (values := _single_digit_ratings(tokens, width)) is None:
+            numbers = ",".join(tokens).split(",") if tokens else []
+            if list(map(",".join, zip(*[iter(numbers)] * width))) != tokens:  # a token of the wrong size
+                return None
+            values = np.array(numbers if tag == PAIR_CONTINUOUS else list(map(int, numbers)), dtype=float)
+    except (ValueError, OverflowError):  # not a number, or a rating beyond the float range
+        return None
+    values = values.reshape(-1, width)
+    return None if out_of_domain(family, values).any() else values
+
+
+def _check_row(fields: list[str], schema: ViewSchema, family: ScaleFamily, needed: int) -> None:
+    """Raise the ParseError or DomainError that one data row's fields make."""
+    if len(fields) < needed:
+        raise ParseError(f"expected at least {needed} tab-separated fields, got {len(fields)}")
+    word = fields[schema.word_col].strip()
+    if not word:
+        raise ParseError("empty word")
+    token = ",".join(fields[c].strip() for c in (schema.value_col, schema.neg_col) if c is not None)
+    if len(word.split()) > 1 or _label_values([token], family, schema.binary_tokens) is not None:
+        return  # a multi-word entry, skipped, or a label of the family
+    tag = family.tag
     if tag == BINARY:
-        table = {"0": 0, "1": 1, **binary_tokens}
-        numbers = list(map(table.get, casefold_each(tokens)))
-        if None in numbers:
-            i = numbers.index(None)
-            bad.note(i, DomainError, f"unrecognized binary label {tokens[i]!r}")
-            del numbers[i:]
-        return np.array(numbers, dtype=float).reshape(-1, 1)
-    if tag == RATER_HISTOGRAM:
-        values = _single_digit_ratings(tokens, width)
-        if values is not None:
-            outside = out_of_domain(family, values)
-            if outside.any():
-                i = int(np.argmax(outside))
-                bad.note(i, DomainError, _domain_message(family, tuple(map(int, values[i]))))
-            return values
-
-    if tag == SIGNED_CONTINUOUS:
-        fields, starts = tokens, range(len(tokens) + 1)
-    else:
-        sizes = [t.count(",") + 1 for t in tokens]
-        if tag == PAIR_CONTINUOUS and sizes and (min(sizes) < 2 or max(sizes) > 2):
-            i = [size != 2 for size in sizes].index(True)
-            bad.note(i, ParseError, f"pair label needs two comma-separated values, got {tokens[i]!r}")
-            del sizes[i:]
-        fields = ",".join(tokens[: len(sizes)]).split(",") if sizes else []
-        starts = [0, *np.cumsum(sizes).tolist()]  # each row's first field
-    convert = int if tag == RATER_HISTOGRAM else float
+        raise DomainError(f"unrecognized binary label {token!r}")
+    parts = [token] if tag == SIGNED_CONTINUOUS else token.split(",")
+    if tag == PAIR_CONTINUOUS and len(parts) != 2:
+        raise ParseError(f"pair label needs two comma-separated values, got {token!r}")
     try:
-        numbers = list(map(convert, fields))
+        numbers = list(map(int if tag == RATER_HISTOGRAM else float, parts))
     except ValueError:
-        i = int(np.searchsorted(starts, _first_rejected(convert, fields), side="right")) - 1
-        bad.note(i, ParseError, f"unparseable label {tokens[i]!r}")
-        numbers = list(map(convert, fields[: starts[i]]))
-
-    def value(i):  # row i as the parsed label a message shows
-        row = numbers[starts[i]:starts[i + 1]]
-        return row[0] if tag == SIGNED_CONTINUOUS else tuple(row)
-
-    if tag == RATER_HISTOGRAM:
-        wrong_size = np.diff(starts[: bad.at + 1]) != width
-        if wrong_size.any():
-            i = int(np.argmax(wrong_size))
-            bad.note(i, DomainError, _domain_message(family, value(i)))
-    numbers = numbers[: bad.at * width]
-    try:
-        values = np.array(numbers, dtype=float).reshape(-1, width)
-    except OverflowError:  # a rating beyond the float range, outside the domain either way
-        clipped = [min(max(x, -1), family.n_points) for x in numbers]
-        values = np.array(clipped, dtype=float).reshape(-1, width)
-    outside = out_of_domain(family, values)
-    if outside.any():
-        i = int(np.argmax(outside))
-        bad.note(i, DomainError, _domain_message(family, value(i)))
-    return values
+        raise ParseError(f"unparseable label {token!r}") from None
+    raise DomainError(_domain_message(family, numbers[0] if tag == SIGNED_CONTINUOUS else tuple(numbers)))
 
 
 def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> LexiconView:
@@ -450,15 +407,16 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
     resolve last-wins; entries containing whitespace are skipped.  Both are
     counted and logged as warnings.  The first bad row (too few fields, an
     empty word, or a label that does not parse or lies outside the family's
-    domain) raises a ParseError or DomainError at its line.
+    domain) raises a ParseError or DomainError at its line.  Each column is
+    checked whole; the rows are walked one by one only once a check fails.
     """
     path = Path(path)
     schema = schema or ViewSchema()
-    lines = read_lines(path, "lexicon file")
+    rows = Rows(path, "lexicon file")
 
     family = schema.family
-    if lines[0].startswith("#family="):
-        header_family = _parse_header_family(lines[0], str(path))
+    if rows.others.get(1, "").startswith("#family="):
+        header_family = _parse_header_family(rows.others[1], str(path))
         if family is None:
             family = header_family
         elif family != header_family:
@@ -475,42 +433,41 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
         if given and family.tag != tag:
             raise ConfigError(f"{path}: schema option {option} applies only to {tag}, not {family.tag}")
 
-    # data rows: the lines that are neither blank nor a comment
-    numbers = [n for n, s in enumerate(map(str.lstrip, lines), start=1) if s[:1] not in ("", "#")]
-    rows = [lines[n - 1].split("\t") for n in numbers]
-    bad = _FirstBad(len(rows))
     needed = max(schema.word_col, schema.value_col, schema.neg_col or 0) + 1
-    if rows and min(map(len, rows)) < needed:
-        i = [len(fields) < needed for fields in rows].index(True)
-        bad.note(i, ParseError, f"expected at least {needed} tab-separated fields, got {len(rows[i])}")
-    words = [fields[schema.word_col].strip() for fields in rows[: bad.at]]
-    if "" in words:
-        bad.note(words.index(""), ParseError, "empty word")
-        del words[bad.at:]
-    # a stripped word splits into more than one part only if it holds whitespace
-    kept = range(len(words))
-    if len(" ".join(words).split()) != len(words):
-        kept = [i for i, word in enumerate(words) if len(word.split()) == 1]
-    tokens = [rows[i][schema.value_col].strip() for i in kept]
-    if schema.neg_col is not None:
-        tokens = [f"{t},{rows[i][schema.neg_col].strip()}" for t, i in zip(tokens, kept)]
-    label_bad = _FirstBad(len(tokens))
-    values = _label_values(tokens, family, schema.binary_tokens, label_bad)
-    if label_bad.error:
-        bad.note(kept[label_bad.at], *label_bad.error)
-    bad.raise_at(path, numbers)
+    values = None
+    if not len(rows.counts) or rows.counts.min() >= needed:
+        words = _stripped(rows.column(schema.word_col))
+        tokens = _stripped(rows.column(schema.value_col))
+        if schema.neg_col is not None:
+            tokens = list(map("{},{}".format, tokens, _stripped(rows.column(schema.neg_col))))
+        # stripped words joined split into more than one part only if one holds whitespace
+        kept = range(len(words))
+        if len("".join(words).split()) > 1:
+            kept = [i for i, word in enumerate(words) if len(word.split()) == 1]
+            tokens = list(map(tokens.__getitem__, kept))
+        if "" not in words:
+            values = _label_values(tokens, family, schema.binary_tokens)
+    if values is None:  # some row is bad: walk them in file order to raise its error
+        for line, fields in rows.walk():
+            try:
+                _check_row(fields, schema, family, needed)
+            except ParseError as e:
+                raise type(e)(str(e), path=str(path), line=line) from None
+        raise AssertionError(f"{path}: a column check failed on rows that all pass")
 
-    folded = casefold_each([words[i] for i in kept])
+    if len(kept) < len(words):
+        log.warning("%s: %d multi-word entries skipped", path, len(words) - len(kept))
+    folded = casefold_each(list(map(words.__getitem__, kept)))
+    try:  # rows already sorted by their case-folded words, as write_lexicon writes them
+        return LexiconView(schema.id or path.stem, family, folded, values)
+    except ConfigError:  # the view holds its words sorted and unique
+        pass
     last = dict(zip(folded, range(len(folded))))  # a repeated word keeps its last row
-    n_dupes = len(folded) - len(last)
-    n_skipped = len(words) - len(kept)
-    if n_dupes:
-        log.warning("%s: %d duplicate words resolved last-wins", path, n_dupes)
-    if n_skipped:
-        log.warning("%s: %d multi-word entries skipped", path, n_skipped)
+    if len(last) < len(folded):
+        log.warning("%s: %d duplicate words resolved last-wins", path, len(folded) - len(last))
     order = sorted(last)
     rows_kept = np.fromiter(map(last.__getitem__, order), np.intp, len(order))
-    return LexiconView(id=schema.id or path.stem, family=family, words=order, values=values[rows_kept])
+    return LexiconView(schema.id or path.stem, family, order, values[rows_kept])
 
 
 def write_lexicon(view: LexiconView, path: str | Path) -> None:

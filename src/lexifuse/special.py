@@ -380,8 +380,11 @@ def gamma_quantile(shape, u):
     iterating; an element stops after a relative step of 1e-12, which is
     applied (the residual is then cubically smaller, below roundoff).  Over
     the training range (shape in [1, 9], u in [1e-12, 1 - 1e-12]) that takes
-    three rounds.  Converges for the shapes this package uses (anything in
-    (0, 1e4)).
+    three rounds.  It converges for any shape in (0, 1e4) whose quantile is
+    at least 1e-300; near 0 the quantile is about (u Gamma(1 + shape))^(1 /
+    shape), so small shapes at small u fall below the double range and raise
+    NumericError: gamma_quantile(0.0138, 1e-6) would be about 1e-435, while
+    gamma_quantile(0.02, 1e-6) is 5.7e-301.  Training shapes are at least 1.
     """
     shape, u = np.broadcast_arrays(np.asarray(shape, dtype=float), _unit_open("gamma_quantile", u))
     _check("gamma_quantile", "shape > 0", shape, shape > 0.0)

@@ -5,8 +5,10 @@ sorted by case-folded word: `words`, `beta` (n, 3), `mean` (n, 3) and
 `n_views` (n,).  Its constructor checks the invariants once, vectorized, for
 an export and a file read alike: every beta component is finite and >= 1,
 n_views >= 1, sum(beta) - 3 equals n_views, and mean equals beta / sum(beta).
-Each test is written to pass only on a good value, so nan and inf fail it;
-`read_unified` reports the first failing row as a ParseError at its line.
+Each test is written to pass only on a good value, so nan and inf fail it.
+`read_unified` splits the file in one pass (errors.Rows) and converts each
+value column whole; when a row does not read, a word repeats or a check
+fails, it reports the first failing row as a ParseError at its line.
 
 The on-disk form is a UTF-8 TSV with `#` attribution headers (tool version,
 seed, config hash) and values printed with `%.12g`, one row per word in the
@@ -22,13 +24,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ParseError, atomic_write, read_lines
+from .errors import ConfigError, ParseError, Rows, atomic_write
 from .lexica import LexiconView, build_vocabulary, casefold_each
 from .model import ModelState, posterior_params
 
@@ -181,62 +183,51 @@ def write_unified(
             f.writelines(map(row.__mod__, zip(*(column[lo:lo + _WRITE_ROWS] for column in columns))))
 
 
-def read_unified(path: str | Path) -> UnifiedLexicon:
-    path = Path(path)
-    meta: dict[str, str] = {}
-    words: list[str] = []
-    values: list[list[float]] = []
-    n_views: list[int] = []
+def _first_bad_row(rows: Rows, path: Path) -> None:
+    """Raise the first bad row's ParseError: a wrong column count, a value
+    that does not parse, an n_views beyond int64 or a repeated word."""
     first_line: dict[str, int] = {}
-    saw_header = False
-    for lineno, raw in enumerate(read_lines(path, "unified lexicon file"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if ":" in body:
-                key, value = body.split(":", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        parts = raw.split("\t")
-        if not saw_header:
-            if tuple(parts) != _COLUMNS:
-                raise ParseError(
-                    f"expected header {' '.join(_COLUMNS)!r}, got {raw!r}",
-                    path=str(path),
-                    line=lineno,
-                )
-            saw_header = True
-            continue
-        if len(parts) != len(_COLUMNS):
-            raise ParseError(
-                f"expected {len(_COLUMNS)} columns, got {len(parts)}",
-                path=str(path),
-                line=lineno,
-            )
+    for line, parts in islice(rows.walk(), 1, None):
         try:
-            row = [float(p) for p in parts[1:7]]
-            n = int(parts[7])
+            if len(parts) != len(_COLUMNS):
+                raise ValueError(f"expected {len(_COLUMNS)} columns, got {len(parts)}")
+            [float(p) for p in parts[1:7]]
+            if not -2**63 <= (n := int(parts[7])) < 2**63:
+                raise ValueError(f"n_views {n} is beyond int64")
+            if (key := parts[0].casefold()) in first_line:
+                raise ValueError(f"word {parts[0]!r} repeats line {first_line[key]}")
         except ValueError as e:
-            raise ParseError(str(e), path=str(path), line=lineno) from e
-        if not -2**63 <= n < 2**63:
-            raise ParseError(f"n_views {n} is beyond int64", path=str(path), line=lineno)
-        key = parts[0].casefold()
-        if key in first_line:
-            raise ParseError(
-                f"word {parts[0]!r} repeats line {first_line[key]}", path=str(path), line=lineno
-            )
-        first_line[key] = lineno
-        words.append(parts[0])
-        values.append(row)
-        n_views.append(n)
-    if not saw_header:
+            raise ParseError(str(e), path=str(path), line=line) from None
+        first_line[key] = line
+
+
+def read_unified(path: str | Path) -> UnifiedLexicon:
+    """Read a unified lexicon file: `#` comments give the meta, the first
+    row is the column header.  Each value column is converted whole; only
+    when that or the lexicon's checks fail are the rows walked in file
+    order, to raise the first bad row's ParseError at its line."""
+    path = Path(path)
+    rows = Rows(path, "unified lexicon file")
+    meta: dict[str, str] = {}
+    for text in rows.others.values():  # blank and comment lines, in file order
+        body = text.strip().lstrip("#").strip()
+        if ":" in body:
+            key, value = body.split(":", 1)
+            meta[key.strip()] = value.strip()
+    if not len(rows.numbers):
         raise ParseError("missing header row", path=str(path), line=1)
-    table = np.array(values, dtype=float).reshape(-1, 6)
+    if tuple(header := rows.fields[:rows.counts[0]]) != _COLUMNS:
+        raw = "\t".join(header)
+        raise ParseError(f"expected header {' '.join(_COLUMNS)!r}, got {raw!r}", path=str(path),
+                         line=int(rows.numbers[0]))
     try:
-        return UnifiedLexicon(words, table[:, :3], table[:, 3:], n_views, meta)
-    except ConfigError as e:
-        row_lines = list(first_line.values())  # each row's line, in file order
-        at = row_lines[e.row] if isinstance(e, _InvalidRow) else None
+        if (rows.counts != len(_COLUMNS)).any():
+            raise ValueError("a row's column count differs")
+        columns = [rows.column(c)[1:] for c in range(len(_COLUMNS))]
+        values = np.array(columns[1:7], dtype=float)
+        n_views = np.array(list(map(int, columns[7])), dtype=np.int64)
+        return UnifiedLexicon(columns[0], values[:3].T, values[3:].T, n_views, meta)
+    except (ValueError, OverflowError, ConfigError) as e:
+        _first_bad_row(rows, path)  # raises unless every row reads and no word repeats
+        at = int(rows.numbers[e.row + 1]) if isinstance(e, _InvalidRow) else None
         raise ParseError(str(e), path=str(path), line=at) from e

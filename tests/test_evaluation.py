@@ -1,5 +1,7 @@
 import logging
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -427,6 +429,19 @@ class TestFitLogistic:
     def test_single_class_rejected(self):
         with pytest.raises(UsageError):
             fit_logistic(np.array([[1.0], [2.0]]), np.array([1, 1]))
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(UsageError, match="at least two classes"):
+            fit_logistic(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    def test_fit_leaves_numpy_ma_unimported(self):
+        # numpy.ma costs about 30 ms to import; nothing in a fit needs it
+        code = ("import sys, numpy as np\n"
+                "from lexifuse.evaluation import fit_logistic\n"
+                "fit_logistic(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 0, 1, 1]))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(UsageError):

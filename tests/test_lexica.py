@@ -556,6 +556,13 @@ FILE_WORDS = ["good", "Good", "GOOD", "bad", "ok", "Straße", "STRASSE", "not go
 def _number_token(draw, family):
     """A label token: mostly in the family's domain, sometimes out of it or
     malformed."""
+    if family.tag == "PairContinuous" and draw(st.booleans()):
+        # two numbers joined by a comma, each spelled in a way float() reads
+        return ",".join(draw(st.sampled_from(
+            [_number_token(draw, signed_continuous()), "1_0", "\u0663", "0.2_5", "\u0660.\u0665"]))
+            for _ in range(2))
+    if family.tag == "SignedContinuous" and draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(["1_0", "\u0663", "0.2_5", "-\u0660.\u0665", "1__0", "_1"]))
     kind = draw(st.sampled_from(["good"] * 6 + ["outside", "malformed"]))
     if family.tag == "Binary":
         return draw(st.sampled_from(
@@ -606,7 +613,7 @@ def lexicon_files(draw):
 
     lines = [family.header()] if header else []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["row"] * 8 + ["comment", "blank", "short"]))
+        kind = draw(st.sampled_from(["row"] * 8 + ["comment", "blank", "short", "short+long", "padded"]))
         if kind == "comment":
             lines.append(draw(st.sampled_from(["# note", "  #indented", "#"])))
         elif kind == "blank":
@@ -622,7 +629,14 @@ def lexicon_files(draw):
                 cells[value_col] = token
             if kind == "short":
                 cells = cells[: draw(st.integers(1, len(cells) - 1))]
+            if kind == "padded":
+                # whitespace or a lone carriage return next to a tab
+                pad = st.sampled_from(["", " ", "\u00a0", "\x1c", "\u2003", "\x0b", "\r", "\x85"])
+                cells = [draw(pad) + cell + draw(pad) for cell in cells]
             lines.append("\t".join(cells))
+            if kind == "short+long":
+                # one field too few, then one too many: the file's tab count balances
+                lines[-1:] = ["\t".join(cells[:-1]), "\t".join(cells + ["extra"])]
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(lines) + (eol if draw(st.booleans()) else "")
     return text, schema
@@ -674,6 +688,16 @@ class TestParseAgainstOracle:
         got = _columnar(path, None)
         assert got == _row_by_row(path, None)
         assert got[3] == line and message in got[2]
+
+    def test_one_bad_row_near_the_end_of_a_long_file(self, tmp_path):
+        # the column checks fail on the whole file; the row scan finds the row
+        rows = [f"w{i:05d}\t{(i % 200) / 100 - 1}" for i in range(20_000)]
+        rows[19_990] = "w19990\t0.5.5"
+        path = tmp_path / "lex.tsv"
+        path.write_text("#family=SignedContinuous\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        got = _columnar(path, None)
+        assert got == _row_by_row(path, None)
+        assert got[1:] == (ParseError, f"{path}:19992: unparseable label '0.5.5'", 19_992)
 
     def test_non_ascii_digits(self, tmp_path):
         # int() reads any Unicode decimal digit; single ASCII digits take a

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexifuse.distributions import gamma_draws
-from lexifuse.errors import DomainError
+from lexifuse.errors import DomainError, NumericError
 from lexifuse.special import (
     digamma,
     gamma_log_pdf,
@@ -179,6 +179,12 @@ class TestGammaQuantile:
     def test_monotone_in_u(self):
         xs = [gamma_quantile(2.5, u) for u in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a < b for a, b in zip(xs, xs[1:]))
+
+    def test_quantile_below_the_double_range_raises(self):
+        # about (u Gamma(1 + a))^(1 / a): 1e-435 at a = 0.0138, 5.7e-301 at a = 0.02
+        with pytest.raises(NumericError, match="failed to converge"):
+            gamma_quantile(0.0138, 1e-6)
+        assert gamma_quantile(0.02, 1e-6) == pytest.approx(float(sps.gammaincinv(0.02, 1e-6)), rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):

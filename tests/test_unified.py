@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexifuse.errors import ConfigError, ParseError
+from lexifuse.errors import ConfigError, LexifuseError, ParseError
 from lexifuse.lexica import (
     binary,
     build_vocabulary,
@@ -19,6 +21,7 @@ from lexifuse.unified import (
 )
 from reference import lexicon_from_betas
 from row_lexica import label_of, membership, view_of
+from row_unified import read_unified as row_read_unified
 from scalar_model import ModelBinding, encode_vars
 from scalar_tape import Tape
 
@@ -288,3 +291,82 @@ class TestLineBoundaries:
         back = read_unified(p)
         assert back.words == ["a", "b"] and back.meta["seed"] == "7"
         np.testing.assert_allclose(back.beta, lexicon.beta, rtol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# The column reader against the line-by-line oracle
+
+UNIFIED_WORDS = ["good", "Good", "bad", "Straße", "STRASSE", "ok", "x\u0085y", "ǅ", "ǆ", "ß", "", " a "]
+
+
+@st.composite
+def unified_files(draw):
+    """The text of a unified lexicon file: mostly valid rows, with repeated
+    words, short, long and empty fields, numbers that do not parse, n_views
+    beyond int64, broken invariants, comments, blanks and CRLF line ends."""
+    lines = ["# unified polarity lexicon (lexifuse 0.1.0)", "# seed: 3"]
+    header = "\t".join(["word", "beta_pos", "beta_neg", "beta_neu", "mean_pos", "mean_neg", "mean_neu",
+                        "n_views"])
+    if draw(st.integers(0, 9)):
+        lines.append(header)
+    else:  # no header, or a header with a stray field or space
+        lines.append(draw(st.sampled_from(["", header + "\textra", header + " ", header.upper()])))
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["row"] * 10 + ["comment", "blank", "short", "long", "empty",
+                                                   "number", "n_views", "invariant"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# config_hash: abc", "  # note: x", "#"])))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        n = draw(st.integers(1, 8))
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3)))
+        beta = 1.0 + n * weights / weights.sum()
+        cells = [draw(st.sampled_from(UNIFIED_WORDS)), *("%.12g" % x for x in beta),
+                 *("%.12g" % x for x in beta / beta.sum()), str(n)]
+        if kind == "short":
+            cells = cells[: draw(st.integers(1, 7))]
+        elif kind == "long":
+            cells.append(draw(st.sampled_from(["", "1", "extra"])))
+        elif kind == "empty":
+            cells[draw(st.integers(1, 7))] = ""
+        elif kind == "number":
+            cells[draw(st.integers(1, 6))] = draw(
+                st.sampled_from(["x", "1.2.3", "--1", "1_0", "\u0663", " 2 "]))
+        elif kind == "n_views":
+            cells[7] = draw(st.sampled_from([str(2**63), str(-2**63 - 1), "9" * 30, "1.0", "+2", "2_0"]))
+        elif kind == "invariant":
+            cells[draw(st.integers(1, 7))] = draw(st.sampled_from(["0.5", "nan", "inf", "0", "100"]))
+        lines.append("\t".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def _read(read, path):
+    """What a reader makes of a file: its arrays and meta, or its error."""
+    try:
+        lex = read(path)
+    except LexifuseError as e:
+        return ("error", type(e), str(e), getattr(e, "line", None))
+    return ("ok", lex.words, lex.beta.tobytes(), lex.mean.tobytes(), lex.n_views.tolist(), lex.meta)
+
+
+class TestReadUnifiedAgainstOracle:
+    @given(st.one_of(unified_files(), st.text()))
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_line_by_line(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("uni") / "u.tsv"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        assert _read(read_unified, path) == _read(row_read_unified, path)
+
+    def test_one_bad_row_near_the_end_of_a_long_file(self, tmp_path):
+        p = tmp_path / "u.tsv"
+        rows = [(f"w{i:05d}", (1.0 + i % 7, 1.5, 1.5), 1 + i % 7) for i in range(20_000)]
+        write_unified(p, lexicon_from_betas(rows), seed=1)
+        lines = p.read_text().split("\n")
+        lines[19_990] = lines[19_990].replace("\t1.5\t", "\tx\t", 1)
+        p.write_text("\n".join(lines))
+        got = _read(read_unified, p)
+        assert got == _read(row_read_unified, p)
+        assert got[1:] == (ParseError, f"{p}:19991: could not convert string to float: 'x'", 19_991)
