@@ -118,8 +118,6 @@ class Rows:
     def column(self, c: int) -> list[str]:
         """Field c of every row; every row must have more than c fields."""
         k = self.counts
-        if len(k) and k.min() == k.max():
-            return self.fields[c::k[0]]
         return list(map(self.fields.__getitem__, (np.cumsum(k) - k + c).tolist()))
 
     def walk(self):

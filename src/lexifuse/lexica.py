@@ -347,13 +347,6 @@ def _single_digit_ratings(tokens: list[str], width: int) -> np.ndarray | None:
     return None
 
 
-def _stripped(fields: list[str]) -> list[str]:
-    """The fields, each str.strip()ped; they hold no whitespace (and need no
-    stripping) if they split at whitespace into one part once joined."""
-    joined = "".join(fields)
-    return fields if joined.split() == [joined] else list(map(str.strip, fields))
-
-
 def _label_values(tokens: list[str], family: ScaleFamily, binary_tokens: dict) -> np.ndarray | None:
     """The tokens' labels as an (n, width) float array, converted on whole
     columns as float() (int() for ratings) reads each number; None unless
@@ -436,10 +429,10 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
     needed = max(schema.word_col, schema.value_col, schema.neg_col or 0) + 1
     values = None
     if not len(rows.counts) or rows.counts.min() >= needed:
-        words = _stripped(rows.column(schema.word_col))
-        tokens = _stripped(rows.column(schema.value_col))
+        words = list(map(str.strip, rows.column(schema.word_col)))
+        tokens = list(map(str.strip, rows.column(schema.value_col)))
         if schema.neg_col is not None:
-            tokens = list(map("{},{}".format, tokens, _stripped(rows.column(schema.neg_col))))
+            tokens = list(map("{},{}".format, tokens, map(str.strip, rows.column(schema.neg_col))))
         # stripped words joined split into more than one part only if one holds whitespace
         kept = range(len(words))
         if len("".join(words).split()) > 1:
@@ -455,16 +448,12 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
                 raise type(e)(str(e), path=str(path), line=line) from None
         raise AssertionError(f"{path}: a column check failed on rows that all pass")
 
-    if len(kept) < len(words):
-        log.warning("%s: %d multi-word entries skipped", path, len(words) - len(kept))
     folded = casefold_each(list(map(words.__getitem__, kept)))
-    try:  # rows already sorted by their case-folded words, as write_lexicon writes them
-        return LexiconView(schema.id or path.stem, family, folded, values)
-    except ConfigError:  # the view holds its words sorted and unique
-        pass
     last = dict(zip(folded, range(len(folded))))  # a repeated word keeps its last row
     if len(last) < len(folded):
         log.warning("%s: %d duplicate words resolved last-wins", path, len(folded) - len(last))
+    if len(kept) < len(words):
+        log.warning("%s: %d multi-word entries skipped", path, len(words) - len(kept))
     order = sorted(last)
     rows_kept = np.fromiter(map(last.__getitem__, order), np.intp, len(order))
     return LexiconView(schema.id or path.stem, family, order, values[rows_kept])

@@ -223,7 +223,8 @@ def read_unified(path: str | Path) -> UnifiedLexicon:
     try:
         if (rows.counts != len(_COLUMNS)).any():
             raise ValueError("a row's column count differs")
-        columns = [rows.column(c)[1:] for c in range(len(_COLUMNS))]
+        width = len(_COLUMNS)  # every row has it: each column is a slice, past the header row
+        columns = [rows.fields[width + c::width] for c in range(width)]
         values = np.array(columns[1:7], dtype=float)
         n_views = np.array(list(map(int, columns[7])), dtype=np.int64)
         return UnifiedLexicon(columns[0], values[:3].T, values[3:].T, n_views, meta)

@@ -213,6 +213,15 @@ class TestParseLexicon:
         assert set(view.entries) == {"fine"}
         assert "multi-word" in caplog.text
 
+    def test_sorted_file_with_duplicates_keeps_last_and_warns_in_order(self, tmp_path, caplog):
+        p = tmp_path / "lex.tsv"
+        p.write_text("#family=SignedContinuous\nbad\t-0.5\ngood\t0.5\nGood\t0.9\nnot good\t-0.5\n")
+        with caplog.at_level(logging.WARNING):
+            view = parse_lexicon(p)
+        assert view.words == ["bad", "good"] and view.values[:, 0].tolist() == [-0.5, 0.9]
+        assert [r.getMessage().split(": ", 1)[1] for r in caplog.records] == [
+            "1 duplicate words resolved last-wins", "1 multi-word entries skipped"]
+
     def test_case_folding(self, tmp_path):
         p = tmp_path / "lex.tsv"
         p.write_text("#family=Binary\nPeppy\t1\n")
