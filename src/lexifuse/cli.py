@@ -1,9 +1,12 @@
 """Command-line pipeline: synth -> validate -> train -> export -> eval.
 
-Every artifact carries attribution headers (tool version, seed, config
-hash) and every run with the same inputs and seed writes byte-identical
-outputs.  Error exit codes by category: 2 usage/configuration, 3
-parse/domain, 4 numeric.
+Corpora, `truth.tsv`, `unified.tsv` and `report.csv` open with the
+attribution header (errors.header: tool version, seed, config hash); view
+files carry only their `#family=` header, `training_log.csv` none, and
+`checkpoint.json` its config hash and seed as JSON fields.  Runs with the
+same inputs and seed write byte-identical outputs, apart from the wall
+times in `training_log.csv`.  Error exit codes by category: 2
+usage/configuration, 3 parse/domain, 4 numeric.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, LexifuseError, atomic_write
+from .errors import ConfigError, LexifuseError, header, write_lines
 from .evaluation import (
     coverage,
     evaluate,
@@ -71,12 +74,8 @@ def cmd_synth(args) -> int:
     for view in data.views:
         write_lexicon(view, out / f"view_{view.id}.tsv")
     write_corpus(out / "corpus.tsv", data.corpus, seed=args.seed)
-    truth_lines = [f"# ground-truth word classes (lexifuse {__version__})", f"# seed: {args.seed}"]
-    truth_lines += [
-        f"{w}\t{COMPONENTS[c]}" for w, c in sorted(data.word_classes.items())
-    ]
-    with atomic_write(out / "truth.tsv") as f:
-        f.write("\n".join(truth_lines) + "\n")
+    truth = [f"{w}\t{COMPONENTS[c]}" for w, c in sorted(data.word_classes.items())]
+    write_lines(out / "truth.tsv", header("ground-truth word classes", seed=args.seed) + truth)
     if args.train_fraction is not None:
         n_train = round(args.train_fraction * len(data.corpus))
         train_c, test_c = split_corpus(data.corpus, n_train)
@@ -137,13 +136,7 @@ def cmd_export(args) -> int:
                 f"was trained on {trained.header()}"
             )
     lexicon = export_lexicon(state, views)
-    extra = meta.get("extra") or {}
-    write_unified(
-        args.out,
-        lexicon,
-        seed=extra.get("seed"),
-        config_hash=meta.get("config_hash") or None,
-    )
+    write_unified(args.out, lexicon, seed=meta["extra"].get("seed"), config_hash=meta["config_hash"] or None)
     print(f"exported {len(lexicon)} words to {args.out}")
     return 0
 

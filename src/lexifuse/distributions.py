@@ -34,12 +34,15 @@ def dirichlet_kl(beta, alpha) -> np.ndarray:
         raise DomainError("dirichlet_kl: dimension mismatch")
     if not (np.all(beta > 0.0) and np.all(alpha > 0.0)):
         raise DomainError("dirichlet_kl requires positive parameters")
-    bsum = beta.sum(axis=-1)
-    dg_bsum = digamma(bsum)
-    acc = lgamma(bsum) - lgamma(alpha.sum(axis=-1))
-    for k in range(beta.shape[-1]):
-        b, a = beta[..., k], alpha[..., k]
-        acc = acc + (lgamma(a) - lgamma(b) + (b - a) * (digamma(b) - dg_bsum))
+    beta, alpha = np.broadcast_arrays(beta, alpha)
+    n, bsum = beta.shape[-1], beta.sum(axis=-1)
+    b, a = np.moveaxis(beta, -1, 0), np.moveaxis(alpha, -1, 0)  # component k is b[k], a[k]
+    # one call per special function, on the sums and the components stacked
+    lg = lgamma(np.stack([bsum, alpha.sum(axis=-1), *b, *a]))
+    dg = digamma(np.stack([bsum, *b]))
+    acc = lg[0] - lg[1]
+    for k in range(n):
+        acc = acc + (lg[2 + n + k] - lg[2 + k] + (b[k] - a[k]) * (dg[1 + k] - dg[0]))
     return acc
 
 
@@ -51,7 +54,8 @@ def dirichlet_kl_var(beta: tp.Node, alpha: np.ndarray) -> tp.Node:
     """
     b = beta.value
     diff = b - alpha
-    jac = diff * trigamma(b) - (trigamma(b.sum(axis=1)) * diff.sum(axis=1))[:, None]
+    tg = trigamma(np.column_stack([b, b.sum(axis=1)]))
+    jac = diff * tg[:, :-1] - (tg[:, -1] * diff.sum(axis=1))[:, None]
     return tp.rowwise(beta, dirichlet_kl(b, alpha), jac)
 
 

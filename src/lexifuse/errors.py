@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package, the one reader of input
 files that maps their failures onto it, the one splitter of tab-separated
-input files into fields, and the one writer of artifacts.
+input files into fields, and the one writer of artifacts, which owns the
+text-artifact format: the attribution header (`header`, read back by
+`header_meta`), FLOAT_FORMAT and `write_lines`.
 
 Each class maps to one CLI exit-code category: usage/configuration -> 2,
 parse/domain -> 3, numeric -> 4.
@@ -9,10 +11,20 @@ parse/domain -> 3, numeric -> 4.
 import contextlib
 import os
 import secrets
+from collections.abc import Iterable
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
+
+from . import __version__
+
+# Every computed float a text artifact prints.  12 significant digits do not
+# round-trip a double exactly (1/3 needs 17), so a value read back can differ
+# from the written one by half a unit in its 12th digit.  Reruns are still
+# byte-identical, because equal doubles print the same, and a value read back
+# prints as it was read, because a 12-digit decimal survives a double.
+FLOAT_FORMAT = "%.12g"
 
 
 class LexifuseError(Exception):
@@ -143,3 +155,29 @@ def atomic_write(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write `lines` to `path` through atomic_write, each followed by a line
+    feed; lines from an iterator are formatted as they are written."""
+    with atomic_write(path) as f:
+        f.writelines(line + "\n" for line in lines)
+
+
+def header(title: str, *, seed: int | None = None, config_hash: str | None = None) -> list[str]:
+    """An artifact's attribution header: its title with the tool version,
+    then a `key: value` line for the seed and the config hash when given."""
+    given = {"seed": seed, "config_hash": config_hash}
+    return [f"# {title} (lexifuse {__version__})", *(f"# {k}: {v}" for k, v in given.items() if v is not None)]
+
+
+def header_meta(comments: Iterable[str]) -> dict[str, str]:
+    """The `key: value` pairs of a file's comment and blank lines, in file
+    order (a later key wins), as `header` writes them."""
+    meta: dict[str, str] = {}
+    for text in comments:
+        body = text.strip().lstrip("#").strip()
+        if ":" in body:
+            key, value = body.split(":", 1)
+            meta[key.strip()] = value.strip()
+    return meta

@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .errors import ConfigError, ParseError, UsageError, atomic_write, read_lines
+from .errors import FLOAT_FORMAT, ConfigError, ParseError, UsageError, header, read_lines, write_lines
 from .lexica import (
     BINARY,
     NEGATIVE,
@@ -120,15 +119,10 @@ def write_corpus(
     seed: int | None = None,
     config_hash: str | None = None,
 ) -> None:
-    lines = [f"# labeled corpus (lexifuse {__version__})"]
-    if seed is not None:
-        lines.append(f"# seed: {seed}")
-    if config_hash is not None:
-        lines.append(f"# config_hash: {config_hash}")
+    lines = header("labeled corpus", seed=seed, config_hash=config_hash)
     for label, text in zip(corpus.labels, corpus.texts):
         lines.append(f"{label}\t{' '.join(text)}")
-    with atomic_write(path) as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def split_corpus(corpus: LabeledCorpus, n_train: int) -> tuple[LabeledCorpus, LabeledCorpus]:
@@ -387,19 +381,9 @@ REPORT_COLUMNS = ("mode", "dataset", "n_train", "n_test", "accuracy", "coverage"
 
 
 def write_report(path: str | Path, rows: list[dict], *, seed=None, config_hash=None) -> None:
-    lines = [f"# evaluation report (lexifuse {__version__})"]
-    if seed is not None:
-        lines.append(f"# seed: {seed}")
-    if config_hash is not None:
-        lines.append(f"# config_hash: {config_hash}")
-    lines.append(",".join(REPORT_COLUMNS))
-    for r in rows:
-        lines.append(
-            f"{r['mode']},{r['dataset']},{r['n_train']},{r['n_test']},"
-            f"{r['accuracy']:.12g},{r['coverage']:.12g},{r['feature_dim']}"
-        )
-    with atomic_write(path) as f:
-        f.write("\n".join(lines) + "\n")
+    row = ",".join(["%s"] * 4 + [FLOAT_FORMAT] * 2 + ["%s"])  # accuracy and coverage are floats
+    lines = [*header("evaluation report", seed=seed, config_hash=config_hash), ",".join(REPORT_COLUMNS)]
+    write_lines(path, lines + [row % tuple(map(r.__getitem__, REPORT_COLUMNS)) for r in rows])
 
 
 # ---------------------------------------------------------------------------

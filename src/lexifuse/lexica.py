@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError, Rows, atomic_write
+from .errors import ConfigError, DomainError, ParseError, Rows, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -461,14 +461,14 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
 
 def write_lexicon(view: LexiconView, path: str | Path) -> None:
     """Serialize a view to the normalized format (sorted, round-trip exact):
-    integers for binary and rater labels, repr() floats otherwise."""
+    integers for binary and rater labels, repr() floats otherwise.  A view
+    file is an input to later runs, so its floats must read back exactly,
+    which errors.FLOAT_FORMAT's 12 digits do not."""
     if view.family.tag in (BINARY, RATER_HISTOGRAM):
         labels = [",".join(map(str, row)) for row in view.values.astype(np.int64).tolist()]
     else:
         labels = [",".join(map(repr, row)) for row in view.values.tolist()]
-    with atomic_write(path) as f:
-        f.write(view.family.header() + "\n")
-        f.writelines(f"{word}\t{label}\n" for word, label in zip(view.words, labels))
+    write_lines(path, [view.family.header(), *map("{}\t{}".format, view.words, labels)])
 
 
 def build_vocabulary(views: list[LexiconView]) -> CombinedVocabulary:

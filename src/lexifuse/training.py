@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, UsageError, atomic_write, read_lines
+from .errors import FLOAT_FORMAT, ConfigError, DomainError, NumericError, UsageError, read_lines, write_lines
 from .lexica import CombinedVocabulary, LexiconView, ScaleFamily, out_of_domain
 from .model import (
     MlpHead,
@@ -219,14 +219,9 @@ class TrainResult:
 
 
 def write_training_log(path: str | Path, rows: list[dict]) -> None:
-    lines = ["epoch,mean_elbo,recon_term,kl_term,wall_time_s"]
-    for r in rows:
-        lines.append(
-            f"{r['epoch']},{r['mean_elbo']:.12g},{r['recon_term']:.12g},"
-            f"{r['kl_term']:.12g},{r['wall_time_s']:.3f}"
-        )
-    with atomic_write(path) as f:
-        f.write("\n".join(lines) + "\n")
+    columns = ("epoch", "mean_elbo", "recon_term", "kl_term", "wall_time_s")
+    row = ",".join(["%s", *[FLOAT_FORMAT] * 3, "%.3f"])
+    write_lines(path, [",".join(columns), *(row % tuple(map(r.__getitem__, columns)) for r in rows)])
 
 
 def train(

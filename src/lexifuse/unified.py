@@ -10,27 +10,23 @@ Each test is written to pass only on a good value, so nan and inf fail it.
 value column whole; when a row does not read, a word repeats or a check
 fails, it reports the first failing row as a ParseError at its line.
 
-The on-disk form is a UTF-8 TSV with `#` attribution headers (tool version,
-seed, config hash) and values printed with `%.12g`, one row per word in the
-lexicon's order.  That does not round-trip a double exactly (1/3 needs 17
-digits): a value read back can differ from the exported one by half a unit
-in its 12th significant digit.  Reruns are byte-identical because equal
-doubles format the same way, and rewriting a file that was read back
-reproduces it byte for byte, because a 12-digit decimal survives the trip
-through a double.
+The on-disk form is a UTF-8 TSV with the `#` attribution header (tool
+version, seed, config hash) and values printed with errors.FLOAT_FORMAT, one
+row per word in the lexicon's order.  A value read back can differ from the
+exported one in its 12th significant digit, but rewriting a file that was
+read back reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .errors import ConfigError, ParseError, Rows, atomic_write
+from .errors import FLOAT_FORMAT, ConfigError, ParseError, Rows, header, header_meta, write_lines
 from .lexica import LexiconView, build_vocabulary, casefold_each
 from .model import ModelState, posterior_params
 
@@ -46,8 +42,6 @@ _COLUMNS = (
     "mean_neu",
     "n_views",
 )
-# Rows formatted per write when a unified file is written.
-_WRITE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -168,19 +162,10 @@ def write_unified(
     seed: int | None = None,
     config_hash: str | None = None,
 ) -> None:
-    lines = [f"# unified polarity lexicon (lexifuse {__version__})"]
-    if seed is not None:
-        lines.append(f"# seed: {seed}")
-    if config_hash is not None:
-        lines.append(f"# config_hash: {config_hash}")
-    lines.append("\t".join(_COLUMNS))
-    row = "\t".join(["%s", *["%.12g"] * 6, "%d"]) + "\n"
+    head = [*header("unified polarity lexicon", seed=seed, config_hash=config_hash), "\t".join(_COLUMNS)]
+    row = "\t".join(["%s", *[FLOAT_FORMAT] * 6, "%d"])
     columns = [lexicon.words, *np.hstack([lexicon.beta, lexicon.mean]).T.tolist(), lexicon.n_views.tolist()]
-    with atomic_write(path) as f:
-        f.write("\n".join(lines) + "\n")
-        # a block of rows at a time, so the rows never exist as text all at once
-        for lo in range(0, len(lexicon), _WRITE_ROWS):
-            f.writelines(map(row.__mod__, zip(*(column[lo:lo + _WRITE_ROWS] for column in columns))))
+    write_lines(path, chain(head, map(row.__mod__, zip(*columns))))
 
 
 def _first_bad_row(rows: Rows, path: Path) -> None:
@@ -208,16 +193,10 @@ def read_unified(path: str | Path) -> UnifiedLexicon:
     order, to raise the first bad row's ParseError at its line."""
     path = Path(path)
     rows = Rows(path, "unified lexicon file")
-    meta: dict[str, str] = {}
-    for text in rows.others.values():  # blank and comment lines, in file order
-        body = text.strip().lstrip("#").strip()
-        if ":" in body:
-            key, value = body.split(":", 1)
-            meta[key.strip()] = value.strip()
     if not len(rows.numbers):
         raise ParseError("missing header row", path=str(path), line=1)
-    if tuple(header := rows.fields[:rows.counts[0]]) != _COLUMNS:
-        raw = "\t".join(header)
+    if tuple(names := rows.fields[:rows.counts[0]]) != _COLUMNS:
+        raw = "\t".join(names)
         raise ParseError(f"expected header {' '.join(_COLUMNS)!r}, got {raw!r}", path=str(path),
                          line=int(rows.numbers[0]))
     try:
@@ -227,7 +206,7 @@ def read_unified(path: str | Path) -> UnifiedLexicon:
         columns = [rows.fields[width + c::width] for c in range(width)]
         values = np.array(columns[1:7], dtype=float)
         n_views = np.array(list(map(int, columns[7])), dtype=np.int64)
-        return UnifiedLexicon(columns[0], values[:3].T, values[3:].T, n_views, meta)
+        return UnifiedLexicon(columns[0], values[:3].T, values[3:].T, n_views, header_meta(rows.others.values()))
     except (ValueError, OverflowError, ConfigError) as e:
         _first_bad_row(rows, path)  # raises unless every row reads and no word repeats
         at = int(rows.numbers[e.row + 1]) if isinstance(e, _InvalidRow) else None

@@ -1,8 +1,10 @@
 """Reference code that only the tests use: a rejection sampler for Gamma and
 Dirichlet draws (independent of the quantile route training runs), the
 per-word noise route training used before it drew each word's uniforms in
-one call, the pathwise-gradient harness, a one-word ELBO on a fresh tape,
-a fused lexicon built from pseudocounts, and the text-by-text featurizer.
+one call, the Dirichlet KL and its Jacobian with one special-function call
+per component, the pathwise-gradient harness, a one-word ELBO on a fresh
+tape, a fused lexicon built from pseudocounts, and the text-by-text
+featurizer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from lexifuse.errors import ConfigError, DomainError
 from lexifuse.evaluation import Featurizer, LabeledCorpus
 from lexifuse.model import BatchElbo, ModelBinding, ModelState, WordObservation, elbo_batch
 from lexifuse.rng import RngStream
+from lexifuse.special import digamma, lgamma, trigamma
 from lexifuse.tape import Node, Tape, rowwise
 from lexifuse.unified import UnifiedLexicon
 
@@ -68,6 +71,26 @@ def elbo_noise(rng: RngStream, n_mc: int) -> list[list[float]]:
     return [
         [min(max(rng.uniform(), 1e-12), 1.0 - 1e-12) for _ in range(3)] for _ in range(n_mc)
     ]
+
+
+def dirichlet_kl_per_component(beta, alpha) -> np.ndarray:
+    """dirichlet_kl with lgamma and digamma called once per sum and once per
+    component column."""
+    beta, alpha = np.asarray(beta, dtype=float), np.asarray(alpha, dtype=float)
+    bsum = beta.sum(axis=-1)
+    dg_bsum = digamma(bsum)
+    acc = lgamma(bsum) - lgamma(alpha.sum(axis=-1))
+    for k in range(beta.shape[-1]):
+        b, a = beta[..., k], alpha[..., k]
+        acc = acc + (lgamma(a) - lgamma(b) + (b - a) * (digamma(b) - dg_bsum))
+    return acc
+
+
+def dirichlet_kl_jacobian(beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The (n, k) Jacobian dirichlet_kl_var puts on the tape, with trigamma
+    called on the components and on the row sums apart."""
+    diff = beta - alpha
+    return diff * trigamma(beta) - (trigamma(beta.sum(axis=1)) * diff.sum(axis=1))[:, None]
 
 
 def elbo_word(obs: WordObservation, state: ModelState, n_mc: int, rng: RngStream) -> BatchElbo:

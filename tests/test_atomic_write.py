@@ -5,7 +5,6 @@ leaves the previous file as it was and no temporary file behind."""
 import numpy as np
 import pytest
 
-import lexifuse.unified as unified_module
 from lexifuse import errors
 from lexifuse.errors import atomic_write
 from lexifuse.evaluation import write_report
@@ -78,8 +77,9 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, name):
     assert p.read_bytes() != before
 
 
-def test_unified_failing_in_second_block(tmp_path, monkeypatch):
-    # rows go out a block at a time; an error in a later block keeps the old file
+def test_unified_failing_in_second_block(tmp_path):
+    # rows are formatted as they are written; a row that fails after earlier
+    # rows went out keeps the old file
     p = tmp_path / "u.tsv"
     write_unified(p, lexicon_from_betas([("w", (2.0, 1.5, 1.5), 2)]))
     before = p.read_bytes()
@@ -97,7 +97,6 @@ def test_unified_failing_in_second_block(tmp_path, monkeypatch):
         def __len__(self):
             return 3
 
-    monkeypatch.setattr(unified_module, "_WRITE_ROWS", 1)
     with pytest.raises(RuntimeError, match="row 2"):
         write_unified(p, Broken())
     assert p.read_bytes() == before

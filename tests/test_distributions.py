@@ -18,6 +18,8 @@ from lexifuse.rng import RngStream
 from lexifuse.special import gamma_quantile
 from lexifuse.tape import Tape
 from reference import (
+    dirichlet_kl_jacobian,
+    dirichlet_kl_per_component,
     linear_objective,
     product01,
     reparam_grad_elbo,
@@ -112,6 +114,46 @@ class TestDirichletKl:
             dirichlet_kl((1.0, 1.0), (1.0, 1.0, 1.0))
         with pytest.raises(DomainError):
             dirichlet_kl((1.0, 0.0, 1.0), (1.0, 1.0, 1.0))
+
+
+def kl_cases() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(beta, alpha) batches: 256 random rows as training sees them, then
+    components exactly 1.0, a flat prior, components below 1 and one row."""
+    rng = np.random.default_rng(5)
+    batch = 1.0 + rng.gamma(0.7, 3.0, size=(256, 3))
+    prior = 1.0 + rng.gamma(0.3, 2.0, size=(256, 3))
+    ones = batch.copy()
+    ones[::2, 0] = 1.0
+    ones[::3] = 1.0
+    small = rng.uniform(0.01, 2.0, size=(64, 3))
+    return {"random": (batch, prior), "ones": (ones, prior), "flat": (batch, np.ones_like(batch)),
+            "small": (small, small[::-1].copy()), "one_row": (batch[:1], prior[:1])}
+
+
+class TestDirichletKlAgainstPerComponent:
+    """One stacked call per special function gives the per-component
+    formula's values and Jacobian bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(kl_cases()))
+    def test_batches_bitwise(self, case):
+        beta, alpha = kl_cases()[case]
+        want = dirichlet_kl_per_component(beta, alpha)
+        assert dirichlet_kl(beta, alpha).tobytes() == want.tobytes()
+        tape = Tape()
+        leaf = tape.leaf(beta)
+        node = dirichlet_kl_var(leaf, alpha)
+        assert node.value.tobytes() == want.tobytes()
+        assert tape.backward(summed(node))[leaf.idx].tobytes() == dirichlet_kl_jacobian(beta, alpha).tobytes()
+
+    def test_one_dimensional_bitwise(self):
+        for beta, alpha in [((4 / 3, 4 / 3, 4 / 3), (1.0, 1.0, 1.0)), ((1.0, 1.0, 1.0), (2.5, 1.0, 1.0)),
+                            ((3.0, 2.5, 1.2), (1.0, 4.0, 1.0)), ((0.3, 7.0, 1.0), (0.2, 0.9, 12.0))]:
+            got, want = dirichlet_kl(beta, alpha), dirichlet_kl_per_component(beta, alpha)
+            assert np.shape(got) == () and float(got).hex() == float(want).hex()
+
+    def test_broadcast_prior_bitwise(self):
+        beta, alpha = kl_cases()["random"][0], np.array([1.0, 2.0, 1.5])
+        assert dirichlet_kl(beta, alpha).tobytes() == dirichlet_kl_per_component(beta, alpha).tobytes()
 
 
 class TestDirichletKlVar:
