@@ -128,13 +128,6 @@ def cmd_train(args) -> int:
 def cmd_export(args) -> int:
     state, meta = load_checkpoint(args.checkpoint)
     views = _load_views(args.views)
-    for view in views:
-        trained = state.scales.get(view.id)
-        if trained is not None and trained != view.family:
-            raise ConfigError(
-                f"view {view.id!r} is {view.family.header()}, but the checkpoint "
-                f"was trained on {trained.header()}"
-            )
     lexicon = export_lexicon(state, views)
     write_unified(args.out, lexicon, seed=meta["extra"].get("seed"), config_hash=meta["config_hash"] or None)
     print(f"exported {len(lexicon)} words to {args.out}")

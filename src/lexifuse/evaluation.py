@@ -380,10 +380,21 @@ def restrict_vocabulary(fused: UnifiedLexicon, view: LexiconView) -> UnifiedLexi
 REPORT_COLUMNS = ("mode", "dataset", "n_train", "n_test", "accuracy", "coverage", "feature_dim")
 
 
+def _csv_field(value) -> str:
+    """A free-text field quoted as csv.QUOTE_MINIMAL quotes one: when it holds
+    a comma, a double quote, a CR or an LF."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_report(path: str | Path, rows: list[dict], *, seed=None, config_hash=None) -> None:
     row = ",".join(["%s"] * 4 + [FLOAT_FORMAT] * 2 + ["%s"])  # accuracy and coverage are floats
     lines = [*header("evaluation report", seed=seed, config_hash=config_hash), ",".join(REPORT_COLUMNS)]
-    write_lines(path, lines + [row % tuple(map(r.__getitem__, REPORT_COLUMNS)) for r in rows])
+    for r in rows:  # mode and dataset are free text
+        lines.append(row % (_csv_field(r["mode"]), _csv_field(r["dataset"]), *map(r.__getitem__, REPORT_COLUMNS[2:])))
+    write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -224,8 +224,9 @@ class ViewSchema:
 
     family None means the file's own `#family=` header declares it.  Binary
     token maps let files spell 1/0 as e.g. positive/negative.  Nonnegative
-    column indices select fields from tab-separated rows; pair labels may
-    sit in one comma-joined column or split across value_col/neg_col.
+    column indices, no two the same, select fields from tab-separated rows;
+    pair labels may sit in one comma-joined column or split across
+    value_col/neg_col.
     """
 
     family: ScaleFamily | None = None
@@ -236,10 +237,16 @@ class ViewSchema:
     binary_tokens: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        named: dict[int, str] = {}  # column -> the option naming it
         for key in ("word_col", "value_col", "neg_col"):
             col = getattr(self, key)
-            if col is not None and col < 0:
+            if col is None:
+                continue
+            if col < 0:
                 raise ConfigError(f"schema option {key} must be a nonnegative column index, got {col}")
+            if col in named:
+                raise ConfigError(f"schema options {named[col]} and {key} both name column {col}")
+            named[col] = key
 
 
 # Family words of a schema string; auto leaves the family to the file header.

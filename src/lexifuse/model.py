@@ -18,15 +18,14 @@ The view's scale family alone picks the emission:
 - RaterHistogram: each rating drawn from one categorical over n_points,
   whose logits are the n_points raw decoder outputs.
 
-Each quantity has one numerical path.  Training builds a minibatch's ELBO
-on the array tape (ModelBinding + elbo_batch): each layer function
+Each quantity has one numerical path, on the array tape.  Training builds a
+minibatch's ELBO there (ModelBinding + elbo_batch): each layer function
 (encode_vars, decode_vars, emission_ll_var, and the Dirichlet ops
 dirichlet_kl_var and dirichlet_sample_vars) is one batched node over the
 rows a view covers, looked up through this module.  Export needs only the
-encoder outputs, so `posterior_params` runs each view's encoder once as a
-plain numpy forward (`encode`); the encoder is the one network with both a
-numpy and a tape forward.  Both read a view's labels from its value
-columns (`encoder_input`, `emission_targets`).
+encoder outputs, so `posterior_params` runs the same encode_vars once per
+view, forward only, on a tape of its own.  Both read a view's labels from
+its value columns (`encoder_input`, `emission_targets`).
 """
 
 from __future__ import annotations
@@ -103,10 +102,6 @@ class MlpHead:
         if self.b2.shape != (self.output_dim,):
             raise ConfigError(f"b2 shape {self.b2.shape} != {(self.output_dim,)}")
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """The head applied to each row of x: (n, input) -> (n, output)."""
-        return np.tanh(x @ self.w1.T + self.b1) @ self.w2.T + self.b2
-
 
 @dataclass(frozen=True)
 class WordObservation:
@@ -176,35 +171,8 @@ def unpack_state(state: ModelState, vec: np.ndarray) -> None:
         pos += a.size
 
 
-def encode(head: MlpHead, x: np.ndarray) -> np.ndarray:
-    """omega_d = softmax(g(x_d)) per row of encoder inputs: (n, input_dim) -> (n, 3)."""
-    if x.ndim != 2 or x.shape[1] != head.input_dim:
-        raise ConfigError(f"encoder expects rows of input_dim {head.input_dim}, got shape {x.shape}")
-    if head.output_dim != 3:
-        raise ConfigError(f"encoder output_dim must be 3, got {head.output_dim}")
-    raw = head.forward(x)
-    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row stays nan
-        e = np.exp(raw - raw.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def posterior_params(
-    views: list[LexiconView], encoders: dict[str, MlpHead], vocab: CombinedVocabulary
-) -> np.ndarray:
-    """beta = 1 + sum of omega_d over the given views covering each word of
-    the vocabulary, one row per vocabulary word (the views' rows are
-    vocab.rows); each view's encoder runs once over its value array, in
-    sorted view-id order."""
-    beta = np.ones((len(vocab), 3))
-    for view in sorted(views, key=lambda v: v.id):
-        if view.id not in encoders:
-            raise ConfigError(f"no encoder for view {view.id!r}")
-        beta[vocab.rows[view.id]] += encode(encoders[view.id], encoder_input(view.family, view.values))
-    return beta
-
-
 # ---------------------------------------------------------------------------
-# Array-tape route: the differentiable training objective.
+# Array-tape route: the encoder forward of export and the training objective.
 
 
 @dataclass(eq=False)
@@ -249,6 +217,24 @@ def _mlp_vars(x, head: HeadNodes) -> tp.Node:
 def encode_vars(x: np.ndarray, head: HeadNodes) -> tp.Node:
     """omega = softmax(g(x)) for each row of encoder inputs: (m, 3)."""
     return tp.softmax(_mlp_vars(x, head))
+
+
+def posterior_params(
+    views: list[LexiconView], encoders: dict[str, MlpHead], vocab: CombinedVocabulary
+) -> np.ndarray:
+    """beta = 1 + sum of omega_d over the given views covering each word of
+    the vocabulary, one row per vocabulary word (the views' rows are
+    vocab.rows); each view's encoder runs once over its value array through
+    encode_vars, on a tape of its own so that its activations go before the
+    next view runs, in sorted view-id order."""
+    beta = np.ones((len(vocab), 3))
+    for view in sorted(views, key=lambda v: v.id):
+        if view.id not in encoders:
+            raise ConfigError(f"no encoder for view {view.id!r}")
+        tape = Tape()
+        head = HeadNodes(*(tape.leaf(a) for a in _head_arrays(encoders[view.id])))
+        beta[vocab.rows[view.id]] += encode_vars(encoder_input(view.family, view.values), head).value
+    return beta
 
 
 def decode_vars(z: tp.Node, head: HeadNodes, scale: ScaleFamily) -> tp.Node:

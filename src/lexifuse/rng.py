@@ -23,9 +23,6 @@ class RngStream:
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return float(self._gen.uniform(low, high))
 
-    def normal(self) -> float:
-        return float(self._gen.standard_normal())
-
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in [low, high)."""
         return int(self._gen.integers(low, high))

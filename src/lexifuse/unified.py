@@ -133,9 +133,17 @@ class UnifiedLexicon:
 def export_lexicon(model: ModelState, views: list[LexiconView]) -> UnifiedLexicon:
     """The fused lexicon of the views' words, via the trained encoders.
 
-    Words that a view without an encoder covers are skipped with a warning
-    rather than aborting the export.
+    A view whose family differs from the one its head was trained on is a
+    ConfigError.  Words that a view without an encoder covers are skipped
+    with a warning rather than aborting the export.
     """
+    for view in views:
+        trained = model.scales.get(view.id)
+        if trained is not None and trained != view.family:
+            raise ConfigError(
+                f"view {view.id!r} is {view.family.header()}, but the checkpoint "
+                f"was trained on {trained.header()}"
+            )
     vocab = build_vocabulary(views)
     missing = sorted({v.id for v in views} - model.encoders.keys())
     beta = posterior_params([v for v in views if v.id not in missing], model.encoders, vocab)

@@ -3,8 +3,8 @@ Dirichlet draws (independent of the quantile route training runs), the
 per-word noise route training used before it drew each word's uniforms in
 one call, the Dirichlet KL and its Jacobian with one special-function call
 per component, the pathwise-gradient harness, a one-word ELBO on a fresh
-tape, a fused lexicon built from pseudocounts, and the text-by-text
-featurizer.
+tape, the encoder as a plain numpy forward (independent of the tape), a
+fused lexicon built from pseudocounts, and the text-by-text featurizer.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from lexifuse.distributions import _SIMPLEX_EPS, dirichlet_sample_vars
 from lexifuse.errors import ConfigError, DomainError
 from lexifuse.evaluation import Featurizer, LabeledCorpus
-from lexifuse.model import BatchElbo, ModelBinding, ModelState, WordObservation, elbo_batch
+from lexifuse.model import BatchElbo, MlpHead, ModelBinding, ModelState, WordObservation, elbo_batch
 from lexifuse.rng import RngStream
 from lexifuse.special import digamma, lgamma, trigamma
 from lexifuse.tape import Node, Tape, rowwise
@@ -38,7 +38,7 @@ def sample_gamma(shape: float, rng: RngStream) -> float:
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     while True:
-        x = rng.normal()
+        x = float(rng.numpy().standard_normal())
         t = 1.0 + c * x
         if t <= 0.0:
             continue
@@ -98,6 +98,15 @@ def elbo_word(obs: WordObservation, state: ModelState, n_mc: int, rng: RngStream
     if n_mc < 1:
         raise ConfigError(f"n_mc must be >= 1, got {n_mc}")
     return elbo_batch(ModelBinding(Tape(), state), [obs], {obs.word: elbo_noise(rng, n_mc)})
+
+
+def encode(head: MlpHead, x: np.ndarray) -> np.ndarray:
+    """omega = softmax(g(x)) per row of encoder inputs, in plain numpy:
+    (n, input_dim) -> (n, 3)."""
+    raw = np.tanh(x @ head.w1.T + head.b1) @ head.w2.T + head.b2
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row stays nan
+        e = np.exp(raw - raw.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def reparam_grad_samples(

@@ -45,7 +45,6 @@ from lexifuse.model import (
     decode_vars,
     emission_ll_var,
     emission_targets,
-    encode,
     encode_vars,
     encoder_input,
     observations_from_views,
@@ -58,7 +57,7 @@ from lexifuse.special import digamma
 from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model, train
 from lexifuse.unified import UnifiedLexicon, export_lexicon
-from reference import linear_objective, reparam_grad_samples, sample_dirichlet, sum_of_squares, summed
+from reference import encode, linear_objective, reparam_grad_samples, sample_dirichlet, sum_of_squares, summed
 from row_lexica import PolarityLabel, view_of
 
 ALL_SCALES = {

@@ -181,6 +181,14 @@ class TestErrorExits:
         assert r.stderr.startswith("error:") and "word_col" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_shared_schema_column_exit_2(self, tmp_path):
+        view = tmp_path / "s.tsv"
+        view.write_text("good\t0.5\n")
+        r = run_cli("validate", "--views", f"{view}:signed,word_col=1")
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:") and "word_col and value_col" in r.stderr
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize(
         "schema, option",
         [

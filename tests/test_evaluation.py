@@ -1,3 +1,5 @@
+import csv
+import io
 import logging
 import math
 import subprocess
@@ -16,6 +18,7 @@ from lexifuse.evaluation import (
     L2,
     Featurizer,
     LabeledCorpus,
+    REPORT_COLUMNS,
     LogisticModel,
     coverage,
     evaluate,
@@ -534,6 +537,25 @@ class TestReport:
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "mode,dataset,n_train,n_test,accuracy,coverage,feature_dim"
         assert "fused-beta,synth,100,25,0.92,87.5,3" in lines
+
+    @pytest.mark.parametrize("mode, dataset", [
+        ("single:my,lex", 'x"y,z'),
+        ("single:a\"b", "line\nbreak"),
+        ("fused-beta", "cr\rhere"),
+        ("concat", " plain "),
+    ])
+    def test_free_text_fields_quoted(self, tmp_path, mode, dataset):
+        p = tmp_path / "report.csv"
+        row = {"mode": mode, "dataset": dataset, "n_train": 4, "n_test": 2,
+               "accuracy": 0.5, "coverage": 50.0, "feature_dim": 3}
+        write_report(p, [row])
+        with open(p, newline="") as f:
+            body = [fields for fields in csv.reader(f) if not fields[0].startswith("#")]
+        assert body == [list(REPORT_COLUMNS), [mode, dataset, "4", "2", "0.5", "50", "3"]]
+        # quoted exactly as the csv module's default writer quotes the row
+        buf = io.StringIO()
+        csv.writer(buf).writerow([mode, dataset, 4, 2, 0.5, 50, 3])
+        assert p.read_bytes().endswith(buf.getvalue().removesuffix("\r\n").encode() + b"\n")
 
 
 class TestSynthGenerate:

@@ -309,6 +309,27 @@ class TestParseSchema:
         with pytest.raises(ConfigError):
             parse_schema(f"pair,{opt}")
 
+    @pytest.mark.parametrize("text, first, second", [
+        ("signed,word_col=1", "word_col", "value_col"),
+        ("pair,neg_col=1", "value_col", "neg_col"),
+        ("pair,neg_col=0", "word_col", "neg_col"),
+        ("binary,word_col=3,value_col=3", "word_col", "value_col"),
+    ])
+    def test_shared_column(self, text, first, second):
+        # one column read as two fields parses into garbage without an error
+        with pytest.raises(ConfigError, match=f"options {first} and {second} both name column"):
+            parse_schema(text)
+
+    @pytest.mark.parametrize("cols, first, second", [
+        ({"word_col": 1}, "word_col", "value_col"),
+        ({"neg_col": 1}, "value_col", "neg_col"),
+        ({"word_col": 2, "value_col": 0, "neg_col": 2}, "word_col", "neg_col"),
+    ])
+    def test_view_schema_refuses_shared_column(self, cols, first, second):
+        with pytest.raises(ConfigError, match=f"options {first} and {second} both name column"):
+            ViewSchema(family=pair_continuous(), **cols)
+        ViewSchema(family=pair_continuous(), word_col=2, value_col=0, neg_col=1)
+
     @pytest.mark.parametrize("text", ["binary,pos=good,pos=great", "rater,raters=3,raters=2"])
     def test_repeated_option(self, text):
         with pytest.raises(ConfigError, match="given twice"):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexifuse.errors import ConfigError, NumericError, UsageError
+from lexifuse.evaluation import synth_generate
 from lexifuse.lexica import (
     binary,
     build_vocabulary,
@@ -25,7 +26,6 @@ from lexifuse.model import (
     elbo_batch,
     emission_ll_var,
     emission_targets,
-    encode,
     encode_vars,
     encoder_input,
     load_checkpoint,
@@ -37,7 +37,7 @@ from lexifuse.model import (
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model
-from reference import elbo_noise, elbo_word
+from reference import elbo_noise, elbo_word, encode
 from row_lexica import PolarityLabel, view_of
 
 SMALL = TrainConfig(hidden_dim=4, seed=0)
@@ -76,9 +76,16 @@ def encoder_row(label):
     return encoder_input(label.family, rows_of(label))[0].tolist()
 
 
-def encode_one(label, head):
-    """omega for one label through the batched numpy encoder."""
-    return encode(head, encoder_input(label.family, rows_of(label)))[0]
+def encode_words(state, vid, labels):
+    """omega per label through the export path: beta - 1 of a view of view
+    vid's head that holds one word per label, in label order."""
+    view = view_of(vid, labels[0].family, {f"w{i:02d}": label for i, label in enumerate(labels)})
+    return posterior_params([view], state.encoders, build_vocabulary([view])) - 1.0
+
+
+def encode_one(label, state, vid):
+    """omega for one label through the export path."""
+    return encode_words(state, vid, [label])[0]
 
 
 def decode_on_tape(state, vid, z):
@@ -127,40 +134,42 @@ class TestEncode:
     def test_on_simplex(self):
         state = small_state()
         for vid, scale in ALL_SCALES.items():
-            omega = encode_one(example_label(scale), state.encoders[vid])
+            omega = encode_one(example_label(scale), state, vid)
             assert abs(sum(omega) - 1.0) < 1e-9
             assert all(w > 0 for w in omega)
 
     def test_zero_weights_uniform(self):
         cfg = TrainConfig(hidden_dim=4, weight_init_scale=0.0)
         state = init_model({"sig": signed_continuous()}, cfg, stream_for(0, "init"))
-        omega = encode_one(PolarityLabel(signed_continuous(), 0.65), state.encoders["sig"])
+        omega = encode_one(PolarityLabel(signed_continuous(), 0.65), state, "sig")
         assert omega == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_dim_mismatch(self):
         state = small_state()
         with pytest.raises(ConfigError):
-            encode_one(example_label(pair_continuous()), state.encoders["sig"])
+            encode_one(example_label(pair_continuous()), state, "sig")
+        # a decoder takes 3 inputs but does not put out 3 logits; the state
+        # refuses it as an encoder once, up front
         with pytest.raises(ConfigError):
-            encode(state.encoders["sig"], np.array([0.65]))
-        # a decoder takes 3 inputs but does not put out 3 logits
-        with pytest.raises(ConfigError):
-            encode(state.decoders["sig"], np.zeros((1, 3)))
+            ModelState(
+                scales={"sig": signed_continuous()},
+                encoders={"sig": state.decoders["sig"]},
+                decoders={"sig": state.decoders["sig"]},
+            )
 
     def test_rows_independent(self):
         state = small_state()
         labels = [PolarityLabel(signed_continuous(), v) for v in (-1.0, -0.25, 0.0, 0.65, 1.0)]
-        x = encoder_input(signed_continuous(), rows_of(*labels))
-        omegas = encode(state.encoders["sig"], x)
+        omegas = encode_words(state, "sig", labels)
         assert omegas.shape == (5, 3)
         for label, omega in zip(labels, omegas):
-            np.testing.assert_allclose(omega, encode_one(label, state.encoders["sig"]), rtol=1e-15)
+            np.testing.assert_allclose(omega, encode_one(label, state, "sig"), rtol=1e-15)
 
     def test_golden_seed0(self):
         # Pinned output of the seed-0 default-config encoder on label 0.65;
         # guards against silent changes to init or forward order.
         state = init_model({"sig": signed_continuous()}, TrainConfig(seed=0), stream_for(0, "init"))
-        omega = encode_one(PolarityLabel(signed_continuous(), 0.65), state.encoders["sig"])
+        omega = encode_one(PolarityLabel(signed_continuous(), 0.65), state, "sig")
         golden = (0.33308868645984724, 0.33414938163772556, 0.3327619319024272)
         np.testing.assert_allclose(omega, golden, rtol=0, atol=1e-15)
 
@@ -177,6 +186,20 @@ class TestPosteriorParams:
         assert sum(b - 1.0 for b in beta) == pytest.approx(len(vids), abs=1e-9)
         assert all(b > 1.0 for b in beta)
         assert sum(beta / beta.sum()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_equals_numpy_forward_on_whole_views(self):
+        # Thousands of rows per view in every family: BLAS may round a large
+        # block differently from a one-row call, so compare whole views.
+        data = synth_generate(5000, 2, 0.1, 1, 1, RngStream(11))
+        scales = {v.id: v.family for v in data.views}
+        state = init_model(scales, TrainConfig(seed=11), stream_for(11, "init"))
+        vocab = build_vocabulary(data.views)
+        want = np.ones((len(vocab), 3))
+        for view in sorted(data.views, key=lambda v: v.id):
+            assert len(view.words) > 1000
+            want[vocab.rows[view.id]] += encode(state.encoders[view.id], encoder_input(view.family, view.values))
+        assert len({v.family.tag for v in data.views}) == 4
+        assert np.array_equal(posterior_params(data.views, state.encoders, vocab), want)
 
     def test_missing_encoder(self):
         state = small_state({"sig": signed_continuous()})
@@ -268,7 +291,7 @@ class TestTapeFloatParity:
             tape = Tape()
             binding = ModelBinding(tape, state)
             om_t = encode_vars(encoder_input(scale, rows_of(label)), binding.heads[("enc", vid)])
-            om_f = encode_one(label, state.encoders[vid])
+            om_f = encode(state.encoders[vid], encoder_input(scale, rows_of(label)))[0]
             np.testing.assert_array_equal(om_t.value[0], om_f)
 
 
@@ -382,7 +405,9 @@ class TestElboWord:
             with pytest.raises(NumericError, match="'w2'"):
                 elbo_batch(ModelBinding(Tape(), state), batch, noise)
             # the typed error is all a user sees: numpy prints no warning first
-            encode(state.encoders["sig"], np.array([[0.5]]))
+            view = view_of("sig", signed_continuous(), {"w": 0.5})
+            (beta,) = posterior_params([view], state.encoders, build_vocabulary([view]))
+        assert np.isnan(beta).all()
         assert not seen, [str(w.message) for w in seen]
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lexifuse.errors import ConfigError, LexifuseError, ParseError
 from lexifuse.lexica import (
+    LexiconView,
     binary,
     build_vocabulary,
     pair_continuous,
@@ -127,6 +128,13 @@ class TestExportLexicon:
         assert all(e == full[e.word] for e in lexicon.entries())
         assert "'zzz'" in caplog.text and "'word0'" in caplog.text
         assert "export skipped 2 of 7 words" in caplog.text
+
+    def test_family_mismatch_refused(self):
+        # a binary view read through the encoder of a signed head
+        state = init_model({"v": signed_continuous()}, TrainConfig(hidden_dim=4), stream_for(0, "init"))
+        view = LexiconView("v", binary(), ["good"], np.array([[1.0]]))
+        with pytest.raises(ConfigError, match="'v' is #family=Binary, but the checkpoint was trained on #family=SignedContinuous"):
+            export_lexicon(state, [view])
 
     def test_duplicate_view_ids_rejected(self):
         views, vocab, state = make_setup()
