@@ -33,6 +33,7 @@ from .lexica import (
     LexiconView,
     ScaleFamily,
     binary,
+    casefold_each,
     merge_words,
     pair_continuous,
     rater_histogram,
@@ -176,10 +177,6 @@ class Featurizer:
         self.dim = int(rows.shape[1])
         self.index = index
         self.rows = rows
-
-    def word_feature(self, word: str) -> np.ndarray | None:
-        row = self.index.get(word.casefold())
-        return None if row is None else self.rows[row]
 
     def __contains__(self, word: str) -> bool:
         return word.casefold() in self.index
@@ -368,8 +365,9 @@ def coverage(words, corpus: LabeledCorpus) -> float:
 
 
 def restrict_vocabulary(fused: UnifiedLexicon, view: LexiconView) -> UnifiedLexicon:
-    """Fused rows limited to the view's words."""
-    keep = np.fromiter(map(set(view.words).__contains__, fused.words), bool, len(fused))
+    """Fused rows limited to the view's words, compared case-folded as
+    lookups in either are."""
+    keep = np.fromiter(map(set(view.words).__contains__, casefold_each(fused.words)), bool, len(fused))
     words = list(compress(fused.words, keep))
     return UnifiedLexicon(words, fused.beta[keep], fused.mean[keep], fused.n_views[keep], fused.meta)
 

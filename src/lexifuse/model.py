@@ -26,6 +26,10 @@ rows a view covers, looked up through this module.  Export needs only the
 encoder outputs, so `posterior_params` runs the same encode_vars once per
 view, forward only, on a tape of its own.  Both read a view's labels from
 its value columns (`encoder_input`, `emission_targets`).
+
+`ModelState.check_view` is the one test that a view fits its head, passed
+through by `train`, `export_lexicon` and `posterior_params`; it compares
+families, as a ModelState ties each head's widths to its own family.
 """
 
 from __future__ import annotations
@@ -141,6 +145,13 @@ class ModelState:
     def view_ids(self) -> list[str]:
         return sorted(self.scales)
 
+    def check_view(self, view_id: str, family: ScaleFamily) -> None:
+        """Refuse a view whose family is not the one its head was built for."""
+        trained = self.scales.get(view_id)
+        if trained != family:
+            has = f"a {trained.header()} head" if trained else "no head"
+            raise ConfigError(f"view {view_id!r} is {family.header()}, but the model has {has} for it")
+
 
 def _head_arrays(head: MlpHead) -> list[np.ndarray]:
     return [head.w1, head.b1, head.w2, head.b2]
@@ -219,20 +230,18 @@ def encode_vars(x: np.ndarray, head: HeadNodes) -> tp.Node:
     return tp.softmax(_mlp_vars(x, head))
 
 
-def posterior_params(
-    views: list[LexiconView], encoders: dict[str, MlpHead], vocab: CombinedVocabulary
-) -> np.ndarray:
+def posterior_params(views: list[LexiconView], state: ModelState, vocab: CombinedVocabulary) -> np.ndarray:
     """beta = 1 + sum of omega_d over the given views covering each word of
     the vocabulary, one row per vocabulary word (the views' rows are
     vocab.rows); each view's encoder runs once over its value array through
     encode_vars, on a tape of its own so that its activations go before the
-    next view runs, in sorted view-id order."""
+    next view runs, in sorted view-id order.  A view that the state has no
+    head of its family for is a ConfigError (ModelState.check_view)."""
     beta = np.ones((len(vocab), 3))
     for view in sorted(views, key=lambda v: v.id):
-        if view.id not in encoders:
-            raise ConfigError(f"no encoder for view {view.id!r}")
+        state.check_view(view.id, view.family)
         tape = Tape()
-        head = HeadNodes(*(tape.leaf(a) for a in _head_arrays(encoders[view.id])))
+        head = HeadNodes(*(tape.leaf(a) for a in _head_arrays(state.encoders[view.id])))
         beta[vocab.rows[view.id]] += encode_vars(encoder_input(view.family, view.values), head).value
     return beta
 
@@ -327,12 +336,12 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> Ba
     labels: dict[str, list[np.ndarray]] = {}
     for i, obs in enumerate(batch):
         for vid, label in obs.labels.items():
-            if vid not in scales:
-                raise ConfigError(f"no encoder for view {vid!r}")
             rows.setdefault(vid, []).append(i)
             labels.setdefault(vid, []).append(label)
     views = []
     for vid in sorted(rows):
+        if vid not in scales:
+            raise ConfigError(f"the model has no head for view {vid!r}")
         values = np.array(labels[vid], dtype=float)
         x = encoder_input(scales[vid], values)
         views.append((vid, np.array(rows[vid]), x, emission_targets(scales[vid], values)))

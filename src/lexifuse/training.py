@@ -272,13 +272,8 @@ def train(
         scales[vid] = scale
     if init_state is None:
         init_state = init_model(scales, config, stream_for(config.seed, "init"))
-    for vid, scale in sorted(scales.items()):
-        head = init_state.scales.get(vid)
-        if head != scale:
-            raise ConfigError(
-                f"view {vid!r} is {scale.header()} in the observations, but the initial "
-                f"state has {head.header() if head else 'no head for it'}"
-            )
+    for vid in sorted(scales):
+        init_state.check_view(vid, vocab.families[vid])
     state = init_state
     params = pack_state(state)
     adam = init_adam if init_adam is not None else AdamState.zeros(params.size)

@@ -46,7 +46,7 @@ _COLUMNS = (
 
 @dataclass(frozen=True)
 class UnifiedEntry:
-    """One row of a fused lexicon, as `lookup` and `entries` return it."""
+    """One row of a fused lexicon, as `entries` returns it."""
 
     word: str
     beta: tuple[float, float, float]
@@ -116,10 +116,6 @@ class UnifiedLexicon:
         beta, mean = tuple(self.beta[row].tolist()), tuple(self.mean[row].tolist())
         return UnifiedEntry(self.words[row], beta, mean, int(self.n_views[row]))
 
-    def lookup(self, word: str) -> UnifiedEntry | None:
-        row = self._index.get(word.casefold())
-        return None if row is None else self._entry(row)
-
     def __contains__(self, word: str) -> bool:
         return word.casefold() in self._index
 
@@ -133,28 +129,22 @@ class UnifiedLexicon:
 def export_lexicon(model: ModelState, views: list[LexiconView]) -> UnifiedLexicon:
     """The fused lexicon of the views' words, via the trained encoders.
 
-    A view whose family differs from the one its head was trained on is a
-    ConfigError.  Words that a view without an encoder covers are skipped
-    with a warning rather than aborting the export.
+    Words that a view without a head covers are skipped with a warning
+    rather than aborting the export.  The other views go to posterior_params,
+    which refuses one whose family differs from its head's with a
+    ConfigError.
     """
-    for view in views:
-        trained = model.scales.get(view.id)
-        if trained is not None and trained != view.family:
-            raise ConfigError(
-                f"view {view.id!r} is {view.family.header()}, but the checkpoint "
-                f"was trained on {trained.header()}"
-            )
     vocab = build_vocabulary(views)
-    missing = sorted({v.id for v in views} - model.encoders.keys())
-    beta = posterior_params([v for v in views if v.id not in missing], model.encoders, vocab)
+    missing = sorted({v.id for v in views} - model.scales.keys())
+    beta = posterior_params([v for v in views if v.id not in missing], model, vocab)
     words, n_views = vocab.words, vocab.n_views
     if missing:
-        lost: dict[int, list[str]] = {}  # vocabulary row -> its views without an encoder
+        lost: dict[int, list[str]] = {}  # vocabulary row -> its views without a head
         for vid in missing:
             for row in vocab.rows[vid].tolist():
                 lost.setdefault(row, []).append(vid)
         for row in sorted(lost):
-            log.warning("skipping %r: no encoder for views %s", vocab.words[row], lost[row])
+            log.warning("skipping %r: no head for views %s", vocab.words[row], lost[row])
         log.warning("export skipped %d of %d words", len(lost), len(vocab))
         keep = np.ones(len(vocab), dtype=bool)
         keep[list(lost)] = False

@@ -180,7 +180,7 @@ def lexicon_from_betas(rows) -> UnifiedLexicon:
 def featurize_text(featurizer: Featurizer, tokens) -> np.ndarray:
     """One text's features token by token: the mean of its covered tokens'
     rows (each token case-folded and looked up), or zeros without one."""
-    feats = [f for t in tokens if (f := featurizer.word_feature(t)) is not None]
+    feats = [featurizer.rows[row] for t in tokens if (row := featurizer.index.get(t.casefold())) is not None]
     if not feats:
         return np.zeros(featurizer.dim)
     return np.mean(feats, axis=0)

@@ -137,7 +137,7 @@ class TestCriterion1:
                 subset = list(gen.choice(vids, size=k, replace=False))
                 labels = {vid: random_label(ALL_SCALES[vid], gen) for vid in subset}
                 views = [view_of(vid, ALL_SCALES[vid], {"w": labels[vid]}) for vid in subset]
-                (beta,) = posterior_params(views, state.encoders, build_vocabulary(views))
+                (beta,) = posterior_params(views, state, build_vocabulary(views))
                 n_views = len(labels)
                 assert abs(sum(b - 1.0 for b in beta) - n_views) < 1e-9
                 assert abs(sum(beta) - (3.0 + n_views)) < 1e-9
@@ -293,10 +293,11 @@ class TestCriterion4:
             rates = []
             for run in runs:
                 hits = n = 0
+                row = dict(zip(run.lexicon.words, range(len(run.lexicon))))
                 for obs in run.obs:
                     if len(obs.labels) < 2:
                         continue
-                    mean = run.lexicon.lookup(obs.word).mean
+                    mean = run.lexicon.mean[row[obs.word]]
                     pred = max(range(3), key=lambda k: mean[k])
                     n += 1
                     hits += pred == run.data.word_classes[obs.word]

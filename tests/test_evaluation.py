@@ -155,6 +155,11 @@ class TestReadCorpusFuzz:
         assert lengths.tolist() == [len(text) for text in corpus.texts]
 
 
+def feature(featurizer, word):
+    """A word's feature row, looked up case-folded as featurize_corpus does."""
+    return featurizer.rows[featurizer.index[word.casefold()]]
+
+
 class TestWordFeature:
     @given(st.sampled_from([binary(), signed_continuous(), pair_continuous(), rater_histogram(10, 9),
                             rater_histogram(3, 4)]), st.data())
@@ -174,47 +179,47 @@ class TestWordFeature:
         single_f, concat_f = single(view), make_featurizer("concat", views=[view, other])
         for word, value in labels.items():
             label = PolarityLabel(family, value)
-            assert single_f.word_feature(word).tolist() == single_feature(label).tolist()
+            assert feature(single_f, word).tolist() == single_feature(label).tolist()
             tail = [1.0] if word == "a" else [0.0]
-            assert concat_f.word_feature(word).tolist() == concat_feature(label).tolist() + tail
-        assert concat_f.word_feature("z").tolist() == [0.0] * family.width + [-1.0]
+            assert feature(concat_f, word).tolist() == concat_feature(label).tolist() + tail
+        assert feature(concat_f, "z").tolist() == [0.0] * family.width + [-1.0]
 
     def test_binary_sign_mapping(self):
         f = single(view_of("b", binary(), {"good": 1, "bad": 0}))
-        np.testing.assert_array_equal(f.word_feature("good"), [1.0])
-        np.testing.assert_array_equal(f.word_feature("bad"), [-1.0])
-        assert f.word_feature("absent") is None
+        np.testing.assert_array_equal(feature(f, "good"), [1.0])
+        np.testing.assert_array_equal(feature(f, "bad"), [-1.0])
+        assert "absent" not in f.index
         assert f.dim == 1
 
     def test_rater_midpoint_is_neutral(self):
         f = single(
             view_of("v", rater_histogram(10, 9), {"meh": (4,) * 10})
         )
-        np.testing.assert_array_equal(f.word_feature("meh"), [0.0])
+        np.testing.assert_array_equal(feature(f, "meh"), [0.0])
 
     def test_rater_bucketed_mean(self):
         # ratings 0-3 count -1, 4 counts 0, 5-8 count +1
         f = single(
             view_of("v", rater_histogram(10, 9), {"w": (0, 1, 2, 3, 4, 5, 6, 7, 8, 4)})
         )
-        np.testing.assert_allclose(f.word_feature("w"), [0.0])
+        np.testing.assert_allclose(feature(f, "w"), [0.0])
         f2 = single(
             view_of("v", rater_histogram(10, 9), {"w": (5, 6, 7, 8, 4, 5, 5, 5, 5, 5)})
         )
-        np.testing.assert_allclose(f2.word_feature("w"), [0.9])
+        np.testing.assert_allclose(feature(f2, "w"), [0.9])
 
     def test_pair_two_dim(self):
         f = single(view_of("p", pair_continuous(), {"w": (0.75, 0.125)}))
-        np.testing.assert_allclose(f.word_feature("w"), [0.75, 0.125])
+        np.testing.assert_allclose(feature(f, "w"), [0.75, 0.125])
         assert f.dim == 2
 
     def test_fused_features(self):
         lex = lexicon_from_betas([("w", (2.0, 1.5, 1.5), 2)])
         fused_mean = make_featurizer("fused-mean", unified=lex)
-        np.testing.assert_allclose(fused_mean.word_feature("w"), [0.4, 0.3, 0.3])
+        np.testing.assert_allclose(feature(fused_mean, "w"), [0.4, 0.3, 0.3])
         fused_beta = make_featurizer("fused-beta", unified=lex)
-        np.testing.assert_allclose(fused_beta.word_feature("W"), [2.0, 1.5, 1.5])
-        assert fused_mean.word_feature("absent") is None
+        np.testing.assert_allclose(feature(fused_beta, "W"), [2.0, 1.5, 1.5])
+        assert "absent" not in fused_mean.index
 
     def test_concat_dimension_16(self):
         f = make_featurizer("concat", views=STANDARD_VIEWS)
@@ -222,7 +227,7 @@ class TestWordFeature:
 
     def test_concat_layout_and_fill(self):
         f = make_featurizer("concat", views=STANDARD_VIEWS)
-        v = f.word_feature("good")
+        v = feature(f, "good")
         # views in id order: gi, huliu, mpqa, sentic, swn, vader
         assert v[0] == 1.0 and v[1] == 1.0
         assert v[2] == 0.0  # mpqa does not cover "good": neutral fill
@@ -233,8 +238,8 @@ class TestWordFeature:
 
     def test_concat_absent_everywhere(self):
         f = make_featurizer("concat", views=STANDARD_VIEWS)
-        assert f.word_feature("missing") is None
-        v = f.word_feature("bad")
+        assert "missing" not in f.index
+        v = feature(f, "bad")
         assert v is not None and v.shape == (16,)
 
     def test_make_featurizer(self):
@@ -514,7 +519,16 @@ class TestRestrictVocabulary:
         view = view_of("v", binary(), {"b": 1, "c": 0, "d": 1})
         out = restrict_vocabulary(fused, view)
         assert out.words == ["b", "c"]
-        assert fused.lookup("b") == out.lookup("b")
+        at, kept = fused.words.index("b"), out.words.index("b")
+        assert fused.beta[at].tolist() == out.beta[kept].tolist()
+        assert fused.mean[at].tolist() == out.mean[kept].tolist()
+        assert fused.n_views[at] == out.n_views[kept]
+
+    def test_words_compared_case_folded(self):
+        # a unified file keeps a word's case; the view's words are case-folded
+        fused = self.make_fused(["Good", "bad"])
+        out = restrict_vocabulary(fused, view_of("v", binary(), {"good": 1}))
+        assert out.words == ["Good"]
 
 
 class TestReport:

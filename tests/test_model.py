@@ -80,7 +80,7 @@ def encode_words(state, vid, labels):
     """omega per label through the export path: beta - 1 of a view of view
     vid's head that holds one word per label, in label order."""
     view = view_of(vid, labels[0].family, {f"w{i:02d}": label for i, label in enumerate(labels)})
-    return posterior_params([view], state.encoders, build_vocabulary([view])) - 1.0
+    return posterior_params([view], state, build_vocabulary([view])) - 1.0
 
 
 def encode_one(label, state, vid):
@@ -146,7 +146,10 @@ class TestEncode:
 
     def test_dim_mismatch(self):
         state = small_state()
-        with pytest.raises(ConfigError):
+        # a pair view on a signed head is refused by the view check, before
+        # any affine layer sees rows of the wrong width
+        pair_on_signed = "view 'sig' is #family=PairContinuous, but the model has a #family=SignedContinuous head"
+        with pytest.raises(ConfigError, match=pair_on_signed):
             encode_one(example_label(pair_continuous()), state, "sig")
         # a decoder takes 3 inputs but does not put out 3 logits; the state
         # refuses it as an encoder once, up front
@@ -180,7 +183,7 @@ class TestPosteriorParams:
         state = small_state()
         views = [view_of(vid, ALL_SCALES[vid], {"w": example_label(ALL_SCALES[vid])}) for vid in vids]
         vocab = build_vocabulary(views)
-        (beta,) = posterior_params(views, state.encoders, vocab)
+        (beta,) = posterior_params(views, state, vocab)
         assert vocab.words == ["w"]
         assert sum(beta) - 3.0 == pytest.approx(len(vids), abs=1e-9)
         assert sum(b - 1.0 for b in beta) == pytest.approx(len(vids), abs=1e-9)
@@ -199,13 +202,20 @@ class TestPosteriorParams:
             assert len(view.words) > 1000
             want[vocab.rows[view.id]] += encode(state.encoders[view.id], encoder_input(view.family, view.values))
         assert len({v.family.tag for v in data.views}) == 4
-        assert np.array_equal(posterior_params(data.views, state.encoders, vocab), want)
+        assert np.array_equal(posterior_params(data.views, state, vocab), want)
 
     def test_missing_encoder(self):
         state = small_state({"sig": signed_continuous()})
         view = view_of("other", binary(), {"w": example_label(binary())})
-        with pytest.raises(ConfigError):
-            posterior_params([view], state.encoders, build_vocabulary([view]))
+        with pytest.raises(ConfigError, match="view 'other' is #family=Binary, but the model has no head for it"):
+            posterior_params([view], state, build_vocabulary([view]))
+
+    def test_family_mismatch_refused(self):
+        # a binary view has the width of a signed one, so only the family tells them apart
+        state = small_state({"sig": signed_continuous()})
+        view = view_of("sig", binary(), {"w": example_label(binary())})
+        with pytest.raises(ConfigError, match="view 'sig' is #family=Binary, but the model has a #family=SignedContinuous head"):
+            posterior_params([view], state, build_vocabulary([view]))
 
 
 class TestDecode:
@@ -406,7 +416,7 @@ class TestElboWord:
                 elbo_batch(ModelBinding(Tape(), state), batch, noise)
             # the typed error is all a user sees: numpy prints no warning first
             view = view_of("sig", signed_continuous(), {"w": 0.5})
-            (beta,) = posterior_params([view], state.encoders, build_vocabulary([view]))
+            (beta,) = posterior_params([view], state, build_vocabulary([view]))
         assert np.isnan(beta).all()
         assert not seen, [str(w.message) for w in seen]
 

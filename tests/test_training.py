@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lexifuse.model import (
     load_checkpoint,
     observations_from_views,
     pack_state,
+    posterior_params,
 )
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.training import (
@@ -31,6 +33,7 @@ from lexifuse.training import (
     load_train_config,
     train,
 )
+from lexifuse.unified import export_lexicon
 from row_lexica import view_of
 
 ALL_SCALES = {
@@ -41,7 +44,7 @@ ALL_SCALES = {
 }
 
 
-def make_corpus(n_words=10, seed=0, vids=("bin", "sig")):
+def make_views(n_words=10, seed=0, vids=("bin", "sig")):
     rng = RngStream(seed)
     words = [f"w{i:03d}" for i in range(n_words)]
     views = []
@@ -58,6 +61,11 @@ def make_corpus(n_words=10, seed=0, vids=("bin", "sig")):
             else:
                 entries[w] = tuple(int(rng.integers(0, 9)) for _ in range(10))
         views.append(view_of(vid, scale, entries))
+    return views
+
+
+def make_corpus(n_words=10, seed=0, vids=("bin", "sig")):
+    views = make_views(n_words, seed, vids)
     vocab = build_vocabulary(views)
     priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
     return vocab, observations_from_views(views, vocab, priors)
@@ -328,6 +336,28 @@ class TestTrain:
             train(vocab, obs, cfg, init_state=init)
         del init.scales["sig"], init.encoders["sig"], init.decoders["sig"]
         with pytest.raises(ConfigError, match="'sig'"):
+            train(vocab, obs, cfg, init_state=init)
+
+    def test_head_refusal_matches_export(self):
+        # train refuses a view that does not fit the initial state with the
+        # message export's posterior_params gives for the same view and state
+        views = make_views(3, seed=8)
+        vocab, obs = make_corpus(3, seed=8)
+        cfg = TrainConfig(epochs=1, hidden_dim=4)
+        init = init_model(
+            {"bin": binary(), "sig": rater_histogram(10, 9)}, cfg, stream_for(cfg.seed, "init")
+        )
+        with pytest.raises(ConfigError) as refused:
+            export_lexicon(init, views)
+        assert "'sig' is #family=SignedContinuous" in str(refused.value)
+        with pytest.raises(ConfigError, match=re.escape(str(refused.value))):
+            train(vocab, obs, cfg, init_state=init)
+        # without a head, export skips the view's words; posterior_params refuses it
+        del init.scales["sig"], init.encoders["sig"], init.decoders["sig"]
+        with pytest.raises(ConfigError) as refused:
+            posterior_params(views, init, vocab)
+        assert "'sig' is #family=SignedContinuous, but the model has no head" in str(refused.value)
+        with pytest.raises(ConfigError, match=re.escape(str(refused.value))):
             train(vocab, obs, cfg, init_state=init)
 
     def test_mixed_families_in_one_view(self):

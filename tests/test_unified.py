@@ -48,8 +48,8 @@ class TestUnifiedEntry:
     """The invariants every row must meet, checked by the lexicon constructor."""
 
     def test_from_beta_normalizes(self):
-        e = lexicon_from_betas([("w", (2.3, 1.5, 1.2), 2)]).lookup("w")
-        assert e.mean == pytest.approx((0.46, 0.30, 0.24))
+        lex = lexicon_from_betas([("w", (2.3, 1.5, 1.2), 2)])
+        assert lex.mean[0].tolist() == pytest.approx((0.46, 0.30, 0.24))
 
     def test_component_floor(self):
         with pytest.raises(ConfigError):
@@ -133,7 +133,7 @@ class TestExportLexicon:
         # a binary view read through the encoder of a signed head
         state = init_model({"v": signed_continuous()}, TrainConfig(hidden_dim=4), stream_for(0, "init"))
         view = LexiconView("v", binary(), ["good"], np.array([[1.0]]))
-        with pytest.raises(ConfigError, match="'v' is #family=Binary, but the checkpoint was trained on #family=SignedContinuous"):
+        with pytest.raises(ConfigError, match="view 'v' is #family=Binary, but the model has a #family=SignedContinuous head"):
             export_lexicon(state, [view])
 
     def test_duplicate_view_ids_rejected(self):
@@ -145,9 +145,9 @@ class TestExportLexicon:
 class TestLookup:
     def test_casefold_and_absent(self):
         lex = lexicon_from_betas([("peppy", (2.0, 1.5, 1.5), 2)])
-        assert lex.lookup("peppy") is not None
-        assert lex.lookup("Peppy") == lex.lookup("peppy")
-        assert lex.lookup("absent") is None
+        assert "peppy" in lex
+        assert "Peppy" in lex and lex.words == ["peppy"]
+        assert "absent" not in lex
         assert "PEPPY" in lex and "absent" not in lex
 
 
