@@ -13,7 +13,6 @@ so the whole pipeline can be exercised without external datasets.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -44,12 +43,24 @@ from .unified import UnifiedLexicon
 
 log = logging.getLogger(__name__)
 
-_TOKEN_SPLIT = re.compile(r"[\W_]+")
+
+class _SeparatorTable(dict):
+    """A `str.translate` table that keeps an alphanumeric code point and
+    turns any other into a space, classifying each code point on first use."""
+
+    def __missing__(self, c: int) -> int:
+        out = self[c] = c if chr(c).isalnum() else 32
+        return out
+
+
+_SEPARATORS = _SeparatorTable()
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumeric characters."""
-    return [t for t in _TOKEN_SPLIT.split(text.casefold()) if t]
+    """Case-fold, then split at every character that `str.isalnum` rejects,
+    so `it's` reads as `it`, `s`.  The shared table grows by one entry per
+    distinct character read."""
+    return text.casefold().translate(_SEPARATORS).split()
 
 
 @dataclass(frozen=True)

@@ -409,16 +409,12 @@ def _head_to_json(head: MlpHead) -> dict:
     }
 
 
-def _head_from_json(d: dict) -> MlpHead:
-    return MlpHead(
-        input_dim=d["input_dim"],
-        output_dim=d["output_dim"],
-        hidden_dim=d["hidden_dim"],
-        w1=np.array(d["w1"], dtype=float),
-        b1=np.array(d["b1"], dtype=float),
-        w2=np.array(d["w2"], dtype=float),
-        b2=np.array(d["b2"], dtype=float),
-    )
+def _head_from_json(d: dict, where: str) -> MlpHead:
+    arrays = {name: np.array(d[name], dtype=float) for name in ("w1", "b1", "w2", "b2")}
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ConfigError(f"{where} {name} holds a non-finite value")
+    return MlpHead(input_dim=d["input_dim"], output_dim=d["output_dim"], hidden_dim=d["hidden_dim"], **arrays)
 
 
 def save_checkpoint(
@@ -444,15 +440,16 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     """Read a checkpoint; returns (state, metadata including 'extra').
 
-    A missing path, a non-file, or a file that is not valid JSON, lacks a
-    key or holds a non-numeric or misshapen array raises ConfigError; bytes
-    that are not UTF-8 raise ParseError.
+    A missing path, a non-file, or a file that is not valid JSON (nesting
+    too deep to decode included), lacks a key or holds a non-numeric,
+    non-finite or misshapen array raises ConfigError; bytes that are not
+    UTF-8 raise ParseError.
     """
     path = Path(path)
     text = read_input(path, "checkpoint")
     try:
         doc = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"checkpoint {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"checkpoint {path} is not a JSON object")
@@ -463,12 +460,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     try:
         state = ModelState(
             scales={vid: ScaleFamily(**s) for vid, s in doc["scales"].items()},
-            encoders={vid: _head_from_json(h) for vid, h in doc["encoders"].items()},
-            decoders={vid: _head_from_json(h) for vid, h in doc["decoders"].items()},
+            encoders={vid: _head_from_json(h, f"checkpoint {path}: view {vid!r} encoder")
+                      for vid, h in doc["encoders"].items()},
+            decoders={vid: _head_from_json(h, f"checkpoint {path}: view {vid!r} decoder")
+                      for vid, h in doc["decoders"].items()},
         )
     except KeyError as e:
         raise ConfigError(f"checkpoint {path} lacks key {e}") from None
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"checkpoint {path} is malformed: {e}") from None
     extra = doc.get("extra", {})
     if not isinstance(extra, dict):

@@ -67,10 +67,12 @@ class TrainConfig:
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
-    """Read a `key = value` config file; keys are TrainConfig field names."""
+    """Read a `key = value` config file; keys are TrainConfig field names,
+    each given at most once."""
     path = Path(path)
     types = {f.name: f.type for f in fields(TrainConfig)}
     kwargs = {}
+    key_line: dict[str, int] = {}
     for lineno, raw in enumerate(read_lines(path, "config file"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,6 +82,11 @@ def load_train_config(path: str | Path) -> TrainConfig:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in key_line:
+            raise ConfigError(
+                f"{path}:{lineno}: config key {key!r} given twice, on lines {key_line[key]} and {lineno}"
+            )
+        key_line[key] = lineno
         try:
             kwargs[key] = int(value) if types[key] == "int" else float(value)
         except ValueError as e:

@@ -4,12 +4,14 @@ per-word noise route training used before it drew each word's uniforms in
 one call, the Dirichlet KL and its Jacobian with one special-function call
 per component, the pathwise-gradient harness, a one-word ELBO on a fresh
 tape, the encoder as a plain numpy forward (independent of the tape), a
-fused lexicon built from pseudocounts, and the text-by-text featurizer.
+fused lexicon built from pseudocounts, the text-by-text featurizer and the
+regex tokenizer.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from typing import Callable, Sequence
 
 import numpy as np
@@ -189,3 +191,12 @@ def featurize_text(featurizer: Featurizer, tokens) -> np.ndarray:
 def featurize_corpus(featurizer: Featurizer, corpus: LabeledCorpus) -> np.ndarray:
     """Featurizer.featurize_corpus, one text at a time."""
     return np.array([featurize_text(featurizer, text) for text in corpus.texts])
+
+
+TOKEN_SPLIT = re.compile(r"[\W_]+")
+
+
+def tokenize(text: str) -> list[str]:
+    """evaluation.tokenize as a regex split: case-fold, then split on runs of
+    characters that are not word characters or are underscores."""
+    return [t for t in TOKEN_SPLIT.split(text.casefold()) if t]

@@ -293,6 +293,23 @@ class TestCheckpointErrors:
         assert_clean_exit_2(r)
         assert "scales" in r.stderr
 
+    def test_deeply_nested_checkpoint(self, tmp_path):
+        view, checkpoint = write_binary_checkpoint(tmp_path)
+        checkpoint.write_text("[" * 100_000)
+        r = export(checkpoint, view, tmp_path / "u.tsv")
+        assert_clean_exit_2(r)
+        assert "is not valid JSON" in r.stderr
+
+    def test_non_finite_weight_refused(self, tmp_path):
+        view, checkpoint = write_binary_checkpoint(tmp_path)
+        doc = json.loads(checkpoint.read_text())
+        doc["encoders"]["v"]["b2"][0] = float("nan")
+        checkpoint.write_text(json.dumps(doc))
+        r = export(checkpoint, view, tmp_path / "u.tsv")
+        assert_clean_exit_2(r)
+        assert "view 'v' encoder b2 holds a non-finite value" in r.stderr
+        assert not (tmp_path / "u.tsv").exists()
+
     def test_scale_mismatch_refused(self, tmp_path):
         view, checkpoint = write_binary_checkpoint(tmp_path)
         r = export(checkpoint, view, tmp_path / "u.tsv")

@@ -4,6 +4,7 @@ import logging
 import math
 import subprocess
 import sys
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -40,8 +41,10 @@ from lexifuse.lexica import (
     signed_continuous,
 )
 from lexifuse.rng import RngStream
+from reference import TOKEN_SPLIT
 from reference import featurize_corpus as oracle_corpus
 from reference import lexicon_from_betas
+from reference import tokenize as oracle_tokenize
 from row_lexica import PolarityLabel, coarse_sentiment, concat_feature, label_of, single_feature, view_of
 
 
@@ -69,6 +72,25 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
         assert tokenize("  ... !!") == []
+
+    # Separators the regex and str.split treat differently on their own
+    # (`_`, the information separators, NEL, the ideographic space), digits
+    # of other scripts, combining marks and characters whose case folding
+    # expands or adds a combining mark.
+    EDGE_CHARACTERS = "_ \t\n\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000'\u2019-٣੭५\u0301\u0307ßẞİﬁŉΐǰ½Ⅻ²ǅ"
+
+    @given(st.text(st.one_of(st.characters(), st.sampled_from(EDGE_CHARACTERS), st.sampled_from("aZ09 .,"))))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_regex_oracle(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+    def test_isalnum_is_the_regex_word_rule(self):
+        # The per-code-point rule on every non-surrogate code point, checked
+        # without tokenize, whose shared table would keep an entry for each.
+        everything = "".join(map(chr, chain(range(0xD800), range(0xE000, 0x110000))))
+        kept = TOKEN_SPLIT.sub("", everything)
+        assert kept == "".join(filter(str.isalnum, everything))
+        assert not any(map(str.isspace, kept))
 
 
 class TestLabeledCorpus:

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexifuse.errors import ConfigError, NumericError, UsageError
+from lexifuse.errors import ConfigError, LexifuseError, NumericError, UsageError
 from lexifuse.evaluation import synth_generate
 from lexifuse.lexica import (
     binary,
@@ -485,6 +486,103 @@ class TestCheckpoint:
         p.write_text(doc)
         with pytest.raises(ConfigError):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize(
+        "head,array,value",
+        [("encoders", "b2", math.nan), ("decoders", "w1", math.inf), ("encoders", "w2", -math.inf)],
+    )
+    def test_non_finite_array_names_view_head_and_array(self, tmp_path, head, array, value):
+        p = tmp_path / "model.json"
+        save_checkpoint(p, small_state())
+        doc = json.loads(p.read_text())
+        flat = np.array(doc[head]["pair"][array])
+        flat.flat[-1] = value
+        doc[head]["pair"][array] = flat.tolist()
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=rf"view 'pair' {head[:-1]} {array} holds a non-finite value"):
+            load_checkpoint(p)
+
+
+class Pairs(list):
+    """A JSON object as a list of (key, value) pairs, so a key can repeat."""
+
+
+class Raw(str):
+    """JSON text written as it is."""
+
+
+def pairs(node):
+    if isinstance(node, dict):
+        return Pairs((k, pairs(v)) for k, v in node.items())
+    if isinstance(node, list):
+        return [pairs(v) for v in node]
+    return node
+
+
+def dump(node) -> str:
+    if isinstance(node, Raw):
+        return node
+    if isinstance(node, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(dump, node)) + "]"
+    return json.dumps(node)
+
+
+def slots(node):
+    """Every (container, index) in a document of Pairs and lists."""
+    for i, child in enumerate(node):
+        yield node, i
+        value = child[1] if isinstance(node, Pairs) else child
+        if isinstance(value, list):
+            yield from slots(value)
+
+
+JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+JSON_VALUE = st.recursive(
+    JSON_LEAF, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+FLOAT_ARRAY = st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=5), max_size=5)
+NESTING = st.builds(lambda n, closed: Raw("[" * n + "]" * (n if closed else 0)),
+                    st.integers(1, 100_000), st.booleans())
+NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(10**400),
+                   st.sampled_from([Raw("1e400"), Raw("-Infinity"), Raw("NaN")]))
+FUZZ_VALUE = st.one_of(NUMBER, JSON_VALUE, FLOAT_ARRAY, FLOAT_ARRAY.map(lambda rows: rows[:1]), NESTING)
+
+
+class TestCheckpointFuzz:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_only_typed_errors_escape(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "model.json"
+        save_checkpoint(path, small_state({"bin": binary(), "rater": rater_histogram(2, 3)}),
+                        extra={"epoch": 1})
+        doc = pairs(json.loads(path.read_text()))
+        for _ in range(data.draw(st.integers(1, 3))):
+            node, i = data.draw(st.sampled_from(list(slots(doc))))
+            action = data.draw(st.sampled_from(["replace", "repeat", "delete"]))
+            value = data.draw(FUZZ_VALUE)
+            if action == "replace":
+                node[i] = (node[i][0], value) if isinstance(node, Pairs) else value
+            elif action == "repeat" and isinstance(node, Pairs):
+                node.insert(i + data.draw(st.integers(0, 1)), (node[i][0], value))
+            else:  # delete, or repeat inside a list
+                del node[i]
+        body = dump(doc).encode("utf-8")
+        if data.draw(st.booleans()):
+            cut = data.draw(st.integers(0, len(body)))
+            body = body[:cut] + data.draw(st.binary(min_size=1, max_size=4)) + body[cut:]
+        path.write_bytes(body)
+        try:
+            state, meta = load_checkpoint(path)
+        except LexifuseError:
+            return
+        assert np.isfinite(pack_state(state)).all()
+        assert isinstance(meta["extra"], dict)
 
 
 class TestObservationAssembly:

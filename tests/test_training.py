@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexifuse.errors import ConfigError, NumericError, UsageError
+from lexifuse.errors import ConfigError, LexifuseError, NumericError, UsageError
 from lexifuse.lexica import (
     binary,
     build_vocabulary,
@@ -135,11 +137,44 @@ class TestTrainConfig:
         cfg = load_train_config(p)
         assert (cfg.epochs, cfg.seed) == (50, 2)
 
+    def test_load_rejects_repeated_key(self, tmp_path):
+        p = tmp_path / "train.cfg"
+        p.write_text("learning_rate = 0.1\nepochs = 2\nlearning_rate = 0.2\n")
+        with pytest.raises(ConfigError, match=r"train.cfg:3: config key 'learning_rate' given twice, on lines 1 and 3"):
+            load_train_config(p)
+
     def test_hash_stable_and_sensitive(self):
         a = config_hash(TrainConfig())
         assert a == config_hash(TrainConfig())
         assert a != config_hash(TrainConfig(seed=1))
         assert len(a) == 12
+
+
+CONFIG_KEY = st.one_of(st.sampled_from([f.name for f in dataclasses.fields(TrainConfig)]), st.text(max_size=5))
+CONFIG_VALUE = st.one_of(
+    st.integers(-5, 10**30).map(str), st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "0x10", "1_000", "٣", ""]), st.text(max_size=6),
+)
+CONFIG_LINE = st.one_of(
+    st.builds("{}{}={}{}".format, CONFIG_KEY, st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " "]),
+              CONFIG_VALUE),
+    st.just(""), st.text(max_size=8).map("#".__add__), st.text(max_size=8),
+)
+
+
+class TestLoadTrainConfigFuzz:
+    @given(st.one_of(st.binary(), st.lists(CONFIG_LINE, max_size=12).map("\n".join),
+                     st.lists(st.one_of(CONFIG_LINE, st.binary(max_size=4).map(lambda b: b.decode("latin-1"))),
+                              max_size=12).map("\r\n".join)))
+    @settings(max_examples=300, deadline=None)
+    def test_only_typed_errors_escape(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("fuzz") / "train.cfg"
+        path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8", "surrogatepass"))
+        try:
+            config = load_train_config(path)
+        except LexifuseError:
+            return
+        assert isinstance(config, TrainConfig)
 
 
 class TestAdam:
