@@ -206,9 +206,6 @@ class CombinedVocabulary:
         """word -> its vocabulary row."""
         return dict(zip(self.words, range(len(self.words))))
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
     def __len__(self) -> int:
         return len(self.words)
 

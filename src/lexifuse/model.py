@@ -27,9 +27,10 @@ encoder outputs, so `posterior_params` runs the same encode_vars once per
 view, forward only, on a tape of its own.  Both read a view's labels from
 its value columns (`encoder_input`, `emission_targets`).
 
-`ModelState.check_view` is the one test that a view fits its head, passed
-through by `train`, `export_lexicon` and `posterior_params`; it compares
-families, as a ModelState ties each head's widths to its own family.
+`ModelState.check_view`, passed through by `train`, `export_lexicon` and
+`posterior_params`, is the one test that a view fits its head (it compares
+families, as a ModelState ties each head's widths to its family).  `elbo_batch`
+checks the labels it stacks and that each word's beta, recon and kl are finite.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .lexica import (
     CombinedVocabulary,
     LexiconView,
     ScaleFamily,
+    out_of_domain,
 )
 from .tape import Tape
 
@@ -319,6 +321,18 @@ class BatchElbo:
     kl: np.ndarray  # (n,) per word
 
 
+def _refuse_non_finite(batch: list[WordObservation], **arrays: np.ndarray) -> None:
+    """Raise NumericError for the first word in batch order with a non-finite row."""
+    finite = [np.isfinite(a).reshape(len(batch), -1).all(axis=1) for a in arrays.values()]
+    bad = ~np.logical_and.reduce(finite)
+    if bad.any():
+        i = int(np.argmax(bad))
+        rows = ", ".join(f"{name}={a[i].tolist()!r}" for name, a in arrays.items())
+        raise NumericError(
+            f"non-finite ELBO for word {batch[i].word!r} (views {sorted(batch[i].labels)}): {rows}"
+        )
+
+
 def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> BatchElbo:
     """The batch's ELBO on an existing binding, with explicit sampling noise.
 
@@ -328,8 +342,9 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> Ba
     finite-difference gradient checks and the frozen-noise training scheme
     rely on.  Each view runs its encoder once over the batch rows it covers,
     beta = 1 + the omegas added in sorted view order, and each sample runs
-    each view's decoder and emission once.  A word whose beta is not finite
-    raises NumericError, naming the first such word in batch order.
+    each view's decoder and emission once.  A headless view or a label row
+    outside its family is a ConfigError; a word whose beta, recon or kl is
+    not finite raises NumericError, naming the first such word in batch order.
     """
     scales = binding.state.scales
     rows: dict[str, list[int]] = {}
@@ -342,21 +357,23 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> Ba
     for vid in sorted(rows):
         if vid not in scales:
             raise ConfigError(f"the model has no head for view {vid!r}")
-        values = np.array(labels[vid], dtype=float)
-        x = encoder_input(scales[vid], values)
-        views.append((vid, np.array(rows[vid]), x, emission_targets(scales[vid], values)))
+        scale = scales[vid]
+        try:
+            values = np.array(labels[vid], dtype=float)
+        except ValueError:  # rows of differing lengths
+            values = np.empty(0)
+        if values.shape != (len(rows[vid]), scale.width) or out_of_domain(scale, values).any():
+            raise ConfigError(
+                f"view {vid!r} is {scale.header()}, but an observation's label is not one of its labels"
+            )
+        x = encoder_input(scale, values)
+        views.append((vid, np.array(rows[vid]), x, emission_targets(scale, values)))
 
     n = len(batch)
     beta = tp.scatter_rows(
         n, [(r, encode_vars(x, binding.heads[("enc", vid)])) for vid, r, x, _ in views], base=1.0
     )
-    bad = ~np.isfinite(beta.value).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericError(
-            f"non-finite ELBO for word {batch[i].word!r} (views {sorted(batch[i].labels)}): "
-            f"beta={beta.value[i].tolist()}"
-        )
+    _refuse_non_finite(batch, beta=beta.value)
     kl = dirichlet_kl_var(beta, np.array([obs.prior for obs in batch], dtype=float))
 
     us = np.array([noise[obs.word] for obs in batch], dtype=float)
@@ -371,6 +388,7 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> Ba
             np.add.at(recon, r, ll.value)
             lls.append(ll)
     recon /= n_mc
+    _refuse_non_finite(batch, recon=recon, kl=kl.value)
 
     sizes = [len(r) for _ in range(n_mc) for _, r, _, _ in views]
 
@@ -410,9 +428,16 @@ def _head_to_json(head: MlpHead) -> dict:
 
 
 def _head_from_json(d: dict, where: str) -> MlpHead:
-    arrays = {name: np.array(d[name], dtype=float) for name in ("w1", "b1", "w2", "b2")}
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
+    arrays = {}
+    for name in ("w1", "b1", "w2", "b2"):
+        entries = [d[name]]  # extended while walked, so deep nesting needs no recursion
+        for v in entries:
+            if type(v) is list:
+                entries.extend(v)
+            elif type(v) not in (int, float):  # a bool is not a number here
+                raise ConfigError(f"{where} {name} holds a non-numeric value")
+        arrays[name] = np.array(d[name], dtype=float)
+        if not np.isfinite(arrays[name]).all():
             raise ConfigError(f"{where} {name} holds a non-finite value")
     return MlpHead(input_dim=d["input_dim"], output_dim=d["output_dim"], hidden_dim=d["hidden_dim"], **arrays)
 

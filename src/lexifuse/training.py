@@ -9,6 +9,10 @@ makes the objective a fixed deterministic function of the parameters:
 gradients of disjoint minibatches then add up exactly to the full-batch
 gradient, and resuming from a checkpoint needs no RNG state beyond the seed
 and the epoch number.
+
+Each check on training input has one owner: `TrainConfig` its values,
+`train` repeated words and views the vocabulary lacks, `ModelState.check_view`
+that each view fits its head, and `elbo_batch` each batch's labels and ELBOs.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FLOAT_FORMAT, ConfigError, DomainError, NumericError, UsageError, read_lines, write_lines
-from .lexica import CombinedVocabulary, LexiconView, ScaleFamily, out_of_domain
+from .errors import FLOAT_FORMAT, ConfigError, NumericError, UsageError, read_lines, write_lines
+from .lexica import CombinedVocabulary, LexiconView, ScaleFamily
 from .model import (
     MlpHead,
     ModelBinding,
@@ -56,8 +60,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "adam_eps", "weight_init_scale"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
         for name in ("batch_size", "epochs", "n_mc", "hidden_dim"):
             if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -182,28 +186,14 @@ def batch_gradient(
     scale: float,
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Gradient of loss = -scale * sum over the batch of each word's ELBO
-    (elbo_batch at the words' frozen noise).
+    (elbo_batch at the words' frozen noise, which checks the batch).
 
     Returns (flat gradient in pack_state order, per-term sums).  Raises
-    NumericError naming the first word in batch order whose ELBO is
-    non-finite.
+    NumericError if the gradient is non-finite.
     """
     tape = Tape()
     binding = ModelBinding(tape, state)
-    try:
-        elbo = elbo_batch(binding, batch, noise)
-    except DomainError as e:
-        raise NumericError(
-            f"ELBO evaluation failed in the batch starting at word {batch[0].word!r}: {e}"
-        ) from e
-    bad = ~np.isfinite(elbo.recon - elbo.kl)
-    if bad.any():
-        i = int(np.argmax(bad))
-        obs = batch[i]
-        raise NumericError(
-            f"non-finite ELBO for word {obs.word!r} (views {sorted(obs.labels)}): "
-            f"recon={float(elbo.recon[i])!r}, kl={float(elbo.kl[i])!r}"
-        )
+    elbo = elbo_batch(binding, batch, noise)
     grad = binding.gradient(tape.backward(elbo.total)) * (-scale)
     if not np.isfinite(grad).all():
         raise NumericError(f"non-finite gradient in batch starting at word {batch[0].word!r}")
@@ -255,27 +245,11 @@ def train(
     words = [o.word for o in obs]
     if len(set(words)) != len(words):
         raise ConfigError("duplicate words in observations")
-    for word in words:
-        if word not in vocab:
-            raise ConfigError(f"observation word {word!r} missing from the vocabulary")
-
-    labels: dict[str, list[np.ndarray]] = {}
-    for o in obs:
-        for vid, label in o.labels.items():
-            labels.setdefault(vid, []).append(label)
     scales: dict[str, ScaleFamily] = {}
-    for vid, view_labels in sorted(labels.items()):
+    for vid in sorted(set().union(*(o.labels for o in obs))):
         scale = vocab.families.get(vid)
         if scale is None:
             raise ConfigError(f"observations have labels of view {vid!r}, which the vocabulary lacks")
-        try:
-            values = np.array(view_labels, dtype=float)
-        except ValueError:  # rows of differing lengths
-            values = np.empty(0)
-        if values.shape != (len(view_labels), scale.width) or out_of_domain(scale, values).any():
-            raise ConfigError(
-                f"view {vid!r} is {scale.header()}, but an observation's label is not one of its labels"
-            )
         scales[vid] = scale
     if init_state is None:
         init_state = init_model(scales, config, stream_for(config.seed, "init"))

@@ -116,9 +116,6 @@ class UnifiedLexicon:
         beta, mean = tuple(self.beta[row].tolist()), tuple(self.mean[row].tolist())
         return UnifiedEntry(self.words[row], beta, mean, int(self.n_views[row]))
 
-    def __contains__(self, word: str) -> bool:
-        return word.casefold() in self._index
-
     def __len__(self) -> int:
         return len(self.words)
 

@@ -150,6 +150,17 @@ class TestErrorExits:
         assert r.returncode == 4
         assert "word" in r.stderr
 
+    @pytest.mark.parametrize("key", ["learning_rate", "adam_eps", "weight_init_scale"])
+    def test_infinite_config_value_exit_2(self, tmp_path, key):
+        view = tmp_path / "v.tsv"
+        view.write_text("#family=Binary\ngood\t1\nbad\t0\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = inf\nepochs = 1\nhidden_dim = 4\n")
+        r = run_cli("train", "--views", str(view), "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert_clean_exit_2(r)
+        assert f"{key} must be finite and nonnegative, got inf" in r.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exit_2(self):
         r = run_cli()
         assert r.returncode == 2
@@ -308,6 +319,24 @@ class TestCheckpointErrors:
         r = export(checkpoint, view, tmp_path / "u.tsv")
         assert_clean_exit_2(r)
         assert "view 'v' encoder b2 holds a non-finite value" in r.stderr
+        assert not (tmp_path / "u.tsv").exists()
+
+    @pytest.mark.parametrize("head, name, value", [
+        ("encoder", "b2", "0.1"),
+        ("decoder", "b1", True),
+        ("encoder", "w1", None),
+    ])
+    def test_non_numeric_weight_refused(self, tmp_path, head, name, value):
+        view, checkpoint = write_binary_checkpoint(tmp_path)
+        doc = json.loads(checkpoint.read_text())
+        row = doc[f"{head}s"]["v"][name]
+        if name.startswith("w"):  # a matrix: edit its first row
+            row = row[0]
+        row[0] = value
+        checkpoint.write_text(json.dumps(doc))
+        r = export(checkpoint, view, tmp_path / "u.tsv")
+        assert_clean_exit_2(r)
+        assert f"view 'v' {head} {name} holds a non-numeric value" in r.stderr
         assert not (tmp_path / "u.tsv").exists()
 
     def test_scale_mismatch_refused(self, tmp_path):

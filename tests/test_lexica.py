@@ -384,7 +384,7 @@ class TestBuildVocabulary:
         assert vocab.words == ["x", "y", "z"]
         assert vocab.rows["A"].tolist() == [0, 1] and vocab.rows["B"].tolist() == [1, 2]
         assert vocab.n_views.tolist() == [1, 2, 1]
-        assert "y" in vocab and "w" not in vocab and len(vocab) == 3
+        assert "y" in vocab.index and "w" not in vocab.index and len(vocab) == 3
 
     def test_single_view(self):
         vocab = build_vocabulary([self._view("A", ["x"])])

@@ -421,6 +421,17 @@ class TestElboWord:
         assert np.isnan(beta).all()
         assert not seen, [str(w.message) for w in seen]
 
+    def test_recon_non_finite_names_word(self):
+        # a NaN decoder weight leaves beta finite; elbo_batch refuses the
+        # word whose recon it makes NaN rather than returning it
+        state = small_state()
+        state.decoders["sig"].w1[0, 0] = np.nan
+        second = WordObservation("w2", {"sig": rows_of(example_label(signed_continuous()))[0]}, np.ones(3))
+        batch = [_word_obs(("bin",)), second]
+        noise = {"w": elbo_noise(RngStream(4), 1), "w2": elbo_noise(RngStream(5), 1)}
+        with pytest.raises(NumericError, match=r"non-finite ELBO for word 'w2' \(views \['sig'\]\): recon=nan"):
+            elbo_batch(ModelBinding(Tape(), state), batch, noise)
+
 
 class TestPackUnpack:
     def test_roundtrip(self):

@@ -292,6 +292,25 @@ class TestBatchGradient:
         with pytest.raises(NumericError, match="w000"):
             batch_gradient(state, obs, noise, scale=1.0)
 
+    @pytest.mark.parametrize(
+        "vid, label, family",
+        [
+            ("bin", [0.5], "Binary"),
+            ("pair", [0.5], "PairContinuous"),
+            ("pair", [0.1, 0.2, 0.3], "PairContinuous"),
+        ],
+    )
+    def test_label_outside_view_refused(self, vid, label, family):
+        # elbo_batch checks the labels it stacks, so a direct caller is guarded too
+        vocab, obs = make_corpus(3, seed=8, vids=("bin", "pair"))
+        cfg = TrainConfig(hidden_dim=4)
+        state = init_model({"bin": binary(), "pair": pair_continuous()}, cfg, stream_for(0, "init"))
+        obs[1].labels[vid] = np.array(label)
+        noise = frozen_noise(cfg, [o.word for o in obs])
+        message = f"view '{vid}' is #family={family}, but an observation's label is not one of its labels"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            batch_gradient(state, obs, noise, scale=1.0)
+
 
 class TestTrain:
     def test_zero_lr_keeps_params_and_objective(self):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexifuse.errors import ConfigError, LexifuseError, ParseError
+from lexifuse.evaluation import make_featurizer
 from lexifuse.lexica import (
     LexiconView,
     binary,
@@ -145,10 +146,11 @@ class TestExportLexicon:
 class TestLookup:
     def test_casefold_and_absent(self):
         lex = lexicon_from_betas([("peppy", (2.0, 1.5, 1.5), 2)])
-        assert "peppy" in lex
-        assert "Peppy" in lex and lex.words == ["peppy"]
-        assert "absent" not in lex
-        assert "PEPPY" in lex and "absent" not in lex
+        featurizer = make_featurizer("fused-beta", unified=lex)
+        assert "peppy" in featurizer
+        assert "Peppy" in featurizer and lex.words == ["peppy"]
+        assert "absent" not in featurizer
+        assert "PEPPY" in featurizer and "absent" not in featurizer
 
 
 class TestSerialization:
