@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, LexifuseError, header, write_lines
+from .errors import ConfigError, LexifuseError, header, output_errors, write_lines
 from .evaluation import (
     coverage,
     evaluate,
@@ -62,7 +62,8 @@ def _load_views(view_args: list[str]) -> list[LexiconView]:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with output_errors(out):
+        out.mkdir(parents=True, exist_ok=True)
     data = synth_generate(
         args.n_words,
         args.views_per_family,
@@ -109,7 +110,8 @@ def cmd_train(args) -> int:
     priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
     obs = observations_from_views(views, vocab, priors)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with output_errors(out):
+        out.mkdir(parents=True, exist_ok=True)
     result = train(
         vocab,
         obs,

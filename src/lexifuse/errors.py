@@ -141,17 +141,31 @@ class Rows:
 
 
 @contextlib.contextmanager
+def output_errors(path: Path):
+    """Raise the OSErrors that say `path` cannot be made as a ConfigError
+    naming it; others, such as a full disk, propagate as they are."""
+    try:
+        yield
+    except (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
+
+
+@contextlib.contextmanager
 def atomic_write(path: str | Path):
     """A UTF-8 text file to write `path` through.  The block writes a new file
     beside it, which os.replace moves onto `path` once the block completes;
-    if the block raises, the new file is removed and `path` is untouched."""
+    if the block raises, the new file is removed and `path` is untouched.  A
+    path whose directory is missing or unwritable, or that names a directory,
+    is a ConfigError."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
-    f = open(tmp, "x", encoding="utf-8")
+    with output_errors(path):
+        f = open(tmp, "x", encoding="utf-8")
     try:
         with f:
             yield f
-        os.replace(tmp, path)
+        with output_errors(path):
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -367,7 +367,7 @@ def evaluate(corpus_train: LabeledCorpus, corpus_test: LabeledCorpus, featurizer
 
 def coverage(words, corpus: LabeledCorpus) -> float:
     """Percentage of the corpus's unique token types found in `words`
-    (anything supporting `in`: a set, view entries, lexicon, featurizer)."""
+    (anything supporting `in`: a set, a view's entries, a featurizer)."""
     types = corpus.types()
     if not types:
         return 0.0

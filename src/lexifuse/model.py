@@ -1,12 +1,13 @@
 """Model core: per-lexicon encoder/decoder heads, emission likelihoods,
 posterior construction, and the minibatch ELBO.
 
-Every lexicon view d gets two small MLPs.  The encoder g maps the word's
-label in that view to a point omega_d on the polarity simplex; the word's
-variational Dirichlet parameter is beta = 1 + sum_d omega_d, so each view
-contributes exactly one pseudocount split across the three classes.  The
-decoder f maps a latent polarity draw z back to the parameters rho of that
-view's emission distribution over labels.
+Every lexicon view d gets two small MLPs, each a `Head` of four arrays
+(w1, b1, w2, b2) whose shapes `ModelState` checks once.  The encoder g maps
+the word's label in that view to a point omega_d on the polarity simplex; the
+word's variational Dirichlet parameter is beta = 1 + sum_d omega_d, so each
+view contributes exactly one pseudocount split across the three classes.
+The decoder f maps a latent polarity draw z back to the parameters rho of
+that view's emission distribution over labels.
 
 The view's scale family alone picks the emission:
 
@@ -37,8 +38,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,27 +89,14 @@ def encoder_input(scale: ScaleFamily, values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(eq=False)
-class MlpHead:
-    """Two affine layers with a tanh between them."""
+class Head(NamedTuple):
+    """Two affine layers with a tanh between them, as its four arrays or as
+    their tape leaves; the field order is the pack order."""
 
-    input_dim: int
-    output_dim: int
-    w1: np.ndarray  # (hidden, input)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (output, hidden)
-    b2: np.ndarray  # (output,)
-    hidden_dim: int = 32
-
-    def __post_init__(self):
-        if self.w1.shape != (self.hidden_dim, self.input_dim):
-            raise ConfigError(f"w1 shape {self.w1.shape} != {(self.hidden_dim, self.input_dim)}")
-        if self.b1.shape != (self.hidden_dim,):
-            raise ConfigError(f"b1 shape {self.b1.shape} != {(self.hidden_dim,)}")
-        if self.w2.shape != (self.output_dim, self.hidden_dim):
-            raise ConfigError(f"w2 shape {self.w2.shape} != {(self.output_dim, self.hidden_dim)}")
-        if self.b2.shape != (self.output_dim,):
-            raise ConfigError(f"b2 shape {self.b2.shape} != {(self.output_dim,)}")
+    w1: np.ndarray | tp.Node  # (hidden, input)
+    b1: np.ndarray | tp.Node  # (hidden,)
+    w2: np.ndarray | tp.Node  # (output, hidden)
+    b2: np.ndarray | tp.Node  # (output,)
 
 
 @dataclass(frozen=True)
@@ -125,24 +115,26 @@ class WordObservation:
 
 @dataclass(eq=False)
 class ModelState:
-    """All heads, keyed by view id; scales declare each view's label space."""
+    """All heads, keyed by view id; scales declare each view's label space,
+    which sets each head's input and output widths."""
 
     scales: dict[str, ScaleFamily]
-    encoders: dict[str, MlpHead]
-    decoders: dict[str, MlpHead]
+    encoders: dict[str, Head]
+    decoders: dict[str, Head]
 
     def __post_init__(self):
         if set(self.scales) != set(self.encoders) or set(self.scales) != set(self.decoders):
             raise ConfigError("scales/encoders/decoders must cover the same view ids")
         for vid, scale in self.scales.items():
-            enc, dec = self.encoders[vid], self.decoders[vid]
-            want = (scale.width, 3, 3, decoder_width(scale))
-            got = (enc.input_dim, enc.output_dim, dec.input_dim, dec.output_dim)
-            if got != want:
-                raise ConfigError(
-                    f"view {vid!r} ({scale.header()}) needs encoder {want[0]} -> 3 and "
-                    f"decoder 3 -> {want[3]}, got {got[0]} -> {got[1]} and {got[2]} -> {got[3]}"
-                )
+            for kind, head, n_in, n_out in (("encoder", self.encoders[vid], scale.width, 3),
+                                           ("decoder", self.decoders[vid], 3, decoder_width(scale))):
+                h = head.w1.shape[:1]
+                got = tuple(a.shape for a in head)
+                if got != ((*h, n_in), h, (n_out, *h), (n_out,)):
+                    raise ConfigError(
+                        f"view {vid!r} ({scale.header()}) needs {kind} shapes (h, {n_in}), (h,), "
+                        f"({n_out}, h), ({n_out},) for w1, b1, w2, b2, got {', '.join(map(str, got))}"
+                    )
 
     def view_ids(self) -> list[str]:
         return sorted(self.scales)
@@ -155,16 +147,10 @@ class ModelState:
             raise ConfigError(f"view {view_id!r} is {family.header()}, but the model has {has} for it")
 
 
-def _head_arrays(head: MlpHead) -> list[np.ndarray]:
-    return [head.w1, head.b1, head.w2, head.b2]
-
-
 def _state_arrays(state: ModelState) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for vid in state.view_ids():
-        out.extend(_head_arrays(state.encoders[vid]))
-        out.extend(_head_arrays(state.decoders[vid]))
-    return out
+    """Every parameter array in pack order: by sorted view id, the encoder's
+    w1, b1, w2, b2, then the decoder's."""
+    return [a for vid in state.view_ids() for head in (state.encoders[vid], state.decoders[vid]) for a in head]
 
 
 def pack_state(state: ModelState) -> np.ndarray:
@@ -188,46 +174,35 @@ def unpack_state(state: ModelState, vec: np.ndarray) -> None:
 # Array-tape route: the encoder forward of export and the training objective.
 
 
-@dataclass(eq=False)
-class HeadNodes:
-    """One head's four parameter arrays as tape leaves."""
-
-    w1: tp.Node
-    b1: tp.Node
-    w2: tp.Node
-    b2: tp.Node
-
-
 class ModelBinding:
-    """All model parameters on one tape, one leaf per array.
+    """All model parameters on one tape, one leaf per array of _state_arrays,
+    and `heads` of those leaves, keyed by ("enc" or "dec", view id).
 
     Build a fresh binding per optimization step (tapes are append-only and
-    single-use); `gradient` flattens the leaves' adjoints in pack_state order.
+    single-use); `gradient` flattens the leaves' adjoints in the same order.
     """
 
     def __init__(self, tape: Tape, state: ModelState):
         self.tape = tape
         self.state = state
-        self.heads: dict[tuple[str, str], HeadNodes] = {}
-        for vid in state.view_ids():
-            for kind, head in (("enc", state.encoders[vid]), ("dec", state.decoders[vid])):
-                self.heads[(kind, vid)] = HeadNodes(*(tape.leaf(a) for a in _head_arrays(head)))
+        self.leaves = [tape.leaf(a) for a in _state_arrays(state)]
+        heads = map(Head._make, zip(*[iter(self.leaves)] * 4))  # four leaves per head
+        self.heads = {(kind, vid): next(heads) for vid in state.view_ids() for kind in ("enc", "dec")}
 
     def gradient(self, adjoints: list) -> np.ndarray:
         """The flat parameter gradient (pack_state order) from adjoints."""
         parts = []
-        for head in self.heads.values():
-            for leaf in (head.w1, head.b1, head.w2, head.b2):
-                g = adjoints[leaf.idx]
-                parts.append(np.zeros(leaf.value.size) if g is None else g.ravel())
+        for leaf in self.leaves:
+            g = adjoints[leaf.idx]
+            parts.append(np.zeros(leaf.value.size) if g is None else g.ravel())
         return np.concatenate(parts)
 
 
-def _mlp_vars(x, head: HeadNodes) -> tp.Node:
+def _mlp_vars(x, head: Head) -> tp.Node:
     return tp.affine(tp.tanh(tp.affine(x, head.w1, head.b1)), head.w2, head.b2)
 
 
-def encode_vars(x: np.ndarray, head: HeadNodes) -> tp.Node:
+def encode_vars(x: np.ndarray, head: Head) -> tp.Node:
     """omega = softmax(g(x)) for each row of encoder inputs: (m, 3)."""
     return tp.softmax(_mlp_vars(x, head))
 
@@ -243,12 +218,12 @@ def posterior_params(views: list[LexiconView], state: ModelState, vocab: Combine
     for view in sorted(views, key=lambda v: v.id):
         state.check_view(view.id, view.family)
         tape = Tape()
-        head = HeadNodes(*(tape.leaf(a) for a in _head_arrays(state.encoders[view.id])))
+        head = Head(*map(tape.leaf, state.encoders[view.id]))
         beta[vocab.rows[view.id]] += encode_vars(encoder_input(view.family, view.values), head).value
     return beta
 
 
-def decode_vars(z: tp.Node, head: HeadNodes, scale: ScaleFamily) -> tp.Node:
+def decode_vars(z: tp.Node, head: Head, scale: ScaleFamily) -> tp.Node:
     """The emission parameters rho of a view with this scale at each row of z."""
     raw = _mlp_vars(z, head)
     r = raw.value
@@ -415,21 +390,15 @@ def observations_from_views(views, vocab, priors: dict[str, np.ndarray]) -> list
 CHECKPOINT_VERSION = 1
 
 
-def _head_to_json(head: MlpHead) -> dict:
-    return {
-        "input_dim": head.input_dim,
-        "output_dim": head.output_dim,
-        "hidden_dim": head.hidden_dim,
-        "w1": head.w1.tolist(),
-        "b1": head.b1.tolist(),
-        "w2": head.w2.tolist(),
-        "b2": head.b2.tolist(),
-    }
+def _head_to_json(head: Head) -> dict:
+    (hidden_dim, input_dim), output_dim = head.w1.shape, len(head.b2)
+    dims = {"input_dim": input_dim, "output_dim": output_dim, "hidden_dim": hidden_dim}
+    return dims | {name: a.tolist() for name, a in head._asdict().items()}
 
 
-def _head_from_json(d: dict, where: str) -> MlpHead:
+def _head_from_json(d: dict, where: str) -> Head:
     arrays = {}
-    for name in ("w1", "b1", "w2", "b2"):
+    for name in Head._fields:
         entries = [d[name]]  # extended while walked, so deep nesting needs no recursion
         for v in entries:
             if type(v) is list:
@@ -439,7 +408,12 @@ def _head_from_json(d: dict, where: str) -> MlpHead:
         arrays[name] = np.array(d[name], dtype=float)
         if not np.isfinite(arrays[name]).all():
             raise ConfigError(f"{where} {name} holds a non-finite value")
-    return MlpHead(input_dim=d["input_dim"], output_dim=d["output_dim"], hidden_dim=d["hidden_dim"], **arrays)
+    head = Head(**arrays)
+    stored = (d["hidden_dim"], d["input_dim"], d["output_dim"])
+    if stored != head.w1.shape + head.w2.shape[:1]:
+        raise ConfigError(f"{where} stores (hidden_dim, input_dim, output_dim) {stored}, but its w1 is "
+                          f"{head.w1.shape} and its w2 {head.w2.shape}")
+    return head
 
 
 def save_checkpoint(
@@ -466,9 +440,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     """Read a checkpoint; returns (state, metadata including 'extra').
 
     A missing path, a non-file, or a file that is not valid JSON (nesting
-    too deep to decode included), lacks a key or holds a non-numeric,
-    non-finite or misshapen array raises ConfigError; bytes that are not
-    UTF-8 raise ParseError.
+    too deep to decode included), lacks a key, holds a non-numeric,
+    non-finite or misshapen array, stored dims that disagree with the arrays,
+    a config hash that is not lowercase hex or an extra seed that is not an
+    integer raises ConfigError; bytes that are not UTF-8 raise ParseError.
     """
     path = Path(path)
     text = read_input(path, "checkpoint")
@@ -497,8 +472,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     extra = doc.get("extra", {})
     if not isinstance(extra, dict):
         raise ConfigError(f"checkpoint {path}: 'extra' is not a JSON object")
-    meta = {
-        "config_hash": doc.get("config_hash", ""),
-        "extra": extra,
-    }
-    return state, meta
+    # both go into the header of the files exported from this checkpoint
+    digest = doc.get("config_hash", "")
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]*", digest)):
+        raise ConfigError(f"checkpoint {path}: 'config_hash' is not lowercase hex digits: {digest!r}")
+    if "seed" in extra and type(extra["seed"]) is not int:  # a bool is not a seed
+        raise ConfigError(f"checkpoint {path}: 'extra.seed' is not a JSON integer: {extra['seed']!r}")
+    return state, {"config_hash": digest, "extra": extra}

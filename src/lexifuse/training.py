@@ -29,7 +29,7 @@ import numpy as np
 from .errors import FLOAT_FORMAT, ConfigError, NumericError, UsageError, read_lines, write_lines
 from .lexica import CombinedVocabulary, LexiconView, ScaleFamily
 from .model import (
-    MlpHead,
+    Head,
     ModelBinding,
     ModelState,
     WordObservation,
@@ -132,19 +132,12 @@ def adam_step(
     return params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
 
 
-def _init_head(in_dim: int, out_dim: int, config: TrainConfig, gen: np.random.Generator) -> MlpHead:
+def _init_head(in_dim: int, out_dim: int, config: TrainConfig, gen: np.random.Generator) -> Head:
     h = config.hidden_dim
     s1 = config.weight_init_scale / np.sqrt(in_dim)
     s2 = config.weight_init_scale / np.sqrt(h)
-    return MlpHead(
-        input_dim=in_dim,
-        output_dim=out_dim,
-        hidden_dim=h,
-        w1=gen.uniform(-s1, s1, size=(h, in_dim)),
-        b1=np.zeros(h),
-        w2=gen.uniform(-s2, s2, size=(out_dim, h)),
-        b2=np.zeros(out_dim),
-    )
+    w1 = gen.uniform(-s1, s1, size=(h, in_dim))
+    return Head(w1, np.zeros(h), gen.uniform(-s2, s2, size=(out_dim, h)), np.zeros(out_dim))
 
 
 def init_model(

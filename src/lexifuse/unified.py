@@ -86,9 +86,10 @@ def _check_rows(words: list[str], beta: np.ndarray, mean: np.ndarray, n_views: n
 
 
 class UnifiedLexicon:
-    """A fused lexicon as parallel arrays sorted by case-folded word, with
-    case-folded exact lookup.  The rows may come in any order; a word that
-    repeats (after case-folding) is a ConfigError."""
+    """A fused lexicon as parallel arrays sorted by case-folded word; `_index`
+    maps each case-folded word to its row, for the fused featurizers.  The
+    rows may come in any order; a word that repeats (after case-folding) is a
+    ConfigError."""
 
     def __init__(self, words, beta, mean, n_views, meta: dict[str, str] | None = None):
         beta, mean = np.asarray(beta, dtype=float), np.asarray(mean, dtype=float)

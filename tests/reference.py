@@ -19,7 +19,7 @@ import numpy as np
 from lexifuse.distributions import _SIMPLEX_EPS, dirichlet_sample_vars
 from lexifuse.errors import ConfigError, DomainError
 from lexifuse.evaluation import Featurizer, LabeledCorpus
-from lexifuse.model import BatchElbo, MlpHead, ModelBinding, ModelState, WordObservation, elbo_batch
+from lexifuse.model import BatchElbo, Head, ModelBinding, ModelState, WordObservation, elbo_batch
 from lexifuse.rng import RngStream
 from lexifuse.special import digamma, lgamma, trigamma
 from lexifuse.tape import Node, Tape, rowwise
@@ -102,9 +102,9 @@ def elbo_word(obs: WordObservation, state: ModelState, n_mc: int, rng: RngStream
     return elbo_batch(ModelBinding(Tape(), state), [obs], {obs.word: elbo_noise(rng, n_mc)})
 
 
-def encode(head: MlpHead, x: np.ndarray) -> np.ndarray:
+def encode(head: Head, x: np.ndarray) -> np.ndarray:
     """omega = softmax(g(x)) per row of encoder inputs, in plain numpy:
-    (n, input_dim) -> (n, 3)."""
+    (n, w1's columns) -> (n, 3)."""
     raw = np.tanh(x @ head.w1.T + head.b1) @ head.w2.T + head.b2
     with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row stays nan
         e = np.exp(raw - raw.max(axis=1, keepdims=True))

@@ -19,7 +19,7 @@ from lexifuse.lexica import BINARY, PAIR_CONTINUOUS, SIGNED_CONTINUOUS, ScaleFam
 from lexifuse.model import (
     PAIR_VARIANCE,
     VARIANCE_FLOOR,
-    MlpHead,
+    Head,
     ModelState,
     WordObservation,
 )
@@ -131,7 +131,7 @@ class ModelBinding:
         self.count = len(tape) - self.start
         self.encoded: dict[tuple[str, PolarityLabel], tuple[Var, Var, Var]] = {}
 
-    def _push_head(self, head: MlpHead) -> HeadLeaves:
+    def _push_head(self, head: Head) -> HeadLeaves:
         leaf = self.tape.leaf
         return HeadLeaves(
             w1=[[leaf(v) for v in row] for row in head.w1],

@@ -1,11 +1,16 @@
-"""The text-artifact format, byte for byte: the attribution header that each
-attributed artifact starts with, with and without a seed and a config hash,
-and the floats it prints."""
+"""The artifact formats, byte for byte: the attribution header that each
+attributed text artifact starts with, with and without a seed and a config
+hash, the floats it prints, and the JSON of a checkpoint."""
 
+import numpy as np
 import pytest
 
 from lexifuse.cli import main
 from lexifuse.evaluation import LabeledCorpus, write_corpus, write_report
+from lexifuse.lexica import binary
+from lexifuse.model import save_checkpoint, unpack_state
+from lexifuse.rng import stream_for
+from lexifuse.training import TrainConfig, init_model
 from lexifuse.unified import write_unified
 from reference import lexicon_from_betas
 
@@ -53,3 +58,17 @@ def test_truth_header_bytes(tmp_path):
     assert main(["synth", "--out", str(tmp_path), "--seed", "3", "--n-words", "20", "--n-texts", "10"]) == 0
     head = b"# ground-truth word classes (lexifuse 0.1.0)\n# seed: 3\nword0000\tpositive\nword0001\tneutral\n"
     assert (tmp_path / "truth.tsv").read_bytes().startswith(head)
+
+
+def test_checkpoint_bytes(tmp_path):
+    state = init_model({"v": binary()}, TrainConfig(hidden_dim=1), stream_for(0, "init"))
+    unpack_state(state, np.array([0.5, 0.0, 1.0, -2.0, 0.1, 0.25, -0.5, 3.0, -1.0, 2.0, -0.75, 1e-5, 4.0, -0.125]))
+    save_checkpoint(tmp_path / "checkpoint.json", state, config_hash="abc", extra={"epoch": 2, "seed": 7})
+    assert (tmp_path / "checkpoint.json").read_bytes() == (
+        b'{"component_order": ["positive", "negative", "neutral"], "config_hash": "abc", '
+        b'"decoders": {"v": {"b1": [1e-05], "b2": [-0.125], "hidden_dim": 1, "input_dim": 3, '
+        b'"output_dim": 1, "w1": [[-1.0, 2.0, -0.75]], "w2": [[4.0]]}}, '
+        b'"encoders": {"v": {"b1": [0.0], "b2": [0.25, -0.5, 3.0], "hidden_dim": 1, "input_dim": 1, '
+        b'"output_dim": 3, "w1": [[0.5]], "w2": [[1.0], [-2.0], [0.1]]}}, '
+        b'"extra": {"epoch": 2, "seed": 7}, "format_version": 1, "scales": {"v": {"tag": "Binary"}}}'
+    )

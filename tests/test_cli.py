@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lexifuse.cli import main
 from lexifuse.lexica import binary
 from lexifuse.model import save_checkpoint
 from lexifuse.rng import stream_for
@@ -339,6 +340,27 @@ class TestCheckpointErrors:
         assert f"view 'v' {head} {name} holds a non-numeric value" in r.stderr
         assert not (tmp_path / "u.tsv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("config_hash", "ab\ncd"),
+        ("config_hash", ["ab"]),
+        ("config_hash", "AB12"),
+        ("extra.seed", "7"),
+        ("extra.seed", True),
+        ("extra.seed", {"n": 7}),
+    ])
+    def test_header_metadata_refused(self, tmp_path, key, value):
+        view, checkpoint = write_binary_checkpoint(tmp_path)
+        doc = json.loads(checkpoint.read_text())
+        if key == "extra.seed":
+            doc["extra"]["seed"] = value
+        else:
+            doc[key] = value
+        checkpoint.write_text(json.dumps(doc))
+        r = export(checkpoint, view, tmp_path / "u.tsv")
+        assert_clean_exit_2(r)
+        assert f"{checkpoint}: '{key}' is not" in r.stderr
+        assert not (tmp_path / "u.tsv").exists()
+
     def test_scale_mismatch_refused(self, tmp_path):
         view, checkpoint = write_binary_checkpoint(tmp_path)
         r = export(checkpoint, view, tmp_path / "u.tsv")
@@ -348,6 +370,36 @@ class TestCheckpointErrors:
         assert_clean_exit_2(r)
         assert "'v'" in r.stderr and "SignedContinuous" in r.stderr and "Binary" in r.stderr
         assert not (tmp_path / "u2.tsv").exists()
+
+
+def _unwritable_command(case, d):
+    """A CLI call whose output path cannot be written, and that path."""
+    view, checkpoint = write_binary_checkpoint(d)
+    corpus = d / "c.tsv"
+    corpus.write_text("0\tgood\n1\tbad\n")
+    (d / "a_dir").mkdir()
+    (d / "a_file").write_text("")
+    export_to = ["export", "--checkpoint", str(checkpoint), "--views", str(view), "--out"]
+    out, argv = {
+        "export-into-missing-dir": (d / "missing" / "u.tsv", export_to),
+        "export-onto-dir": (d / "a_dir", export_to),
+        "eval-into-missing-dir": (d / "missing" / "r.csv", [
+            "eval", "--mode", "single:v", "--views", str(view), "--corpus", str(corpus), str(corpus), "--out"]),
+        "train-onto-file": (d / "a_file", ["train", "--views", str(view), "--out"]),
+        "synth-onto-file": (d / "a_file", ["synth", "--n-words", "40", "--n-texts", "20", "--out"]),
+    }[case]
+    return argv + [str(out)], out
+
+
+@pytest.mark.parametrize("case", [
+    "export-into-missing-dir", "export-onto-dir", "eval-into-missing-dir", "train-onto-file", "synth-onto-file",
+])
+def test_unwritable_output_exit_2(tmp_path, capsys, case):
+    argv, out = _unwritable_command(case, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
 
 
 def _reader_command(reader, bad, d):

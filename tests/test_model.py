@@ -513,6 +513,17 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=rf"view 'pair' {head[:-1]} {array} holds a non-finite value"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("head,key", [("encoders", "hidden_dim"), ("decoders", "input_dim")])
+    def test_stored_dims_must_match_arrays(self, tmp_path, head, key):
+        p = tmp_path / "model.json"
+        save_checkpoint(p, small_state())
+        doc = json.loads(p.read_text())
+        doc[head]["pair"][key] += 1
+        p.write_text(json.dumps(doc))
+        stores = r"stores \(hidden_dim, input_dim, output_dim\)"
+        with pytest.raises(ConfigError, match=rf"view 'pair' {head[:-1]} {stores}"):
+            load_checkpoint(p)
+
 
 class Pairs(list):
     """A JSON object as a list of (key, value) pairs, so a key can repeat."""
@@ -607,3 +618,11 @@ class TestObservationAssembly:
             ModelState(
                 scales=state.scales, encoders={}, decoders=state.decoders
             )
+
+    @pytest.mark.parametrize("kind,name,shape", [("encoder", "b1", (5,)), ("decoder", "w2", (2, 5))])
+    def test_state_refuses_disagreeing_head_shapes(self, kind, name, shape):
+        state = small_state()  # hidden width 4
+        heads = {"encoder": dict(state.encoders), "decoder": dict(state.decoders)}
+        heads[kind]["sig"] = heads[kind]["sig"]._replace(**{name: np.zeros(shape)})
+        with pytest.raises(ConfigError, match=f"view 'sig' .* needs {kind} shapes"):
+            ModelState(scales=state.scales, encoders=heads["encoder"], decoders=heads["decoder"])

@@ -223,13 +223,13 @@ class TestInitModel:
             "vader": rater_histogram(10, 9),
         }
         state = init_model(scales, TrainConfig(), stream_for(0, "init"))
-        enc_in = {vid: h.input_dim for vid, h in state.encoders.items()}
-        dec_out = {vid: h.output_dim for vid, h in state.decoders.items()}
+        enc_in = {vid: h.w1.shape[1] for vid, h in state.encoders.items()}
+        dec_out = {vid: h.w2.shape[0] for vid, h in state.decoders.items()}
         assert enc_in == {"gi": 1, "huliu": 1, "mpqa": 1, "sentic": 1, "swn": 2, "vader": 10}
         assert dec_out == {"gi": 1, "huliu": 1, "mpqa": 1, "sentic": 2, "swn": 2, "vader": 9}
-        assert all(h.output_dim == 3 for h in state.encoders.values())
-        assert all(h.input_dim == 3 for h in state.decoders.values())
-        assert all(h.hidden_dim == 32 for h in state.encoders.values())
+        assert all(h.w2.shape[0] == 3 for h in state.encoders.values())
+        assert all(h.w1.shape[1] == 3 for h in state.decoders.values())
+        assert all(h.w1.shape[0] == 32 for h in state.encoders.values())
 
     def test_same_seed_identical(self):
         scales = {"a": binary(), "b": signed_continuous()}
