@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, LexifuseError, header, output_errors, write_lines
+from .errors import ConfigError, LexifuseError, check_writable, header, output_errors, write_lines
 from .evaluation import (
     coverage,
     evaluate,
@@ -128,6 +128,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_export(args) -> int:
+    check_writable(args.out)
     state, meta = load_checkpoint(args.checkpoint)
     views = _load_views(args.views)
     lexicon = export_lexicon(state, views)
@@ -137,6 +138,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_writable(args.out)
     views = _load_views(args.views) if args.views else []
     unified = read_unified(args.unified) if args.unified else None
     if args.restrict is not None:

@@ -9,6 +9,7 @@ parse/domain -> 3, numeric -> 4.
 """
 
 import contextlib
+import errno
 import os
 import secrets
 from collections.abc import Iterable
@@ -150,6 +151,25 @@ def output_errors(path: Path):
         raise ConfigError(f"cannot write {path}: {e.strerror}") from None
 
 
+def _open_beside(path: Path):
+    """(name, handle) of a new UTF-8 file in `path`'s directory."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    with output_errors(path):
+        return tmp, open(tmp, "x", encoding="utf-8")
+
+
+def check_writable(path: str | Path) -> None:
+    """Raise now the ConfigError that atomic_write(path) would raise on
+    opening, or on replacing a directory, so that a command can refuse its
+    output before doing the work; a file at `path` is left untouched."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    tmp, f = _open_beside(path)
+    f.close()
+    tmp.unlink()
+
+
 @contextlib.contextmanager
 def atomic_write(path: str | Path):
     """A UTF-8 text file to write `path` through.  The block writes a new file
@@ -158,9 +178,7 @@ def atomic_write(path: str | Path):
     path whose directory is missing or unwritable, or that names a directory,
     is a ConfigError."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
-    with output_errors(path):
-        f = open(tmp, "x", encoding="utf-8")
+    tmp, f = _open_beside(path)
     try:
         with f:
             yield f

@@ -308,16 +308,17 @@ def _refuse_non_finite(batch: list[WordObservation], **arrays: np.ndarray) -> No
         )
 
 
-def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> BatchElbo:
+def elbo_batch(binding: ModelBinding, batch: list[WordObservation], us: np.ndarray) -> BatchElbo:
     """The batch's ELBO on an existing binding, with explicit sampling noise.
 
-    noise maps each word to one triple of uniforms per Monte Carlo sample;
-    passing the same noise twice makes the objective a deterministic
-    function of the parameters (common random numbers), which both the
-    finite-difference gradient checks and the frozen-noise training scheme
-    rely on.  Each view runs its encoder once over the batch rows it covers,
-    beta = 1 + the omegas added in sorted view order, and each sample runs
-    each view's decoder and emission once.  A headless view or a label row
+    us holds the batch's uniforms, (len(batch), n_mc, 3) with row i for
+    batch[i]; dirichlet_sample_vars checks each sample's against beta.
+    Passing the same us twice makes the objective a deterministic function
+    of the parameters (common random numbers), which both the finite-
+    difference gradient checks and the frozen-noise training scheme rely
+    on.  Each view runs its encoder once over the batch rows it covers, beta
+    = 1 + the omegas added in sorted view order, and each sample runs each
+    view's decoder and emission once.  A headless view or a label row
     outside its family is a ConfigError; a word whose beta, recon or kl is
     not finite raises NumericError, naming the first such word in batch order.
     """
@@ -351,7 +352,6 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], noise) -> Ba
     _refuse_non_finite(batch, beta=beta.value)
     kl = dirichlet_kl_var(beta, np.array([obs.prior for obs in batch], dtype=float))
 
-    us = np.array([noise[obs.word] for obs in batch], dtype=float)
     n_mc = us.shape[1]
     lls = []
     recon = np.zeros(n)
@@ -416,10 +416,22 @@ def _head_from_json(d: dict, where: str) -> Head:
     return head
 
 
+def _check_meta(path: Path, digest, extra) -> None:
+    """Refuse metadata that export could not print into unified.tsv's header."""
+    if not isinstance(extra, dict):
+        raise ConfigError(f"checkpoint {path}: 'extra' is not a JSON object")
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]*", digest)):
+        raise ConfigError(f"checkpoint {path}: 'config_hash' is not lowercase hex digits: {digest!r}")
+    if "seed" in extra and type(extra["seed"]) is not int:  # a bool is not a seed
+        raise ConfigError(f"checkpoint {path}: 'extra.seed' is not a JSON integer: {extra['seed']!r}")
+
+
 def save_checkpoint(
     path: str | Path, state: ModelState, config_hash: str = "", extra: dict | None = None
 ) -> None:
-    """Write the model as versioned JSON; floats round-trip exactly."""
+    """Write the model as versioned JSON; floats round-trip exactly.  Metadata
+    that load_checkpoint refuses raises its ConfigError before any write."""
+    _check_meta(path, config_hash, extra or {})
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "component_order": list(COMPONENTS),
@@ -469,13 +481,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
         raise ConfigError(f"checkpoint {path} lacks key {e}") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"checkpoint {path} is malformed: {e}") from None
-    extra = doc.get("extra", {})
-    if not isinstance(extra, dict):
-        raise ConfigError(f"checkpoint {path}: 'extra' is not a JSON object")
-    # both go into the header of the files exported from this checkpoint
-    digest = doc.get("config_hash", "")
-    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]*", digest)):
-        raise ConfigError(f"checkpoint {path}: 'config_hash' is not lowercase hex digits: {digest!r}")
-    if "seed" in extra and type(extra["seed"]) is not int:  # a bool is not a seed
-        raise ConfigError(f"checkpoint {path}: 'extra.seed' is not a JSON integer: {extra['seed']!r}")
+    digest, extra = doc.get("config_hash", ""), doc.get("extra", {})
+    _check_meta(path, digest, extra)
     return state, {"config_hash": digest, "extra": extra}

@@ -1,6 +1,6 @@
 """Special functions on float64 arrays: log-gamma, digamma, trigamma, the
 regularized incomplete gamma functions P(a, x) and Q(a, x) = 1 - P(a, x)
-with the shape derivative of P, and the Gamma quantile.
+with the shape derivative of P, and the Gamma quantile at shapes >= 1.
 
 Every function works elementwise on arrays (scalars become 0-d results),
 and each element goes through the same arithmetic whatever else shares the
@@ -373,21 +373,17 @@ def gamma_quantile(shape, u):
     r = (P(a, x) - u) / pdf(x), whose curvature term is free because
     d pdf / dx = pdf ((a - 1) / x - 1).  It starts from Wilson-Hilferty,
     corrected in both tails by two fixed-point steps on the leading term of
-    P or Q (a series start for shapes below 1).  Above the median the
-    residual is taken on Q, so that upper-tail quantiles are as accurate as
-    lower-tail ones.  A step that leaves the bracket becomes a geometric
-    one.  Each round evaluates gammainc_p once, on the elements still
-    iterating; an element stops after a relative step of 1e-12, which is
-    applied (the residual is then cubically smaller, below roundoff).  Over
-    the training range (shape in [1, 9], u in [1e-12, 1 - 1e-12]) that takes
-    three rounds.  It converges for any shape in (0, 1e4) whose quantile is
-    at least 1e-300; near 0 the quantile is about (u Gamma(1 + shape))^(1 /
-    shape), so small shapes at small u fall below the double range and raise
-    NumericError: gamma_quantile(0.0138, 1e-6) would be about 1e-435, while
-    gamma_quantile(0.02, 1e-6) is 5.7e-301.  Training shapes are at least 1.
+    P or Q.  Above the median the residual is taken on Q, so that upper-tail
+    quantiles are as accurate as lower-tail ones.  A step that leaves the
+    bracket becomes a geometric one.  Each round evaluates gammainc_p once,
+    on the elements still iterating; an element stops after a relative step
+    of 1e-12, which is applied (the residual is then cubically smaller,
+    below roundoff).  Over the training range (shape in [1, 9], u in
+    [1e-12, 1 - 1e-12]) that takes three rounds.  Training draws at the
+    Dirichlet shapes 1 + sum omega, so a shape below 1 is a DomainError.
     """
     shape, u = np.broadcast_arrays(np.asarray(shape, dtype=float), _unit_open("gamma_quantile", u))
-    _check("gamma_quantile", "shape > 0", shape, shape > 0.0)
+    _check("gamma_quantile", "shape >= 1", shape, shape >= 1.0)
     a = shape.ravel()
     u = u.ravel()
     out = -np.log1p(-u)  # P(1, x) = 1 - e^(-x)
@@ -408,12 +404,6 @@ def gamma_quantile(shape, u):
             high = (a - 1.0) * np.log(high) - np.log1p(-u) - log_norm + np.log1p(
                 (a - 1.0) / high * (1.0 + (a - 2.0) / high))
         x = np.where(lead < 0.2 * (a + 1.0), low, np.where(x > 2.0 * a, high, x))
-        # Small-shape inversion of the leading series term, P(a, x) ~ (x^a / Gamma(a+1));
-        # without this the quantile can sit hundreds of orders of magnitude below
-        # any Wilson-Hilferty start.
-        t = 1.0 - a * (0.253 + a * 0.12)
-        small = np.where(u < t, np.exp(np.log(u / t) / a), 1.0 - np.log(1.0 - (u - t) / (1.0 - t)))
-    x = np.where(a > 1.0, x, small)
     x = np.where((x > 0.0) & np.isfinite(x), x, a * u)
 
     live = np.flatnonzero(a != 1.0)

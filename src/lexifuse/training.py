@@ -4,8 +4,9 @@ differentiate the summed per-word ELBOs, apply Adam.
 Reproducibility scheme: all randomness is addressed, never consumed from a
 shared stream.  Initial weights come from (seed, "init"), the epoch-e
 shuffle from (seed, "shuffle", e), and each word's Monte Carlo uniforms
-from (seed, "noise", word).  Word noise is frozen for the whole run, which
-makes the objective a fixed deterministic function of the parameters:
+from (seed, "noise", word), drawn once per run into one (n_words, n_mc, 3)
+array whose rows each batch takes.  Word noise is frozen for the whole run,
+which makes the objective a fixed deterministic function of the parameters:
 gradients of disjoint minibatches then add up exactly to the full-batch
 gradient, and resuming from a checkpoint needs no RNG state beyond the seed
 and the epoch number.
@@ -161,32 +162,28 @@ def init_model(
     return ModelState(scales=scales, encoders=encoders, decoders=decoders)
 
 
-def frozen_noise(config: TrainConfig, words: list[str]) -> dict[str, list[list[float]]]:
-    """Per-word Monte Carlo uniforms, a pure function of (seed, word): n_mc
-    triples drawn from the word's stream, nudged off {0, 1} for quantile
-    stability."""
+def frozen_noise(config: TrainConfig, words: list[str]) -> np.ndarray:
+    """Per-word Monte Carlo uniforms as one (len(words), n_mc, 3) array whose
+    row i is a pure function of (seed, words[i]): n_mc triples drawn from the
+    word's stream, nudged off {0, 1} for quantile stability."""
     root = stream_for(config.seed, "noise")
     shape = (config.n_mc, 3)
-    return {
-        w: np.clip(root.split(w).numpy().random(shape), 1e-12, 1.0 - 1e-12).tolist() for w in words
-    }
+    draws = [root.split(w).numpy().random(shape) for w in words]
+    return np.clip(np.reshape(draws, (len(words), *shape)), 1e-12, 1.0 - 1e-12)
 
 
 def batch_gradient(
-    state: ModelState,
-    batch: list[WordObservation],
-    noise: dict[str, list[list[float]]],
-    scale: float,
+    state: ModelState, batch: list[WordObservation], us: np.ndarray, scale: float
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Gradient of loss = -scale * sum over the batch of each word's ELBO
-    (elbo_batch at the words' frozen noise, which checks the batch).
+    (elbo_batch at the batch's uniforms us, which checks the batch).
 
     Returns (flat gradient in pack_state order, per-term sums).  Raises
     NumericError if the gradient is non-finite.
     """
     tape = Tape()
     binding = ModelBinding(tape, state)
-    elbo = elbo_batch(binding, batch, noise)
+    elbo = elbo_batch(binding, batch, us)
     grad = binding.gradient(tape.backward(elbo.total)) * (-scale)
     if not np.isfinite(grad).all():
         raise NumericError(f"non-finite gradient in batch starting at word {batch[0].word!r}")
@@ -260,8 +257,9 @@ def train(
         perm = stream_for(config.seed, "shuffle", epoch).permutation(n)
         elbo_acc = recon_acc = kl_acc = 0.0
         for lo in range(0, n, config.batch_size):
-            batch = [obs[i] for i in perm[lo : lo + config.batch_size]]
-            grad, stats = batch_gradient(state, batch, noise, scale=n / len(batch))
+            idx = perm[lo : lo + config.batch_size]
+            batch = [obs[i] for i in idx]
+            grad, stats = batch_gradient(state, batch, noise[idx], scale=n / len(batch))
             params = adam_step(params, grad, adam, config)
             unpack_state(state, params)
             elbo_acc += stats["elbo_sum"]

@@ -99,7 +99,7 @@ def elbo_word(obs: WordObservation, state: ModelState, n_mc: int, rng: RngStream
     """Single-word ELBO estimate on a fresh tape (see elbo_batch)."""
     if n_mc < 1:
         raise ConfigError(f"n_mc must be >= 1, got {n_mc}")
-    return elbo_batch(ModelBinding(Tape(), state), [obs], {obs.word: elbo_noise(rng, n_mc)})
+    return elbo_batch(ModelBinding(Tape(), state), [obs], np.array([elbo_noise(rng, n_mc)]))
 
 
 def encode(head: Head, x: np.ndarray) -> np.ndarray:

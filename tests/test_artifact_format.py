@@ -1,6 +1,7 @@
 """The artifact formats, byte for byte: the attribution header that each
 attributed text artifact starts with, with and without a seed and a config
-hash, the floats it prints, and the JSON of a checkpoint."""
+hash, the floats it prints, and the JSON of a checkpoint; and the Monte
+Carlo uniforms that training draws, which every trained artifact rests on."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from lexifuse.evaluation import LabeledCorpus, write_corpus, write_report
 from lexifuse.lexica import binary
 from lexifuse.model import save_checkpoint, unpack_state
 from lexifuse.rng import stream_for
-from lexifuse.training import TrainConfig, init_model
+from lexifuse.training import TrainConfig, frozen_noise, init_model
 from lexifuse.unified import write_unified
 from reference import lexicon_from_betas
 
@@ -72,3 +73,18 @@ def test_checkpoint_bytes(tmp_path):
         b'"output_dim": 3, "w1": [[0.5]], "w2": [[1.0], [-2.0], [0.1]]}}, '
         b'"extra": {"epoch": 2, "seed": 7}, "format_version": 1, "scales": {"v": {"tag": "Binary"}}}'
     )
+
+
+def test_frozen_noise_values():
+    # a change of noise scheme moves every trained artifact, and shows here
+    words = ["alpha", "beta", "word00001"]
+    noise = frozen_noise(TrainConfig(seed=7, n_mc=2), words)
+    assert noise.dtype == np.float64
+    np.testing.assert_array_equal(noise, [
+        [[0.020428245622148733, 0.48943224012437925, 0.6380015495826884],
+         [0.5452142707611027, 0.8567098632180327, 0.8940528112011875]],
+        [[0.3241119832440321, 0.31655351599823345, 0.9513171381350084],
+         [0.0123309742050558, 0.5095162838070194, 0.888477188724238]],
+        [[0.7043650321932537, 0.9120889051189944, 0.25989813024306097],
+         [0.4287407660223461, 0.0760234104180566, 0.91236372220004]],
+    ])

@@ -402,6 +402,31 @@ def test_unwritable_output_exit_2(tmp_path, capsys, case):
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
 
 
+def _missing_inputs(command, d):
+    """An export or eval call all of whose inputs are missing from d."""
+    if command == "export":
+        return ["export", "--checkpoint", str(d / "c.json"), "--views", str(d / "v.tsv")]
+    return ["eval", "--mode", "single:v", "--views", str(d / "v.tsv"), "--corpus", str(d / "a.tsv"), str(d / "b.tsv")]
+
+
+@pytest.mark.parametrize("command", ["export", "eval"])
+def test_unwritable_output_refused_before_reading_inputs(tmp_path, capsys, command):
+    missing = tmp_path / "missing"
+    out = missing / ("u.tsv" if command == "export" else "r.csv")
+    assert main(_missing_inputs(command, missing) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("command", ["export", "eval"])
+def test_output_check_leaves_existing_file(tmp_path, capsys, command):
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    assert main(_missing_inputs(command, tmp_path) + ["--out", str(out)]) == 2
+    assert "cannot write" not in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
 def _reader_command(reader, bad, d):
     """A CLI call whose first input read is `bad`, through the named reader."""
     view = d / "v.tsv"

@@ -194,7 +194,7 @@ class TestDirichletKlVar:
 
 class TestGammaSampleVar:
     @given(
-        st.floats(min_value=0.5, max_value=15.0),
+        st.floats(min_value=1.0, max_value=15.0),
         st.floats(min_value=0.01, max_value=0.99),
     )
     @settings(max_examples=100)
@@ -202,7 +202,10 @@ class TestGammaSampleVar:
         y, dy = gamma_draws(shape, u)
         assert y == pytest.approx(gamma_quantile(shape, u), rel=1e-12)
         h = 1e-5 * max(shape, 1.0)
-        fd = (gamma_quantile(shape + h, u) - gamma_quantile(shape - h, u)) / (2 * h)
+        if shape - h < 1.0:  # no quantile below shape 1: a forward difference
+            fd = (gamma_quantile(shape + h, u) - y) / h
+        else:
+            fd = (gamma_quantile(shape + h, u) - gamma_quantile(shape - h, u)) / (2 * h)
         assert dy == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_domain(self):
@@ -212,7 +215,7 @@ class TestGammaSampleVar:
 
 class TestDirichletSampleVars:
     @given(
-        st.lists(st.floats(min_value=0.8, max_value=10.0), min_size=3, max_size=3),
+        st.lists(st.floats(min_value=1.0, max_value=10.0), min_size=3, max_size=3),
         st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=3, max_size=3),
     )
     @settings(max_examples=100)
@@ -268,8 +271,20 @@ class TestDirichletSampleVars:
                 up, dn = beta.copy(), beta.copy()
                 up[i, k] += h
                 dn[i, k] -= h
-                fd = (value(up) - value(dn)) / (2 * h)
+                if dn[i, k] < 1.0:  # no draw below shape 1: a forward difference
+                    fd = (value(up) - value(beta)) / h
+                else:
+                    fd = (value(up) - value(dn)) / (2 * h)
                 assert adj[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [0.02, 0.5, 1.0 - 1e-12])
+    def test_shape_below_one_refused(self, shape):
+        beta = np.array([[2.0, 1.3, 4.0], [1.0, shape, 3.0]])
+        us = np.array([[0.3, 0.7, 0.52], [0.5, 0.5, 0.5]])
+        with pytest.raises(DomainError, match="requires shape >= 1"):
+            dirichlet_sample_vars(Tape().leaf(beta), us)
+        with pytest.raises(DomainError, match="requires shape >= 1"):
+            gamma_draws(shape, 0.5)
 
 
 def score_function_samples(objective_f, beta, n, rng):

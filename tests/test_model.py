@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -344,11 +345,11 @@ class TestElboWord:
     def test_gradient_matches_fd_under_crn(self):
         state = small_state()
         obs = _word_obs()
-        noise = {obs.word: elbo_noise(RngStream(3), 2)}
+        us = np.array([elbo_noise(RngStream(3), 2)])
 
         tape = Tape()
         binding = ModelBinding(tape, state)
-        we = elbo_batch(binding, [obs], noise)
+        we = elbo_batch(binding, [obs], us)
         grad = binding.gradient(tape.backward(we.total))
 
         base = pack_state(state)
@@ -356,7 +357,7 @@ class TestElboWord:
         def value_at(vec):
             s2 = copy.deepcopy(state)
             unpack_state(s2, vec)
-            return elbo_batch(ModelBinding(Tape(), s2), [obs], noise).total.value
+            return elbo_batch(ModelBinding(Tape(), s2), [obs], us).total.value
 
         h = 1e-5
         rng = np.random.default_rng(0)
@@ -389,17 +390,17 @@ class TestElboWord:
         noise = elbo_noise(RngStream(4), 1)
         obs_a = _word_obs(("bin", "sig"))
         obs_b = WordObservation("w2", {"bin": rows_of(example_label(binary()))[0]}, np.ones(3))
-        noise = {"w": noise, "w2": noise}
+        us = np.array([noise, noise])
         shared_tape = Tape()
         shared = ModelBinding(shared_tape, state)
-        we = elbo_batch(shared, [obs_a, obs_b], noise)
+        we = elbo_batch(shared, [obs_a, obs_b], us)
         grad = shared.gradient(shared_tape.backward(we.total))
 
         totals, grad_sum = [], 0.0
-        for obs in (obs_a, obs_b):
+        for row, obs in enumerate((obs_a, obs_b)):
             tape = Tape()
             binding = ModelBinding(tape, state)
-            one = elbo_batch(binding, [obs], noise)
+            one = elbo_batch(binding, [obs], us[[row]])
             totals.append(one.recon[0] - one.kl[0])
             grad_sum = grad_sum + binding.gradient(tape.backward(one.total))
         assert (we.recon - we.kl).tolist() == totals
@@ -410,11 +411,11 @@ class TestElboWord:
         state.encoders["sig"].b2[0] = np.inf
         second = WordObservation("w2", {"sig": rows_of(example_label(signed_continuous()))[0]}, np.ones(3))
         batch = [_word_obs(("bin",)), second]
-        noise = {"w": elbo_noise(RngStream(4), 1), "w2": elbo_noise(RngStream(5), 1)}
+        us = np.array([elbo_noise(RngStream(4), 1), elbo_noise(RngStream(5), 1)])
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             with pytest.raises(NumericError, match="'w2'"):
-                elbo_batch(ModelBinding(Tape(), state), batch, noise)
+                elbo_batch(ModelBinding(Tape(), state), batch, us)
             # the typed error is all a user sees: numpy prints no warning first
             view = view_of("sig", signed_continuous(), {"w": 0.5})
             (beta,) = posterior_params([view], state, build_vocabulary([view]))
@@ -428,9 +429,9 @@ class TestElboWord:
         state.decoders["sig"].w1[0, 0] = np.nan
         second = WordObservation("w2", {"sig": rows_of(example_label(signed_continuous()))[0]}, np.ones(3))
         batch = [_word_obs(("bin",)), second]
-        noise = {"w": elbo_noise(RngStream(4), 1), "w2": elbo_noise(RngStream(5), 1)}
+        us = np.array([elbo_noise(RngStream(4), 1), elbo_noise(RngStream(5), 1)])
         with pytest.raises(NumericError, match=r"non-finite ELBO for word 'w2' \(views \['sig'\]\): recon=nan"):
-            elbo_batch(ModelBinding(Tape(), state), batch, noise)
+            elbo_batch(ModelBinding(Tape(), state), batch, us)
 
 
 class TestPackUnpack:
@@ -488,6 +489,17 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_checkpoint(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("meta, message", [
+        ({"config_hash": "run-1"}, "'config_hash' is not lowercase hex digits: 'run-1'"),
+        ({"extra": {"seed": True}}, "'extra.seed' is not a JSON integer: True"),
+    ])
+    def test_save_refuses_what_load_refuses(self, tmp_path, meta, message):
+        # the loader's own error, raised before anything is written
+        p = tmp_path / "model.json"
+        with pytest.raises(ConfigError, match=re.escape(f"checkpoint {p}: {message}")):
+            save_checkpoint(p, small_state(), **meta)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_version(self, tmp_path):
         state = small_state()

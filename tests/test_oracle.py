@@ -45,9 +45,10 @@ def test_batch_gradient_matches_scalar_tape(n_mc):
         for i, o in enumerate(obs)
     ]
     cfg, state = moved_state(n_mc)
-    noise = frozen_noise(cfg, [o.word for o in obs])
+    words = [o.word for o in obs]
+    noise = frozen_noise(cfg, words)
     grad, stats = batch_gradient(state, obs, noise, scale=3.0)
-    want, want_stats = scalar_model.batch_gradient(state, obs, noise, scale=3.0)
+    want, want_stats = scalar_model.batch_gradient(state, obs, dict(zip(words, noise.tolist())), scale=3.0)
     for key in ("elbo_sum", "recon_sum", "kl_sum"):
         assert stats[key] == pytest.approx(want_stats[key], rel=1e-9)
     np.testing.assert_allclose(grad, want, rtol=1e-9, atol=1e-12)
@@ -63,15 +64,17 @@ def test_underflowing_softmax_gives_unit_shapes():
     cfg, state = moved_state(3, seed=1)
     state.encoders["bin"].w2[...] = 0.0
     state.encoders["bin"].b2[...] = (800.0, 0.0, 0.0)
-    noise = frozen_noise(cfg, [o.word for o in obs])
+    words = [o.word for o in obs]
+    noise = frozen_noise(cfg, words)
+    by_word = dict(zip(words, noise.tolist()))
 
     tape = scalar_tape.Tape()
     binding = scalar_model.ModelBinding(tape, state)
-    beta = scalar_model.elbo_word_on(binding, obs[1], noise[obs[1].word]).beta
+    beta = scalar_model.elbo_word_on(binding, obs[1], by_word[obs[1].word]).beta
     assert [b.value for b in beta] == [2.0, 1.0, 1.0]
 
     grad, stats = batch_gradient(state, obs, noise, scale=1.0)
-    want, want_stats = scalar_model.batch_gradient(state, obs, noise, scale=1.0)
+    want, want_stats = scalar_model.batch_gradient(state, obs, by_word, scale=1.0)
     for key in ("elbo_sum", "recon_sum", "kl_sum"):
         assert stats[key] == pytest.approx(want_stats[key], rel=1e-9)
     np.testing.assert_allclose(grad, want, rtol=1e-9, atol=1e-12)
@@ -143,7 +146,6 @@ def test_frozen_noise_matches_per_uniform_route(n_mc):
     cfg = TrainConfig(n_mc=n_mc, seed=7)
     words = [f"w{i}" for i in range(50)] + ["", "naïve"]
     noise = frozen_noise(cfg, words)
-    for w in words:
-        want = elbo_noise(stream_for(cfg.seed, "noise", w), n_mc)
-        assert noise[w] == want
-        assert all(type(v) is float for row in noise[w] for v in row)
+    want = np.array([elbo_noise(stream_for(cfg.seed, "noise", w), n_mc) for w in words])
+    assert noise.dtype == np.float64
+    np.testing.assert_array_equal(noise, want)

@@ -6,6 +6,7 @@ from scipy.stats import gamma as sp_gamma
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexifuse import special
 from lexifuse.distributions import gamma_draws
 from lexifuse.errors import DomainError, NumericError
 from lexifuse.special import (
@@ -157,7 +158,7 @@ class TestNormalQuantile:
 
 class TestGammaQuantile:
     @given(
-        st.floats(min_value=0.05, max_value=100.0),
+        st.floats(min_value=1.0, max_value=100.0),
         st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
     )
     @settings(max_examples=300)
@@ -167,7 +168,7 @@ class TestGammaQuantile:
         assert gammainc_p(shape, x) == pytest.approx(u, rel=1e-9, abs=1e-11)
 
     @given(
-        st.floats(min_value=0.05, max_value=100.0),
+        st.floats(min_value=1.0, max_value=100.0),
         st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
     )
     @settings(max_examples=200)
@@ -180,11 +181,19 @@ class TestGammaQuantile:
         xs = [gamma_quantile(2.5, u) for u in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a < b for a, b in zip(xs, xs[1:]))
 
-    def test_quantile_below_the_double_range_raises(self):
-        # about (u Gamma(1 + a))^(1 / a): 1e-435 at a = 0.0138, 5.7e-301 at a = 0.02
-        with pytest.raises(NumericError, match="failed to converge"):
-            gamma_quantile(0.0138, 1e-6)
-        assert gamma_quantile(0.02, 1e-6) == pytest.approx(float(sps.gammaincinv(0.02, 1e-6)), rel=1e-9)
+    @pytest.mark.parametrize("shape", [0.02, 0.5, 1.0 - 1e-12])
+    def test_shape_below_one_refused(self, shape):
+        # Dirichlet posteriors 1 + sum omega have no shape below 1
+        with pytest.raises(DomainError, match="requires shape >= 1"):
+            gamma_quantile(shape, 0.5)
+        with pytest.raises(DomainError, match="requires shape >= 1"):
+            gamma_quantile([2.0, shape, 1.0], 0.5)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        # a CDF stuck at 1 never brackets u, so no element settles in the 200 rounds
+        monkeypatch.setattr(special, "gammainc_p", lambda a, x, upper, **kw: 1.0 - 1.0 * upper)
+        with pytest.raises(NumericError, match=r"failed to converge \(shape=2.0, u=0.3, 1 elements\)"):
+            gamma_quantile([2.0, 1.0], 0.3)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -257,9 +257,24 @@ class TestFrozenNoise:
         cfg = TrainConfig(n_mc=2, seed=5)
         n1 = frozen_noise(cfg, ["alpha", "beta"])
         n2 = frozen_noise(cfg, ["beta", "alpha"])
-        assert n1 == n2
-        assert n1["alpha"] != n1["beta"]
-        assert len(n1["alpha"]) == 2 and len(n1["alpha"][0]) == 3
+        np.testing.assert_array_equal(n1, n2[::-1])
+        assert not np.array_equal(n1[0], n1[1])
+        assert n1.shape == (2, 2, 3)
+
+    @pytest.mark.parametrize("n_mc", [1, 3])
+    def test_one_float64_array_row_per_word(self, n_mc):
+        cfg = TrainConfig(n_mc=n_mc, seed=5)
+        words = ["alpha", "beta", "gamma", ""]
+        noise = frozen_noise(cfg, words)
+        assert noise.dtype == np.float64 and noise.shape == (4, n_mc, 3)
+        empty = frozen_noise(cfg, [])
+        assert empty.dtype == np.float64 and empty.shape == (0, n_mc, 3)
+        # row i depends on (seed, words[i]) alone: not on the other words or its position
+        for i, w in enumerate(words):
+            np.testing.assert_array_equal(frozen_noise(cfg, [w])[0], noise[i])
+            np.testing.assert_array_equal(frozen_noise(cfg, ["delta", w, "alpha"])[1], noise[i])
+        other = frozen_noise(TrainConfig(n_mc=n_mc, seed=6), words)
+        assert not (other == noise).any()
 
 
 class TestBatchGradient:
@@ -277,7 +292,7 @@ class TestBatchGradient:
         combined = np.zeros_like(full)
         for lo in range(0, n, 4):
             batch = obs[lo : lo + 4]
-            g, _ = batch_gradient(state, batch, noise, scale=n / len(batch))
+            g, _ = batch_gradient(state, batch, noise[lo : lo + 4], scale=n / len(batch))
             combined += (len(batch) / n) * g
         np.testing.assert_allclose(combined, full, rtol=1e-9, atol=1e-12)
 
@@ -310,6 +325,18 @@ class TestBatchGradient:
         message = f"view '{vid}' is #family={family}, but an observation's label is not one of its labels"
         with pytest.raises(ConfigError, match=re.escape(message)):
             batch_gradient(state, obs, noise, scale=1.0)
+
+    @pytest.mark.parametrize(
+        "rows", [lambda u: u[:-1], lambda u: np.concatenate([u, u[:1]]), lambda u: u[:, 0]],
+        ids=["one_row_short", "one_row_extra", "no_mc_axis"],
+    )
+    def test_uniforms_not_matching_batch_refused(self, rows):
+        vocab, obs = make_corpus(5, seed=2)
+        cfg = TrainConfig(hidden_dim=4, n_mc=2)
+        state = init_model({"bin": binary(), "sig": signed_continuous()}, cfg, stream_for(0, "init"))
+        noise = frozen_noise(cfg, [o.word for o in obs])
+        with pytest.raises(ConfigError, match="one uniform per component"):
+            batch_gradient(state, obs, rows(noise), scale=1.0)
 
 
 class TestTrain:
