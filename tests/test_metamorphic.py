@@ -2,9 +2,11 @@
 fused lexicon unchanged.
 
 Each relation writes transformed copies of a small synthetic set's view
-files (same file names, so the same view ids), runs `lexifuse train` and
-`lexifuse export` on them in-process through `cli.main`, and compares the
-output bytes with a base run on the untouched files.
+files (same file names, so the same view ids, unless a schema's `id=` names
+them), runs `lexifuse train` and `lexifuse export` on them in-process through
+`cli.main`, and compares the output bytes with a base run on the untouched
+files.  None of the relations depends on how training draws its noise, so
+they hold across a change of noise scheme that golden bytes cannot follow.
 """
 
 import random
@@ -63,6 +65,50 @@ def rewrite(views, out, change_lines, newline="\n"):
     return copies
 
 
+def renamed(views, out):
+    """Copies under other file names, each keeping its view id through `id=`."""
+    out.mkdir()
+    args = []
+    for k, path in enumerate(views):
+        copy = out / f"lexicon{len(views) - k}.txt"
+        copy.write_bytes(path.read_bytes())
+        args.append(f"{copy}:auto,id={path.stem}")
+    return args
+
+
+def swapped_columns(views, out):
+    """Copies with the label before the word, read through word_col and value_col."""
+    copies = rewrite(views, out, lambda rows: ["\t".join(row.split("\t")[::-1]) for row in rows])
+    return [f"{copy}:auto,word_col=1,value_col=0" for copy in copies]
+
+
+def spelled_binary(views, out):
+    """The binary views' labels spelled as words, read through pos= and neg=
+    (which match case-folded); the other views as they are."""
+    spelling = {"1": "Good", "0": "bad"}
+
+    def spell(rows):
+        return [word + "\t" + spelling[label] for word, label in (row.split("\t") for row in rows)]
+
+    binary = [path for path in views if path.read_text(encoding="utf-8").startswith("#family=Binary\n")]
+    assert binary
+    args = {path: f"{copy}:auto,pos=good,neg=BAD" for path, copy in zip(binary, rewrite(binary, out, spell))}
+    return [args.get(path, str(path)) for path in views]
+
+
+def padded(rows):
+    return ["  " + " \t ".join(row.split("\t")) + " " for row in rows]
+
+
+def commented(rows):
+    out = ["", "# a comment line", "   "]
+    for k, row in enumerate(rows):
+        out.append(row)
+        if k % 7 == 3:
+            out += ["", "  # an indented comment", "#"]
+    return out + ["", "# the end"]
+
+
 def shuffled(rows):
     rows = list(rows)
     random.Random(0).shuffle(rows)
@@ -73,17 +119,24 @@ def upper_cased(rows):
     return [word.upper() + "\t" + rest for word, rest in (row.split("\t", 1) for row in rows)]
 
 
-@pytest.mark.parametrize("relation", ["reversed views", "crlf", "shuffled rows", "upper-cased words"])
+# relation -> (view files, their directory) -> the view arguments to run on
+RELATIONS = {
+    "reversed views": lambda views, out: views[::-1],
+    "crlf": lambda views, out: rewrite(views, out, lambda rows: rows, newline="\r\n"),
+    "shuffled rows": lambda views, out: rewrite(views, out, shuffled),
+    "upper-cased words": lambda views, out: rewrite(views, out, upper_cased),
+    "renamed files": renamed,
+    "swapped columns": swapped_columns,
+    "binary labels as words": spelled_binary,
+    "padded fields": lambda views, out: rewrite(views, out, padded),
+    "comment and blank lines": lambda views, out: rewrite(views, out, commented),
+}
+
+
+@pytest.mark.parametrize("relation", list(RELATIONS))
 def test_fused_output_unchanged(synth, base, tmp_path, relation):
     views, config = synth
-    if relation == "reversed views":
-        changed = views[::-1]
-    elif relation == "crlf":
-        changed = rewrite(views, tmp_path / "in", lambda rows: rows, newline="\r\n")
-    elif relation == "shuffled rows":
-        changed = rewrite(views, tmp_path / "in", shuffled)
-    else:
-        changed = rewrite(views, tmp_path / "in", upper_cased)
+    changed = RELATIONS[relation](views, tmp_path / "in")
     run = fuse(changed, config, tmp_path / "run")
     for name in ("unified.tsv", "checkpoint.json"):
         assert (run / name).read_bytes() == (base / name).read_bytes(), name
