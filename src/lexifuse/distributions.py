@@ -8,9 +8,13 @@ partial (Figurnov, Mohamed & Mnih, 2018)
     dy/d(shape) = - (dP/d shape)(shape, y) / pdf(y; shape),
 
 so holding the uniforms fixed makes the ELBO a deterministic, differentiable
-function of the variational parameters.  Shapes 1 + sum omega reach exactly
-1.0 when a softmax component underflows; the quantile and its derivative
-hold there too.
+function of the variational parameters.  special.gamma_quantile hands back
+dP/d shape at the quantile, carried from its last Halley round, so a draw
+evaluates the incomplete gamma once per round and never again after.
+Shapes 1 + sum omega reach exactly 1.0 when a softmax component underflows;
+the quantile and its derivative hold there too.  A draw is the normalized
+quantiles as they are, with no clamp off the simplex boundary: nothing
+downstream takes log z.
 """
 
 from __future__ import annotations
@@ -19,11 +23,7 @@ import numpy as np
 
 from . import tape as tp
 from .errors import ConfigError, DomainError
-from .special import digamma, gamma_log_pdf, gamma_quantile, gammainc_p_da, lgamma, trigamma
-
-# Simplex draws are nudged off the boundary before use; at these magnitudes
-# renormalization changes nothing detectable at float64 scale.
-_SIMPLEX_EPS = 1e-8
+from .special import digamma, gamma_log_pdf, gamma_quantile, lgamma, trigamma
 
 
 def dirichlet_kl(beta, alpha) -> np.ndarray:
@@ -62,32 +62,17 @@ def dirichlet_kl_var(beta: tp.Node, alpha: np.ndarray) -> tp.Node:
 def gamma_draws(shape, u) -> tuple[np.ndarray, np.ndarray]:
     """Gamma(shape) draws at fixed uniforms u, and their implicit derivatives
     in the shape: the quantiles y = P^{-1}(shape, u) and dy/d(shape)."""
-    y = gamma_quantile(shape, u)
-    _, dp_da = gammainc_p_da(shape, y)
+    y, dp_da = gamma_quantile(shape, u)
     return y, -dp_da / np.exp(gamma_log_pdf(y, shape))
 
 
 def dirichlet_sample_vars(beta: tp.Node, us: np.ndarray) -> tp.Node:
     """One Dirichlet draw per row of beta at that row's uniforms, on the tape:
-    normalized per-component Gamma quantiles; a row with a component outside
-    [eps, 1 - eps] is clamped into it and renormalized."""
+    normalized per-component Gamma quantiles."""
     if us.shape != beta.value.shape:
         raise ConfigError("dirichlet_sample_vars needs one uniform per component")
     y, dy = gamma_draws(beta.value, us)
     ys = tp.pointwise(beta, y, dy)
     total = y.sum(axis=1, keepdims=True)
     z = y / total
-    zs = ys.tape.push(z, (ys,), lambda g: ((g - (g * z).sum(axis=1, keepdims=True)) / total,))
-    off = ((z < _SIMPLEX_EPS) | (z > 1.0 - _SIMPLEX_EPS)).any(axis=1, keepdims=True)
-    if not off.any():
-        return zs
-    inside = ~off | ((z >= _SIMPLEX_EPS) & (z <= 1.0 - _SIMPLEX_EPS))
-    clamped = np.where(off, np.clip(z, _SIMPLEX_EPS, 1.0 - _SIMPLEX_EPS), z)
-    norm = np.where(off, clamped.sum(axis=1, keepdims=True), 1.0)
-    out = clamped / norm
-
-    def vjp(g):
-        # renormalization of the clamped rows, then zero where the clamp is active
-        return (np.where(off, (g - (g * out).sum(axis=1, keepdims=True)) / norm, g) * inside,)
-
-    return zs.tape.push(out, (zs,), vjp)
+    return ys.tape.push(z, (ys,), lambda g: ((g - (g * z).sum(axis=1, keepdims=True)) / total,))

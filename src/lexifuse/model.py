@@ -312,7 +312,7 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], us: np.ndarr
     """The batch's ELBO on an existing binding, with explicit sampling noise.
 
     us holds the batch's uniforms, (len(batch), n_mc, 3) with row i for
-    batch[i]; dirichlet_sample_vars checks each sample's against beta.
+    batch[i] and n_mc >= 1; any other shape is a ConfigError.
     Passing the same us twice makes the objective a deterministic function
     of the parameters (common random numbers), which both the finite-
     difference gradient checks and the frozen-noise training scheme rely
@@ -322,6 +322,9 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], us: np.ndarr
     outside its family is a ConfigError; a word whose beta, recon or kl is
     not finite raises NumericError, naming the first such word in batch order.
     """
+    if not (np.ndim(us) == 3 and np.shape(us)[::2] == (len(batch), 3) and np.shape(us)[1] >= 1):
+        raise ConfigError(f"a batch of {len(batch)} words needs one uniform per component per sample, shape "
+                          f"({len(batch)}, n_mc >= 1, 3); got {np.shape(us)}")
     scales = binding.state.scales
     rows: dict[str, list[int]] = {}
     labels: dict[str, list[np.ndarray]] = {}

@@ -1,8 +1,14 @@
-"""Seeded random streams with deterministic splitting.
+"""Seeded random streams with deterministic splitting, and counter-based
+uniforms for many keys at once.
 
 A stream is a thin wrapper over numpy's PCG64 generator.  Identical seed and
 call sequence give bit-identical draws; independent child streams are derived
 by seed-splitting so concurrent or per-word computations never share state.
+
+philox_uniforms evaluates Philox-4x64-10 (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011) in numpy uint64 arithmetic, for every
+key in one pass: each output is a pure function of (key, counter), so keys
+need no generator object each.
 """
 
 from __future__ import annotations
@@ -53,3 +59,38 @@ def stream_for(seed: int, *keys) -> RngStream:
     for k in keys:
         s = s.split(k)
     return s
+
+
+# Philox-4x64 multipliers and Weyl key increments (Random123's constants).
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of the 128-bit products m * x, from
+    products of 32-bit halves (uint64 multiplication keeps only the low word)."""
+    m_lo, m_hi = m & _LOW32, m >> _32
+    x_lo, x_hi = x & _LOW32, x >> _32
+    lh, hl = x_lo * m_hi, x_hi * m_lo
+    carry = ((x_lo * m_lo) >> _32) + (lh & _LOW32) + (hl & _LOW32)
+    return x_hi * m_hi + (lh >> _32) + (hl >> _32) + (carry >> _32), x * m
+
+
+def philox_uniforms(keys: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Doubles in [0, 1) as a (len(keys), n_blocks, 4) array: blocks 0 to
+    n_blocks - 1 of the Philox-4x64-10 stream keyed by each row of the
+    (n, 2) uint64 `keys`, as np.random.Philox(key=...).random_raw numbers
+    them (block b has counter b + 1; key word 0 is the low one), each 64-bit
+    output x taken as (x >> 11) * 2**-53."""
+    k0, k1 = (np.ascontiguousarray(keys[:, j, None], dtype=np.uint64) for j in (0, 1))
+    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64), (len(keys), n_blocks))
+    c1 = c2 = c3 = np.zeros(c0.shape, np.uint64)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (np.stack([c0, c1, c2, c3], axis=-1) >> np.uint64(11)) * 2.0**-53

@@ -2,14 +2,18 @@
 differentiate the summed per-word ELBOs, apply Adam.
 
 Reproducibility scheme: all randomness is addressed, never consumed from a
-shared stream.  Initial weights come from (seed, "init"), the epoch-e
-shuffle from (seed, "shuffle", e), and each word's Monte Carlo uniforms
-from (seed, "noise", word), drawn once per run into one (n_words, n_mc, 3)
-array whose rows each batch takes.  Word noise is frozen for the whole run,
-which makes the objective a fixed deterministic function of the parameters:
-gradients of disjoint minibatches then add up exactly to the full-batch
-gradient, and resuming from a checkpoint needs no RNG state beyond the seed
-and the epoch number.
+shared stream.  Initial weights come from (seed, "init") and the epoch-e
+shuffle from (seed, "shuffle", e).  Each word's Monte Carlo uniforms are
+Philox-4x64-10 outputs keyed by a 128-bit BLAKE2b digest of (seed, word),
+with the sample as the counter and the component as the output lane
+(NOISE_SCHEME), computed for all words in one vectorized pass into one
+(n_words, n_mc, 3) array whose rows each batch takes.  A 128-bit digest
+makes two words sharing their noise as unlikely as a random collision of
+128 bits.  Word noise is frozen for the whole run, which makes the objective
+a fixed deterministic function of the parameters: gradients of disjoint
+minibatches then add up exactly to the full-batch gradient, and resuming
+from a checkpoint needs no RNG state beyond the seed, the epoch number and
+the noise scheme, which the checkpoint records.
 
 Each check on training input has one owner: `TrainConfig` its values,
 `train` repeated words and views the vocabulary lacks, `ModelState.check_view`
@@ -40,7 +44,7 @@ from .model import (
     save_checkpoint,
     unpack_state,
 )
-from .rng import RngStream, stream_for
+from .rng import RngStream, philox_uniforms, stream_for
 from .tape import Tape
 
 log = logging.getLogger(__name__)
@@ -162,14 +166,27 @@ def init_model(
     return ModelState(scales=scales, encoders=encoders, decoders=decoders)
 
 
+# The per-word noise scheme, recorded in checkpoints: a run resumes only
+# under the scheme that drew its noise.
+NOISE_SCHEME = "philox4x64-10,blake2b-128"
+
+
 def frozen_noise(config: TrainConfig, words: list[str]) -> np.ndarray:
     """Per-word Monte Carlo uniforms as one (len(words), n_mc, 3) array whose
-    row i is a pure function of (seed, words[i]): n_mc triples drawn from the
-    word's stream, nudged off {0, 1} for quantile stability."""
-    root = stream_for(config.seed, "noise")
-    shape = (config.n_mc, 3)
-    draws = [root.split(w).numpy().random(shape) for w in words]
-    return np.clip(np.reshape(draws, (len(words), *shape)), 1e-12, 1.0 - 1e-12)
+    row i is a pure function of (seed, words[i]): sample s of word w is block
+    s of the Philox-4x64-10 stream keyed by the 16-byte BLAKE2b digest,
+    personalized for noise keys, of the UTF-8 bytes of f"{seed}\\0{w}", its
+    first three outputs the components, nudged off {0, 1} for quantile
+    stability."""
+    seeded = hashlib.blake2b(f"{config.seed}\0".encode(), digest_size=16, person=b"lexifuse-noise")
+
+    def digest(word: str) -> bytes:
+        h = seeded.copy()
+        h.update(word.encode("utf-8"))
+        return h.digest()
+
+    keys = np.frombuffer(b"".join(map(digest, words)), "<u8").reshape(len(words), 2)
+    return np.clip(philox_uniforms(keys, config.n_mc)[..., :3], 1e-12, 1.0 - 1e-12)
 
 
 def batch_gradient(
@@ -299,12 +316,19 @@ def training_extra(adam: AdamState, epoch: int, seed: int) -> dict:
         "adam_v": adam.v.tolist(),
         "adam_step": adam.step,
         "epoch": epoch,
+        "noise": NOISE_SCHEME,
         "seed": seed,
     }
 
 
 def adam_from_extra(extra: dict) -> tuple[AdamState, int]:
-    """Rebuild (AdamState, next epoch) from checkpoint metadata."""
+    """Rebuild (AdamState, next epoch) from checkpoint metadata written under
+    this NOISE_SCHEME; resuming under other noise would not continue the run."""
+    if extra.get("noise") != NOISE_SCHEME:
+        raise ConfigError(
+            f"checkpoint was trained with noise scheme {extra.get('noise')!r}, not {NOISE_SCHEME!r}; "
+            "cannot resume"
+        )
     try:
         adam = AdamState(
             m=np.array(extra["adam_m"], dtype=float),

@@ -1,7 +1,7 @@
 """Reference code that only the tests use: a rejection sampler for Gamma and
-Dirichlet draws (independent of the quantile route training runs), the
-per-word noise route training used before it drew each word's uniforms in
-one call, the Dirichlet KL and its Jacobian with one special-function call
+Dirichlet draws (independent of the quantile route training runs), uniforms
+from a stream for hand-built batches, each word's training noise through
+numpy's own Philox generator, the Dirichlet KL and its Jacobian with one special-function call
 per component, the pathwise-gradient harness, a one-word ELBO on a fresh
 tape, the encoder as a plain numpy forward (independent of the tape), a
 fused lexicon built from pseudocounts, the text-by-text featurizer and the
@@ -10,13 +10,14 @@ regex tokenizer.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from typing import Callable, Sequence
 
 import numpy as np
 
-from lexifuse.distributions import _SIMPLEX_EPS, dirichlet_sample_vars
+from lexifuse.distributions import dirichlet_sample_vars
 from lexifuse.errors import ConfigError, DomainError
 from lexifuse.evaluation import Featurizer, LabeledCorpus
 from lexifuse.model import BatchElbo, Head, ModelBinding, ModelState, WordObservation, elbo_batch
@@ -52,6 +53,11 @@ def sample_gamma(shape: float, rng: RngStream) -> float:
             return d * v
 
 
+# The rejection sampler's draws are nudged off the simplex boundary, so that
+# score-function estimators may take log z.
+_SIMPLEX_EPS = 1e-8
+
+
 def _renormalized_simplex(ys: Sequence[float]) -> list[float]:
     total = sum(ys)
     zs = [y / total for y in ys]
@@ -73,6 +79,15 @@ def elbo_noise(rng: RngStream, n_mc: int) -> list[list[float]]:
     return [
         [min(max(rng.uniform(), 1e-12), 1.0 - 1e-12) for _ in range(3)] for _ in range(n_mc)
     ]
+
+
+def philox_noise(seed: int, word: str, n_mc: int) -> np.ndarray:
+    """The word's (n_mc, 3) training uniforms through np.random.Philox, keyed
+    by the word's 16-byte BLAKE2b digest: three of each four raw outputs
+    per sample, as doubles the way numpy's Generator.random makes them."""
+    digest = hashlib.blake2b(f"{seed}\0{word}".encode(), digest_size=16, person=b"lexifuse-noise").digest()
+    raw = np.random.Philox(key=int.from_bytes(digest, "little")).random_raw(4 * n_mc)
+    return np.clip((raw.reshape(n_mc, 4)[:, :3] >> 11) * 2.0**-53, 1e-12, 1.0 - 1e-12)
 
 
 def dirichlet_kl_per_component(beta, alpha) -> np.ndarray:

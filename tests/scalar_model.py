@@ -25,9 +25,8 @@ from lexifuse.model import (
 )
 from row_lexica import PolarityLabel, label_of
 from scalar_special import digamma, gamma_log_pdf, gamma_quantile, gammainc_p_da, lgamma, trigamma
-from scalar_tape import Tape, Var, clamp, vsum
+from scalar_tape import Tape, Var, vsum
 
-_SIMPLEX_EPS = 1e-8
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -84,19 +83,12 @@ def gamma_sample_var(shape: Var, u: float) -> Var:
 
 
 def dirichlet_sample_vars(betas: Sequence[Var], us: Sequence[float]) -> list[Var]:
-    """Dirichlet draw on the tape: normalized per-component Gamma quantiles,
-    clamped into [eps, 1 - eps] and renormalized if a component reaches the
-    simplex boundary."""
+    """Dirichlet draw on the tape: normalized per-component Gamma quantiles."""
     if len(us) != len(betas):
         raise ConfigError("dirichlet_sample_vars needs one uniform per component")
     ys = [gamma_sample_var(b, u) for b, u in zip(betas, us)]
     total = vsum(ys)
-    zs = [y / total for y in ys]
-    if any(not _SIMPLEX_EPS <= z.value <= 1.0 - _SIMPLEX_EPS for z in zs):
-        zs = [clamp(z, _SIMPLEX_EPS, 1.0 - _SIMPLEX_EPS) for z in zs]
-        total = vsum(zs)
-        zs = [z / total for z in zs]
-    return zs
+    return [y / total for y in ys]
 
 
 @dataclass(eq=False)

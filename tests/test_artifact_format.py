@@ -81,10 +81,10 @@ def test_frozen_noise_values():
     noise = frozen_noise(TrainConfig(seed=7, n_mc=2), words)
     assert noise.dtype == np.float64
     np.testing.assert_array_equal(noise, [
-        [[0.020428245622148733, 0.48943224012437925, 0.6380015495826884],
-         [0.5452142707611027, 0.8567098632180327, 0.8940528112011875]],
-        [[0.3241119832440321, 0.31655351599823345, 0.9513171381350084],
-         [0.0123309742050558, 0.5095162838070194, 0.888477188724238]],
-        [[0.7043650321932537, 0.9120889051189944, 0.25989813024306097],
-         [0.4287407660223461, 0.0760234104180566, 0.91236372220004]],
+        [[0.36062039588525197, 0.8126240476421424, 0.30130636822660783],
+         [0.8161426500828061, 0.9993172837188073, 0.7761598183633199]],
+        [[0.6620297789311249, 0.17920507695739452, 0.9676150973196078],
+         [0.1499982034501982, 0.3094695697417167, 0.5500671449046806]],
+        [[0.18191523373950025, 0.9059814377902622, 0.12393581491951278],
+         [0.9324853649875422, 0.1294087942522929, 0.24007955714053042]],
     ])

@@ -200,12 +200,12 @@ class TestGammaSampleVar:
     @settings(max_examples=100)
     def test_value_and_implicit_gradient(self, shape, u):
         y, dy = gamma_draws(shape, u)
-        assert y == pytest.approx(gamma_quantile(shape, u), rel=1e-12)
+        assert y == pytest.approx(gamma_quantile(shape, u)[0], rel=1e-12)
         h = 1e-5 * max(shape, 1.0)
         if shape - h < 1.0:  # no quantile below shape 1: a forward difference
-            fd = (gamma_quantile(shape + h, u) - y) / h
+            fd = (gamma_quantile(shape + h, u)[0] - y) / h
         else:
-            fd = (gamma_quantile(shape + h, u) - gamma_quantile(shape - h, u)) / (2 * h)
+            fd = (gamma_quantile(shape + h, u)[0] - gamma_quantile(shape - h, u)[0]) / (2 * h)
         assert dy == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_domain(self):
@@ -223,7 +223,7 @@ class TestDirichletSampleVars:
         # the float computation: Gamma quantiles normalized onto the simplex
         tape = Tape()
         zs = dirichlet_sample_vars(tape.leaf([beta]), np.array([us])).value[0]
-        ys = [float(gamma_quantile(b, u)) for b, u in zip(beta, us)]
+        ys = [float(gamma_quantile(b, u)[0]) for b, u in zip(beta, us)]
         want = [y / sum(ys) for y in ys]
         np.testing.assert_allclose(zs, want, rtol=1e-12)
         assert abs(zs.sum() - 1.0) < 1e-9
@@ -248,34 +248,6 @@ class TestDirichletSampleVars:
             dn[k] -= h
             fd = (z0_value(up) - z0_value(dn)) / (2 * h)
             assert adj[k] == pytest.approx(fd, rel=1e-4, abs=1e-9)
-
-    def test_clamped_rows_vs_fd(self):
-        # a component far below eps is clamped and its row renormalized; the
-        # clamp passes no gradient, which finite differences of the value see
-        beta = np.array([[1.0, 1.0, 9.0], [2.0, 1.3, 4.0]])
-        us = np.array([[1e-12, 0.5, 0.5], [0.3, 0.7, 0.52]])
-        tape = Tape()
-        leaf = tape.leaf(beta)
-        zs = dirichlet_sample_vars(leaf, us)
-        assert zs.value[0, 0] == pytest.approx(1e-8 / (1.0 + 1e-8), rel=1e-6)
-        assert abs(zs.value[0].sum() - 1.0) < 1e-15
-        c = np.array([0.5, 2.0, 3.0])
-        adj = tape.backward(summed(linear_objective(c)(zs)))[leaf.idx]
-
-        def value(b):
-            return (dirichlet_sample_vars(Tape().leaf(b), us).value @ c).sum()
-
-        h = 1e-6
-        for i in range(2):
-            for k in range(3):
-                up, dn = beta.copy(), beta.copy()
-                up[i, k] += h
-                dn[i, k] -= h
-                if dn[i, k] < 1.0:  # no draw below shape 1: a forward difference
-                    fd = (value(up) - value(beta)) / h
-                else:
-                    fd = (value(up) - value(dn)) / (2 * h)
-                assert adj[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
     @pytest.mark.parametrize("shape", [0.02, 0.5, 1.0 - 1e-12])
     def test_shape_below_one_refused(self, shape):

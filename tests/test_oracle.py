@@ -3,7 +3,7 @@
 The array-tape minibatch gradient is compared with the per-word ELBO on the
 scalar tape (tests/scalar_model.py), the vectorized Gamma quantile and its
 implicit derivative with the scalar ones (tests/scalar_special.py), and the
-one-call-per-word frozen noise with the per-uniform route it replaced.
+vectorized Philox frozen noise with numpy's own Philox generator.
 Summation orders differ, so values agree to a tolerance, not bitwise,
 except for the noise, which is the same draws.
 """
@@ -21,7 +21,7 @@ from lexifuse.model import WordObservation, pack_state, unpack_state
 from lexifuse.rng import stream_for
 from lexifuse.special import gamma_quantile
 from lexifuse.training import TrainConfig, batch_gradient, frozen_noise, init_model
-from reference import elbo_noise
+from reference import philox_noise
 from test_training import ALL_SCALES, make_corpus
 
 VIEWS = ("bin", "pair", "rater", "sig")
@@ -106,31 +106,35 @@ def test_gamma_quantile_and_derivative_match_scalar():
 
 
 def count_rounds(monkeypatch, shape, u):
-    """gammainc_p calls of one gamma_quantile call, counted at the module
-    attribute the benchmark's tracer wraps."""
-    calls = []
-    inner = special.gammainc_p
+    """(gammainc_p calls, gammainc_p_da calls) of one gamma_quantile call,
+    counted at the module attributes the quantile calls them through."""
+    calls = {"gammainc_p": 0, "gammainc_p_da": 0}
+    for name in calls:
+        inner = getattr(special, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
 
-    monkeypatch.setattr(special, "gammainc_p", counted)
+        monkeypatch.setattr(special, name, counted)
     gamma_quantile(shape, u)
     monkeypatch.undo()
-    return len(calls)
+    return calls["gammainc_p"], calls["gammainc_p_da"]
 
 
 def test_gamma_quantile_rounds(monkeypatch):
-    # Halley rounds from tail-corrected starts: three evaluations of P per
-    # batched quantile on the grid and on a training-sized batch
+    # Halley rounds from tail-corrected starts: P alone in round 1, (P, dP/da)
+    # in rounds 2 and 3, and one more gammainc_p_da call for the elements at
+    # shape 1, on the grid and on a training-sized batch
     a, u = np.meshgrid(SHAPES, UNIFORMS)
-    assert 1 <= count_rounds(monkeypatch, a, u) <= 3
+    p_calls, da_calls = count_rounds(monkeypatch, a, u)
+    assert p_calls == 1 and 2 <= da_calls <= 3
     gen = np.random.default_rng(0)
     shape = 1.0 + 8.0 * gen.random((256, 3))
     shape[0] = 1.0
     u = np.clip(gen.random((256, 3)), 1e-12, 1.0 - 1e-12)
-    assert 1 <= count_rounds(monkeypatch, shape, u) <= 3
+    p_calls, da_calls = count_rounds(monkeypatch, shape, u)
+    assert p_calls == 1 and 2 <= da_calls <= 3
 
 
 def test_scalar_quantile_upper_tail_matches_scipy():
@@ -142,10 +146,10 @@ def test_scalar_quantile_upper_tail_matches_scipy():
 
 
 @pytest.mark.parametrize("n_mc", [1, 3])
-def test_frozen_noise_matches_per_uniform_route(n_mc):
+def test_frozen_noise_matches_philox_oracle(n_mc):
     cfg = TrainConfig(n_mc=n_mc, seed=7)
-    words = [f"w{i}" for i in range(50)] + ["", "naïve"]
+    words = [f"w{i}" for i in range(50)] + ["", "naïve", "buckeroo", "plumless"]
     noise = frozen_noise(cfg, words)
-    want = np.array([elbo_noise(stream_for(cfg.seed, "noise", w), n_mc) for w in words])
+    want = np.array([philox_noise(cfg.seed, w, n_mc) for w in words])
     assert noise.dtype == np.float64
     np.testing.assert_array_equal(noise, want)

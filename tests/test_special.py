@@ -1,4 +1,5 @@
 import math
+import numpy as np
 
 import pytest
 import scipy.special as sps
@@ -136,6 +137,19 @@ class TestGammaincPDa:
         p, da = gammainc_p_da(2.0, 0.0)
         assert p == 0.0 and da == 0.0
 
+    def test_upper_and_given_special_values(self):
+        # upper gives Q with P's derivative, bit for bit as gammainc_p gives
+        # Q; lgamma(a) and digamma(a) passed in change nothing
+        a = np.array([1.0, 2.5, 2.5, 7.0, 7.0, 2.0])
+        x = np.array([0.5, 1.0, 30.0, 3.0, 40.0, 0.0])
+        upper = np.array([False, True, True, False, True, True])
+        p, da = gammainc_p_da(a, x)
+        q, dq = gammainc_p_da(a, x, upper, lgamma_a=lgamma(a), digamma_a=digamma(a))
+        np.testing.assert_array_equal(q, gammainc_p(a, x, upper))
+        np.testing.assert_array_equal(dq, da)
+        np.testing.assert_array_equal(p[~upper], q[~upper])
+        assert q[2] < 1e-9 and q[4] < 1e-9  # far upper tail, where P rounds to 1
+
 
 class TestNormalQuantile:
     def test_symmetry_and_center(self):
@@ -163,9 +177,11 @@ class TestGammaQuantile:
     )
     @settings(max_examples=300)
     def test_roundtrip(self, shape, u):
-        x = gamma_quantile(shape, u)
+        x, dp_da = gamma_quantile(shape, u)
         assert x > 0.0
         assert gammainc_p(shape, x) == pytest.approx(u, rel=1e-9, abs=1e-11)
+        # dP/da carried from the last iterate is dP/da at the quantile
+        assert dp_da == pytest.approx(gammainc_p_da(shape, x)[1], rel=1e-12, abs=1e-300)
 
     @given(
         st.floats(min_value=1.0, max_value=100.0),
@@ -173,12 +189,12 @@ class TestGammaQuantile:
     )
     @settings(max_examples=200)
     def test_matches_scipy(self, shape, u):
-        assert gamma_quantile(shape, u) == pytest.approx(
+        assert gamma_quantile(shape, u)[0] == pytest.approx(
             float(sps.gammaincinv(shape, u)), rel=1e-9, abs=1e-12
         )
 
     def test_monotone_in_u(self):
-        xs = [gamma_quantile(2.5, u) for u in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        xs = [gamma_quantile(2.5, u)[0] for u in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a < b for a, b in zip(xs, xs[1:]))
 
     @pytest.mark.parametrize("shape", [0.02, 0.5, 1.0 - 1e-12])
@@ -192,6 +208,7 @@ class TestGammaQuantile:
     def test_no_convergence_raises(self, monkeypatch):
         # a CDF stuck at 1 never brackets u, so no element settles in the 200 rounds
         monkeypatch.setattr(special, "gammainc_p", lambda a, x, upper, **kw: 1.0 - 1.0 * upper)
+        monkeypatch.setattr(special, "gammainc_p_da", lambda a, x, upper=False, **kw: (1.0 - 1.0 * upper, 0.0 * x))
         with pytest.raises(NumericError, match=r"failed to converge \(shape=2.0, u=0.3, 1 elements\)"):
             gamma_quantile([2.0, 1.0], 0.3)
 

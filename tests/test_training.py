@@ -1,6 +1,9 @@
 import dataclasses
+import json
 import math
 import re
+import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from lexifuse.model import (
 )
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.training import (
+    NOISE_SCHEME,
     AdamState,
     TrainConfig,
     adam_from_extra,
@@ -276,6 +280,12 @@ class TestFrozenNoise:
         other = frozen_noise(TrainConfig(n_mc=n_mc, seed=6), words)
         assert not (other == noise).any()
 
+    def test_crc32_colliding_words_differ(self):
+        # the two words share a CRC-32, which once keyed each word's noise
+        assert zlib.crc32(b"buckeroo") == zlib.crc32(b"plumless")
+        a, b = frozen_noise(TrainConfig(seed=1, n_mc=3), ["buckeroo", "plumless"])
+        assert not (a == b).any()
+
 
 class TestBatchGradient:
     def test_disjoint_batch_partition(self):
@@ -327,16 +337,21 @@ class TestBatchGradient:
             batch_gradient(state, obs, noise, scale=1.0)
 
     @pytest.mark.parametrize(
-        "rows", [lambda u: u[:-1], lambda u: np.concatenate([u, u[:1]]), lambda u: u[:, 0]],
-        ids=["one_row_short", "one_row_extra", "no_mc_axis"],
+        "rows",
+        [lambda u: u[:-1], lambda u: np.concatenate([u, u[:1]]), lambda u: u[:, 0], lambda u: u[:, 0, 0],
+         lambda u: u[:, :0]],
+        ids=["one_row_short", "one_row_extra", "no_mc_axis", "one_per_word", "no_samples"],
     )
     def test_uniforms_not_matching_batch_refused(self, rows):
+        # one ConfigError for every shape, with no numpy warning before it
         vocab, obs = make_corpus(5, seed=2)
         cfg = TrainConfig(hidden_dim=4, n_mc=2)
         state = init_model({"bin": binary(), "sig": signed_continuous()}, cfg, stream_for(0, "init"))
         noise = frozen_noise(cfg, [o.word for o in obs])
-        with pytest.raises(ConfigError, match="one uniform per component"):
-            batch_gradient(state, obs, rows(noise), scale=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="one uniform per component"):
+                batch_gradient(state, obs, rows(noise), scale=1.0)
 
 
 class TestTrain:
@@ -399,6 +414,25 @@ class TestTrain:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert math.isfinite(float(first[1]))
+
+    @pytest.mark.parametrize("scheme", [None, "pcg64,crc32"])
+    def test_other_noise_scheme_not_resumed(self, tmp_path, scheme):
+        # a checkpoint that records no noise scheme, or another one, was
+        # trained on other noise: resuming it is refused, exporting it is not
+        views = make_views(4, seed=7)
+        vocab, obs = make_corpus(4, seed=7)
+        ckpt = tmp_path / "model.json"
+        train(vocab, obs, TrainConfig(epochs=1, hidden_dim=4), checkpoint_path=ckpt)
+        doc = json.loads(ckpt.read_text(encoding="utf-8"))
+        assert doc["extra"]["noise"] == NOISE_SCHEME
+        doc["extra"]["noise"] = scheme
+        if scheme is None:
+            del doc["extra"]["noise"]
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        state, meta = load_checkpoint(ckpt)
+        with pytest.raises(ConfigError, match=f"noise scheme {scheme!r}, not {NOISE_SCHEME!r}; cannot resume"):
+            adam_from_extra(meta["extra"])
+        assert len(export_lexicon(state, views)) == 4
 
     def test_duplicate_words_rejected(self):
         vocab, obs = make_corpus(3, seed=8)
