@@ -322,7 +322,8 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], us: np.ndarr
     outside its family is a ConfigError; a word whose beta, recon or kl is
     not finite raises NumericError, naming the first such word in batch order.
     """
-    if not (np.ndim(us) == 3 and np.shape(us)[::2] == (len(batch), 3) and np.shape(us)[1] >= 1):
+    n_mc = np.shape(us)[1] if np.ndim(us) == 3 else 0
+    if n_mc < 1 or np.shape(us) != (len(batch), n_mc, 3):
         raise ConfigError(f"a batch of {len(batch)} words needs one uniform per component per sample, shape "
                           f"({len(batch)}, n_mc >= 1, 3); got {np.shape(us)}")
     scales = binding.state.scales
@@ -355,7 +356,6 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], us: np.ndarr
     _refuse_non_finite(batch, beta=beta.value)
     kl = dirichlet_kl_var(beta, np.array([obs.prior for obs in batch], dtype=float))
 
-    n_mc = us.shape[1]
     lls = []
     recon = np.zeros(n)
     for s in range(n_mc):
