@@ -467,9 +467,7 @@ def gamma_quantile(shape, u) -> tuple[np.ndarray, np.ndarray]:
             geometric = np.where(
                 ~np.isfinite(hi), np.maximum(2.0 * x, 1.0), np.where(lo == 0.0, 0.5 * hi, np.sqrt(lo * hi))
             )
-        x_new = np.where(left, geometric, x_new)
-        exact = err == 0.0
-        x_new = np.where(exact, x, x_new)
+        x_new = np.where(err == 0.0, x, np.where(left, geometric, x_new))
         with np.errstate(invalid="ignore"):
             # the step is applied before stopping, so the residual after a
             # relative step of 1e-6 is cubically smaller; round 1 gives no
