@@ -1,11 +1,11 @@
 """Reference code that only the tests use: a rejection sampler for Gamma and
 Dirichlet draws (independent of the quantile route training runs), uniforms
 from a stream for hand-built batches, each word's training noise through
-numpy's own Philox generator, the Dirichlet KL and its Jacobian with one special-function call
-per component, the pathwise-gradient harness, a one-word ELBO on a fresh
-tape, the encoder as a plain numpy forward (independent of the tape), a
-fused lexicon built from pseudocounts, the text-by-text featurizer and the
-regex tokenizer.
+numpy's own Philox generator, the Dirichlet KL and its Jacobian with one
+special-function call per component, the pathwise-gradient harness, a
+one-word ELBO on a fresh tape, the encoder as a plain numpy forward
+(independent of the tape), a fused lexicon built from pseudocounts, the
+text-by-text featurizer and the regex tokenizer.
 """
 
 from __future__ import annotations

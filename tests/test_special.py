@@ -1,6 +1,6 @@
 import math
-import numpy as np
 
+import numpy as np
 import pytest
 import scipy.special as sps
 from scipy.stats import gamma as sp_gamma
