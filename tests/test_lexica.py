@@ -197,6 +197,14 @@ class TestParseLexicon:
             parse_lexicon(p)
         assert ":2:" in str(exc.value)
 
+    def test_out_of_domain_row_overridden_by_a_repeat_still_raises(self, tmp_path):
+        # the later repeat of good would win, but the bad row raises first, at its own line
+        p = tmp_path / "lex.tsv"
+        p.write_text("#family=SignedContinuous\nbad\t-0.5\ngood\t1.5\nfine\t0.1\nGood\t0.5\n")
+        with pytest.raises(DomainError) as exc:
+            parse_lexicon(p)
+        assert exc.value.line == 3 and "got 1.5" in str(exc.value)
+
     def test_duplicates_last_wins_with_warning(self, tmp_path, caplog):
         p = tmp_path / "lex.tsv"
         p.write_text("#family=SignedContinuous\ngood\t0.5\ngood\t0.9\n")
