@@ -241,12 +241,12 @@ def make_featurizer(
         if not views:
             raise ConfigError("mode concat needs input views")
         views = sorted(views, key=lambda v: v.id)
-        words, rows = merge_words(views)
+        index, rows = merge_words(views)
         ends = np.cumsum([v.family.width for v in views])
-        table = np.zeros((len(words), ends[-1]))
+        table = np.zeros((len(index), ends[-1]))
         for v, at, end in zip(views, rows, ends):
             table[at, end - v.family.width:end] = _concat_feature(v.family, v.values)
-        return Featurizer(mode, dict(zip(words, range(len(words)))), table)
+        return Featurizer(mode, index, table)
     if mode.startswith("single:"):
         vid = mode.split(":", 1)[1]
         for v in views or []:

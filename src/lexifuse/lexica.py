@@ -5,14 +5,14 @@ Sentiment lexica disagree about what a label even is: some give a hard
 positive/negative call, some a signed strength, some a (positive, negative)
 pair, some a histogram of rater scores.  Each file is parsed into a
 LexiconView held as columns: its words, sorted, case-folded and unique, and
-one (n, width) float array of their label values, checked against the
-view's declared ScaleFamily.  Parsing splits the file into fields in one
-pass (errors.Rows), then checks the field counts and the words, converts
-the labels and checks the family's domain a whole column at a time; only
-when one of these checks fails does it walk the rows one by one, in file
-order, to raise the first bad row's error at its line.  The vocabulary, the
-priors, the encoder inputs, the featurizers and the writers all read these
-columns.
+one (n, width) float array of their label values, which the view's own
+constructor sets up from rows in file order.  Parsing splits the file into
+fields in one pass (errors.Rows), then checks the field counts and the words
+and converts the labels a whole column at a time; only when one of these
+checks or the view's domain check fails does it walk the rows one by one, in
+file order, to raise the first bad row's error at its line.  The vocabulary
+(with its word index and prior table), the encoder inputs, the featurizers
+and the writers all read these columns.
 
 The latent polarity components are indexed (positive, negative, neutral) =
 (0, 1, 2) everywhere in this package.
@@ -21,9 +21,9 @@ The latent polarity components are indexed (positive, negative, neutral) =
 from __future__ import annotations
 
 import logging
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import lt
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +59,9 @@ class ScaleFamily:
         if self.tag not in _FAMILY_TAGS:
             raise ConfigError(f"unknown scale family {self.tag!r}; expected one of {_FAMILY_TAGS}")
         if self.tag == RATER_HISTOGRAM:
-            if not (isinstance(self.n_raters, int) and self.n_raters > 0):
+            if not (type(self.n_raters) is int and self.n_raters > 0):  # a bool is not a count
                 raise ConfigError("RaterHistogram needs a positive n_raters")
-            if not (isinstance(self.n_points, int) and self.n_points >= 2):
+            if not (type(self.n_points) is int and self.n_points >= 2):
                 raise ConfigError("RaterHistogram needs n_points >= 2")
         elif self.n_raters is not None or self.n_points is not None:
             raise ConfigError(f"{self.tag} does not take n_raters/n_points")
@@ -134,11 +134,11 @@ def casefold_each(strings: list[str]) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class LexiconView:
-    """One parsed lexicon as columns: id, scale family, `words` (sorted,
-    case-folded, unique) and `values`, an (n, width) float array holding
-    word i's label in row i, read-only.  The constructor checks the columns
-    once, on whole arrays; a row outside the family's domain is a
-    DomainError."""
+    """One lexicon as columns: id, scale family, `words` (sorted, case-folded,
+    unique) and `values`, an (n, width) float array holding word i's label in
+    row i, read-only.  The constructor takes the rows in file order, refuses
+    one outside the family's domain (a DomainError) before it resolves
+    repeats, then case-folds, keeps a repeated word's last row and sorts."""
 
     id: str
     family: ScaleFamily
@@ -147,16 +147,11 @@ class LexiconView:
 
     def __post_init__(self):
         words = list(self.words)
-        values = np.array(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         shape = (len(words), self.family.width)
         if values.shape != shape and not (values.size == 0 == len(words)):
             raise ConfigError(f"view {self.id!r} needs values of shape {shape}, got {values.shape}")
         values = values.reshape(shape)
-        if not all(map(lt, words, words[1:])):
-            raise ConfigError(f"view {self.id!r}: words must be sorted and unique")
-        if casefold_each(words) != words:
-            word = next(w for w in words if w != w.casefold())
-            raise ConfigError(f"entry {word!r} is not case-folded")
         bad = out_of_domain(self.family, values)
         if bad.any():
             i = int(np.argmax(bad))
@@ -165,6 +160,9 @@ class LexiconView:
                 f"view {self.id!r}, word {words[i]!r}: "
                 + _domain_message(self.family, value[0] if len(value) == 1 else tuple(value))
             )
+        last = dict(zip(casefold_each(words), range(len(words))))  # a repeated word keeps its last row
+        words = sorted(last)
+        values = values[np.fromiter(map(last.__getitem__, words), np.intp, len(words))]  # a copy
         values.flags.writeable = False
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "values", values)
@@ -178,33 +176,29 @@ class LexiconView:
         return dict(zip(self.words, self.values))
 
 
-def merge_words(views: list[LexiconView]) -> tuple[list[str], list[np.ndarray]]:
-    """The sorted union of the views' words, and for each view the union's
-    row of each of its words."""
+def merge_words(views: list[LexiconView]) -> tuple[dict[str, int], list[np.ndarray]]:
+    """The sorted union of the views' words as an index, word -> its row, and
+    for each view the union's row of each of its words."""
     words = sorted(set().union(*(view.words for view in views)))
     index = dict(zip(words, range(len(words))))
-    return words, [np.fromiter(map(index.__getitem__, v.words), np.intp, len(v)) for v in views]
+    return index, [np.fromiter(map(index.__getitem__, v.words), np.intp, len(v)) for v in views]
 
 
 @dataclass(frozen=True, eq=False)
 class CombinedVocabulary:
-    """The union of the views' words as columns: `words` sorted, and per view
-    id `rows`, the vocabulary row of each of the view's words in the view's
-    order, and `families`, the view's scale family."""
+    """The union of the views' words as columns: `words` sorted, `index`
+    (word -> its row), and per view id `rows`, the vocabulary row of each of
+    the view's words in the view's order, and `families`, the view's scale
+    family; `views` are the views it was built from, in order."""
 
     words: list[str]
+    index: dict[str, int]
     rows: dict[str, np.ndarray]
     families: dict[str, ScaleFamily]
-    # prior tables computed by compute_prior, keyed by the tuple of views
-    _priors: dict = field(default_factory=dict, init=False, repr=False)
+    views: tuple[LexiconView, ...]
 
     def sorted_words(self) -> list[str]:
         return list(self.words)
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """word -> its vocabulary row."""
-        return dict(zip(self.words, range(len(self.words))))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -213,6 +207,19 @@ class CombinedVocabulary:
     def n_views(self) -> np.ndarray:
         """The number of views containing each word, in vocabulary order."""
         return np.bincount(np.concatenate(list(self.rows.values())), minlength=len(self.words))
+
+    @cached_property
+    def priors(self) -> np.ndarray:
+        """Each word's prior concentration over the components, read-only, one
+        row per word: uniform (1, 1, 1), boosted by c(w), the number of views
+        containing the word, on the class they all assign it when they agree."""
+        votes = np.zeros((len(self), 3))
+        for view in self.views:
+            votes[self.rows[view.id], coarse_class(view.family, view.values)] += 1.0
+        n = votes.sum(axis=1, keepdims=True)
+        table = 1.0 + np.where(votes == n, n, 0.0)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -353,8 +360,8 @@ def _single_digit_ratings(tokens: list[str], width: int) -> np.ndarray | None:
 
 def _label_values(tokens: list[str], family: ScaleFamily, binary_tokens: dict) -> np.ndarray | None:
     """The tokens' labels as an (n, width) float array, converted on whole
-    columns as float() (int() for ratings) reads each number; None unless
-    every token is a label of the family."""
+    columns as float() (int() for ratings) reads each number, or None if a
+    token does not convert; an unknown binary token reads as nan."""
     tag, width = family.tag, family.width
     try:
         if tag == BINARY:
@@ -369,8 +376,7 @@ def _label_values(tokens: list[str], family: ScaleFamily, binary_tokens: dict) -
             values = np.array(numbers if tag == PAIR_CONTINUOUS else list(map(int, numbers)), dtype=float)
     except (ValueError, OverflowError):  # not a number, or a rating beyond the float range
         return None
-    values = values.reshape(-1, width)
-    return None if out_of_domain(family, values).any() else values
+    return values.reshape(-1, width)
 
 
 def _check_row(fields: list[str], schema: ViewSchema, family: ScaleFamily, needed: int) -> None:
@@ -381,7 +387,8 @@ def _check_row(fields: list[str], schema: ViewSchema, family: ScaleFamily, neede
     if not word:
         raise ParseError("empty word")
     token = ",".join(fields[c].strip() for c in (schema.value_col, schema.neg_col) if c is not None)
-    if len(word.split()) > 1 or _label_values([token], family, schema.binary_tokens) is not None:
+    value = _label_values([token], family, schema.binary_tokens)
+    if len(word.split()) > 1 or (value is not None and not out_of_domain(family, value)[0]):
         return  # a multi-word entry, skipped, or a label of the family
     tag = family.tag
     if tag == BINARY:
@@ -405,7 +412,8 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
     counted and logged as warnings.  The first bad row (too few fields, an
     empty word, or a label that does not parse or lies outside the family's
     domain) raises a ParseError or DomainError at its line.  Each column is
-    checked whole; the rows are walked one by one only once a check fails.
+    checked whole, the domain by the view; the rows are walked one by one
+    only once a check fails.
     """
     path = Path(path)
     schema = schema or ViewSchema()
@@ -431,20 +439,21 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
             raise ConfigError(f"{path}: schema option {option} applies only to {tag}, not {family.tag}")
 
     needed = max(schema.word_col, schema.value_col, schema.neg_col or 0) + 1
-    values = None
+    view = None
     if not len(rows.counts) or rows.counts.min() >= needed:
         words = list(map(str.strip, rows.column(schema.word_col)))
         tokens = list(map(str.strip, rows.column(schema.value_col)))
         if schema.neg_col is not None:
             tokens = list(map("{},{}".format, tokens, map(str.strip, rows.column(schema.neg_col))))
+        n_rows = len(words)
         # stripped words joined split into more than one part only if one holds whitespace
-        kept = range(len(words))
-        if len("".join(words).split()) > 1:
+        if "" not in words and len("".join(words).split()) > 1:
             kept = [i for i, word in enumerate(words) if len(word.split()) == 1]
-            tokens = list(map(tokens.__getitem__, kept))
-        if "" not in words:
-            values = _label_values(tokens, family, schema.binary_tokens)
-    if values is None:  # some row is bad: walk them in file order to raise its error
+            words, tokens = list(map(words.__getitem__, kept)), list(map(tokens.__getitem__, kept))
+        values = None if "" in words else _label_values(tokens, family, schema.binary_tokens)
+        with suppress(DomainError):  # the view refuses a label outside the family's domain
+            view = None if values is None else LexiconView(schema.id or path.stem, family, words, values)
+    if view is None:  # some row is bad: walk them in file order to raise its error
         for line, fields in rows.walk():
             try:
                 _check_row(fields, schema, family, needed)
@@ -452,15 +461,11 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
                 raise type(e)(str(e), path=str(path), line=line) from None
         raise AssertionError(f"{path}: a column check failed on rows that all pass")
 
-    folded = casefold_each(list(map(words.__getitem__, kept)))
-    last = dict(zip(folded, range(len(folded))))  # a repeated word keeps its last row
-    if len(last) < len(folded):
-        log.warning("%s: %d duplicate words resolved last-wins", path, len(folded) - len(last))
-    if len(kept) < len(words):
-        log.warning("%s: %d multi-word entries skipped", path, len(words) - len(kept))
-    order = sorted(last)
-    rows_kept = np.fromiter(map(last.__getitem__, order), np.intp, len(order))
-    return LexiconView(schema.id or path.stem, family, order, values[rows_kept])
+    if len(view) < len(words):
+        log.warning("%s: %d duplicate words resolved last-wins", path, len(words) - len(view))
+    if len(words) < n_rows:
+        log.warning("%s: %d multi-word entries skipped", path, n_rows - len(words))
+    return view
 
 
 def write_lexicon(view: LexiconView, path: str | Path) -> None:
@@ -482,8 +487,10 @@ def build_vocabulary(views: list[LexiconView]) -> CombinedVocabulary:
     ids = [v.id for v in views]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"view ids must be unique, got {ids}")
-    words, rows = merge_words(views)
-    return CombinedVocabulary(words, dict(zip(ids, rows)), {v.id: v.family for v in views})
+    index, rows = merge_words(views)
+    return CombinedVocabulary(
+        list(index), index, dict(zip(ids, rows)), {v.id: v.family for v in views}, tuple(views)
+    )
 
 
 def coarse_class(family: ScaleFamily, values: np.ndarray) -> np.ndarray:
@@ -509,31 +516,12 @@ def coarse_class(family: ScaleFamily, values: np.ndarray) -> np.ndarray:
     return np.where(up, POSITIVE, np.where(down, NEGATIVE, NEUTRAL))
 
 
-def prior_table(views: list[LexiconView], vocab: CombinedVocabulary) -> np.ndarray:
-    """Each vocabulary word's prior concentration over the components, one
-    row per word in vocabulary order: uniform (1, 1, 1), boosted by c(w), the
-    number of views containing the word, on the class they all assign it
-    when they agree.  views are the ones the vocabulary was built from."""
-    if sorted(v.id for v in views) != sorted(vocab.rows) or any(
-        len(v) != len(vocab.rows[v.id]) for v in views
-    ):
-        raise ConfigError(f"views {[v.id for v in views]} are not the ones the vocabulary was built from")
-    votes = np.zeros((len(vocab), 3))
-    for view in views:
-        votes[vocab.rows[view.id], coarse_class(view.family, view.values)] += 1.0
-    n = votes.sum(axis=1, keepdims=True)
-    return 1.0 + np.where(votes == n, n, 0.0)
-
-
 def compute_prior(word: str, views: list[LexiconView], vocab: CombinedVocabulary) -> np.ndarray:
-    """The word's row of prior_table(views, vocab), a read-only (3,) array.
-    The table is computed once per list of views and kept on the vocabulary."""
+    """The word's row of vocab.priors, a read-only (3,) array.  views must be
+    the ones the vocabulary was built from, in the same order."""
+    if tuple(views) != vocab.views:  # views compare by identity
+        raise ConfigError(f"views {[v.id for v in views]} are not the ones the vocabulary was built from")
     row = vocab.index.get(word)
     if row is None:
         raise ConfigError(f"word {word!r} not in vocabulary")
-    key = tuple(views)  # views hash by identity
-    if key not in vocab._priors:
-        table = prior_table(views, vocab)
-        table.flags.writeable = False
-        vocab._priors[key] = table
-    return vocab._priors[key][row]
+    return vocab.priors[row]

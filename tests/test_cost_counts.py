@@ -79,11 +79,12 @@ LEXICON_FILES = {
 }
 
 # Calls per parse_lexicon call of each wrapped lexica function, per file.
+# Binary files case-fold their labels as well as their words.
 PARSE_PINS = {
-    "binary": {"casefold_each": 3, "out_of_domain": 2},
-    "signed": {"casefold_each": 2, "out_of_domain": 2},
-    "pair": {"casefold_each": 2, "out_of_domain": 2},
-    "rater": {"casefold_each": 2, "out_of_domain": 2},
+    "binary": {"casefold_each": 2, "out_of_domain": 1},
+    "signed": {"casefold_each": 1, "out_of_domain": 1},
+    "pair": {"casefold_each": 1, "out_of_domain": 1},
+    "rater": {"casefold_each": 1, "out_of_domain": 1},
 }
 
 

@@ -19,7 +19,6 @@ from lexifuse.lexica import (
     pair_continuous,
     parse_lexicon,
     parse_schema,
-    prior_table,
     rater_histogram,
     signed_continuous,
     write_lexicon,
@@ -143,12 +142,13 @@ class TestLexiconView:
         assert len(view) == 2 and view.values.shape == (2, 1)
         with pytest.raises(ValueError):
             view.values[0, 0] = 0.0  # read-only
-        with pytest.raises(ConfigError, match="sorted and unique"):
-            LexiconView("v", fam, ["b", "a"], [[0.5], [-0.5]])
-        with pytest.raises(ConfigError, match="sorted and unique"):
-            LexiconView("v", fam, ["a", "a"], [[0.5], [-0.5]])
-        with pytest.raises(ConfigError, match="not case-folded"):
-            LexiconView("v", fam, ["A", "b"], [[0.5], [-0.5]])
+        # rows in file order: sorted, a repeat keeps its last row, words case-folded
+        unsorted = LexiconView("v", fam, ["b", "a"], [[0.5], [-0.5]])
+        assert unsorted.words == ["a", "b"] and unsorted.values[:, 0].tolist() == [-0.5, 0.5]
+        repeated = LexiconView("v", fam, ["a", "a"], [[0.5], [-0.5]])
+        assert repeated.words == ["a"] and repeated.values[:, 0].tolist() == [-0.5]
+        upper = LexiconView("v", fam, ["B", "A", "b"], [[0.5], [-0.5], [0.25]])
+        assert upper.words == ["a", "b"] and upper.values[:, 0].tolist() == [-0.5, 0.25]
         with pytest.raises(ConfigError, match="shape"):
             LexiconView("v", fam, ["a", "b"], [[0.5]])
         assert len(LexiconView("v", pair_continuous(), [], [])) == 0
@@ -503,8 +503,8 @@ class TestComputePrior:
             labels = data.draw(st.lists(label_strategy(family), min_size=len(words), max_size=len(words)))
             views.append(view_of(vid, family, dict(zip(words, labels))))
         vocab = build_vocabulary(views)
-        table = prior_table(views, vocab)
-        assert table.shape == (len(vocab), 3)
+        table = vocab.priors
+        assert table.shape == (len(vocab), 3) and not table.flags.writeable
         for word, alpha in zip(vocab.words, table):
             assert tuple(alpha) == row_prior(word, views).alpha
             DirichletPrior(tuple(alpha))  # components >= 1, at most one above
@@ -513,7 +513,7 @@ class TestComputePrior:
     def test_views_must_be_the_vocabularys(self):
         views, vocab = self._setup({"A": 0.9, "B": 0.5})
         with pytest.raises(ConfigError, match="not the ones"):
-            prior_table(views[:1], vocab)
+            compute_prior("w", views[:1], vocab)
         other = view_of("B", signed_continuous(), {"w": 0.5, "x": 0.5})
         with pytest.raises(ConfigError, match="not the ones"):
             compute_prior("w", [views[0], other], vocab)

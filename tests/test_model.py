@@ -536,6 +536,22 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=rf"view 'pair' {head[:-1]} {stores}"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("key, message", [
+        ("n_raters", "needs a positive n_raters"),
+        ("n_points", "needs n_points >= 2"),
+    ])
+    def test_bool_count_refused(self, tmp_path, key, message):
+        # True is an int to isinstance; a one-rater scale would load as n_raters=True
+        p = tmp_path / "model.json"
+        state = init_model({"r": rater_histogram(1, 9)}, TrainConfig(hidden_dim=4), stream_for(0, "init"))
+        save_checkpoint(p, state)
+        doc = json.loads(p.read_text())
+        doc["scales"]["r"][key] = True
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"RaterHistogram {message}") as e:
+            load_checkpoint(p)
+        assert e.value.exit_code == 2
+
 
 class Pairs(list):
     """A JSON object as a list of (key, value) pairs, so a key can repeat."""
