@@ -17,12 +17,17 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class RngStream:
-    """Reproducible random stream addressable by a 64-bit seed path."""
+    """Reproducible random stream addressable by a 64-bit seed path, from a
+    nonnegative seed."""
 
     def __init__(self, seed: int, _entropy=None):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         self._seq = _entropy if _entropy is not None else np.random.SeedSequence(self.seed)
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 

@@ -323,18 +323,25 @@ def training_extra(adam: AdamState, epoch: int, seed: int) -> dict:
 
 def adam_from_extra(extra: dict) -> tuple[AdamState, int]:
     """Rebuild (AdamState, next epoch) from checkpoint metadata written under
-    this NOISE_SCHEME; resuming under other noise would not continue the run."""
+    this NOISE_SCHEME; resuming under other noise would not continue the run.
+    adam_m and adam_v must be lists of JSON numbers of one length, adam_step
+    and epoch JSON integers; anything else is a ConfigError."""
     if extra.get("noise") != NOISE_SCHEME:
         raise ConfigError(
             f"checkpoint was trained with noise scheme {extra.get('noise')!r}, not {NOISE_SCHEME!r}; "
             "cannot resume"
         )
     try:
-        adam = AdamState(
-            m=np.array(extra["adam_m"], dtype=float),
-            v=np.array(extra["adam_v"], dtype=float),
-            step=int(extra["adam_step"]),
-        )
-        return adam, int(extra["epoch"])
+        m, v, step, epoch = [extra[key] for key in ("adam_m", "adam_v", "adam_step", "epoch")]
     except KeyError as e:
         raise ConfigError(f"checkpoint lacks optimizer state ({e}); cannot resume") from e
+    numbers = all(type(a) is list and all(type(x) in (int, float) for x in a) for a in (m, v))
+    if not numbers or len(m) != len(v):  # a bool is neither a number nor an integer here
+        raise ConfigError("checkpoint's adam_m and adam_v must be number lists of one length; cannot resume")
+    for key, count in (("adam_step", step), ("epoch", epoch)):
+        if type(count) is not int:
+            raise ConfigError(f"checkpoint's {key} is not a JSON integer: {count!r}; cannot resume")
+    try:
+        return AdamState(m=np.array(m, dtype=float), v=np.array(v, dtype=float), step=step), epoch
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError("checkpoint's adam_m or adam_v holds a number beyond the float range") from None

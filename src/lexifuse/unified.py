@@ -127,8 +127,9 @@ class UnifiedLexicon:
 def export_lexicon(model: ModelState, views: list[LexiconView]) -> UnifiedLexicon:
     """The fused lexicon of the views' words, via the trained encoders.
 
-    Words that a view without a head covers are skipped with a warning
-    rather than aborting the export.  The other views go to posterior_params,
+    Words that a view without a head covers are skipped rather than
+    aborting the export, with one warning naming those views and the first
+    few skipped words.  The other views go to posterior_params,
     which refuses one whose family differs from its head's with a
     ConfigError.
     """
@@ -137,15 +138,12 @@ def export_lexicon(model: ModelState, views: list[LexiconView]) -> UnifiedLexico
     beta = posterior_params([v for v in views if v.id not in missing], model, vocab)
     words, n_views = vocab.words, vocab.n_views
     if missing:
-        lost: dict[int, list[str]] = {}  # vocabulary row -> its views without a head
-        for vid in missing:
-            for row in vocab.rows[vid].tolist():
-                lost.setdefault(row, []).append(vid)
-        for row in sorted(lost):
-            log.warning("skipping %r: no head for views %s", vocab.words[row], lost[row])
-        log.warning("export skipped %d of %d words", len(lost), len(vocab))
         keep = np.ones(len(vocab), dtype=bool)
-        keep[list(lost)] = False
+        for vid in missing:
+            keep[vocab.rows[vid]] = False
+        lost = np.flatnonzero(~keep)
+        log.warning("export skipped %d of %d words: no head for views %s; first skipped %s",
+                    len(lost), len(vocab), missing, ", ".join(repr(words[row]) for row in lost[:5]))
         words, beta, n_views = list(compress(words, keep)), beta[keep], n_views[keep]
     mean = beta / beta.sum(axis=1, keepdims=True)
     return UnifiedLexicon(words, beta, mean, n_views)

@@ -162,6 +162,22 @@ class TestErrorExits:
         assert f"{key} must be finite and nonnegative, got inf" in r.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["synth", "train", "config"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, case):
+        view = tmp_path / "v.tsv"
+        view.write_text("#family=Binary\ngood\t1\nbad\t0\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = -2\nepochs = 1\nhidden_dim = 4\n")
+        train = ["train", "--views", str(view), "--out", str(tmp_path / "out")]
+        synth = ["synth", "--n-words", "40", "--n-texts", "20", "--out", str(tmp_path / "d")]
+        argv, seed = {
+            "synth": (synth + ["--seed", "-1"], -1),
+            "train": (train + ["--seed", "-3"], -3),
+            "config": (train + ["--config", str(cfg)], -2),
+        }[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: seed must be a nonnegative integer, got {seed}")
+
     def test_usage_error_exit_2(self):
         r = run_cli()
         assert r.returncode == 2

@@ -38,6 +38,7 @@ from lexifuse.training import (
     init_model,
     load_train_config,
     train,
+    training_extra,
 )
 from lexifuse.unified import export_lexicon
 from row_lexica import view_of
@@ -434,6 +435,27 @@ class TestTrain:
             adam_from_extra(meta["extra"])
         assert len(export_lexicon(state, views)) == 4
 
+    LISTS = "adam_m and adam_v must be number lists of one length"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("adam_m", ["x"], LISTS),
+        ("adam_v", [[0.0, 0.0]], LISTS),
+        ("adam_m", [True, 0.0], LISTS),
+        ("adam_v", "0.0", LISTS),
+        ("adam_v", [0.0], LISTS),
+        ("adam_m", [10 ** 400, 0.0], "beyond the float range"),
+        ("adam_step", "a", "adam_step is not a JSON integer: 'a'"),
+        ("adam_step", 1.5, "adam_step is not a JSON integer: 1.5"),
+        ("adam_step", True, "adam_step is not a JSON integer: True"),
+        ("epoch", 2.7, "epoch is not a JSON integer: 2.7"),
+    ])
+    def test_malformed_optimizer_state_refused(self, key, value, message):
+        extra = training_extra(AdamState(m=np.zeros(2), v=np.ones(2), step=3), 2, 0)
+        adam, epoch = adam_from_extra(extra)
+        assert (adam.m.tolist(), adam.v.tolist(), adam.step, epoch) == ([0.0, 0.0], [1.0, 1.0], 3, 2)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            adam_from_extra(extra | {key: value})
+
     def test_duplicate_words_rejected(self):
         vocab, obs = make_corpus(3, seed=8)
         with pytest.raises(ConfigError):
@@ -490,8 +512,6 @@ class TestTrain:
 
     def test_resume_state_roundtrip_helpers(self):
         adam = AdamState(m=np.array([1.0, 2.0]), v=np.array([3.0, 4.0]), step=7)
-        from lexifuse.training import training_extra
-
         extra = training_extra(adam, epoch=5, seed=3)
         back, next_epoch = adam_from_extra(extra)
         np.testing.assert_array_equal(back.m, adam.m)

@@ -130,6 +130,17 @@ class TestExportLexicon:
         assert "'zzz'" in caplog.text and "'word0'" in caplog.text
         assert "export skipped 2 of 7 words" in caplog.text
 
+    def test_headless_view_warns_once(self, caplog):
+        views, vocab, state = make_setup()
+        other = view_of("other", binary(), {f"zz{i:04d}": i % 2 for i in range(1000)})
+        with caplog.at_level("WARNING"):
+            lexicon = export_lexicon(state, views + [other])
+        assert len(lexicon) == len(vocab)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        message = caplog.records[0].getMessage()
+        assert message.startswith("export skipped 1000 of 1006 words: no head for views ['other']")
+        assert message.endswith("first skipped 'zz0000', 'zz0001', 'zz0002', 'zz0003', 'zz0004'")
+
     def test_family_mismatch_refused(self):
         # a binary view read through the encoder of a signed head
         state = init_model({"v": signed_continuous()}, TrainConfig(hidden_dim=4), stream_for(0, "init"))
