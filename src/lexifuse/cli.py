@@ -61,9 +61,9 @@ def _load_views(view_args: list[str]) -> list[LexiconView]:
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    with output_errors(out):
-        out.mkdir(parents=True, exist_ok=True)
+    fraction = args.train_fraction
+    if fraction is not None and not 0.0 < fraction < 1.0:
+        raise ConfigError(f"--train-fraction must be in (0, 1), got {fraction}")
     data = synth_generate(
         args.n_words,
         args.views_per_family,
@@ -72,16 +72,18 @@ def cmd_synth(args) -> int:
         args.text_len,
         RngStream(args.seed),
     )
+    # generated and split before --out is made, so a refused input writes nothing
+    splits = split_corpus(data.corpus, round(fraction * len(data.corpus))) if fraction is not None else ()
+    out = Path(args.out)
+    with output_errors(out):
+        out.mkdir(parents=True, exist_ok=True)
     for view in data.views:
         write_lexicon(view, out / f"view_{view.id}.tsv")
     write_corpus(out / "corpus.tsv", data.corpus, seed=args.seed)
     truth = [f"{w}\t{COMPONENTS[c]}" for w, c in sorted(data.word_classes.items())]
     write_lines(out / "truth.tsv", header("ground-truth word classes", seed=args.seed) + truth)
-    if args.train_fraction is not None:
-        n_train = round(args.train_fraction * len(data.corpus))
-        train_c, test_c = split_corpus(data.corpus, n_train)
-        write_corpus(out / "corpus_train.tsv", train_c, seed=args.seed)
-        write_corpus(out / "corpus_test.tsv", test_c, seed=args.seed)
+    for name, part in zip(("corpus_train", "corpus_test"), splits):
+        write_corpus(out / f"{name}.tsv", part, seed=args.seed)
     print(
         f"wrote {len(data.views)} views, {len(data.corpus)} texts, "
         f"{args.n_words} words to {out}"

@@ -9,8 +9,9 @@ partial (Figurnov, Mohamed & Mnih, 2018)
 
 so holding the uniforms fixed makes the ELBO a deterministic, differentiable
 function of the variational parameters.  special.gamma_quantile hands back
-dP/d shape at the quantile, carried from its last Halley round, so a draw
-evaluates the incomplete gamma once per round and never again after.
+dy/d(shape) with the quantile, from dP/d shape carried from its last Halley
+round, so a draw evaluates the incomplete gamma once per round and never
+again after.
 Shapes 1 + sum omega reach exactly 1.0 when a softmax component underflows;
 the quantile and its derivative hold there too.  A draw is the normalized
 quantiles as they are, with no clamp off the simplex boundary: nothing
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import tape as tp
 from .errors import ConfigError, DomainError
-from .special import digamma, gamma_log_pdf, gamma_quantile, lgamma, trigamma
+from .special import digamma, gamma_quantile, lgamma, trigamma
 
 
 def dirichlet_kl(beta, alpha) -> np.ndarray:
@@ -59,19 +60,12 @@ def dirichlet_kl_var(beta: tp.Node, alpha: np.ndarray) -> tp.Node:
     return tp.rowwise(beta, dirichlet_kl(b, alpha), jac)
 
 
-def gamma_draws(shape, u) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma(shape) draws at fixed uniforms u, and their implicit derivatives
-    in the shape: the quantiles y = P^{-1}(shape, u) and dy/d(shape)."""
-    y, dp_da = gamma_quantile(shape, u)
-    return y, -dp_da / np.exp(gamma_log_pdf(y, shape))
-
-
 def dirichlet_sample_vars(beta: tp.Node, us: np.ndarray) -> tp.Node:
     """One Dirichlet draw per row of beta at that row's uniforms, on the tape:
     normalized per-component Gamma quantiles."""
     if us.shape != beta.value.shape:
         raise ConfigError("dirichlet_sample_vars needs one uniform per component")
-    y, dy = gamma_draws(beta.value, us)
+    y, dy = gamma_quantile(beta.value, us)
     ys = tp.pointwise(beta, y, dy)
     total = y.sum(axis=1, keepdims=True)
     z = y / total

@@ -99,8 +99,9 @@ class LabeledCorpus:
         return set(self.token_index[0])
 
 
-def read_corpus(path: str | Path, n_classes: int | None = None) -> LabeledCorpus:
-    """Read a `label<TAB>text` TSV; `#` lines and blanks are skipped."""
+def read_corpus(path: str | Path) -> LabeledCorpus:
+    """Read a `label<TAB>text` TSV; `#` lines and blanks are skipped.  Its
+    classes are 0 to its largest label."""
     path = Path(path)
     texts: list[tuple[str, ...]] = []
     labels: list[int] = []
@@ -120,8 +121,7 @@ def read_corpus(path: str | Path, n_classes: int | None = None) -> LabeledCorpus
         texts.append(tuple(tokenize(body)))
     if not labels:
         raise ParseError("corpus has no data rows", path=str(path), line=1)
-    k = n_classes if n_classes is not None else max(labels) + 1
-    return LabeledCorpus(texts=tuple(texts), labels=tuple(labels), n_classes=k)
+    return LabeledCorpus(texts=tuple(texts), labels=tuple(labels), n_classes=max(labels) + 1)
 
 
 def write_corpus(
@@ -183,8 +183,7 @@ class Featurizer:
     it has none.
     """
 
-    def __init__(self, mode: str, index: dict[str, int], rows: np.ndarray):
-        self.mode = mode
+    def __init__(self, index: dict[str, int], rows: np.ndarray):
         self.dim = int(rows.shape[1])
         self.index = index
         self.rows = rows
@@ -236,7 +235,7 @@ def make_featurizer(
         if unified is None:
             raise ConfigError(f"mode {mode} needs a unified lexicon")
         # the lexicon's own index: its rows sorted by their unique case-folded words
-        return Featurizer(mode, unified._index, unified.mean if mode == "fused-mean" else unified.beta)
+        return Featurizer(unified._index, unified.mean if mode == "fused-mean" else unified.beta)
     if mode == "concat":
         if not views:
             raise ConfigError("mode concat needs input views")
@@ -246,12 +245,12 @@ def make_featurizer(
         table = np.zeros((len(index), ends[-1]))
         for v, at, end in zip(views, rows, ends):
             table[at, end - v.family.width:end] = _concat_feature(v.family, v.values)
-        return Featurizer(mode, index, table)
+        return Featurizer(index, table)
     if mode.startswith("single:"):
         vid = mode.split(":", 1)[1]
         for v in views or []:
             if v.id == vid:
-                return Featurizer(mode, dict(zip(v.words, range(len(v)))), _single_feature(v.family, v.values))
+                return Featurizer(dict(zip(v.words, range(len(v)))), _single_feature(v.family, v.values))
         raise ConfigError(f"mode {mode}: no view with id {vid!r}")
     raise ConfigError(
         f"unknown mode {mode!r} (expected fused-mean, fused-beta, single:<view>, concat)"

@@ -2,7 +2,9 @@
 posterior construction, and the minibatch ELBO.
 
 Every lexicon view d gets two small MLPs, each a `Head` of four arrays
-(w1, b1, w2, b2) whose shapes `ModelState` checks once.  The encoder g maps
+(w1, b1, w2, b2) whose shapes `ModelState` checks once.  The state is the
+one parameter store: every head array is a view of its flat vector
+`ModelState.params`, which the optimizer updates in place.  The encoder g maps
 the word's label in that view to a point omega_d on the polarity simplex; the
 word's variational Dirichlet parameter is beta = 1 + sum_d omega_d, so each
 view contributes exactly one pseudocount split across the three classes.
@@ -39,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import tape as tp
 from .distributions import dirichlet_kl_var, dirichlet_sample_vars
-from .errors import ConfigError, NumericError, UsageError, atomic_write, read_input
+from .errors import ConfigError, NumericError, atomic_write, read_input
 from .lexica import (
     BINARY,
     COMPONENTS,
@@ -91,7 +93,7 @@ def encoder_input(scale: ScaleFamily, values: np.ndarray) -> np.ndarray:
 
 class Head(NamedTuple):
     """Two affine layers with a tanh between them, as its four arrays or as
-    their tape leaves; the field order is the pack order."""
+    their tape leaves; the field order is their order in ModelState.params."""
 
     w1: np.ndarray | tp.Node  # (hidden, input)
     b1: np.ndarray | tp.Node  # (hidden,)
@@ -116,11 +118,16 @@ class WordObservation:
 @dataclass(eq=False)
 class ModelState:
     """All heads, keyed by view id; scales declare each view's label space,
-    which sets each head's input and output widths."""
+    which sets each head's input and output widths.  The given head arrays
+    are copied into one float64 vector, `params`, in params order (by sorted
+    view id, the encoder's w1, b1, w2, b2, then the decoder's); the state's
+    heads, in new dicts, are views of it, so a write to either side shows in
+    the other."""
 
     scales: dict[str, ScaleFamily]
     encoders: dict[str, Head]
     decoders: dict[str, Head]
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if set(self.scales) != set(self.encoders) or set(self.scales) != set(self.decoders):
@@ -135,6 +142,19 @@ class ModelState:
                         f"view {vid!r} ({scale.header()}) needs {kind} shapes (h, {n_in}), (h,), "
                         f"({n_out}, h), ({n_out},) for w1, b1, w2, b2, got {', '.join(map(str, got))}"
                     )
+        arrays = _state_arrays(self)
+        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        ends = np.cumsum([a.size for a in arrays])
+        views = [self.params[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+        heads = map(Head._make, zip(*[iter(views)] * 4))  # four arrays per head
+        self.encoders, self.decoders = {}, {}
+        for vid in self.view_ids():
+            self.encoders[vid], self.decoders[vid] = next(heads), next(heads)
+
+    def __reduce__(self):
+        # copy and pickle rebuild the state from its heads, so the copy's
+        # heads view the copy's own params
+        return ModelState, (self.scales, self.encoders, self.decoders)
 
     def view_ids(self) -> list[str]:
         return sorted(self.scales)
@@ -148,26 +168,8 @@ class ModelState:
 
 
 def _state_arrays(state: ModelState) -> list[np.ndarray]:
-    """Every parameter array in pack order: by sorted view id, the encoder's
-    w1, b1, w2, b2, then the decoder's."""
+    """Every head array in params order."""
     return [a for vid in state.view_ids() for head in (state.encoders[vid], state.decoders[vid]) for a in head]
-
-
-def pack_state(state: ModelState) -> np.ndarray:
-    """All parameters as one flat vector in canonical (sorted-view) order."""
-    return np.concatenate([a.ravel() for a in _state_arrays(state)])
-
-
-def unpack_state(state: ModelState, vec: np.ndarray) -> None:
-    """Write a flat vector back into the state's arrays (canonical order)."""
-    arrays = _state_arrays(state)
-    total = sum(a.size for a in arrays)
-    if vec.shape != (total,):
-        raise UsageError(f"parameter vector has {vec.shape}, state needs ({total},)")
-    pos = 0
-    for a in arrays:
-        a[...] = vec[pos : pos + a.size].reshape(a.shape)
-        pos += a.size
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,7 @@ class ModelBinding:
         self.heads = {(kind, vid): next(heads) for vid in state.view_ids() for kind in ("enc", "dec")}
 
     def gradient(self, adjoints: list) -> np.ndarray:
-        """The flat parameter gradient (pack_state order) from adjoints."""
+        """The flat parameter gradient (params order) from adjoints."""
         parts = []
         for leaf in self.leaves:
             g = adjoints[leaf.idx]

@@ -25,9 +25,9 @@ dP/da is computed by running the series / continued-fraction recurrences on
 difference.  The quantile inverts P by Halley's method, which converges
 cubically because the pdf's slope comes free with the pdf (see
 gamma_quantile); at a = 1 it is the closed form -log(1 - u).  Its rounds
-after the first evaluate (P, dP/da) together, and it returns dP/da at the
-quantile with it, carried from the last iterate, so a draw needs no pass
-of its own for the derivative.
+after the first evaluate (P, dP/da) together; dP/da at the quantile is
+carried from the last iterate, so the quantile comes with dy/da and a draw
+needs no pass of its own for the derivative.
 """
 
 from __future__ import annotations
@@ -371,15 +371,11 @@ def normal_quantile(u):
     return np.where(high, -tail(np.sqrt(-2.0 * np.log(1.0 - np.where(high, u, 0.5)))), out)
 
 
-def gamma_log_pdf(x, shape):
-    """log density of Gamma(shape, rate=1) at x > 0."""
-    return (shape - 1.0) * np.log(x) - x - lgamma(shape)
-
-
 def gamma_quantile(shape, u) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of P(shape, .) at u: the x with P(shape, x) = u, and dP/da at
-    (shape, x), elementwise; dy/da = -(dP/da) / pdf(x) is then the implicit
-    derivative of the quantile.
+    """Inverse of P(shape, .) at u and its implicit derivative in the shape,
+    elementwise: the y with P(shape, y) = u, and dy/da = -(dP/da) / pdf(y),
+    with dP/da taken at (shape, y) and pdf(y) from the lgamma(shape) the
+    iteration already holds.
 
     At shape 1 the quantile is -log(1 - u) in closed form, and dP/da comes
     from one gammainc_p_da call on those elements.  Elsewhere it is the
@@ -403,7 +399,8 @@ def gamma_quantile(shape, u) -> tuple[np.ndarray, np.ndarray]:
     whose remainder is third order in s.  Over the training range (shape in
     [1, 9], u in [1e-12, 1 - 1e-12]) nearly every element stops after round
     2, and a few after round 3.  Training draws at the Dirichlet shapes
-    1 + sum omega, so a shape below 1 is a DomainError.
+    1 + sum omega, so a shape below 1 is a DomainError.  Once every element
+    has stopped, the density at y is evaluated once, for all elements.
     """
     shape, u = np.broadcast_arrays(np.asarray(shape, dtype=float), _unit_open("gamma_quantile", u))
     _check("gamma_quantile", "shape >= 1", shape, shape >= 1.0)
@@ -411,7 +408,7 @@ def gamma_quantile(shape, u) -> tuple[np.ndarray, np.ndarray]:
     u = u.ravel()
     out = -np.log1p(-u)  # P(1, x) = 1 - e^(-x)
     dp_da = np.zeros_like(out)
-    log_norm = lgamma(a)  # the pdf is x^(a-1) e^(-x) / Gamma(a)
+    log_gamma = lgamma(a)  # the pdf is x^(a-1) e^(-x) / Gamma(a)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = normal_quantile(u)
@@ -421,11 +418,11 @@ def gamma_quantile(shape, u) -> tuple[np.ndarray, np.ndarray]:
         # itself; there two fixed-point steps invert the leading behaviour
         #   P(a, x) = x^a e^(-x) S(x) / Gamma(a + 1),  S(x) = 1 + x / (a + 1) + ...
         #   Q(a, x) = x^(a-1) e^(-x) T(x) / Gamma(a),  T(x) = 1 + (a - 1) / x + ...
-        lead = np.exp((np.log(u) + log_norm + np.log(a)) / a)
+        lead = np.exp((np.log(u) + log_gamma + np.log(a)) / a)
         low, high = lead, x
         for _ in range(2):
             low = lead * np.exp((low - np.log1p(low / (a + 1.0) * (1.0 + low / (a + 2.0)))) / a)
-            high = (a - 1.0) * np.log(high) - np.log1p(-u) - log_norm + np.log1p(
+            high = (a - 1.0) * np.log(high) - np.log1p(-u) - log_gamma + np.log1p(
                 (a - 1.0) / high * (1.0 + (a - 2.0) / high))
         x = np.where(lead < 0.2 * (a + 1.0), low, np.where(x > 2.0 * a, high, x))
     x = np.where((x > 0.0) & np.isfinite(x), x, a * u)
@@ -437,13 +434,15 @@ def gamma_quantile(shape, u) -> tuple[np.ndarray, np.ndarray]:
     a, u, x = a[live], u[live], x[live]
     upper = u > 0.5
     target = np.where(upper, 1.0 - u, u)
-    log_norm = log_norm[live]
+    log_norm = log_gamma[live]
     psi = digamma(a)
     lo = np.zeros_like(x)
     hi = np.full_like(x, np.inf)
     for k in range(200):  # round k + 1
         if not live.size:
-            return out.reshape(shape.shape), dp_da.reshape(shape.shape)
+            y = out.reshape(shape.shape)
+            log_pdf = (shape - 1.0) * np.log(y) - y - log_gamma.reshape(shape.shape)
+            return y, -dp_da.reshape(shape.shape) / np.exp(log_pdf)
         if k == 0:
             f = gammainc_p(a, x, upper, lgamma_a=log_norm)
         else:

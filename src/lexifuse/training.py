@@ -40,9 +40,7 @@ from .model import (
     WordObservation,
     decoder_width,
     elbo_batch,
-    pack_state,
     save_checkpoint,
-    unpack_state,
 )
 from .rng import RngStream, philox_uniforms, stream_for
 from .tape import Tape
@@ -73,6 +71,8 @@ class TrainConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
@@ -195,7 +195,7 @@ def batch_gradient(
     """Gradient of loss = -scale * sum over the batch of each word's ELBO
     (elbo_batch at the batch's uniforms us, which checks the batch).
 
-    Returns (flat gradient in pack_state order, per-term sums).  Raises
+    Returns (flat gradient in params order, per-term sums).  Raises
     NumericError if the gradient is non-finite.
     """
     tape = Tape()
@@ -243,8 +243,9 @@ def train(
 
     Each epoch shuffles the words with a stream addressed by (seed, epoch),
     walks batches of batch_size, and applies one Adam update per batch on
-    the loss -(|W|/|batch|) * sum of word ELBOs.  The per-epoch log reports
-    the mean ELBO over the epoch's own evaluations.
+    the loss -(|W|/|batch|) * sum of word ELBOs, written into the state's
+    params in place (a given init_state is the state trained).  The
+    per-epoch log reports the mean ELBO over the epoch's own evaluations.
     """
     if not observations:
         raise ConfigError("train needs at least one observation")
@@ -263,7 +264,7 @@ def train(
     for vid in sorted(scales):
         init_state.check_view(vid, vocab.families[vid])
     state = init_state
-    params = pack_state(state)
+    params = state.params
     adam = init_adam if init_adam is not None else AdamState.zeros(params.size)
     noise = frozen_noise(config, words)
 
@@ -277,8 +278,7 @@ def train(
             idx = perm[lo : lo + config.batch_size]
             batch = [obs[i] for i in idx]
             grad, stats = batch_gradient(state, batch, noise[idx], scale=n / len(batch))
-            params = adam_step(params, grad, adam, config)
-            unpack_state(state, params)
+            params[...] = adam_step(params, grad, adam, config)  # the heads view params
             elbo_acc += stats["elbo_sum"]
             recon_acc += stats["recon_sum"]
             kl_acc += stats["kl_sum"]

@@ -102,7 +102,7 @@ class HeadLeaves:
 
 
 class ModelBinding:
-    """All model parameters pushed onto one tape, in pack_state order.
+    """All model parameters pushed onto one tape, in ModelState.params order.
 
     Leaves occupy a contiguous index range, so a backward pass turns into a
     flat gradient via one slice.  Build a fresh binding per optimization
@@ -133,7 +133,7 @@ class ModelBinding:
         )
 
     def gradient(self, adjoints: list[float]) -> np.ndarray:
-        """The flat parameter gradient (pack_state order) from adjoints."""
+        """The flat parameter gradient (ModelState.params order) from adjoints."""
         return np.array(adjoints[self.start : self.start + self.count])
 
 

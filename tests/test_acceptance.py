@@ -48,9 +48,7 @@ from lexifuse.model import (
     encode_vars,
     encoder_input,
     observations_from_views,
-    pack_state,
     posterior_params,
-    unpack_state,
 )
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.special import digamma
@@ -192,11 +190,11 @@ class TestCriterion3:
             root = summed(linear_objective([1.0, 2.0, 3.0])(omegas))
             grad = binding.gradient(tape.backward(root))[:n_enc]
 
-            base = pack_state(state)
+            base = state.params.copy()
 
             def enc_value(vec):
                 s2 = copy.deepcopy(state)
-                unpack_state(s2, vec)
+                s2.params[...] = vec
                 (om,) = encode(s2.encoders[vid], x)
                 return om[0] + 2.0 * om[1] + 3.0 * om[2]
 
@@ -219,7 +217,7 @@ class TestCriterion3:
 
             def dec_value(vec, z=z0):
                 s2 = copy.deepcopy(state)
-                unpack_state(s2, vec)
+                s2.params[...] = vec
                 t2 = Tape()
                 b2 = ModelBinding(t2, s2)
                 r = decode_vars(t2.leaf([z]), b2.heads[("dec", vid)], scale)

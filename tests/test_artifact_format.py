@@ -9,7 +9,7 @@ import pytest
 from lexifuse.cli import main
 from lexifuse.evaluation import LabeledCorpus, write_corpus, write_report
 from lexifuse.lexica import binary
-from lexifuse.model import save_checkpoint, unpack_state
+from lexifuse.model import save_checkpoint
 from lexifuse.rng import stream_for
 from lexifuse.training import TrainConfig, frozen_noise, init_model
 from lexifuse.unified import write_unified
@@ -63,7 +63,7 @@ def test_truth_header_bytes(tmp_path):
 
 def test_checkpoint_bytes(tmp_path):
     state = init_model({"v": binary()}, TrainConfig(hidden_dim=1), stream_for(0, "init"))
-    unpack_state(state, np.array([0.5, 0.0, 1.0, -2.0, 0.1, 0.25, -0.5, 3.0, -1.0, 2.0, -0.75, 1e-5, 4.0, -0.125]))
+    state.params[...] = np.array([0.5, 0.0, 1.0, -2.0, 0.1, 0.25, -0.5, 3.0, -1.0, 2.0, -0.75, 1e-5, 4.0, -0.125])
     save_checkpoint(tmp_path / "checkpoint.json", state, config_hash="abc", extra={"epoch": 2, "seed": 7})
     assert (tmp_path / "checkpoint.json").read_bytes() == (
         b'{"component_order": ["positive", "negative", "neutral"], "config_hash": "abc", '

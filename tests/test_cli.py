@@ -177,6 +177,21 @@ class TestErrorExits:
         }[case]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: seed must be a nonnegative integer, got {seed}")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "d").exists()  # refused before --out is made
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--train-fraction", "nan"], "--train-fraction must be in (0, 1), got nan"),
+        (["--train-fraction", "inf"], "--train-fraction must be in (0, 1), got inf"),
+        (["--train-fraction", "1.5"], "--train-fraction must be in (0, 1), got 1.5"),
+        (["--train-fraction", "0"], "--train-fraction must be in (0, 1), got 0.0"),
+        (["--train-fraction", "0.001"], "n_train must be in (0, 20), got 0"),
+        (["--n-words", "0"], "synth sizes must be positive"),
+    ], ids=["fraction-nan", "fraction-inf", "fraction-1.5", "fraction-0", "no-train-text", "no-words"])
+    def test_synth_refusal_writes_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "d"
+        assert main(["synth", "--n-words", "40", "--n-texts", "20", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_usage_error_exit_2(self):
         r = run_cli()

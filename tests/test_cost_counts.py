@@ -1,7 +1,7 @@
 """Work counts that host load cannot blur: the incomplete-gamma evaluations
 of one Gamma draw, and the whole-column passes of one lexicon parse.
 
-gamma_draws runs on a fixed 256x3 batch, the size of one training batch's
+gamma_quantile runs on a fixed 256x3 batch, the size of one training batch's
 Dirichlet shapes, with special.gammainc_p and special.gammainc_p_da wrapped
 in every lexifuse module that holds them.  Each wrapper counts its calls and
 the elements each call gets.  parse_lexicon runs on fixed hand-written files
@@ -36,7 +36,7 @@ def batch():
 
 def counted_draw(monkeypatch) -> dict[str, list[int]]:
     """The elements of each call of each wrapped function, in call order,
-    over one gamma_draws on the batch."""
+    over one gamma_quantile on the batch."""
     sizes: dict[str, list[int]] = {name: [] for name in ("gammainc_p", "gammainc_p_da")}
     for name, seen in sizes.items():
         inner = getattr(special, name)
@@ -48,7 +48,7 @@ def counted_draw(monkeypatch) -> dict[str, list[int]]:
         for module in (special, distributions):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
-    distributions.gamma_draws(*batch())
+    distributions.gamma_quantile(*batch())
     monkeypatch.undo()
     return sizes
 

@@ -160,14 +160,13 @@ class TestReadCorpusFuzz:
     @given(st.one_of(st.text(), st.binary(), st.lists(CORPUS_LINE).map("\n".join),
                      st.lists(GOOD_LINE).map("\n".join),
                      st.lists(st.one_of(CORPUS_LINE, st.binary().map(lambda b: b.decode("latin-1"))))
-                     .map("\r\n".join)),
-           st.sampled_from([None, 1, 2, 3]))
+                     .map("\r\n".join)))
     @settings(max_examples=300, deadline=None)
-    def test_only_typed_errors_escape(self, tmp_path_factory, body, n_classes):
+    def test_only_typed_errors_escape(self, tmp_path_factory, body):
         path = tmp_path_factory.mktemp("fuzz") / "corpus.tsv"
         path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8", "surrogatepass"))
         try:
-            corpus = read_corpus(path, n_classes)
+            corpus = read_corpus(path)
         except LexifuseError:
             return
         assert len(corpus.texts) == len(corpus.labels) >= 1
@@ -266,9 +265,9 @@ class TestWordFeature:
 
     def test_make_featurizer(self):
         lex = lexicon_from_betas([("w", (2.0, 1.5, 1.5), 2)])
-        assert make_featurizer("fused-mean", unified=lex).mode == "fused-mean"
+        assert make_featurizer("fused-mean", unified=lex).dim == 3
         assert make_featurizer("fused-beta", unified=lex).dim == 3
-        assert make_featurizer("single:gi", views=STANDARD_VIEWS).mode == "single:gi"
+        assert make_featurizer("single:gi", views=STANDARD_VIEWS).dim == 1
         assert make_featurizer("concat", views=STANDARD_VIEWS).dim == 16
         with pytest.raises(ConfigError):
             make_featurizer("single:nope", views=STANDARD_VIEWS)
@@ -369,7 +368,7 @@ class TestFeaturizeCorpus:
         monkeypatch.setattr(evaluation, "_GATHER_FLOATS", gather_floats)
         rng = np.random.default_rng(dim)
         rows = rng.standard_normal((43, dim)) * 10.0 ** np.arange(dim)
-        f = Featurizer("test", {f"w{i}": i for i in range(43)}, rows)
+        f = Featurizer({f"w{i}": i for i in range(43)}, rows)
         texts = tuple(tuple(f"w{i}" for i in rng.integers(0, 43, m)) for m in range(41))
         texts += tuple(t[::-1] for t in texts) + texts[-3:] * 20
         corpus = LabeledCorpus(texts, (0,) * len(texts), 1)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import pickle
 import re
 import warnings
 
@@ -10,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexifuse.errors import ConfigError, LexifuseError, NumericError, UsageError
+from lexifuse.errors import ConfigError, LexifuseError, NumericError
 from lexifuse.evaluation import synth_generate
 from lexifuse.lexica import (
     binary,
@@ -20,6 +21,7 @@ from lexifuse.lexica import (
     signed_continuous,
 )
 from lexifuse.model import (
+    Head,
     ModelBinding,
     ModelState,
     WordObservation,
@@ -31,10 +33,8 @@ from lexifuse.model import (
     encode_vars,
     encoder_input,
     load_checkpoint,
-    pack_state,
     posterior_params,
     save_checkpoint,
-    unpack_state,
 )
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.tape import Tape
@@ -352,11 +352,11 @@ class TestElboWord:
         we = elbo_batch(binding, [obs], us)
         grad = binding.gradient(tape.backward(we.total))
 
-        base = pack_state(state)
+        base = state.params.copy()
 
         def value_at(vec):
             s2 = copy.deepcopy(state)
-            unpack_state(s2, vec)
+            s2.params[...] = vec
             return elbo_batch(ModelBinding(Tape(), s2), [obs], us).total.value
 
         h = 1e-5
@@ -434,20 +434,73 @@ class TestElboWord:
             elbo_batch(ModelBinding(Tape(), state), batch, us)
 
 
+def pack_order(encoders, decoders) -> np.ndarray:
+    """Head arrays flattened by sorted view id, the encoder's w1, b1, w2, b2
+    and then the decoder's."""
+    return np.concatenate([a.ravel() for vid in sorted(encoders) for h in (encoders[vid], decoders[vid]) for a in h])
+
+
+def checkpointed_state(tmp_path):
+    save_checkpoint(tmp_path / "model.json", small_state(seed=3))
+    return load_checkpoint(tmp_path / "model.json")[0]
+
+
 class TestPackUnpack:
+    """ModelState.params: the one parameter vector, which the heads view."""
+
     def test_roundtrip(self):
         state = small_state()
-        vec = pack_state(state)
+        vec = state.params
         heads = [*state.encoders.values(), *state.decoders.values()]
         assert vec.size == sum(h.w1.size + h.b1.size + h.w2.size + h.b2.size for h in heads)
         state2 = small_state(seed=9)
-        unpack_state(state2, vec)
-        np.testing.assert_array_equal(pack_state(state2), vec)
+        state2.params[...] = vec
+        for vid in state.view_ids():
+            for h, h2 in ((state.encoders[vid], state2.encoders[vid]), (state.decoders[vid], state2.decoders[vid])):
+                for a, a2 in zip(h, h2):
+                    np.testing.assert_array_equal(a2, a)
 
-    def test_wrong_size(self):
-        state = small_state()
-        with pytest.raises(UsageError):
-            unpack_state(state, np.zeros(3))
+    def test_params_in_pack_order(self):
+        # heads given in reverse view order, as arrays of the caller's own
+        src = small_state()
+        enc = {vid: Head(*(a.copy() for a in src.encoders[vid])) for vid in reversed(src.view_ids())}
+        dec = {vid: Head(*(a.copy() for a in src.decoders[vid])) for vid in reversed(src.view_ids())}
+        given = [*enc.values(), *dec.values()]
+        state = ModelState(src.scales, enc, dec)
+        assert state.params.dtype == np.float64
+        np.testing.assert_array_equal(state.params, pack_order(enc, dec))
+        np.testing.assert_array_equal(state.params, src.params)
+        # the caller's dicts keep their heads, and the state writes none of their arrays
+        state.params[...] = 0.0
+        assert all(h is g for h, g in zip([*enc.values(), *dec.values()], given, strict=True))
+        np.testing.assert_array_equal(pack_order(enc, dec), src.params)
+
+    @pytest.mark.parametrize("origin", ["init_model", "load_checkpoint"])
+    def test_heads_view_params(self, tmp_path, origin):
+        state = small_state() if origin == "init_model" else checkpointed_state(tmp_path)
+        arrays = [a for h in [*state.encoders.values(), *state.decoders.values()] for a in h]
+        assert len(arrays) == 4 * 2 * len(state.scales)
+        assert all(np.shares_memory(a, state.params) for a in arrays)
+        for i, a in enumerate(arrays):
+            a.flat[-1] = 1000.0 + i  # a head write shows in params
+        np.testing.assert_array_equal(state.params, pack_order(state.encoders, state.decoders))
+        assert sorted(state.params[state.params >= 1000.0]) == [1000.0 + i for i in range(len(arrays))]
+        state.params[...] = -np.arange(state.params.size)  # and a params write in the heads
+        np.testing.assert_array_equal(pack_order(state.encoders, state.decoders), -np.arange(state.params.size))
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copy_owns_its_params(self, tmp_path, how):
+        state = checkpointed_state(tmp_path)
+        twin = copy.deepcopy(state) if how == "deepcopy" else pickle.loads(pickle.dumps(state))
+        assert twin.scales == state.scales
+        np.testing.assert_array_equal(twin.params, state.params)
+        assert not np.shares_memory(twin.params, state.params)
+        twin_arrays = [a for h in [*twin.encoders.values(), *twin.decoders.values()] for a in h]
+        assert all(np.shares_memory(a, twin.params) for a in twin_arrays)
+        before = state.params.copy()
+        twin.params[...] = 0.0
+        assert not any(a.any() for a in twin_arrays)
+        np.testing.assert_array_equal(state.params, before)
 
     def test_binding_gradient_alignment(self):
         # d/dw of (first w1 entry of the first view's encoder * 2) must land
@@ -472,7 +525,7 @@ class TestPackUnpack:
         assert np.count_nonzero(grad) == 1
         leaves = [leaf for h in binding.heads.values() for leaf in (h.w1, h.b1, h.w2, h.b2)]
         flat = np.concatenate([leaf.value.ravel() for leaf in leaves])
-        np.testing.assert_array_equal(flat, pack_state(state))
+        np.testing.assert_array_equal(flat, state.params)
 
 
 class TestCheckpoint:
@@ -484,7 +537,7 @@ class TestCheckpoint:
         assert meta["config_hash"] == "abc"
         assert meta["extra"]["epoch"] == 3
         assert loaded.scales == state.scales
-        np.testing.assert_array_equal(pack_state(loaded), pack_state(state))
+        np.testing.assert_array_equal(loaded.params, state.params)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -631,7 +684,7 @@ class TestCheckpointFuzz:
             state, meta = load_checkpoint(path)
         except LexifuseError:
             return
-        assert np.isfinite(pack_state(state)).all()
+        assert np.isfinite(state.params).all()
         assert isinstance(meta["extra"], dict)
 
 

@@ -16,8 +16,7 @@ import scalar_model
 import scalar_special
 import scalar_tape
 from lexifuse import special
-from lexifuse.distributions import gamma_draws
-from lexifuse.model import WordObservation, pack_state, unpack_state
+from lexifuse.model import WordObservation
 from lexifuse.rng import stream_for
 from lexifuse.special import gamma_quantile
 from lexifuse.training import TrainConfig, batch_gradient, frozen_noise, init_model
@@ -31,8 +30,7 @@ def moved_state(n_mc, seed=0):
     """A small four-family model with its parameters moved off the init point."""
     cfg = TrainConfig(hidden_dim=6, n_mc=n_mc, seed=seed)
     state = init_model({v: ALL_SCALES[v] for v in VIEWS}, cfg, stream_for(seed, "init"))
-    params = pack_state(state)
-    unpack_state(state, params + np.random.default_rng(seed).normal(0.0, 0.5, params.size))
+    state.params += np.random.default_rng(seed).normal(0.0, 0.5, state.params.size)
     return cfg, state
 
 
@@ -88,7 +86,7 @@ UNIFORMS = [1e-12, 1e-8, 1e-3, 0.05, 0.3, 0.5, 0.5 + 1e-12, 0.7, 0.95, 0.999, 1 
 
 def test_gamma_quantile_and_derivative_match_scalar():
     a, u = (g.ravel() for g in np.meshgrid(SHAPES, UNIFORMS))
-    y, dy = gamma_draws(a, u)
+    y, dy = gamma_quantile(a, u)
     want_y = np.array([scalar_special.gamma_quantile(s, v) for s, v in zip(a, u)])
     np.testing.assert_allclose(y, want_y, rtol=1e-12, atol=0)
     want_dy = []
@@ -99,8 +97,8 @@ def test_gamma_quantile_and_derivative_match_scalar():
     np.testing.assert_allclose(dy, want_dy, rtol=1e-12, atol=0)
     # a 2-d batch equals one call per element exactly: every recurrence
     # decides per element, in blocks that do not depend on the others
-    grid_y, grid_dy = gamma_draws(a.reshape(len(UNIFORMS), -1), u.reshape(len(UNIFORMS), -1))
-    alone = np.array([gamma_draws(s, v) for s, v in zip(a, u)])
+    grid_y, grid_dy = gamma_quantile(a.reshape(len(UNIFORMS), -1), u.reshape(len(UNIFORMS), -1))
+    alone = np.array([gamma_quantile(s, v) for s, v in zip(a, u)])
     np.testing.assert_array_equal(grid_y.ravel(), alone[:, 0])
     np.testing.assert_array_equal(grid_dy.ravel(), alone[:, 1])
 

@@ -22,7 +22,6 @@ from lexifuse.lexica import (
 from lexifuse.model import (
     load_checkpoint,
     observations_from_views,
-    pack_state,
     posterior_params,
 )
 from lexifuse.rng import RngStream, stream_for
@@ -240,9 +239,9 @@ class TestInitModel:
         scales = {"a": binary(), "b": signed_continuous()}
         s1 = init_model(scales, TrainConfig(), stream_for(7, "init"))
         s2 = init_model(scales, TrainConfig(), stream_for(7, "init"))
-        np.testing.assert_array_equal(pack_state(s1), pack_state(s2))
+        np.testing.assert_array_equal(s1.params, s2.params)
         s3 = init_model(scales, TrainConfig(), stream_for(8, "init"))
-        assert not np.array_equal(pack_state(s1), pack_state(s3))
+        assert not np.array_equal(s1.params, s3.params)
 
     def test_init_bounds(self):
         cfg = TrainConfig(weight_init_scale=0.1, hidden_dim=16)
@@ -362,9 +361,9 @@ class TestTrain:
         init = init_model(
             {"bin": binary(), "sig": signed_continuous()}, cfg, stream_for(cfg.seed, "init")
         )
-        before = pack_state(init)
+        before = init.params.copy()
         result = train(vocab, obs, cfg)
-        np.testing.assert_array_equal(pack_state(result.state), before)
+        np.testing.assert_array_equal(result.state.params, before)
         elbos = [r["mean_elbo"] for r in result.log]
         for e in elbos[1:]:
             assert e == pytest.approx(elbos[0], rel=1e-12)
@@ -381,7 +380,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, batch_size=3, hidden_dim=4, seed=11)
         r1 = train(vocab, obs, cfg)
         r2 = train(vocab, obs, cfg)
-        np.testing.assert_array_equal(pack_state(r1.state), pack_state(r2.state))
+        np.testing.assert_array_equal(r1.state.params, r2.state.params)
         assert [row["mean_elbo"] for row in r1.log] == [row["mean_elbo"] for row in r2.log]
 
     def test_resume_matches_uninterrupted(self, tmp_path):
@@ -398,7 +397,7 @@ class TestTrain:
         resumed = train(
             vocab, obs, cfg4, init_state=state, init_adam=adam, start_epoch=next_epoch
         )
-        np.testing.assert_array_equal(pack_state(resumed.state), pack_state(straight.state))
+        np.testing.assert_array_equal(resumed.state.params, straight.state.params)
         assert resumed.epochs_run == 2
 
     def test_checkpoint_and_log_written(self, tmp_path):
