@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import shutil
 import sys
 from pathlib import Path
 
@@ -73,7 +74,13 @@ def cmd_synth(args) -> int:
         RngStream(args.seed),
     )
     # generated and split before --out is made, so a refused input writes nothing
-    splits = split_corpus(data.corpus, round(fraction * len(data.corpus))) if fraction is not None else ()
+    splits = ()
+    if fraction is not None:
+        n_train = round(fraction * len(data.corpus))
+        if not 0 < n_train < len(data.corpus):
+            raise ConfigError(
+                f"--train-fraction {fraction} of {len(data.corpus)} texts leaves no train or no test text")
+        splits = split_corpus(data.corpus, n_train)
     out = Path(args.out)
     with output_errors(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -112,15 +119,15 @@ def cmd_train(args) -> int:
     priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
     obs = observations_from_views(views, vocab, priors)
     out = Path(args.out)
+    made = next((d for d in reversed([out, *out.parents]) if not d.exists()), None)  # the top new directory
     with output_errors(out):
         out.mkdir(parents=True, exist_ok=True)
-    result = train(
-        vocab,
-        obs,
-        config,
-        checkpoint_path=out / "checkpoint.json",
-        log_path=out / "training_log.csv",
-    )
+    try:
+        result = train(vocab, obs, config, checkpoint_path=out / "checkpoint.json", log_path=out / "training_log.csv")
+    except BaseException:
+        if made is not None:  # a failed run leaves no directory it created
+            shutil.rmtree(made)
+        raise
     final = result.log[-1]["mean_elbo"] if result.log else float("nan")
     print(
         f"trained {result.epochs_run} epochs on {len(obs)} words "
@@ -155,10 +162,6 @@ def cmd_eval(args) -> int:
     train_path, test_path = args.corpus
     corpus_train = read_corpus(train_path)
     corpus_test = read_corpus(test_path)
-    k = max(corpus_train.n_classes, corpus_test.n_classes)
-    corpus_train = dataclasses.replace(corpus_train, n_classes=k)
-    corpus_test = dataclasses.replace(corpus_test, n_classes=k)
-
     acc = evaluate(corpus_train, corpus_test, featurizer)
     cov = coverage(featurizer, corpus_train)
     row = {

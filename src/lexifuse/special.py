@@ -8,11 +8,14 @@ call.  The incomplete gamma runs its recurrences in blocks, over all live
 elements at once: the series (x < a + 1) takes 16 terms per block, as
 term_0 * cumprod(x / (a + j)) in one numpy call, and the continued fraction
 (x >= a + 1) 8 steps of its three-term recurrence on stacked rows.
-Convergence is checked, and converged elements dropped, once per block, so
-an element stops at the end of the first block in which its own test
-passes: it may take a few more terms than a term-by-term loop would, never
-fewer, and which block that is depends on its (a, x) alone.  Sums over a
-block's terms are taken in a fixed order for the same reason.
+One driver, _iterate, runs these blocks and the quantile's Halley rounds
+(one round per block).  It checks convergence, and drops converged elements,
+once per block, so an element stops at the end of the first block in which
+its own test passes: it may take a few more terms than a term-by-term loop
+would, never fewer, and which block that is depends on its (a, x) alone.
+Sums over a block's terms are taken in a fixed order for the same reason.
+An element still iterating at the cap (400 steps, 200 Halley rounds) is a
+NumericError naming the solver and that element, never a returned value.
 
 The shape-derivative of P is what makes pathwise (implicit
 reparameterization) gradients of Gamma/Dirichlet draws possible: for
@@ -120,23 +123,26 @@ def _prefactor(a: np.ndarray, x: np.ndarray, lgamma_a: np.ndarray) -> np.ndarray
     return np.exp(-x + a * np.log(x) - lgamma_a)
 
 
-def _iterate(block, state: np.ndarray, steps: int, n_out: int) -> np.ndarray:
-    """Run block(j, state) -> converged for blocks j = 0, 1, ... of `steps`
-    recurrence steps on the live columns of `state` (one column per element,
-    updated in place), until each has converged at the end of a block (or
-    _ITMAX steps pass); returns the last n_out rows of the final state."""
+def _iterate(block, state: np.ndarray, blocks: int, n_out: int, name: str, **inputs) -> np.ndarray:
+    """Run block(j, state) -> converged for blocks j < `blocks` on the live
+    columns of `state` (one per element, updated in place) until each has
+    converged at the end of a block; returns the last n_out rows of the
+    final state.  A column live after the last block is a NumericError
+    naming `name` and that element's `inputs` (arrays, one entry per column)."""
     out = np.empty((n_out, state.shape[1]))
     live = np.arange(state.shape[1])
-    for j in range(_ITMAX // steps):
+    for j in range(blocks):
         if not live.size:
-            return out
+            break
         done = block(j, state)
         if done.any():
             out[:, live[done]] = state[-n_out:, done]
             keep = ~done
             live = live[keep]
             state = state[:, keep]
-    out[:, live] = state[-n_out:]
+    if live.size:
+        first = ", ".join(f"{k}={v[live[0]]}" for k, v in inputs.items())
+        raise NumericError(f"{name} failed to converge ({first}, {live.size} elements)")
     return out
 
 
@@ -144,6 +150,7 @@ def _iterate(block, state: np.ndarray, steps: int, n_out: int) -> np.ndarray:
 # row per term.
 _SER_STEPS = 16
 _SER_J = np.arange(1.0, _SER_STEPS + 1.0)[:, None]
+_SER = "incomplete gamma series"
 
 
 def _rowsum(t: np.ndarray) -> np.ndarray:
@@ -177,7 +184,7 @@ def _gser(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         return state[2] < state[3] * _EPS
 
     term = 1.0 / a
-    return _iterate(block, np.stack([x, a, term, term]), _SER_STEPS, 1)[0]
+    return _iterate(block, np.stack([x, a, term, term]), _ITMAX // _SER_STEPS, 1, _SER, a=a, x=x)[0]
 
 
 def _gser_da(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +200,7 @@ def _gser_da(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return state[2] < state[4] * _EPS
 
     term = 1.0 / a
-    return _iterate(block, np.stack([x, a, term, -term, term, -term * term]), _SER_STEPS, 2)
+    return _iterate(block, np.stack([x, a, term, -term, term, -term * term]), _ITMAX // _SER_STEPS, 2, _SER, a=a, x=x)
 
 
 # Continued-fraction steps per block.  Q(a, x) / prefactor is
@@ -208,6 +215,7 @@ def _gser_da(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # cancellation.
 _CF_STEPS = 8
 _CF_N = np.arange(1.0, _CF_STEPS + 1.0)[:, None]
+_CF = "incomplete gamma continued fraction"
 
 
 def _cf_terms(j: int, a: np.ndarray, b0r: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -238,7 +246,7 @@ def _gcf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     d = 1.0 / b0r
     # (A, B) at steps 0 and 1 are (0, 1) and (1, b_0 r), and D_1 = 1; over b_0 r
     state = np.stack([a, b0r, r, d * d, np.zeros_like(d), d, d, np.ones_like(d)])
-    return _iterate(block, state, _CF_STEPS, 2)[0] * r  # A, with B = 1
+    return _iterate(block, state, _ITMAX // _CF_STEPS, 2, _CF, a=a, x=x)[0] * r  # A, with B = 1
 
 
 def _gcf_da(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +280,7 @@ def _gcf_da(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zero = np.zeros_like(d)
     # steps 0 and 1 as in _gcf, with dB_1 = d(b_0 r)/da = -r; over b_0 r
     state = np.stack([a, b0r, r, d * d, zero, zero, d, zero, zero, d, np.ones_like(d), zero, -r * d])
-    av, dav, dbv = _iterate(block, state, _CF_STEPS, 4)[[0, 2, 3]]
+    av, dav, dbv = _iterate(block, state, _ITMAX // _CF_STEPS, 4, _CF, a=a, x=x)[[0, 2, 3]]
     return av * r, (dav - av * dbv) * r
 
 
@@ -385,9 +393,10 @@ def gamma_quantile(shape, u) -> tuple[np.ndarray, np.ndarray]:
     corrected in both tails by two fixed-point steps on the leading term of
     P or Q.  Above the median the residual is taken on Q, so that upper-tail
     quantiles are as accurate as lower-tail ones.  A step that leaves the
-    bracket becomes a geometric one.  Each round evaluates the incomplete
-    gamma once, on the elements still iterating: round 1 gammainc_p, later
-    rounds gammainc_p_da, so no element stops in round 1.  An element stops
+    bracket becomes a geometric one.  Each round is one _iterate block and
+    evaluates the incomplete gamma once, on the elements still iterating:
+    round 1 gammainc_p, later rounds gammainc_p_da, so no element stops in
+    round 1.  An element stops
     after an applied relative step of at most 1e-6, after which the
     residual is cubically smaller (about 1e-18), or once its bracket is
     narrower than 1e-12 relative.  dP/da at the last iterate x is carried to
@@ -399,7 +408,8 @@ def gamma_quantile(shape, u) -> tuple[np.ndarray, np.ndarray]:
     whose remainder is third order in s.  Over the training range (shape in
     [1, 9], u in [1e-12, 1 - 1e-12]) nearly every element stops after round
     2, and a few after round 3.  Training draws at the Dirichlet shapes
-    1 + sum omega, so a shape below 1 is a DomainError.  Once every element
+    1 + sum omega, so a shape below 1 is a DomainError, and an element that
+    has not stopped after 200 rounds is a NumericError.  Once every element
     has stopped, the density at y is evaluated once, for all elements.
     """
     shape, u = np.broadcast_arrays(np.asarray(shape, dtype=float), _unit_open("gamma_quantile", u))
@@ -430,59 +440,48 @@ def gamma_quantile(shape, u) -> tuple[np.ndarray, np.ndarray]:
     ones = a == 1.0
     if ones.any():
         dp_da[ones] = gammainc_p_da(a[ones], out[ones])[1]
-    live = np.flatnonzero(~ones)
-    a, u, x = a[live], u[live], x[live]
-    upper = u > 0.5
-    target = np.where(upper, 1.0 - u, u)
-    log_norm = log_gamma[live]
-    psi = digamma(a)
-    lo = np.zeros_like(x)
-    hi = np.full_like(x, np.inf)
-    for k in range(200):  # round k + 1
-        if not live.size:
-            y = out.reshape(shape.shape)
-            log_pdf = (shape - 1.0) * np.log(y) - y - log_gamma.reshape(shape.shape)
-            return y, -dp_da.reshape(shape.shape) / np.exp(log_pdf)
+
+    def halley(k, state):  # round k + 1; rows a, u, upper, lo, hi, lgamma(a), psi(a), x, dP/da
+        a, u, upper, lo, hi, log_norm, psi, x = state[:8]
+        upper = upper > 0.0
         if k == 0:
-            f = gammainc_p(a, x, upper, lgamma_a=log_norm)
+            f, dp = gammainc_p(a, x, upper, lgamma_a=log_norm), 0.0
         else:
             f, dp = gammainc_p_da(a, x, upper, lgamma_a=log_norm, digamma_a=psi)
-        err = np.where(upper, target - f, f - target)  # P(x) - u either way
-        above = err > 0.0
-        hi = np.where(above, x, hi)
-        lo = np.where(above, lo, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            err = np.where(upper, 1.0 - u - f, f - u)  # P(x) - u either way
+            above = err > 0.0
+            hi = np.where(above, x, hi)
+            lo = np.where(above, lo, x)
             pdf = np.exp((a - 1.0) * np.log(x) - x - log_norm)
             newton = err / pdf
             # Halley: d pdf / dx = pdf ((a - 1) / x - 1)
             x_new = x - newton / (1.0 - 0.5 * newton * ((a - 1.0) / x - 1.0))
-        # A step out of the bracket (or a non-finite one) becomes a geometric
-        # step, so brackets spanning many orders of magnitude still close
-        # quickly.  A step below 1e-12 relative is kept even where rounding
-        # puts it on the bracket's edge.
-        tiny = np.abs(x_new - x) <= 1e-12 * x
-        left = ~((lo < x_new) & (x_new < hi) | tiny) | ~np.isfinite(x_new)
-        with np.errstate(invalid="ignore"):
+            # A step out of the bracket (or a non-finite one) becomes a
+            # geometric step, so brackets spanning many orders of magnitude
+            # still close quickly.  A step below 1e-12 relative is kept even
+            # where rounding puts it on the bracket's edge.
+            tiny = np.abs(x_new - x) <= 1e-12 * x
+            left = ~((lo < x_new) & (x_new < hi) | tiny) | ~np.isfinite(x_new)
             geometric = np.where(
                 ~np.isfinite(hi), np.maximum(2.0 * x, 1.0), np.where(lo == 0.0, 0.5 * hi, np.sqrt(lo * hi))
             )
-        x_new = np.where(err == 0.0, x, np.where(left, geometric, x_new))
-        with np.errstate(invalid="ignore"):
+            x_new = np.where(err == 0.0, x, np.where(left, geometric, x_new))
+            step = x_new - x
             # the step is applied before stopping, so the residual after a
             # relative step of 1e-6 is cubically smaller; round 1 gives no
             # dP/da, so nothing stops there
-            done = (k > 0) & ((np.abs(x_new - x) <= 1e-6 * x) | (np.isfinite(hi) & (hi - lo <= 1e-12 * hi)))
-        if done.any():
-            xd, step, lx = x[done], (x_new - x)[done], np.log(x[done]) - psi[done]
-            slope = pdf[done] * lx
-            bend = pdf[done] * (((a[done] - 1.0) / xd - 1.0) * lx + 1.0 / xd)
-            out[live[done]] = x_new[done]
-            dp_da[live[done]] = dp[done] + step * (slope + 0.5 * step * bend)
-            keep = ~done
-            live = live[keep]
-            a, u, x_new, upper, target, lo, hi, log_norm, psi = (
-                v[keep] for v in (a, u, x_new, upper, target, lo, hi, log_norm, psi))
-        x = x_new
-    raise NumericError(
-        f"gamma_quantile failed to converge (shape={a[0]}, u={u[0]}, {live.size} elements)"
-    )
+            done = (k > 0) & ((np.abs(step) <= 1e-6 * x) | (np.isfinite(hi) & (hi - lo <= 1e-12 * hi)))
+            lx = np.log(x) - psi
+            bend = pdf * (((a - 1.0) / x - 1.0) * lx + 1.0 / x)
+            state[8] = dp + step * (pdf * lx + 0.5 * step * bend)
+        state[3], state[4], state[7] = lo, hi, x_new
+        return done
+
+    a, u, x, log_norm = a[~ones], u[~ones], x[~ones], log_gamma[~ones]
+    zero = np.zeros_like(x)
+    state = np.stack([a, u, u > 0.5, zero, np.full_like(x, np.inf), log_norm, digamma(a), x, zero])
+    out[~ones], dp_da[~ones] = _iterate(halley, state, 200, 2, "gamma_quantile", shape=a, u=u)
+    y = out.reshape(shape.shape)
+    log_pdf = (shape - 1.0) * np.log(y) - y - log_gamma.reshape(shape.shape)
+    return y, -dp_da.reshape(shape.shape) / np.exp(log_pdf)

@@ -1,6 +1,10 @@
+import glob
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,24 @@ class TestErrorExits:
         assert r.returncode == 4
         assert "word" in r.stderr
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_failed_train_leaves_out_as_it_was(self, tmp_path, capsys, existing):
+        data = tmp_path / "data"
+        main(["synth", "--out", str(data), "--seed", "2", "--n-words", "12", "--n-texts", "5", "--text-len", "4"])
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("learning_rate = 1e8\nepochs = 3\nhidden_dim = 4\n")
+        out = tmp_path / "new" / "b"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "keep.txt").write_text("kept\n")
+        views = sorted(str(p) for p in data.glob("view_*.tsv"))
+        assert main(["train", "--views", *views, "--config", str(cfg), "--out", str(out)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        else:  # every directory the run made is gone, the new parent too
+            assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("key", ["learning_rate", "adam_eps", "weight_init_scale"])
     def test_infinite_config_value_exit_2(self, tmp_path, key):
         view = tmp_path / "v.tsv"
@@ -184,9 +206,11 @@ class TestErrorExits:
         (["--train-fraction", "inf"], "--train-fraction must be in (0, 1), got inf"),
         (["--train-fraction", "1.5"], "--train-fraction must be in (0, 1), got 1.5"),
         (["--train-fraction", "0"], "--train-fraction must be in (0, 1), got 0.0"),
-        (["--train-fraction", "0.001"], "n_train must be in (0, 20), got 0"),
+        (["--train-fraction", "0.001"], "--train-fraction 0.001 of 20 texts leaves no train or no test text"),
+        (["--train-fraction", "0.99"], "--train-fraction 0.99 of 20 texts leaves no train or no test text"),
         (["--n-words", "0"], "synth sizes must be positive"),
-    ], ids=["fraction-nan", "fraction-inf", "fraction-1.5", "fraction-0", "no-train-text", "no-words"])
+    ], ids=["fraction-nan", "fraction-inf", "fraction-1.5", "fraction-0", "no-train-text", "no-test-text",
+            "no-words"])
     def test_synth_refusal_writes_nothing(self, tmp_path, capsys, argv, message):
         out = tmp_path / "d"
         assert main(["synth", "--n-words", "40", "--n-texts", "20", *argv, "--out", str(out)]) == 2
@@ -496,3 +520,34 @@ def test_unreadable_input(tmp_path, reader, case, code):
     assert str(bad) in r.stderr
     if case == "not_utf8":
         assert f"{bad}:2:" in r.stderr
+
+
+def quick_start_steps() -> list[tuple[str, list[str]]]:
+    """(the comment above it, argv) for each command of README's quick start
+    block, with its continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    steps, comment = [], ""
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("#"):
+            comment += line + "\n"
+        elif line.strip():
+            steps.append((comment, shlex.split(line)))
+            comment = ""
+    return steps
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    steps = quick_start_steps()
+    assert [argv[:2] for _, argv in steps] == [
+        ["lexifuse", command] for command in ("synth", "validate", "train", "export", "eval")
+    ]
+    for comment, argv in steps:
+        args = [arg for word in argv[1:] for arg in (sorted(glob.glob(word)) or [word] if "*" in word else [word])]
+        assert main(args) == 0, capsys.readouterr().err
+        if "--out" in args:
+            out = Path(args[args.index("--out") + 1])
+            assert out.exists()
+            for name in re.findall(r"[\w-]+\.(?:json|csv|tsv)\b", comment):  # files the comment says it writes
+                assert (out / name).is_file(), name

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import logging
 import math
@@ -491,12 +492,15 @@ class TestEvaluate:
         f = make_featurizer("concat", views=data.views)
         assert evaluate(tr, te, f) == evaluate(tr, te, f)
 
-    def test_class_count_mismatch(self):
-        f = single(view_of("b", binary(), {"good": 1}))
-        a = LabeledCorpus((("good",), ("bad",)), (0, 1), 2)
-        b = LabeledCorpus((("good",), ("bad",)), (0, 1), 3)
-        with pytest.raises(ConfigError):
-            evaluate(a, b, f)
+    def test_declared_class_count_does_not_matter(self):
+        # the classifier takes its classes from the training labels, so
+        # corpora declaring 2 and 3 classes score as aligned copies do
+        f = single(view_of("b", binary(), {"good": 1, "bad": 0}))
+        texts = (("good",), ("bad",), ("good", "bad"), ("bad", "bad"))
+        a = LabeledCorpus(texts, (0, 1, 0, 1), 2)
+        b = LabeledCorpus(texts[::-1], (1, 0, 1, 1), 3)
+        aligned = evaluate(a, dataclasses.replace(b, n_classes=2), f)
+        assert evaluate(a, b, f) == aligned == evaluate(dataclasses.replace(a, n_classes=3), b, f)
 
 
 class TestCoverage:

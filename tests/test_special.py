@@ -148,6 +148,30 @@ class TestGammaincPDa:
         assert q[2] < 1e-9 and q[4] < 1e-9  # far upper tail, where P rounds to 1
 
 
+class TestRefusedAtCap:
+    # An element still iterating when its budget runs out is refused, never
+    # returned unconverged: at a = x = 1e5 the series needs thousands of
+    # terms against its 400 (its 400-term partial sum gives P = 0.3977,
+    # against 0.5004).
+    @pytest.mark.parametrize("call", [
+        lambda: gammainc_p(1e5, 1e5),
+        lambda: gammainc_p(1e5, 1e5, upper=True),
+        lambda: gammainc_p_da(1e5, 1e5),
+        lambda: gamma_quantile(1e4, 0.5),
+    ], ids=["p", "q", "p-da", "quantile"])
+    def test_large_shape_raises(self, call):
+        with pytest.raises(NumericError, match="failed to converge"):
+            call()
+
+    @pytest.mark.parametrize("call", [gammainc_p, gammainc_p_da])
+    def test_continued_fraction_live_at_cap_raises(self, monkeypatch, call):
+        # one block of 8 steps: (2, 30) converges within it, (50, 52) does not
+        monkeypatch.setattr(special, "_ITMAX", 8)
+        assert np.isfinite(call(2.0, 30.0, upper=True)).all()
+        with pytest.raises(NumericError, match=r"continued fraction failed to converge \(a=50.0, x=52.0, 1 elements\)"):
+            call([2.0, 50.0], [30.0, 52.0], upper=True)
+
+
 class TestNormalQuantile:
     def test_symmetry_and_center(self):
         assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-9)
