@@ -61,12 +61,11 @@ def dirichlet_kl_var(beta: tp.Node, alpha: np.ndarray) -> tp.Node:
 
 
 def dirichlet_sample_vars(beta: tp.Node, us: np.ndarray) -> tp.Node:
-    """One Dirichlet draw per row of beta at that row's uniforms, on the tape:
-    normalized per-component Gamma quantiles."""
+    """One Dirichlet draw per row of beta at that row's uniforms, one tape node:
+    normalized per-component Gamma quantiles, with dy/d(shape) in its VJP."""
     if us.shape != beta.value.shape:
         raise ConfigError("dirichlet_sample_vars needs one uniform per component")
     y, dy = gamma_quantile(beta.value, us)
-    ys = tp.pointwise(beta, y, dy)
     total = y.sum(axis=1, keepdims=True)
     z = y / total
-    return ys.tape.push(z, (ys,), lambda g: ((g - (g * z).sum(axis=1, keepdims=True)) / total,))
+    return beta.tape.push(z, (beta,), lambda g: (((g - (g * z).sum(axis=1, keepdims=True)) / total) * dy,))

@@ -70,8 +70,9 @@ class NumericError(LexifuseError):
 
 
 def read_input(path: Path, what: str) -> str:
-    """An input file's text.  A missing, non-regular or unreadable file is a
-    ConfigError; bytes that are not UTF-8 are a ParseError naming the line."""
+    """An input file's text, less a leading UTF-8 byte-order mark.  A missing,
+    non-regular or unreadable file is a ConfigError; bytes that are not UTF-8
+    are a ParseError naming the line."""
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
     if not path.is_file():
@@ -80,6 +81,7 @@ def read_input(path: Path, what: str) -> str:
         data = path.read_bytes()
     except OSError as e:
         raise ConfigError(f"cannot read {what} {path}: {e.strerror}") from None
+    data = data.removeprefix(b"\xef\xbb\xbf")  # a BOM, cut so that e.start below indexes data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:

@@ -22,13 +22,14 @@ The view's scale family alone picks the emission:
   whose logits are the n_points raw decoder outputs.
 
 Each quantity has one numerical path, on the array tape.  Training builds a
-minibatch's ELBO there (ModelBinding + elbo_batch): each layer function
-(encode_vars, decode_vars, emission_ll_var, and the Dirichlet ops
-dirichlet_kl_var and dirichlet_sample_vars) is one batched node over the
-rows a view covers, looked up through this module.  Export needs only the
-encoder outputs, so `posterior_params` runs the same encode_vars once per
-view, forward only, on a tape of its own.  Both read a view's labels from
-its value columns (`encoder_input`, `emission_targets`).
+minibatch's ELBO there (ModelBinding + elbo_batch): a binding holds one leaf
+per head, and each layer function (encode_vars, decode_vars,
+emission_ll_var, and the Dirichlet ops dirichlet_kl_var and
+dirichlet_sample_vars) is one node over the rows a view covers, looked up
+through this module, whose VJP hands a head its gradient as one flat vector.
+Export needs only the encoder outputs, so `posterior_params` runs the same
+encode_vars once per view, forward only, on a binding of its own.  Both read
+a view's labels from its value columns (`encoder_input`, `emission_targets`).
 
 `ModelState.check_view`, passed through by `train`, `export_lexicon` and
 `posterior_params`, is the one test that a view fits its head (it compares
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import tape as tp
 from .distributions import dirichlet_kl_var, dirichlet_sample_vars
-from .errors import ConfigError, NumericError, atomic_write, read_input
+from .errors import ConfigError, NumericError, UsageError, atomic_write, read_input
 from .lexica import (
     BINARY,
     COMPONENTS,
@@ -61,7 +62,6 @@ from .lexica import (
     ScaleFamily,
     out_of_domain,
 )
-from .tape import Tape
 
 # Fixed per-component variance of the pair-continuous emission.
 PAIR_VARIANCE = 0.01
@@ -92,13 +92,21 @@ def encoder_input(scale: ScaleFamily, values: np.ndarray) -> np.ndarray:
 
 
 class Head(NamedTuple):
-    """Two affine layers with a tanh between them, as its four arrays or as
-    their tape leaves; the field order is their order in ModelState.params."""
+    """Two affine layers with a tanh between them, as four arrays; the field
+    order is their order in ModelState.params."""
 
-    w1: np.ndarray | tp.Node  # (hidden, input)
-    b1: np.ndarray | tp.Node  # (hidden,)
-    w2: np.ndarray | tp.Node  # (output, hidden)
-    b2: np.ndarray | tp.Node  # (output,)
+    w1: np.ndarray  # (hidden, input)
+    b1: np.ndarray  # (hidden,)
+    w2: np.ndarray  # (output, hidden)
+    b2: np.ndarray  # (output,)
+
+
+class HeadLeaf(NamedTuple):
+    """A head on a tape: its leaf, whose value is the head's slice of a copy of
+    params, and its arrays as views of that slice."""
+
+    leaf: tp.Node
+    arrays: Head
 
 
 @dataclass(frozen=True)
@@ -142,14 +150,11 @@ class ModelState:
                         f"view {vid!r} ({scale.header()}) needs {kind} shapes (h, {n_in}), (h,), "
                         f"({n_out}, h), ({n_out},) for w1, b1, w2, b2, got {', '.join(map(str, got))}"
                     )
-        arrays = _state_arrays(self)
-        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
-        ends = np.cumsum([a.size for a in arrays])
-        views = [self.params[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
-        heads = map(Head._make, zip(*[iter(views)] * 4))  # four arrays per head
-        self.encoders, self.decoders = {}, {}
-        for vid in self.view_ids():
-            self.encoders[vid], self.decoders[vid] = next(heads), next(heads)
+        heads = [head for vid in self.view_ids() for head in (self.encoders[vid], self.decoders[vid])]
+        self.params = np.concatenate([np.ravel(a) for head in heads for a in head], dtype=float)
+        split = _split(self.params, self)
+        self.encoders = {vid: head for (kind, vid), _, head in split if kind == "enc"}
+        self.decoders = {vid: head for (kind, vid), _, head in split if kind == "dec"}
 
     def __reduce__(self):
         # copy and pickle rebuild the state from its heads, so the copy's
@@ -167,9 +172,18 @@ class ModelState:
             raise ConfigError(f"view {view_id!r} is {family.header()}, but the model has {has} for it")
 
 
-def _state_arrays(state: ModelState) -> list[np.ndarray]:
-    """Every head array in params order."""
-    return [a for vid in state.view_ids() for head in (state.encoders[vid], state.decoders[vid]) for a in head]
+def _split(flat: np.ndarray, state: ModelState) -> list[tuple[tuple[str, str], slice, Head]]:
+    """Each head of state, keyed by ("enc" or "dec", view id), with its slice
+    of flat (laid out as params) and its arrays as views of flat."""
+    heads, start = [], 0
+    for vid in state.view_ids():
+        for kind, head in (("enc", state.encoders[vid]), ("dec", state.decoders[vid])):
+            arrays, first = [], start
+            for a in head:
+                arrays.append(flat[start : start + a.size].reshape(a.shape))
+                start += a.size
+            heads.append(((kind, vid), slice(first, start), Head(*arrays)))
+    return heads
 
 
 # ---------------------------------------------------------------------------
@@ -177,68 +191,88 @@ def _state_arrays(state: ModelState) -> list[np.ndarray]:
 
 
 class ModelBinding:
-    """All model parameters on one tape, one leaf per array of _state_arrays,
-    and `heads` of those leaves, keyed by ("enc" or "dec", view id).
+    """All model parameters, copied once, on one tape, one leaf per head:
+    `heads` maps ("enc" or "dec", view id) to a HeadLeaf, in params order.
 
     Build a fresh binding per optimization step (tapes are append-only and
-    single-use); `gradient` flattens the leaves' adjoints in the same order.
+    single-use); `gradient` joins the leaves' adjoints in the same order.
     """
 
-    def __init__(self, tape: Tape, state: ModelState):
+    def __init__(self, tape: tp.Tape, state: ModelState):
         self.tape = tape
         self.state = state
-        self.leaves = [tape.leaf(a) for a in _state_arrays(state)]
-        heads = map(Head._make, zip(*[iter(self.leaves)] * 4))  # four leaves per head
-        self.heads = {(kind, vid): next(heads) for vid in state.view_ids() for kind in ("enc", "dec")}
+        self.heads: dict[tuple[str, str], HeadLeaf] = {}
+        flat = state.params.copy()
+        for key, span, head in _split(flat, state):
+            self.heads[key] = HeadLeaf(tape.push(flat[span], (), None), head)  # a leaf viewing the copy
 
     def gradient(self, adjoints: list) -> np.ndarray:
         """The flat parameter gradient (params order) from adjoints."""
         parts = []
-        for leaf in self.leaves:
-            g = adjoints[leaf.idx]
-            parts.append(np.zeros(leaf.value.size) if g is None else g.ravel())
+        for head in self.heads.values():
+            g = adjoints[head.leaf.idx]
+            parts.append(np.zeros(head.leaf.value.size) if g is None else g)
         return np.concatenate(parts)
 
 
-def _mlp_vars(x, head: Head) -> tp.Node:
-    return tp.affine(tp.tanh(tp.affine(x, head.w1, head.b1)), head.w2, head.b2)
+def _mlp(layer: str, x, head: HeadLeaf):
+    """w2 tanh(w1 x + b1) + b2 over the rows of x, a Node or a constant array:
+    (the output, the layer node's parents, and the VJP from the output's adjoint
+    to theirs, the head's as one flat vector).  Rows not as wide as w1's raise."""
+    w1, b1, w2, b2 = head.arrays
+    node_input = isinstance(x, tp.Node)
+    xv = x.value if node_input else np.asarray(x, dtype=float)
+    if xv.ndim != 2 or xv.shape[1] != w1.shape[1]:
+        raise UsageError(f"{layer}: rows of width {w1.shape[1]} expected, got shape {xv.shape}")
+    t = np.tanh(xv @ w1.T + b1)
+
+    def vjp(g):
+        ga = (g @ w2) * (1.0 - t * t)
+        grad = np.concatenate([(ga.T @ xv).ravel(), ga.sum(axis=0), (g.T @ t).ravel(), g.sum(axis=0)])
+        return (ga @ w1, grad) if node_input else (grad,)
+
+    return t @ w2.T + b2, ((x, head.leaf) if node_input else (head.leaf,)), vjp
 
 
-def encode_vars(x: np.ndarray, head: Head) -> tp.Node:
-    """omega = softmax(g(x)) for each row of encoder inputs: (m, 3)."""
-    return tp.softmax(_mlp_vars(x, head))
+def encode_vars(x: np.ndarray, head: HeadLeaf) -> tp.Node:
+    """omega = softmax(g(x)) for each row of encoder inputs, one node: (m, 3)."""
+    raw, parents, vjp = _mlp("encode_vars", x, head)
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row stays nan
+        e = np.exp(raw - raw.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
+    return head.leaf.tape.push(s, parents, lambda g: vjp(s * (g - (g * s).sum(axis=1, keepdims=True))))
 
 
 def posterior_params(views: list[LexiconView], state: ModelState, vocab: CombinedVocabulary) -> np.ndarray:
     """beta = 1 + sum of omega_d over the given views covering each word of
     the vocabulary, one row per vocabulary word (the views' rows are
     vocab.rows); each view's encoder runs once over its value array through
-    encode_vars, on a tape of its own so that its activations go before the
-    next view runs, in sorted view-id order.  A view that the state has no
+    encode_vars, on a binding of its own so that its activations go before
+    the next view runs, in sorted view-id order.  A view that the state has no
     head of its family for is a ConfigError (ModelState.check_view)."""
     beta = np.ones((len(vocab), 3))
     for view in sorted(views, key=lambda v: v.id):
         state.check_view(view.id, view.family)
-        tape = Tape()
-        head = Head(*map(tape.leaf, state.encoders[view.id]))
+        head = ModelBinding(tp.Tape(), state).heads[("enc", view.id)]
         beta[vocab.rows[view.id]] += encode_vars(encoder_input(view.family, view.values), head).value
     return beta
 
 
-def decode_vars(z: tp.Node, head: Head, scale: ScaleFamily) -> tp.Node:
+def decode_vars(z: tp.Node, head: HeadLeaf, scale: ScaleFamily) -> tp.Node:
     """The emission parameters rho of a view with this scale at each row of z."""
-    raw = _mlp_vars(z, head)
-    r = raw.value
+    r, parents, vjp = _mlp("decode_vars", z, head)
     if scale.tag in (BINARY, PAIR_CONTINUOUS):
-        s = _sigmoid(r)
-        return tp.pointwise(raw, s, s * (1.0 - s))
-    if scale.tag == SIGNED_CONTINUOUS:
+        rho = _sigmoid(r)
+        slope = rho * (1.0 - rho)
+    elif scale.tag == SIGNED_CONTINUOUS:
         t = np.tanh(r[:, 0])
         # max(v, 0) + log1p(exp(-|v|)) is overflow-safe on both sides
         softplus = np.maximum(r[:, 1], 0.0) + np.log1p(np.exp(-np.abs(r[:, 1])))
         rho = np.column_stack([t, softplus + VARIANCE_FLOOR])
-        return tp.pointwise(raw, rho, np.column_stack([1.0 - t * t, _sigmoid(r[:, 1])]))
-    return raw
+        slope = np.column_stack([1.0 - t * t, _sigmoid(r[:, 1])])
+    else:
+        return head.leaf.tape.push(r, parents, vjp)
+    return head.leaf.tape.push(rho, parents, lambda g: vjp(g * slope))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

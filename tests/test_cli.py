@@ -6,13 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lexifuse.cli import main
+from lexifuse.errors import FLOAT_FORMAT
 from lexifuse.lexica import binary
 from lexifuse.model import save_checkpoint
 from lexifuse.rng import stream_for
 from lexifuse.training import TrainConfig, init_model
+from lexifuse.unified import read_unified
 
 BASE = [sys.executable, "-m", "lexifuse.cli"]
 
@@ -551,3 +554,21 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
             assert out.exists()
             for name in re.findall(r"[\w-]+\.(?:json|csv|tsv)\b", comment):  # files the comment says it writes
                 assert (out / name).is_file(), name
+
+
+def test_readme_python_sketch_runs(tmp_path, monkeypatch):
+    """README's Python API sketch, run as written on two hand-typed views."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("Python API sketch:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "bin.tsv").write_text("#family=Binary\ngood\t1\nbad\t0\nfine\t1\nawful\t0\n", encoding="utf-8")
+    (tmp_path / "sig.tsv").write_text("#family=SignedContinuous\ngood\t0.75\nbad\t-0.5\nmeh\t0\n",
+                                      encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    names = {"paths": ["bin.tsv", "sig.tsv"]}
+    exec(compile(sketch, "README.md", "exec"), names)
+    lexicon, back = names["lexicon"], read_unified(tmp_path / "unified.tsv")
+    assert back.words == lexicon.words == ["awful", "bad", "fine", "good", "meh"]
+    assert back.n_views.tolist() == lexicon.n_views.tolist() == [1, 2, 1, 2, 1]
+    for column in ("beta", "mean"):
+        text = np.vectorize(lambda v: float(FLOAT_FORMAT % v))(getattr(lexicon, column))
+        np.testing.assert_array_equal(getattr(back, column), text)

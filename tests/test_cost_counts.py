@@ -1,20 +1,33 @@
 """Work counts that host load cannot blur: the incomplete-gamma evaluations
-of one Gamma draw, and the whole-column passes of one lexicon parse.
+of one Gamma draw, the whole-column passes of one lexicon parse, and the tape
+nodes and lexifuse-frame calls of one training batch's gradient.
 
 gamma_quantile runs on a fixed 256x3 batch, the size of one training batch's
 Dirichlet shapes, with special.gammainc_p and special.gammainc_p_da wrapped
 in every lexifuse module that holds them.  Each wrapper counts its calls and
 the elements each call gets.  parse_lexicon runs on fixed hand-written files
 of the four families, with lexica.casefold_each and lexica.out_of_domain
-wrapped and their calls counted.  The counts repeat exactly across runs and
-processes, so they show a change in the work even where wall time cannot.
-They are pinned as upper bounds: a change that lowers a count lowers its pin.
+wrapped and their calls counted.  batch_gradient runs on the first 256-word
+batch of a fixed synthetic training run, with sys.setprofile counting the
+calls into frames of lexifuse's own source files; numpy's Python wrappers
+are left out, since they change between numpy versions.  The counts repeat
+exactly across runs and processes, so they show a change in the work even
+where wall time cannot.  They are pinned as upper bounds: a change that
+lowers a count lowers its pin.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lexifuse import distributions, lexica, special
+import lexifuse
+from lexifuse import distributions, lexica, special, tape
+from lexifuse.evaluation import synth_generate
+from lexifuse.model import observations_from_views
+from lexifuse.rng import RngStream, stream_for
+from lexifuse.training import TrainConfig, batch_gradient, frozen_noise, init_model
 
 # (calls, elements over all calls) per function, and elements over both:
 # gammainc_p runs Halley round 1, gammainc_p_da rounds 2 and 3 and the dP/da
@@ -114,3 +127,63 @@ def test_column_passes_per_parse(tmp_path, monkeypatch, family):
     assert counted_parse(monkeypatch, path, schema) == calls  # the counts repeat exactly
     for name, pin in PARSE_PINS[family].items():
         assert calls[name] <= pin, calls
+
+
+# One batch's gradient: tape nodes, of them leaves (one per head), and calls
+# into lexifuse frames.  One node per layer: 16 head leaves, 8 encoders, the
+# beta scatter, the KL, the draw, 8 times (take, decoder, emission) and the
+# total.  Before layers were single nodes: 147 nodes, 64 leaves, 1,212 calls.
+BATCH_PINS = {"nodes": 52, "leaves": 16, "lexifuse_calls": 447}
+
+
+def lexifuse_calls(fn) -> int:
+    """Call events in frames of lexifuse's source files while fn runs, on
+    this thread of this process only."""
+    root = str(Path(lexifuse.__file__).parent)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.fixture(scope="module")
+def first_batch():
+    """batch_gradient's arguments for the first batch of epoch 0 of a
+    default-config run at seed 1 on a 2,000-word synth with 8 views."""
+    views = synth_generate(2000, 2, 0.1, 10, 5, RngStream(1)).views
+    vocab = lexica.build_vocabulary(views)
+    priors = {w: lexica.compute_prior(w, views, vocab) for w in vocab.sorted_words()}
+    obs = observations_from_views(views, vocab, priors)
+    config = TrainConfig(seed=1)
+    idx = stream_for(1, "shuffle", 0).permutation(len(obs))[: config.batch_size]
+    noise = frozen_noise(config, [o.word for o in obs])[idx]
+    state = init_model(views, config, stream_for(1, "init"))
+    return state, [obs[i] for i in idx], noise, len(obs) / len(idx)
+
+
+def test_batch_gradient_nodes_and_calls(monkeypatch, first_batch):
+    assert len(first_batch[1]) == 256 and len(first_batch[0].scales) == 8
+    calls = lexifuse_calls(lambda: batch_gradient(*first_batch))
+    assert lexifuse_calls(lambda: batch_gradient(*first_batch)) == calls  # the counts repeat exactly
+    sizes = []
+    backward = tape.Tape.backward
+
+    def counted(self, root):
+        sizes.append((len(self), sum(not parents for parents in self.parents)))
+        return backward(self, root)
+
+    monkeypatch.setattr(tape.Tape, "backward", counted)
+    batch_gradient(*first_batch)
+    (nodes, leaves), = sizes
+    assert nodes <= BATCH_PINS["nodes"], sizes
+    assert leaves <= BATCH_PINS["leaves"], sizes
+    assert calls <= BATCH_PINS["lexifuse_calls"], calls

@@ -126,6 +126,11 @@ class TestLabeledCorpus:
         with pytest.raises(ConfigError):
             read_corpus(tmp_path / "absent.tsv")
 
+    def test_byte_order_mark_before_first_label(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_bytes(b"\xef\xbb\xbf1\tgood movie\n0\tbad\n")
+        assert read_corpus(p) == LabeledCorpus((("good", "movie"), ("bad",)), (1, 0), 2)
+
     def test_read_line_boundaries(self, tmp_path):
         # only "\n" ends a line, as in the line numbers read_input reports
         p = tmp_path / "c.tsv"

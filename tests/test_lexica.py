@@ -782,3 +782,20 @@ class TestLineBoundaries:
         p = tmp_path / "lex.tsv"
         p.write_bytes(b"#family=Binary\r\nw\t1\r\nx\t0\r")
         assert parse_lexicon(p).words == ["w", "x"]
+
+    def test_byte_order_mark_is_not_part_of_the_text(self, tmp_path):
+        text = b"#family=SignedContinuous\ngood\t0.5\nbad\t-0.5\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        want, got = parse_lexicon(plain), parse_lexicon(marked)
+        assert got.words == want.words == ["bad", "good"]
+        assert got.family == want.family
+        np.testing.assert_array_equal(got.values, want.values)
+
+    def test_byte_order_mark_keeps_bad_byte_and_line(self, tmp_path):
+        p = tmp_path / "lex.tsv"
+        p.write_bytes(b"\xef\xbb\xbf#family=Binary\ngo\xffod\t1\n")
+        with pytest.raises(ParseError) as e:
+            parse_lexicon(p)
+        assert e.value.line == 2 and str(e.value) == f"{p}:2: not UTF-8: byte 0xff"

@@ -515,16 +515,16 @@ class TestPackUnpack:
             mask[index] = c
             return tape.push((mask * leaf.value).sum(), (leaf,), lambda g: (g * mask,))
 
-        first = scaled_entry(binding.heads[("enc", vids[0])].w1, (0, 0), 2.0)
-        last = scaled_entry(binding.heads[("dec", vids[-1])].b2, -1, 3.0)
+        # one flat leaf per head: w1[0, 0] is its first entry, b2[-1] its last
+        first = scaled_entry(binding.heads[("enc", vids[0])].leaf, 0, 2.0)
+        last = scaled_entry(binding.heads[("dec", vids[-1])].leaf, -1, 3.0)
         grad = binding.gradient(tape.backward(first))
         assert grad[0] == 2.0
         assert np.count_nonzero(grad) == 1
         grad = binding.gradient(tape.backward(last))
         assert grad[-1] == 3.0
         assert np.count_nonzero(grad) == 1
-        leaves = [leaf for h in binding.heads.values() for leaf in (h.w1, h.b1, h.w2, h.b2)]
-        flat = np.concatenate([leaf.value.ravel() for leaf in leaves])
+        flat = np.concatenate([h.leaf.value for h in binding.heads.values()])
         np.testing.assert_array_equal(flat, state.params)
 
 

@@ -1,6 +1,6 @@
-"""The array tape of the library (TestArray*) and the scalar tape the
-tests keep as their gradient oracle (the other classes), each against
-finite differences."""
+"""The array tape of the library and its one-node layers (TestArray*), and
+the scalar tape the tests keep as their gradient oracle (the other classes),
+each against finite differences."""
 
 import math
 
@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 import scalar_tape as tp
 from lexifuse import tape as at
+from lexifuse.distributions import dirichlet_sample_vars
 from lexifuse.errors import NumericError, UsageError
+from lexifuse.lexica import binary, pair_continuous, rater_histogram, signed_continuous
+from lexifuse.model import Head, HeadLeaf, decode_vars, decoder_width, encode_vars
 from scalar_tape import Tape
 
 
@@ -324,27 +327,63 @@ def check_vjp(op, xs, h=1e-6, rtol=1e-6, atol=1e-8):
                                    rtol=rtol, atol=atol)
 
 
+def head_shapes(n_in, n_out, hidden=4):
+    """A head's (w1, b1, w2, b2) shapes."""
+    return [(hidden, n_in), (hidden,), (n_out, hidden), (n_out,)]
+
+
+def bound(leaf, shapes):
+    """A head leaf (its flat parameters) with its arrays as views of it."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return HeadLeaf(leaf, Head._make(leaf.value[end - math.prod(shape):end].reshape(shape)
+                                     for shape, end in zip(shapes, ends)))
+
+
+def flat_head(gen, shapes):
+    return gen.normal(size=sum(math.prod(shape) for shape in shapes))
+
+
+DECODER_SCALES = {"binary": binary(), "signed": signed_continuous(), "pair": pair_continuous(),
+                  "rater": rater_histogram(4, 5)}
+
+
 class TestArrayOps:
-    def test_affine_node_input(self):
-        gen = np.random.default_rng(1)
-        check_vjp(at.affine, [gen.normal(size=(5, 3)), gen.normal(size=(4, 3)), gen.normal(size=4)])
-
-    def test_affine_constant_input(self):
+    def test_encode_vars_constant_input(self):
         gen = np.random.default_rng(2)
-        x = gen.normal(size=(5, 3))
-        check_vjp(lambda w, b: at.affine(x, w, b), [gen.normal(size=(4, 3)), gen.normal(size=4)])
-        with pytest.raises(UsageError):
-            t = at.Tape()
-            at.affine(np.zeros((5, 2)), t.leaf(np.zeros((4, 3))), t.leaf(np.zeros(4)))
+        x = gen.normal(size=(5, 2)) * 3.0
+        shapes = head_shapes(2, 3)
+        check_vjp(lambda head: encode_vars(x, bound(head, shapes)), [flat_head(gen, shapes)])
+        t = at.Tape()
+        head = bound(t.leaf(flat_head(gen, shapes)), shapes)
+        omega = encode_vars(x, head)
+        np.testing.assert_allclose(omega.value.sum(axis=1), 1.0, rtol=1e-15)
+        assert len(t) == 2  # the head's leaf and one layer node
+        with pytest.raises(UsageError, match="encode_vars: rows of width 2"):
+            encode_vars(np.zeros((5, 3)), head)
 
-    def test_tanh_and_pointwise(self):
-        check_vjp(at.tanh, [np.random.default_rng(3).normal(size=(4, 3))])
+    @pytest.mark.parametrize("family", sorted(DECODER_SCALES))
+    def test_decode_vars_node_input(self, family):
+        scale = DECODER_SCALES[family]
+        gen = np.random.default_rng(3)
+        shapes = head_shapes(3, decoder_width(scale))
+        check_vjp(lambda z, head: decode_vars(z, bound(head, shapes), scale),
+                  [gen.normal(size=(5, 3)), flat_head(gen, shapes)])
+        t = at.Tape()
+        z = t.leaf(np.zeros((5, 3)))
+        decode_vars(z, bound(t.leaf(flat_head(gen, shapes)), shapes), scale)
+        assert len(t) == 3  # z, the head's leaf and one layer node
+        with pytest.raises(UsageError, match="decode_vars: rows of width 3"):
+            decode_vars(t.leaf(np.zeros((5, 2))), bound(t.leaf(flat_head(gen, shapes)), shapes), scale)
 
-    def test_softmax_rows(self):
-        x = np.random.default_rng(4).normal(size=(6, 3)) * 3.0
-        check_vjp(at.softmax, [x])
-        s = at.softmax(at.Tape().leaf(x)).value
-        np.testing.assert_allclose(s.sum(axis=1), 1.0, rtol=1e-15)
+    def test_dirichlet_sample_vars(self):
+        gen = np.random.default_rng(4)
+        beta = 1.0 + 4.0 * gen.random((5, 3))
+        us = gen.random((5, 3))
+        check_vjp(lambda b: dirichlet_sample_vars(b, us), [beta])
+        t = at.Tape()
+        z = dirichlet_sample_vars(t.leaf(beta), us)
+        np.testing.assert_allclose(z.value.sum(axis=1), 1.0, rtol=1e-15)
+        assert len(t) == 2
 
     def test_take_repeats_and_order(self):
         rows = np.array([2, 0, 2, 3])
@@ -370,8 +409,8 @@ class TestArrayTapeStructure:
     def test_topological_and_node_count(self):
         t = at.Tape()
         x = t.leaf(np.ones((2, 3)))
-        y = at.tanh(x)
-        z = at.softmax(y)
+        y = at.take(x, np.array([1, 0]))
+        z = at.scatter_rows(2, [(np.array([0, 1]), y)], base=0.0)
         assert len(t) == 3 and z.idx == 2
         for i, ps in enumerate(t.parents):
             assert all(p < i for p in ps)
@@ -388,7 +427,7 @@ class TestArrayTapeStructure:
         x = t.leaf(np.array([2.0, 3.0]))
         other = t.leaf(np.array([1.0]))
         y = weighted(x, np.array([1.0, 2.0]))
-        _ = at.tanh(x)  # appended after the root
+        _ = at.take(x, np.array([0]))  # appended after the root
         adj = t.backward(y)
         np.testing.assert_array_equal(adj[x.idx], [1.0, 2.0])
         assert adj[other.idx] is None
@@ -396,9 +435,11 @@ class TestArrayTapeStructure:
     def test_fanout_accumulates(self):
         t = at.Tape()
         x = t.leaf(np.array([[0.3, -0.2, 0.1]]))
-        y = at.scatter_rows(1, [(np.array([0]), at.tanh(x)), (np.array([0]), x)], base=0.0)
-        adj = t.backward(weighted(y, np.ones((1, 3))))
-        np.testing.assert_allclose(adj[x.idx], 2.0 - np.tanh(x.value) ** 2, rtol=1e-15)
+        squares = at.rowwise(x, (x.value ** 2).sum(axis=1), 2.0 * x.value)
+        sums = at.rowwise(x, x.value.sum(axis=1), np.ones_like(x.value))
+        y = at.scatter_rows(1, [(np.array([0]), squares), (np.array([0]), sums)], base=0.0)
+        adj = t.backward(weighted(y, np.ones(1)))
+        np.testing.assert_allclose(adj[x.idx], 2.0 * x.value + 1.0, rtol=1e-15)
 
     def test_rejects_foreign_root_non_scalar_root_and_mixed_tapes(self):
         t1, t2 = at.Tape(), at.Tape()
@@ -410,4 +451,4 @@ class TestArrayTapeStructure:
         with pytest.raises(UsageError):
             t1.backward(3.0)
         with pytest.raises(UsageError):
-            at.affine(x.value[None, :], t2.leaf(np.ones((1, 3))), x)
+            t1.push(x.value, (x, t2.leaf(np.ones(3))), None)
