@@ -350,16 +350,23 @@ DECODER_SCALES = {"binary": binary(), "signed": signed_continuous(), "pair": pai
 class TestArrayOps:
     def test_encode_vars_constant_input(self):
         gen = np.random.default_rng(2)
-        x = gen.normal(size=(5, 2)) * 3.0
+        x = gen.normal(size=(5, 2))
         shapes = head_shapes(2, 3)
         check_vjp(lambda head: encode_vars(x, bound(head, shapes)), [flat_head(gen, shapes)])
         t = at.Tape()
         head = bound(t.leaf(flat_head(gen, shapes)), shapes)
-        omega = encode_vars(x, head)
-        np.testing.assert_allclose(omega.value.sum(axis=1), 1.0, rtol=1e-15)
+        encode_vars(x, head)
         assert len(t) == 2  # the head's leaf and one layer node
         with pytest.raises(UsageError, match="encode_vars: rows of width 2"):
             encode_vars(np.zeros((5, 3)), head)
+
+    def test_encode_vars_softmax_rows(self):
+        gen = np.random.default_rng(4)
+        x = gen.normal(size=(6, 2)) * 3.0
+        shapes = head_shapes(2, 3)
+        check_vjp(lambda head: encode_vars(x, bound(head, shapes)), [flat_head(gen, shapes)])
+        omega = encode_vars(x, bound(at.Tape().leaf(flat_head(gen, shapes)), shapes))
+        np.testing.assert_allclose(omega.value.sum(axis=1), 1.0, rtol=1e-15)
 
     @pytest.mark.parametrize("family", sorted(DECODER_SCALES))
     def test_decode_vars_node_input(self, family):
