@@ -388,8 +388,8 @@ def _check_row(fields: list[str], schema: ViewSchema, family: ScaleFamily, neede
         raise ParseError("empty word")
     token = ",".join(fields[c].strip() for c in (schema.value_col, schema.neg_col) if c is not None)
     value = _label_values([token], family, schema.binary_tokens)
-    if len(word.split()) > 1 or (value is not None and not out_of_domain(family, value)[0]):
-        return  # a multi-word entry, skipped, or a label of the family
+    if len(word.split()) > 1 or word[0] == "#" or (value is not None and not out_of_domain(family, value)[0]):
+        return  # a multi-word entry or a word starting with '#', skipped, or a label of the family
     tag = family.tag
     if tag == BINARY:
         raise DomainError(f"unrecognized binary label {token!r}")
@@ -408,12 +408,13 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
 
     Files in the normalized format declare their family on line one
     (`#family=...`); other layouts need an explicit schema.  Duplicate words
-    resolve last-wins; entries containing whitespace are skipped.  Both are
-    counted and logged as warnings.  The first bad row (too few fields, an
-    empty word, or a label that does not parse or lies outside the family's
-    domain) raises a ParseError or DomainError at its line.  Each column is
-    checked whole, the domain by the view; the rows are walked one by one
-    only once a check fails.
+    resolve last-wins; entries containing whitespace, and words starting with
+    `#`, which any artifact that writes them first would read as comments,
+    are skipped.  Each is counted and logged.  The first bad row (too few
+    fields, an empty word, or a label that does not parse or lies outside
+    the family's domain) raises a ParseError or DomainError at its line.
+    Each column is checked whole, the domain by the view; the rows are
+    walked one by one only once a check fails.
     """
     path = Path(path)
     schema = schema or ViewSchema()
@@ -445,10 +446,13 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
         tokens = list(map(str.strip, rows.column(schema.value_col)))
         if schema.neg_col is not None:
             tokens = list(map("{},{}".format, tokens, map(str.strip, rows.column(schema.neg_col))))
-        n_rows = len(words)
-        # stripped words joined split into more than one part only if one holds whitespace
-        if "" not in words and len("".join(words).split()) > 1:
-            kept = [i for i, word in enumerate(words) if len(word.split()) == 1]
+        n_rows, n_hashed = len(words), 0
+        # stripped words joined split into more than one part only if one holds whitespace; a
+        # word can start with '#' only off column 0, as a data line never starts with one
+        hashed = schema.word_col > 0 and "\t#" in "\t" + "\t".join(words)
+        if "" not in words and (len("".join(words).split()) > 1 or hashed):
+            n_hashed = sum(word[0] == "#" and len(word.split()) == 1 for word in words)
+            kept = [i for i, word in enumerate(words) if len(word.split()) == 1 and word[0] != "#"]
             words, tokens = list(map(words.__getitem__, kept)), list(map(tokens.__getitem__, kept))
         values = None if "" in words else _label_values(tokens, family, schema.binary_tokens)
         with suppress(DomainError):  # the view refuses a label outside the family's domain
@@ -463,8 +467,10 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
 
     if len(view) < len(words):
         log.warning("%s: %d duplicate words resolved last-wins", path, len(words) - len(view))
-    if len(words) < n_rows:
-        log.warning("%s: %d multi-word entries skipped", path, n_rows - len(words))
+    if len(words) + n_hashed < n_rows:
+        log.warning("%s: %d multi-word entries skipped", path, n_rows - len(words) - n_hashed)
+    if n_hashed:
+        log.warning("%s: %d words starting with '#' skipped", path, n_hashed)
     return view
 
 

@@ -23,10 +23,11 @@ The view's scale family alone picks the emission:
 
 Each quantity has one numerical path, on the array tape.  Training builds a
 minibatch's ELBO there (ModelBinding + elbo_batch): a binding holds one leaf
-per head, and each layer function (encode_vars, decode_vars,
-emission_ll_var, and the Dirichlet ops dirichlet_kl_var and
-dirichlet_sample_vars) is one node over the rows a view covers, looked up
-through this module, whose VJP hands a head its gradient as one flat vector.
+per head, and each layer function, looked up through this module, is one
+node whose VJP hands a head its gradient as one flat vector: encode_vars over
+the rows a view covers, beta_var adding the omegas at those rows,
+dirichlet_kl_var, dirichlet_sample_vars, and decode_vars reading its view's
+rows of the draw, then emission_ll_var (44 nodes for one sample of 8 views).
 Export needs only the encoder outputs, so `posterior_params` runs the same
 encode_vars once per view, forward only, on a binding of its own.  Both read
 a view's labels from its value columns (`encoder_input`, `emission_targets`).
@@ -215,32 +216,39 @@ class ModelBinding:
         return np.concatenate(parts)
 
 
-def _mlp(layer: str, x, head: HeadLeaf):
-    """w2 tanh(w1 x + b1) + b2 over the rows of x, a Node or a constant array:
-    (the output, the layer node's parents, and the VJP from the output's adjoint
-    to theirs, the head's as one flat vector).  Rows not as wide as w1's raise."""
+def _mlp(layer: str, xv: np.ndarray, head: HeadLeaf):
+    """w2 tanh(w1 x + b1) + b2 over the rows of xv: (the output, and the VJP
+    from the output's adjoint to (the adjoint of w1 x + b1, the head's as one
+    flat vector)).  Rows not as wide as w1's raise."""
     w1, b1, w2, b2 = head.arrays
-    node_input = isinstance(x, tp.Node)
-    xv = x.value if node_input else np.asarray(x, dtype=float)
     if xv.ndim != 2 or xv.shape[1] != w1.shape[1]:
         raise UsageError(f"{layer}: rows of width {w1.shape[1]} expected, got shape {xv.shape}")
     t = np.tanh(xv @ w1.T + b1)
 
     def vjp(g):
         ga = (g @ w2) * (1.0 - t * t)
-        grad = np.concatenate([(ga.T @ xv).ravel(), ga.sum(axis=0), (g.T @ t).ravel(), g.sum(axis=0)])
-        return (ga @ w1, grad) if node_input else (grad,)
+        return ga, np.concatenate([(ga.T @ xv).ravel(), ga.sum(axis=0), (g.T @ t).ravel(), g.sum(axis=0)])
 
-    return t @ w2.T + b2, ((x, head.leaf) if node_input else (head.leaf,)), vjp
+    return t @ w2.T + b2, vjp
 
 
 def encode_vars(x: np.ndarray, head: HeadLeaf) -> tp.Node:
     """omega = softmax(g(x)) for each row of encoder inputs, one node: (m, 3)."""
-    raw, parents, vjp = _mlp("encode_vars", x, head)
+    raw, vjp = _mlp("encode_vars", np.asarray(x, dtype=float), head)
     with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row stays nan
         e = np.exp(raw - raw.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
-    return head.leaf.tape.push(s, parents, lambda g: vjp(s * (g - (g * s).sum(axis=1, keepdims=True))))
+    return head.leaf.tape.push(s, (head.leaf,), lambda g: (vjp(s * (g - (g * s).sum(axis=1, keepdims=True)))[1],))
+
+
+def beta_var(n: int, parts: list[tuple[np.ndarray, tp.Node]]) -> tp.Node:
+    """beta = 1 + each part's omega rows added at its row indices, in part
+    order, one node: (n, 3)."""
+    beta = np.ones((n, 3))
+    for rows, omega in parts:
+        np.add.at(beta, rows, omega.value)
+    index = [rows for rows, _ in parts]
+    return parts[0][1].tape.push(beta, [omega for _, omega in parts], lambda g: tuple(g[rows] for rows in index))
 
 
 def posterior_params(views: list[LexiconView], state: ModelState, vocab: CombinedVocabulary) -> np.ndarray:
@@ -258,9 +266,10 @@ def posterior_params(views: list[LexiconView], state: ModelState, vocab: Combine
     return beta
 
 
-def decode_vars(z: tp.Node, head: HeadLeaf, scale: ScaleFamily) -> tp.Node:
-    """The emission parameters rho of a view with this scale at each row of z."""
-    r, parents, vjp = _mlp("decode_vars", z, head)
+def decode_vars(z: tp.Node, rows: np.ndarray, head: HeadLeaf, scale: ScaleFamily) -> tp.Node:
+    """The emission parameters rho of a view with this scale at the given rows
+    of z (n, 3), in that order; the VJP adds the rows' adjoints into z's."""
+    r, vjp = _mlp("decode_vars", z.value[rows], head)
     if scale.tag in (BINARY, PAIR_CONTINUOUS):
         rho = _sigmoid(r)
         slope = rho * (1.0 - rho)
@@ -271,8 +280,16 @@ def decode_vars(z: tp.Node, head: HeadLeaf, scale: ScaleFamily) -> tp.Node:
         rho = np.column_stack([t, softplus + VARIANCE_FLOOR])
         slope = np.column_stack([1.0 - t * t, _sigmoid(r[:, 1])])
     else:
-        return head.leaf.tape.push(r, parents, vjp)
-    return head.leaf.tape.push(rho, parents, lambda g: vjp(g * slope))
+        rho, slope = r, None
+    w1, shape = head.arrays.w1, z.value.shape
+
+    def chain(g):
+        ga, grad = vjp(g if slope is None else g * slope)
+        gz = np.zeros(shape)
+        np.add.at(gz, rows, ga @ w1)
+        return gz, grad
+
+    return z.tape.push(rho, (z, head.leaf), chain)
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -386,9 +403,7 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], us: np.ndarr
         views.append((vid, np.array(rows[vid]), x, emission_targets(scale, values)))
 
     n = len(batch)
-    beta = tp.scatter_rows(
-        n, [(r, encode_vars(x, binding.heads[("enc", vid)])) for vid, r, x, _ in views], base=1.0
-    )
+    beta = beta_var(n, [(r, encode_vars(x, binding.heads[("enc", vid)])) for vid, r, x, _ in views])
     _refuse_non_finite(batch, beta=beta.value)
     kl = dirichlet_kl_var(beta, np.array([obs.prior for obs in batch], dtype=float))
 
@@ -397,7 +412,7 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], us: np.ndarr
     for s in range(n_mc):
         z = dirichlet_sample_vars(beta, us[:, s])
         for vid, r, _, y in views:
-            rho = decode_vars(tp.take(z, r), binding.heads[("dec", vid)], scales[vid])
+            rho = decode_vars(z, r, binding.heads[("dec", vid)], scales[vid])
             ll = emission_ll_var(scales[vid], y, rho)
             np.add.at(recon, r, ll.value)
             lls.append(ll)

@@ -5,8 +5,11 @@ vector-Jacobian product (VJP), a function from the adjoint of the node's
 value to the adjoints it sends each parent.  Appending keeps nodes in
 topological order, so the backward pass is a single reverse sweep.  A node
 is a whole layer over a batch (an encoder over every row a view covers, a
-Dirichlet draw per word) whose VJP is the layer's own chain rule, so a
-minibatch ELBO over 8 views is 52 nodes, 16 of them the heads' leaves.
+Dirichlet draw per word) whose VJP is the layer's own chain rule, and a layer
+that reads or writes only some rows of its input does its own row
+bookkeeping.  A minibatch ELBO over 8 views with one sample is 44 nodes: 16
+head leaves, 8 encoders, beta, the KL, the draw, 8 decoders, 8 emissions and
+the total.  A leaf is a node pushed with no parents.
 
 Node is a handle (tape, index) that carries its value, an array.  A VJP
 closes over arrays, never over nodes, so a tape is freed as soon as the last
@@ -40,10 +43,6 @@ class Tape:
         self.parents.append(tuple([p.idx for p in parents]))
         self.vjps.append(vjp)
         return Node(self, len(self.parents) - 1, np.asarray(value, dtype=float))
-
-    def leaf(self, value) -> "Node":
-        """A differentiable input node (no parents); the value is copied."""
-        return self.push(np.array(value, dtype=float), (), None)
 
     def backward(self, root: "Node") -> list[np.ndarray | None]:
         """Adjoints of every node w.r.t. the scalar at `root`; None for a node
@@ -81,26 +80,3 @@ def rowwise(x: Node, value, jac) -> Node:
     """A node reducing each row of x (n, k) to one number: value (n,), jac (n, k)."""
     return x.tape.push(value, (x,), lambda g: (g[:, None] * jac,))
 
-
-def take(x: Node, rows: np.ndarray) -> Node:
-    """The given rows of x, in that order."""
-    xv = x.value
-
-    def vjp(g):
-        out = np.zeros_like(xv)
-        np.add.at(out, rows, g)
-        return (out,)
-
-    return x.tape.push(xv[rows], (x,), vjp)
-
-
-def scatter_rows(n: int, parts: Sequence[tuple[np.ndarray, Node]], base: float) -> Node:
-    """base + the rows of each part added at its row indices, in part order: (n, k)."""
-    if not parts:
-        raise UsageError("scatter_rows needs at least one part")
-    nodes = [node for _, node in parts]
-    index = [rows for rows, _ in parts]
-    out = np.full((n,) + nodes[0].value.shape[1:], base)
-    for rows, node in parts:
-        np.add.at(out, rows, node.value)
-    return nodes[0].tape.push(out, nodes, lambda g: tuple(g[rows] for rows in index))

@@ -2,10 +2,10 @@
 Dirichlet draws (independent of the quantile route training runs), uniforms
 from a stream for hand-built batches, each word's training noise through
 numpy's own Philox generator, the Dirichlet KL and its Jacobian with one
-special-function call per component, the pathwise-gradient harness, a
-one-word ELBO on a fresh tape, the encoder as a plain numpy forward
-(independent of the tape), a fused lexicon built from pseudocounts, the
-text-by-text featurizer and the regex tokenizer.
+special-function call per component, array-tape leaves for constant inputs,
+the pathwise-gradient harness, a one-word ELBO on a fresh tape, the encoder
+as a plain numpy forward (independent of the tape), a fused lexicon built
+from pseudocounts, the text-by-text featurizer and the regex tokenizer.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def reparam_grad_samples(
             raise DomainError("reparam_grad_elbo requires positive beta")
     us = np.clip(rng.numpy().random((n_samples, len(beta))), 1e-12, 1.0 - 1e-12)
     tape = Tape()
-    leaves = tape.leaf(np.tile(np.asarray(beta, dtype=float), (n_samples, 1)))
+    leaves = leaf(tape, np.tile(np.asarray(beta, dtype=float), (n_samples, 1)))
     adj = tape.backward(summed(per_sample_objective(dirichlet_sample_vars(leaves, us))))[leaves.idx]
     return np.zeros((n_samples, len(beta))) if adj is None else adj
 
@@ -159,6 +159,11 @@ def reparam_grad_elbo(
 ) -> np.ndarray:
     """The mean of reparam_grad_samples over n_samples draws."""
     return reparam_grad_samples(per_sample_objective, beta, n_samples, rng).mean(axis=0)
+
+
+def leaf(tape: Tape, value) -> Node:
+    """A differentiable input node (no parents) holding a copy of value."""
+    return tape.push(np.array(value, dtype=float), (), None)
 
 
 def summed(x: Node) -> Node:

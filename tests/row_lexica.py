@@ -94,6 +94,7 @@ class RowView:
     entries: dict[str, PolarityLabel]
     n_dupes: int
     n_skipped: int
+    n_hashed: int  # words starting with '#', which artifact readers take for comments
 
 
 def label_of(family: ScaleFamily, row) -> PolarityLabel:
@@ -176,7 +177,7 @@ def parse_rows(path: str | Path, schema: ViewSchema | None = None) -> RowView:
 
     entries: dict[str, PolarityLabel] = {}
     n_dupes = 0
-    n_skipped = 0
+    n_skipped = n_hashed = 0
     needed = max(schema.word_col, schema.value_col, schema.neg_col or 0) + 1
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
@@ -194,6 +195,9 @@ def parse_rows(path: str | Path, schema: ViewSchema | None = None) -> RowView:
         if any(ch.isspace() for ch in word):
             n_skipped += 1
             continue
+        if word.startswith("#"):
+            n_hashed += 1
+            continue
         word = word.casefold()
         token = fields[schema.value_col].strip()
         if schema.neg_col is not None:
@@ -202,7 +206,7 @@ def parse_rows(path: str | Path, schema: ViewSchema | None = None) -> RowView:
         if word in entries:
             n_dupes += 1
         entries[word] = label
-    return RowView(schema.id or path.stem, family, entries, n_dupes, n_skipped)
+    return RowView(schema.id or path.stem, family, entries, n_dupes, n_skipped, n_hashed)
 
 
 def coarse_sentiment(label: PolarityLabel) -> str:

@@ -55,7 +55,7 @@ from lexifuse.special import digamma
 from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model, train
 from lexifuse.unified import UnifiedLexicon, export_lexicon
-from reference import encode, linear_objective, reparam_grad_samples, sample_dirichlet, sum_of_squares, summed
+from reference import encode, leaf, linear_objective, reparam_grad_samples, sample_dirichlet, sum_of_squares, summed
 from row_lexica import PolarityLabel, view_of
 
 ALL_SCALES = {
@@ -208,8 +208,8 @@ class TestCriterion3:
             y = emission_targets(scale, np.array([label.row]))
             tape = Tape()
             binding = ModelBinding(tape, state)
-            zs = tape.leaf([z0])
-            rho = decode_vars(zs, binding.heads[("dec", vid)], scale)
+            zs = leaf(tape, [z0])
+            rho = decode_vars(zs, np.array([0]), binding.heads[("dec", vid)], scale)
             root = summed(emission_ll_var(scale, y, rho))
             adjoints = tape.backward(root)
             grad_dec = binding.gradient(adjoints)[n_enc:]
@@ -220,7 +220,7 @@ class TestCriterion3:
                 s2.params[...] = vec
                 t2 = Tape()
                 b2 = ModelBinding(t2, s2)
-                r = decode_vars(t2.leaf([z]), b2.heads[("dec", vid)], scale)
+                r = decode_vars(leaf(t2, [z]), np.array([0]), b2.heads[("dec", vid)], scale)
                 return emission_ll_var(scale, y, r).value[0]
 
             fd_dec = np.array([

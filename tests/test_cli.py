@@ -112,6 +112,22 @@ class TestPipeline:
         )
         assert r.returncode == 0, r.stderr
 
+    def test_hash_word_round_trips(self, tmp_path, capsys, caplog):
+        # with the word in column 1, '#happy' is a data row of the view file,
+        # but any artifact line starting with it would read as a comment
+        (tmp_path / "b.tsv").write_text("1\t#happy\n0\tsad\n1\tglad\n")
+        (tmp_path / "s.tsv").write_text("#family=SignedContinuous\nglad\t0.6\nsad\t-0.7\n")
+        views = [f"{tmp_path / 'b.tsv'}:binary,word_col=1,value_col=0", str(tmp_path / "s.tsv")]
+        (tmp_path / "c.cfg").write_text("epochs = 2\nhidden_dim = 4\n")
+        train = ["train", "--views", *views, "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "m")]
+        assert main(train) == 0
+        unified = tmp_path / "u.tsv"
+        assert main(["export", "--checkpoint", str(tmp_path / "m" / "checkpoint.json"),
+                     "--views", *views, "--out", str(unified)]) == 0
+        assert f"exported 2 words to {unified}" in capsys.readouterr().out
+        assert sorted(read_unified(unified).words) == ["glad", "sad"]
+        assert "1 words starting with '#' skipped" in caplog.text
+
 
 class TestConcatDimension:
     def test_sixteen_with_standard_schemas(self, tmp_path):

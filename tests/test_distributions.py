@@ -19,6 +19,7 @@ from lexifuse.tape import Tape
 from reference import (
     dirichlet_kl_jacobian,
     dirichlet_kl_per_component,
+    leaf,
     linear_objective,
     product01,
     reparam_grad_elbo,
@@ -139,10 +140,10 @@ class TestDirichletKlAgainstPerComponent:
         want = dirichlet_kl_per_component(beta, alpha)
         assert dirichlet_kl(beta, alpha).tobytes() == want.tobytes()
         tape = Tape()
-        leaf = tape.leaf(beta)
-        node = dirichlet_kl_var(leaf, alpha)
+        beta_leaf = leaf(tape, beta)
+        node = dirichlet_kl_var(beta_leaf, alpha)
         assert node.value.tobytes() == want.tobytes()
-        assert tape.backward(summed(node))[leaf.idx].tobytes() == dirichlet_kl_jacobian(beta, alpha).tobytes()
+        assert tape.backward(summed(node))[beta_leaf.idx].tobytes() == dirichlet_kl_jacobian(beta, alpha).tobytes()
 
     def test_one_dimensional_bitwise(self):
         for beta, alpha in [((4 / 3, 4 / 3, 4 / 3), (1.0, 1.0, 1.0)), ((1.0, 1.0, 1.0), (2.5, 1.0, 1.0)),
@@ -163,10 +164,10 @@ class TestDirichletKlVar:
     @settings(max_examples=100)
     def test_value_and_gradient(self, beta, alpha):
         tape = Tape()
-        leaf = tape.leaf([beta])
-        node = dirichlet_kl_var(leaf, np.array([alpha]))
+        beta_leaf = leaf(tape, [beta])
+        node = dirichlet_kl_var(beta_leaf, np.array([alpha]))
         assert node.value[0] == pytest.approx(dirichlet_kl(beta, alpha), rel=1e-12)
-        adj = tape.backward(node)[leaf.idx][0]
+        adj = tape.backward(node)[beta_leaf.idx][0]
         h = 1e-6
         for k in range(3):
             up = list(beta)
@@ -180,15 +181,15 @@ class TestDirichletKlVar:
         beta = np.array([[2.0, 1.5, 1.2], [1.0, 1.0, 4.0], [3.0, 2.0, 1.0]])
         alpha = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 3.0]])
         tape = Tape()
-        leaf = tape.leaf(beta)
-        node = dirichlet_kl_var(leaf, alpha)
+        beta_leaf = leaf(tape, beta)
+        node = dirichlet_kl_var(beta_leaf, alpha)
         adj = tape.backward(summed(node))
         for i in range(3):
             t1 = Tape()
-            one = t1.leaf(beta[i : i + 1])
+            one = leaf(t1, beta[i : i + 1])
             kl = dirichlet_kl_var(one, alpha[i : i + 1])
             assert node.value[i] == kl.value[0]
-            np.testing.assert_array_equal(adj[leaf.idx][i], t1.backward(kl)[one.idx][0])
+            np.testing.assert_array_equal(adj[beta_leaf.idx][i], t1.backward(kl)[one.idx][0])
 
 
 class TestGammaSampleVar:
@@ -220,7 +221,7 @@ class TestDirichletSampleVars:
     def test_matches_float_twin(self, beta, us):
         # the float computation: Gamma quantiles normalized onto the simplex
         tape = Tape()
-        zs = dirichlet_sample_vars(tape.leaf([beta]), np.array([us])).value[0]
+        zs = dirichlet_sample_vars(leaf(tape, [beta]), np.array([us])).value[0]
         ys = [float(gamma_quantile(b, u)[0]) for b, u in zip(beta, us)]
         want = [y / sum(ys) for y in ys]
         np.testing.assert_allclose(zs, want, rtol=1e-12)
@@ -230,13 +231,13 @@ class TestDirichletSampleVars:
         beta = [2.0, 1.3, 4.0]
         us = np.array([[0.3, 0.7, 0.52]])
         tape = Tape()
-        leaf = tape.leaf([beta])
-        zs = dirichlet_sample_vars(leaf, us)
+        beta_leaf = leaf(tape, [beta])
+        zs = dirichlet_sample_vars(beta_leaf, us)
         # differentiate z_0 w.r.t. each beta_k
-        adj = tape.backward(linear_objective([1.0, 0.0, 0.0])(zs))[leaf.idx][0]
+        adj = tape.backward(linear_objective([1.0, 0.0, 0.0])(zs))[beta_leaf.idx][0]
 
         def z0_value(b):
-            return dirichlet_sample_vars(Tape().leaf([b]), us).value[0, 0]
+            return dirichlet_sample_vars(leaf(Tape(), [b]), us).value[0, 0]
 
         h = 1e-6
         for k in range(3):
@@ -252,7 +253,7 @@ class TestDirichletSampleVars:
         beta = np.array([[2.0, 1.3, 4.0], [1.0, shape, 3.0]])
         us = np.array([[0.3, 0.7, 0.52], [0.5, 0.5, 0.5]])
         with pytest.raises(DomainError, match="requires shape >= 1"):
-            dirichlet_sample_vars(Tape().leaf(beta), us)
+            dirichlet_sample_vars(leaf(Tape(), beta), us)
         with pytest.raises(DomainError, match="requires shape >= 1"):
             gamma_quantile(shape, 0.5)
 
@@ -273,7 +274,7 @@ def score_function_samples(objective_f, beta, n, rng):
 class TestReparamGradElbo:
     def test_constant_objective_exactly_zero(self):
         g = reparam_grad_elbo(
-            lambda z: z.tape.leaf(np.full(len(z.value), 5.0)), (2.0, 2.0, 2.0), 16, RngStream(5)
+            lambda z: leaf(z.tape, np.full(len(z.value), 5.0)), (2.0, 2.0, 2.0), 16, RngStream(5)
         )
         np.testing.assert_array_equal(g, np.zeros(3))
 

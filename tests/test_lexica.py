@@ -221,6 +221,24 @@ class TestParseLexicon:
         assert set(view.entries) == {"fine"}
         assert "multi-word" in caplog.text
 
+    def test_hash_word_skipped_with_warning(self, tmp_path, caplog):
+        # a word in column 1 may start with '#'; written first on a line of
+        # any artifact, it would read back as a comment
+        p = tmp_path / "lex.tsv"
+        p.write_text("1\t#happy\n0\t#\n1\tglad\n1\ta#b\n")
+        with caplog.at_level(logging.WARNING):
+            view = parse_lexicon(p, parse_schema("binary,word_col=1,value_col=0"))
+        assert view.words == ["a#b", "glad"]
+        assert "2 words starting with '#' skipped" in caplog.text
+
+    def test_hash_word_skipped_by_the_row_walk(self, tmp_path):
+        # the skipped row's bad label is not the error; the later row's is
+        p = tmp_path / "lex.tsv"
+        p.write_text("x\t#happy\n1\tglad\n2\tsad\n")
+        with pytest.raises(DomainError) as e:
+            parse_lexicon(p, parse_schema("binary,word_col=1,value_col=0"))
+        assert e.value.line == 3
+
     def test_sorted_file_with_duplicates_keeps_last_and_warns_in_order(self, tmp_path, caplog):
         p = tmp_path / "lex.tsv"
         p.write_text("#family=SignedContinuous\nbad\t-0.5\ngood\t0.5\nGood\t0.9\nnot good\t-0.5\n")
@@ -542,7 +560,7 @@ class _Counts(logging.Handler):
 
     def __init__(self):
         super().__init__()
-        self.counts = {"duplicate": 0, "multi-word": 0}
+        self.counts = {"duplicate": 0, "multi-word": 0, "starting with '#'": 0}
 
     def emit(self, record):
         n = record.args[1]
@@ -572,7 +590,7 @@ def _columnar(path, schema):
         return out
     view = out[1]
     return ("ok", view.id, view.family, view.words, view.values.tolist(),
-            handler.counts["duplicate"], handler.counts["multi-word"])
+            handler.counts["duplicate"], handler.counts["multi-word"], handler.counts["starting with '#'"])
 
 
 def _row_by_row(path, schema):
@@ -582,13 +600,13 @@ def _row_by_row(path, schema):
     rv = out[1]
     words = sorted(rv.entries)
     return ("ok", rv.id, rv.family, words, [rv.entries[w].row for w in words],
-            rv.n_dupes, rv.n_skipped)
+            rv.n_dupes, rv.n_skipped, rv.n_hashed)
 
 
 PARSE_FAMILIES = [binary(), signed_continuous(), pair_continuous(), rater_histogram(3, 5),
                   rater_histogram(2, 12)]
 FILE_WORDS = ["good", "Good", "GOOD", "bad", "ok", "Straße", "STRASSE", "not good", "a b",
-              "x\u0085y", "x y", " spaced ", "ǅ", "ß"]
+              "x\u0085y", "x y", " spaced ", "ǅ", "ß", "#tag", "#", "a#b"]
 
 
 def _number_token(draw, family):

@@ -157,3 +157,23 @@ def test_left_out_view_keeps_other_rows(synth, base, tmp_path):
         outside = {word: line for word, line in full.items() if word not in covered}
         assert outside, left_out.name
         assert {word: line for word, line in rest.items() if word not in covered} == outside, left_out.name
+
+
+def test_deleted_rows_keep_other_words_lines(synth, base, tmp_path):
+    # every third data row of one view goes; each other word keeps its views,
+    # so its line keeps its text (its bits may follow the view's row count
+    # through BLAS, which the printed digits hide)
+    views, _ = synth
+    full = rows_by_word((base / "unified.tsv").read_bytes())
+    for k, path in enumerate(views):
+        head, *rows = path.read_text(encoding="utf-8").splitlines()
+        deleted = {row.split("\t", 1)[0].encode("utf-8") for row in rows[2::3]}
+        thinned = tmp_path / f"in{k}" / path.name
+        thinned.parent.mkdir()
+        kept_rows = [row for i, row in enumerate(rows) if i % 3 != 2]
+        thinned.write_text("\n".join([head, *kept_rows, ""]), encoding="utf-8")
+        rest = rows_by_word(export(base / "checkpoint.json", views[:k] + [thinned] + views[k + 1:],
+                                   tmp_path / f"u{k}.tsv"))
+        kept = {word: line for word, line in full.items() if word not in deleted}
+        assert deleted and kept, path.name
+        assert {word: line for word, line in rest.items() if word not in deleted} == kept, path.name

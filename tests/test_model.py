@@ -39,7 +39,7 @@ from lexifuse.model import (
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model
-from reference import elbo_noise, elbo_word, encode
+from reference import elbo_noise, elbo_word, encode, leaf
 from row_lexica import PolarityLabel, view_of
 
 SMALL = TrainConfig(hidden_dim=4, seed=0)
@@ -94,7 +94,7 @@ def decode_on_tape(state, vid, z):
     """rho from view vid's decoder at constant z, as a (1, width) node."""
     tape = Tape()
     binding = ModelBinding(tape, state)
-    return decode_vars(tape.leaf([z]), binding.heads[("dec", vid)], state.scales[vid])
+    return decode_vars(leaf(tape, [z]), np.array([0]), binding.heads[("dec", vid)], state.scales[vid])
 
 
 def decode_values(state, vid, z):
@@ -108,7 +108,7 @@ def label_ll_var(label, rho):
 
 def emission_ll(label, rho):
     """log P_d(x_d | rho) at constant rho."""
-    return label_ll_var(label, Tape().leaf([rho])).value[0]
+    return label_ll_var(label, leaf(Tape(), [rho])).value[0]
 
 
 class TestDecoderWidth:

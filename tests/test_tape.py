@@ -14,7 +14,8 @@ from lexifuse import tape as at
 from lexifuse.distributions import dirichlet_sample_vars
 from lexifuse.errors import NumericError, UsageError
 from lexifuse.lexica import binary, pair_continuous, rater_histogram, signed_continuous
-from lexifuse.model import Head, HeadLeaf, decode_vars, decoder_width, encode_vars
+from lexifuse.model import Head, HeadLeaf, beta_var, decode_vars, decoder_width, encode_vars
+from reference import leaf
 from scalar_tape import Tape
 
 
@@ -313,14 +314,14 @@ def check_vjp(op, xs, h=1e-6, rtol=1e-6, atol=1e-8):
     """op(*leaves) -> node: its VJP against central differences of a random
     weighted readout, for every input array."""
     tape = at.Tape()
-    leaves = [tape.leaf(x) for x in xs]
+    leaves = [leaf(tape, x) for x in xs]
     out = op(*leaves)
     c = np.random.default_rng(0).normal(size=out.value.shape)
     adj = tape.backward(weighted(out, c))
     for k, x in enumerate(xs):
         def f(v, k=k):
             t = at.Tape()
-            args = [t.leaf(v if j == k else y) for j, y in enumerate(xs)]
+            args = [leaf(t, v if j == k else y) for j, y in enumerate(xs)]
             return float((c * op(*args).value).sum())
 
         np.testing.assert_allclose(adj[leaves[k].idx], array_fd(f, np.array(xs[k], dtype=float), h),
@@ -354,7 +355,7 @@ class TestArrayOps:
         shapes = head_shapes(2, 3)
         check_vjp(lambda head: encode_vars(x, bound(head, shapes)), [flat_head(gen, shapes)])
         t = at.Tape()
-        head = bound(t.leaf(flat_head(gen, shapes)), shapes)
+        head = bound(leaf(t, flat_head(gen, shapes)), shapes)
         encode_vars(x, head)
         assert len(t) == 2  # the head's leaf and one layer node
         with pytest.raises(UsageError, match="encode_vars: rows of width 2"):
@@ -365,7 +366,7 @@ class TestArrayOps:
         x = gen.normal(size=(6, 2)) * 3.0
         shapes = head_shapes(2, 3)
         check_vjp(lambda head: encode_vars(x, bound(head, shapes)), [flat_head(gen, shapes)])
-        omega = encode_vars(x, bound(at.Tape().leaf(flat_head(gen, shapes)), shapes))
+        omega = encode_vars(x, bound(leaf(at.Tape(), flat_head(gen, shapes)), shapes))
         np.testing.assert_allclose(omega.value.sum(axis=1), 1.0, rtol=1e-15)
 
     @pytest.mark.parametrize("family", sorted(DECODER_SCALES))
@@ -373,14 +374,29 @@ class TestArrayOps:
         scale = DECODER_SCALES[family]
         gen = np.random.default_rng(3)
         shapes = head_shapes(3, decoder_width(scale))
-        check_vjp(lambda z, head: decode_vars(z, bound(head, shapes), scale),
+        rows = np.arange(5)
+        check_vjp(lambda z, head: decode_vars(z, rows, bound(head, shapes), scale),
                   [gen.normal(size=(5, 3)), flat_head(gen, shapes)])
         t = at.Tape()
-        z = t.leaf(np.zeros((5, 3)))
-        decode_vars(z, bound(t.leaf(flat_head(gen, shapes)), shapes), scale)
+        z = leaf(t, np.zeros((5, 3)))
+        decode_vars(z, rows, bound(leaf(t, flat_head(gen, shapes)), shapes), scale)
         assert len(t) == 3  # z, the head's leaf and one layer node
         with pytest.raises(UsageError, match="decode_vars: rows of width 3"):
-            decode_vars(t.leaf(np.zeros((5, 2))), bound(t.leaf(flat_head(gen, shapes)), shapes), scale)
+            decode_vars(leaf(t, np.zeros((5, 2))), rows, bound(leaf(t, flat_head(gen, shapes)), shapes), scale)
+
+    def test_decode_vars_rows_repeats_and_order(self):
+        # row 1 is not read, so its adjoint is zero; row 2 is read twice
+        rows = np.array([2, 0, 2, 3])
+        scale = DECODER_SCALES["signed"]
+        gen = np.random.default_rng(5)
+        shapes = head_shapes(3, decoder_width(scale))
+        check_vjp(lambda z, head: decode_vars(z, rows, bound(head, shapes), scale),
+                  [gen.normal(size=(4, 3)), flat_head(gen, shapes)])
+        t = at.Tape()
+        z = leaf(t, gen.normal(size=(4, 3)))
+        rho = decode_vars(z, rows, bound(leaf(t, flat_head(gen, shapes)), shapes), scale)
+        np.testing.assert_array_equal(rho.value[0], rho.value[2])
+        assert not t.backward(weighted(rho, np.ones((4, 2))))[z.idx][1].any()
 
     def test_dirichlet_sample_vars(self):
         gen = np.random.default_rng(4)
@@ -388,24 +404,18 @@ class TestArrayOps:
         us = gen.random((5, 3))
         check_vjp(lambda b: dirichlet_sample_vars(b, us), [beta])
         t = at.Tape()
-        z = dirichlet_sample_vars(t.leaf(beta), us)
+        z = dirichlet_sample_vars(leaf(t, beta), us)
         np.testing.assert_allclose(z.value.sum(axis=1), 1.0, rtol=1e-15)
         assert len(t) == 2
 
-    def test_take_repeats_and_order(self):
-        rows = np.array([2, 0, 2, 3])
-        check_vjp(lambda x: at.take(x, rows), [np.random.default_rng(5).normal(size=(4, 3))])
-
-    def test_scatter_rows(self):
+    def test_beta_var(self):
         r1, r2 = np.array([0, 2, 3]), np.array([3, 1])
         gen = np.random.default_rng(6)
-        check_vjp(lambda a, b: at.scatter_rows(5, [(r1, a), (r2, b)], base=1.0),
-                  [gen.normal(size=(3, 3)), gen.normal(size=(2, 3))])
+        check_vjp(lambda a, b: beta_var(5, [(r1, a), (r2, b)]), [gen.normal(size=(3, 3)), gen.normal(size=(2, 3))])
         t = at.Tape()
-        out = at.scatter_rows(5, [(r1, t.leaf(np.ones((3, 3)))), (r2, t.leaf(np.ones((2, 3))))], base=1.0)
+        out = beta_var(5, [(r1, leaf(t, np.ones((3, 3)))), (r2, leaf(t, np.ones((2, 3))))])
         np.testing.assert_array_equal(out.value[:, 0], [2.0, 2.0, 2.0, 3.0, 1.0])
-        with pytest.raises(UsageError):
-            at.scatter_rows(5, [], base=1.0)
+        assert len(t) == 3  # two leaves and one layer node
 
     def test_rowwise(self):
         x = np.random.default_rng(7).normal(size=(4, 3))
@@ -415,42 +425,35 @@ class TestArrayOps:
 class TestArrayTapeStructure:
     def test_topological_and_node_count(self):
         t = at.Tape()
-        x = t.leaf(np.ones((2, 3)))
-        y = at.take(x, np.array([1, 0]))
-        z = at.scatter_rows(2, [(np.array([0, 1]), y)], base=0.0)
+        x = leaf(t, np.ones((2, 3)))
+        y = at.rowwise(x, x.value.sum(axis=1), np.ones_like(x.value))
+        z = weighted(y, np.ones(2))
         assert len(t) == 3 and z.idx == 2
         for i, ps in enumerate(t.parents):
             assert all(p < i for p in ps)
 
-    def test_leaf_copies_its_value(self):
-        a = np.ones(3)
-        t = at.Tape()
-        x = t.leaf(a)
-        a[0] = 5.0
-        assert x.value[0] == 1.0
-
     def test_backward_skips_nodes_after_root_and_unrelated_leaves(self):
         t = at.Tape()
-        x = t.leaf(np.array([2.0, 3.0]))
-        other = t.leaf(np.array([1.0]))
+        x = leaf(t, np.array([2.0, 3.0]))
+        other = leaf(t, np.array([1.0]))
         y = weighted(x, np.array([1.0, 2.0]))
-        _ = at.take(x, np.array([0]))  # appended after the root
+        _ = weighted(x, np.array([5.0, 7.0]))  # appended after the root
         adj = t.backward(y)
         np.testing.assert_array_equal(adj[x.idx], [1.0, 2.0])
         assert adj[other.idx] is None
 
     def test_fanout_accumulates(self):
         t = at.Tape()
-        x = t.leaf(np.array([[0.3, -0.2, 0.1]]))
+        x = leaf(t, np.array([[0.3, -0.2, 0.1]]))
         squares = at.rowwise(x, (x.value ** 2).sum(axis=1), 2.0 * x.value)
         sums = at.rowwise(x, x.value.sum(axis=1), np.ones_like(x.value))
-        y = at.scatter_rows(1, [(np.array([0]), squares), (np.array([0]), sums)], base=0.0)
+        y = t.push(squares.value + sums.value, (squares, sums), lambda g: (g, g))
         adj = t.backward(weighted(y, np.ones(1)))
         np.testing.assert_allclose(adj[x.idx], 2.0 * x.value + 1.0, rtol=1e-15)
 
     def test_rejects_foreign_root_non_scalar_root_and_mixed_tapes(self):
         t1, t2 = at.Tape(), at.Tape()
-        x = t1.leaf(np.ones(3))
+        x = leaf(t1, np.ones(3))
         with pytest.raises(UsageError):
             t2.backward(weighted(x, np.ones(3)))
         with pytest.raises(UsageError):
@@ -458,4 +461,4 @@ class TestArrayTapeStructure:
         with pytest.raises(UsageError):
             t1.backward(3.0)
         with pytest.raises(UsageError):
-            t1.push(x.value, (x, t2.leaf(np.ones(3))), None)
+            t1.push(x.value, (x, leaf(t2, np.ones(3))), None)

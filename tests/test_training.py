@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -25,6 +26,7 @@ from lexifuse.model import (
     posterior_params,
 )
 from lexifuse.rng import RngStream, stream_for
+from lexifuse.tape import Tape
 from lexifuse.training import (
     NOISE_SCHEME,
     AdamState,
@@ -352,6 +354,25 @@ class TestBatchGradient:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="one uniform per component"):
                 batch_gradient(state, obs, rows(noise), scale=1.0)
+
+    def test_no_tape_outlives_its_batch(self):
+        # a VJP closes over arrays, never over nodes, so reference counting
+        # alone frees a batch's tape: with the cycle collector off, no tape
+        # made by the batch is left once batch_gradient returns
+        vids = tuple(sorted(ALL_SCALES))
+        vocab, obs = make_corpus(6, seed=3, vids=vids)
+        cfg = TrainConfig(hidden_dim=4, n_mc=2)
+        state = init_model({vid: ALL_SCALES[vid] for vid in vids}, cfg, stream_for(0, "init"))
+        noise = frozen_noise(cfg, [o.word for o in obs])
+        gc.collect()
+        gc.disable()
+        try:
+            before = {id(o) for o in gc.get_objects() if isinstance(o, Tape)}
+            batch_gradient(state, obs, noise, scale=1.0)
+            left = [type(o).__name__ for o in gc.get_objects() if isinstance(o, Tape) and id(o) not in before]
+        finally:
+            gc.enable()
+        assert left == []
 
 
 class TestTrain:
