@@ -100,12 +100,13 @@ def cmd_synth(args) -> int:
 
 def cmd_validate(args) -> int:
     views = _load_views(args.views)
+    shared = build_vocabulary(views).shared
     for view in views:
         extras = ""
         if view.family.n_raters is not None:
             extras = f" ({view.family.n_raters} raters, {view.family.n_points} points)"
-        print(f"{view.id}: {len(view)} words, family {view.family.tag}{extras}")
-    build_vocabulary(views)
+        print(f"{view.id}: {len(view)} words, family {view.family.tag}{extras}, "
+              f"{shared[view.id]} shared with another view")
     print("ok")
     return 0
 

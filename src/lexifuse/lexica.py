@@ -137,8 +137,11 @@ class LexiconView:
     """One lexicon as columns: id, scale family, `words` (sorted, case-folded,
     unique) and `values`, an (n, width) float array holding word i's label in
     row i, read-only.  The constructor takes the rows in file order, refuses
-    one outside the family's domain (a DomainError) before it resolves
-    repeats, then case-folds, keeps a repeated word's last row and sorts."""
+    a word that parse_lexicon never yields (empty, starting with '#' or
+    holding whitespace, which a lexicon file cannot carry) with a ConfigError
+    and a row outside the family's domain with a DomainError, before it
+    resolves repeats, then case-folds, keeps a repeated word's last row and
+    sorts."""
 
     id: str
     family: ScaleFamily
@@ -152,6 +155,11 @@ class LexiconView:
         if values.shape != shape and not (values.size == 0 == len(words)):
             raise ConfigError(f"view {self.id!r} needs values of shape {shape}, got {values.shape}")
         values = values.reshape(shape)
+        joined = "".join(words)  # splits into just itself only if no word holds whitespace
+        if words and ("" in words or joined.split() != [joined] or "\n#" in "\n" + "\n".join(words)):
+            word = next(w for w in words if w.split() != [w] or w[0] == "#")
+            raise ConfigError(f"view {self.id!r}: word {word!r} is empty, starts with '#' or holds "
+                              "whitespace, so no lexicon file can carry it")
         bad = out_of_domain(self.family, values)
         if bad.any():
             i = int(np.argmax(bad))
@@ -207,6 +215,11 @@ class CombinedVocabulary:
     def n_views(self) -> np.ndarray:
         """The number of views containing each word, in vocabulary order."""
         return np.bincount(np.concatenate(list(self.rows.values())), minlength=len(self.words))
+
+    @cached_property
+    def shared(self) -> dict[str, int]:
+        """Per view id, how many of the view's words another view also covers."""
+        return {vid: int(np.count_nonzero(self.n_views[rows] > 1)) for vid, rows in self.rows.items()}
 
     @cached_property
     def priors(self) -> np.ndarray:
@@ -487,16 +500,22 @@ def write_lexicon(view: LexiconView, path: str | Path) -> None:
 
 
 def build_vocabulary(views: list[LexiconView]) -> CombinedVocabulary:
-    """Union of all view vocabularies with exact membership."""
+    """Union of all view vocabularies with exact membership.  With two or
+    more views, one warning names every view that shares no word with any
+    other."""
     if not views:
         raise ConfigError("build_vocabulary needs at least one view")
     ids = [v.id for v in views]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"view ids must be unique, got {ids}")
     index, rows = merge_words(views)
-    return CombinedVocabulary(
+    vocab = CombinedVocabulary(
         list(index), index, dict(zip(ids, rows)), {v.id: v.family for v in views}, tuple(views)
     )
+    alone = [vid for vid in ids if not vocab.shared[vid]]
+    if len(views) > 1 and alone:
+        log.warning("views %s share no word with any other view", alone)
+    return vocab
 
 
 def coarse_class(family: ScaleFamily, values: np.ndarray) -> np.ndarray:

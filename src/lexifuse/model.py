@@ -29,7 +29,8 @@ the rows a view covers, beta_var adding the omegas at those rows,
 dirichlet_kl_var, dirichlet_sample_vars, and decode_vars reading its view's
 rows of the draw, then emission_ll_var (44 nodes for one sample of 8 views).
 Export needs only the encoder outputs, so `posterior_params` runs the same
-encode_vars once per view, forward only, on a binding of its own.  Both read
+encode_vars, forward only, over equal blocks of each view's rows of at least
+EXPORT_BLOCK_ROWS (export_blocks), each on a binding of its own.  Both read
 a view's labels from its value columns (`encoder_input`, `emission_targets`).
 
 `ModelState.check_view`, passed through by `train`, `export_lexicon` and
@@ -68,6 +69,10 @@ from .lexica import (
 PAIR_VARIANCE = 0.01
 # Additive floor keeping the learned variance away from zero.
 VARIANCE_FLOOR = 0.01
+# Fewest rows in one encoder call of export, unless a whole view is shorter.
+# BLAS may round a row's products otherwise in a shorter call, so the size is
+# part of the output's bits.
+EXPORT_BLOCK_ROWS = 4096
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -251,18 +256,31 @@ def beta_var(n: int, parts: list[tuple[np.ndarray, tp.Node]]) -> tp.Node:
     return parts[0][1].tape.push(beta, [omega for _, omega in parts], lambda g: tuple(g[rows] for rows in index))
 
 
+def export_blocks(n: int) -> list[slice]:
+    """n rows cut into max(1, n // EXPORT_BLOCK_ROWS) contiguous slices whose
+    lengths differ by at most one: each has EXPORT_BLOCK_ROWS to
+    2 * EXPORT_BLOCK_ROWS - 1 rows, or all n if n is shorter, so no block is
+    a short tail."""
+    k = max(1, n // EXPORT_BLOCK_ROWS)
+    edges = [i * n // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def posterior_params(views: list[LexiconView], state: ModelState, vocab: CombinedVocabulary) -> np.ndarray:
     """beta = 1 + sum of omega_d over the given views covering each word of
     the vocabulary, one row per vocabulary word (the views' rows are
-    vocab.rows); each view's encoder runs once over its value array through
-    encode_vars, on a binding of its own so that its activations go before
-    the next view runs, in sorted view-id order.  A view that the state has no
-    head of its family for is a ConfigError (ModelState.check_view)."""
+    vocab.rows), the views added in sorted view-id order.  Each view's
+    encoder runs through encode_vars over export_blocks of its rows, each
+    block on a binding of its own, so that a block's activations go before
+    the next block runs.  A view that the state has no head of its family
+    for is a ConfigError (ModelState.check_view)."""
     beta = np.ones((len(vocab), 3))
     for view in sorted(views, key=lambda v: v.id):
         state.check_view(view.id, view.family)
-        head = ModelBinding(tp.Tape(), state).heads[("enc", view.id)]
-        beta[vocab.rows[view.id]] += encode_vars(encoder_input(view.family, view.values), head).value
+        rows = vocab.rows[view.id]
+        for block in export_blocks(len(view)):
+            head = ModelBinding(tp.Tape(), state).heads[("enc", view.id)]
+            beta[rows[block]] += encode_vars(encoder_input(view.family, view.values[block]), head).value
     return beta
 
 

@@ -3,8 +3,10 @@
 `UnifiedLexicon` is the only in-memory form.  It keeps four parallel arrays
 sorted by case-folded word: `words`, `beta` (n, 3), `mean` (n, 3) and
 `n_views` (n,).  Its constructor checks the invariants once, vectorized, for
-an export and a file read alike: every beta component is finite and >= 1,
-n_views >= 1, sum(beta) - 3 equals n_views, and mean equals beta / sum(beta).
+an export and a file read alike: no word holds a tab or line feed or
+starts with `#` (after any leading whitespace), which its file would read
+as a comment, every beta component is finite and >= 1, n_views >= 1,
+sum(beta) - 3 equals n_views, and mean equals beta / sum(beta).
 Each test is written to pass only on a good value, so nan and inf fail it.
 `read_unified` splits the file in one pass (errors.Rows) and converts each
 value column whole; when a row does not read, a word repeats or a check
@@ -88,8 +90,8 @@ def _check_rows(words: list[str], beta: np.ndarray, mean: np.ndarray, n_views: n
 class UnifiedLexicon:
     """A fused lexicon as parallel arrays sorted by case-folded word; `_index`
     maps each case-folded word to its row, for the fused featurizers.  The
-    rows may come in any order; a word that repeats (after case-folding) is a
-    ConfigError."""
+    rows may come in any order; a word that repeats (after case-folding) or
+    that write_unified cannot write on a line of its own is a ConfigError."""
 
     def __init__(self, words, beta, mean, n_views, meta: dict[str, str] | None = None):
         beta, mean = np.asarray(beta, dtype=float), np.asarray(mean, dtype=float)
@@ -100,6 +102,11 @@ class UnifiedLexicon:
                 f"{n} words need beta and mean of shape ({n}, 3) and n_views of shape "
                 f"({n},), got {beta.shape}, {mean.shape} and {n_views.shape}"
             )
+        joined = "".join(words)
+        if "\t" in joined or "\n" in joined or "\n#" in "\n" + "\n".join(map(str.lstrip, words)):
+            i = next(i for i, w in enumerate(words) if "\t" in w or "\n" in w or w.lstrip()[:1] == "#")
+            raise _InvalidRow(f"word {words[i]!r} starts with '#' or holds a tab or line feed, so no "
+                              "unified lexicon file can carry it", i)
         _check_rows(words, beta, mean, n_views)
         keys = casefold_each(list(words))
         order = sorted(range(n), key=keys.__getitem__)

@@ -254,6 +254,21 @@ class TestErrorExits:
         assert r.returncode == 0, r.stderr
         assert r.stderr.count("1 duplicate words resolved last-wins") == 1
 
+    def test_validate_reports_shared_words(self, tmp_path):
+        (tmp_path / "a.tsv").write_text("#family=Binary\ngood\t1\nbad\t0\n")
+        (tmp_path / "b.tsv").write_text("#family=SignedContinuous\nfine\t0.5\npoor\t-0.5\nnice\t0.75\n")
+        (tmp_path / "c.tsv").write_text("#family=Binary\nfine\t1\n")
+        r = run_cli("validate", "--views", str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv"))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == ["a: 2 words, family Binary, 0 shared with another view",
+                                         "b: 3 words, family SignedContinuous, 0 shared with another view", "ok"]
+        assert r.stderr.count("share no word") == 1 and "views ['a', 'b'] share no word" in r.stderr
+        r = run_cli("validate", "--views", *(str(tmp_path / f"{v}.tsv") for v in "abc"))
+        assert r.returncode == 0, r.stderr
+        assert [line.split(", ")[-1] for line in r.stdout.splitlines()] == [
+            "0 shared with another view", "1 shared with another view", "1 shared with another view", "ok"]
+        assert "views ['a'] share no word" in r.stderr
+
     def test_version_flag(self):
         r = run_cli("--version")
         assert r.returncode == 0

@@ -1,6 +1,7 @@
 """Work counts that host load cannot blur: the incomplete-gamma evaluations
-of one Gamma draw, the whole-column passes of one lexicon parse, and the tape
-nodes and lexifuse-frame calls of one training batch's gradient.
+of one Gamma draw, the whole-column passes of one lexicon parse, the tape
+nodes and lexifuse-frame calls of one training batch's gradient, and the
+encoder calls and lexifuse-frame calls of one export.
 
 gamma_quantile runs on a fixed 256x3 batch, the size of one training batch's
 Dirichlet shapes, with special.gammainc_p and special.gammainc_p_da wrapped
@@ -10,10 +11,12 @@ of the four families, with lexica.casefold_each and lexica.out_of_domain
 wrapped and their calls counted.  batch_gradient runs on the first 256-word
 batch of a fixed synthetic training run, with sys.setprofile counting the
 calls into frames of lexifuse's own source files; numpy's Python wrappers
-are left out, since they change between numpy versions.  The counts repeat
-exactly across runs and processes, so they show a change in the work even
-where wall time cannot.  They are pinned as upper bounds: a change that
-lowers a count lowers its pin.
+are left out, since they change between numpy versions.  export_lexicon
+runs the same way on the views of a fixed synth, each longer than two
+export blocks, with model.encode_vars wrapped to record each call's rows.
+The counts repeat exactly across runs and processes, so they show a change
+in the work even where wall time cannot.  They are pinned as upper bounds:
+a change that lowers a count lowers its pin.
 """
 
 import sys
@@ -23,11 +26,12 @@ import numpy as np
 import pytest
 
 import lexifuse
-from lexifuse import distributions, lexica, special, tape
+from lexifuse import distributions, lexica, model, special, tape
 from lexifuse.evaluation import synth_generate
 from lexifuse.model import observations_from_views
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.training import TrainConfig, batch_gradient, frozen_noise, init_model
+from lexifuse.unified import export_lexicon
 
 # (calls, elements over all calls) per function, and elements over both:
 # gammainc_p runs Halley round 1, gammainc_p_da rounds 2 and 3 and the dP/da
@@ -188,3 +192,39 @@ def test_batch_gradient_nodes_and_calls(monkeypatch, first_batch):
     assert nodes <= BATCH_PINS["nodes"], sizes
     assert leaves <= BATCH_PINS["leaves"], sizes
     assert calls <= BATCH_PINS["lexifuse_calls"], calls
+
+
+# One export over 4 views of 2 to 3 blocks each: encode_vars calls (one per
+# block, the sum over views of max(1, n // EXPORT_BLOCK_ROWS)) and calls into
+# lexifuse frames.  Each block binds the state on a tape of its own (about 38
+# calls); one encoder call per view made 4 and 167.
+EXPORT_PINS = {"encode_calls": 9, "lexifuse_calls": 356}
+
+
+@pytest.fixture(scope="module")
+def export_inputs():
+    """An untrained seed-1 state and the 4 views of a 20,000-word synth at
+    seed 1, of 9,341 to 13,568 rows."""
+    views = synth_generate(20000, 1, 0.1, 1, 1, RngStream(1)).views
+    return init_model(views, TrainConfig(seed=1), stream_for(1, "init")), views
+
+
+def test_export_blocks_and_calls(monkeypatch, export_inputs):
+    state, views = export_inputs
+    assert all(len(view) > 2 * model.EXPORT_BLOCK_ROWS for view in views)
+    calls = lexifuse_calls(lambda: export_lexicon(*export_inputs))
+    assert lexifuse_calls(lambda: export_lexicon(*export_inputs)) == calls  # the counts repeat exactly
+    rows = []
+    encode = model.encode_vars
+
+    def counted(x, head):
+        rows.append(len(x))
+        return encode(x, head)
+
+    monkeypatch.setattr(model, "encode_vars", counted)
+    export_lexicon(*export_inputs)
+    assert len(rows) == sum(max(1, len(view) // model.EXPORT_BLOCK_ROWS) for view in views)
+    assert len(rows) <= EXPORT_PINS["encode_calls"], rows
+    assert sum(rows) == sum(map(len, views))
+    assert all(model.EXPORT_BLOCK_ROWS <= m < 2 * model.EXPORT_BLOCK_ROWS for m in rows), rows
+    assert calls <= EXPORT_PINS["lexifuse_calls"], calls

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,20 @@ class TestLexiconView:
         with pytest.raises(ConfigError, match="shape"):
             LexiconView("v", fam, ["a", "b"], [[0.5]])
         assert len(LexiconView("v", pair_continuous(), [], [])) == 0
+
+    @pytest.mark.parametrize("word", ["", "#a", "c d", " e", "f\t", "g\nh", "i\u2028j"])
+    def test_word_no_file_can_carry_refused(self, word):
+        # the parser never yields these words: written first on a line, an
+        # empty word is refused, '#a' reads as a comment and 'c d' as a
+        # multi-word entry
+        with pytest.raises(ConfigError, match=re.escape(f"view 'v': word {word!r} is empty")):
+            LexiconView("v", binary(), ["b", word, "#z"], [[1.0], [0.0], [1.0]])
+
+    def test_carried_words_round_trip(self, tmp_path):
+        words = ["a#", "b-c", "d'e", "f\u00e9"]  # '#' after the first character is kept
+        view = LexiconView("v", binary(), words, [[1.0], [0.0], [1.0], [0.0]])
+        write_lexicon(view, tmp_path / "v.tsv")
+        assert parse_lexicon(tmp_path / "v.tsv").words == view.words == sorted(words)
 
     def test_entries_map_words_to_rows(self):
         view = view_of("v", pair_continuous(), {"b": (0.5, 0.25), "a": (0.0, 1.0)})
@@ -415,6 +430,19 @@ class TestBuildVocabulary:
     def test_single_view(self):
         vocab = build_vocabulary([self._view("A", ["x"])])
         assert len(membership(vocab)["x"]) == 1
+
+    def test_views_sharing_no_word_warned_once(self, caplog):
+        views = [self._view("A", ["x", "y"]), self._view("B", ["y", "z"]), self._view("C", ["q"]),
+                 self._view("D", ["r", "s"])]
+        with caplog.at_level(logging.WARNING, logger="lexifuse.lexica"):
+            vocab = build_vocabulary(views)
+        assert vocab.shared == {"A": 1, "B": 1, "C": 0, "D": 0}
+        assert [r.getMessage() for r in caplog.records] == ["views ['C', 'D'] share no word with any other view"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lexifuse.lexica"):
+            assert build_vocabulary([self._view("C", ["q"])]).shared == {"C": 0}
+            build_vocabulary(views[:2])
+        assert not caplog.records
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,6 +7,8 @@ them), runs `lexifuse train` and `lexifuse export` on them in-process through
 `cli.main`, and compares the output bytes with a base run on the untouched
 files.  None of the relations depends on how training draws its noise, so
 they hold across a change of noise scheme that golden bytes cannot follow.
+The deleted-rows relation also runs, export only, on an untrained
+checkpoint and views long enough for export to run each in several blocks.
 """
 
 import random
@@ -14,6 +16,11 @@ import random
 import pytest
 
 from lexifuse import cli
+from lexifuse.evaluation import synth_generate
+from lexifuse.lexica import write_lexicon
+from lexifuse.model import EXPORT_BLOCK_ROWS, save_checkpoint
+from lexifuse.rng import RngStream, stream_for
+from lexifuse.training import TrainConfig, init_model
 
 TRAIN_SEED = "5"
 
@@ -159,12 +166,11 @@ def test_left_out_view_keeps_other_rows(synth, base, tmp_path):
         assert {word: line for word, line in rest.items() if word not in covered} == outside, left_out.name
 
 
-def test_deleted_rows_keep_other_words_lines(synth, base, tmp_path):
-    # every third data row of one view goes; each other word keeps its views,
-    # so its line keeps its text (its bits may follow the view's row count
-    # through BLAS, which the printed digits hide)
-    views, _ = synth
-    full = rows_by_word((base / "unified.tsv").read_bytes())
+def assert_deleted_rows_keep_lines(checkpoint, views, unified, tmp_path):
+    """Every third data row of each view file in turn goes; each other word
+    keeps its views, so its line keeps its text (its bits may follow the
+    view's row count through BLAS, which the printed digits hide)."""
+    full = rows_by_word(unified.read_bytes())
     for k, path in enumerate(views):
         head, *rows = path.read_text(encoding="utf-8").splitlines()
         deleted = {row.split("\t", 1)[0].encode("utf-8") for row in rows[2::3]}
@@ -172,8 +178,28 @@ def test_deleted_rows_keep_other_words_lines(synth, base, tmp_path):
         thinned.parent.mkdir()
         kept_rows = [row for i, row in enumerate(rows) if i % 3 != 2]
         thinned.write_text("\n".join([head, *kept_rows, ""]), encoding="utf-8")
-        rest = rows_by_word(export(base / "checkpoint.json", views[:k] + [thinned] + views[k + 1:],
-                                   tmp_path / f"u{k}.tsv"))
+        rest = rows_by_word(export(checkpoint, views[:k] + [thinned] + views[k + 1:], tmp_path / f"u{k}.tsv"))
         kept = {word: line for word, line in full.items() if word not in deleted}
         assert deleted and kept, path.name
         assert {word: line for word, line in rest.items() if word not in deleted} == kept, path.name
+
+
+def test_deleted_rows_keep_other_words_lines(synth, base, tmp_path):
+    views, _ = synth
+    assert_deleted_rows_keep_lines(base / "checkpoint.json", views, base / "unified.tsv", tmp_path)
+
+
+def test_deleted_rows_keep_other_words_lines_across_blocks(tmp_path):
+    # views of 2 or 3 export blocks each: thinned, each runs in fewer blocks,
+    # so the rows of every block boundary move; the relation is about export,
+    # so an untrained state serves
+    views = synth_generate(20000, 1, 0.1, 1, 1, RngStream(1)).views
+    blocks = [len(view) // EXPORT_BLOCK_ROWS for view in views]
+    assert max(blocks) > 2 and all(len(view) * 2 // 3 // EXPORT_BLOCK_ROWS < b for view, b in zip(views, blocks))
+    paths = [tmp_path / f"{view.id}.tsv" for view in views]  # the file stem is the view id
+    for view, path in zip(views, paths):
+        write_lexicon(view, path)
+    save_checkpoint(tmp_path / "checkpoint.json", init_model(views, TrainConfig(seed=1), stream_for(1, "init")))
+    full = rows_by_word(export(tmp_path / "checkpoint.json", paths, tmp_path / "unified.tsv"))
+    assert len(full) == len(set().union(*(view.words for view in views)))
+    assert_deleted_rows_keep_lines(tmp_path / "checkpoint.json", paths, tmp_path / "unified.tsv", tmp_path)

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,9 +12,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexifuse import model
 from lexifuse.errors import ConfigError, LexifuseError, NumericError
 from lexifuse.evaluation import synth_generate
 from lexifuse.lexica import (
+    BINARY,
+    PAIR_CONTINUOUS,
+    SIGNED_CONTINUOUS,
+    LexiconView,
     binary,
     build_vocabulary,
     pair_continuous,
@@ -21,6 +27,7 @@ from lexifuse.lexica import (
     signed_continuous,
 )
 from lexifuse.model import (
+    EXPORT_BLOCK_ROWS,
     Head,
     ModelBinding,
     ModelState,
@@ -32,6 +39,7 @@ from lexifuse.model import (
     emission_targets,
     encode_vars,
     encoder_input,
+    export_blocks,
     load_checkpoint,
     posterior_params,
     save_checkpoint,
@@ -218,6 +226,71 @@ class TestPosteriorParams:
         view = view_of("sig", binary(), {"w": example_label(binary())})
         with pytest.raises(ConfigError, match="view 'sig' is #family=Binary, but the model has a #family=SignedContinuous head"):
             posterior_params([view], state, build_vocabulary([view]))
+
+
+def random_view(vid, family, n, seed):
+    """A view of n words with labels drawn uniformly from the family's domain."""
+    gen = np.random.default_rng(seed)
+    if family.tag == BINARY:
+        values = gen.integers(0, 2, (n, 1))
+    elif family.tag == SIGNED_CONTINUOUS:
+        values = gen.uniform(-1.0, 1.0, (n, 1))
+    elif family.tag == PAIR_CONTINUOUS:
+        values = gen.uniform(0.0, 1.0, (n, 2))
+    else:
+        values = gen.integers(0, family.n_points, (n, family.n_raters))
+    return LexiconView(vid, family, [f"w{i:06d}" for i in range(n)], values)
+
+
+class TestExportBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 8191, 8192, 12287, 12288, 20845, 40000])
+    def test_equal_blocks_never_short(self, n):
+        blocks = export_blocks(n)
+        assert len(blocks) == max(1, n // EXPORT_BLOCK_ROWS)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]] and blocks[-1].stop == n
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        assert all(EXPORT_BLOCK_ROWS <= m < 2 * EXPORT_BLOCK_ROWS for m in sizes) or sizes == [n]
+
+    def test_blocked_bit_equal_to_whole_view(self, monkeypatch):
+        # views of 2 to 3 blocks in every family: each block's rows get the
+        # bits that one call over the whole view gives them
+        views = [random_view(vid, scale, n, seed) for seed, ((vid, scale), n)
+                 in enumerate(zip(ALL_SCALES.items(), (8193, 9000, 12288, 13001)))]
+        state = init_model(ALL_SCALES, TrainConfig(seed=3), stream_for(3, "init"))
+        state.params *= 3.0  # a state whose omegas are far from uniform
+        vocab = build_vocabulary(views)
+        want = np.ones((len(vocab), 3))
+        for view in sorted(views, key=lambda v: v.id):
+            head = ModelBinding(Tape(), state).heads[("enc", view.id)]
+            want[vocab.rows[view.id]] += encode_vars(encoder_input(view.family, view.values), head).value
+        calls = []
+
+        def counted(x, head):
+            calls.append(len(x))
+            return encode_vars(x, head)
+
+        monkeypatch.setattr(model, "encode_vars", counted)
+        got = posterior_params(views, state, vocab)
+        assert len(calls) == sum(len(view) // EXPORT_BLOCK_ROWS for view in views) == 10
+        assert sum(calls) == sum(map(len, views))
+        assert all(EXPORT_BLOCK_ROWS <= m < 2 * EXPORT_BLOCK_ROWS for m in calls), calls
+        assert np.array_equal(got, want)
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # 40,000 rows of 10 ratings, hidden 32: one call over the whole view
+        # held its input, pre-activation and tanh whole, 24.5 MB at its peak
+        view = random_view("r", rater_histogram(10, 9), 40000, 0)
+        vocab = build_vocabulary([view])
+        state = init_model([view], TrainConfig(seed=1), stream_for(1, "init"))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            posterior_params([view], state, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 8e6, (peak - start) / 1e6
 
 
 class TestDecode:

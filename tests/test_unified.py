@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,19 @@ class TestLexiconArrays:
         assert lex.words == ["A", "b", "c"]
         np.testing.assert_array_equal(lex.beta[:, 0], [1.5, 2.0, 3.0])
 
+    @pytest.mark.parametrize("word", ["#x", " #x", "a\tb", "a\nb", "\tc"])
+    def test_word_no_file_can_carry_refused(self, word):
+        # written first on its line, '#x' reads back as a comment, and a tab
+        # or line feed would split the row
+        with pytest.raises(ConfigError, match=re.escape(f"word {word!r} starts with '#'")):
+            lexicon_from_betas([("y", (2.0, 1.5, 1.5), 2), (word, (2.0, 1.5, 1.5), 2)])
+
+    def test_carried_words_round_trip(self, tmp_path):
+        words = ["y", "a#", " z", "b c"]
+        lex = lexicon_from_betas([(w, (2.0, 1.5, 1.5), 2) for w in words])
+        write_unified(tmp_path / "u.tsv", lex)
+        assert read_unified(tmp_path / "u.tsv").words == lex.words == sorted(words)
+
 
 class TestExportLexicon:
     def test_one_entry_per_word(self):
@@ -136,8 +151,11 @@ class TestExportLexicon:
         with caplog.at_level("WARNING"):
             lexicon = export_lexicon(state, views + [other])
         assert len(lexicon) == len(vocab)
-        assert [r.levelname for r in caplog.records] == ["WARNING"]
-        message = caplog.records[0].getMessage()
+        # the vocabulary warns too, as "other" shares no word with the rest
+        assert [(r.name, r.levelname) for r in caplog.records] == [("lexifuse.lexica", "WARNING"),
+                                                                  ("lexifuse.unified", "WARNING")]
+        assert caplog.records[0].getMessage() == "views ['other'] share no word with any other view"
+        message = caplog.records[1].getMessage()
         assert message.startswith("export skipped 1000 of 1006 words: no head for views ['other']")
         assert message.endswith("first skipped 'zz0000', 'zz0001', 'zz0002', 'zz0003', 'zz0004'")
 
