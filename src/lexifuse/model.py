@@ -30,13 +30,20 @@ dirichlet_kl_var, dirichlet_sample_vars, and decode_vars reading its view's
 rows of the draw, then emission_ll_var (44 nodes for one sample of 8 views).
 Export needs only the encoder outputs, so `posterior_params` runs the same
 encode_vars, forward only, over equal blocks of each view's rows of at least
-EXPORT_BLOCK_ROWS (export_blocks), each on a binding of its own.  Both read
-a view's labels from its value columns (`encoder_input`, `emission_targets`).
+EXPORT_BLOCK_ROWS (export_blocks), each with only that view's encoder head
+bound on a tape of its own.  Both read a view's labels from its value columns
+(`encoder_input`, `emission_targets`).
+
+Training reads words as `Observations`: per view, each word's row of the
+view's values or -1, and a prior table, so a batch is an index array and a
+view's batch labels one gather; `WordObservation` is the per-word record
+built from it on demand.
 
 `ModelState.check_view`, passed through by `train`, `export_lexicon` and
 `posterior_params`, is the one test that a view fits its head (it compares
-families, as a ModelState ties each head's widths to its family).  `elbo_batch`
-checks the labels it stacks and that each word's beta, recon and kl are finite.
+families, as a ModelState ties each head's widths to its family).
+`as_observations` checks the labels of WordObservation records as it stacks
+them, and `elbo_batch` that each word's beta, recon and kl are finite.
 """
 
 from __future__ import annotations
@@ -129,6 +136,106 @@ class WordObservation:
             raise ConfigError(f"word {self.word!r} has no observations")
 
 
+class ObservedView(NamedTuple):
+    """One view as observations hold it: its family, each observed word's row
+    of values or -1, and the view's read-only label rows (m, width)."""
+
+    family: ScaleFamily
+    rows: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Observations:
+    """Words with their labels and priors, held as arrays: `words`, `priors`
+    (n, 3), read-only, and `views`, an ObservedView per view id in sorted
+    order; a view that covers none of the words is dropped, and a word that
+    no view covers is a ConfigError.
+
+    A read-only sequence: len() counts the words, obs[i] and iteration build
+    each word's WordObservation on demand, and obs[slice or index array] is
+    the Observations of those words in that order, sharing the views' values.
+    """
+
+    words: list[str]
+    priors: np.ndarray
+    views: dict[str, ObservedView]
+
+    def __post_init__(self):
+        priors = np.asarray(self.priors, dtype=float).view()
+        priors.flags.writeable = False
+        covered, seen = {}, np.zeros(len(self.words), dtype=bool)
+        for vid, view in sorted(self.views.items()):
+            mask = view.rows >= 0
+            if mask.any():
+                covered[vid] = view
+                seen |= mask
+        if not seen.all():
+            raise ConfigError(f"word {self.words[int(np.argmin(seen))]!r} has no observations")
+        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "views", covered)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) or np.ndim(key):
+            idx = np.arange(len(self))[key]
+            views = {vid: ObservedView(v.family, v.rows[idx], v.values) for vid, v in self.views.items()}
+            return Observations(list(map(self.words.__getitem__, idx.tolist())), self.priors[idx], views)
+        i = range(len(self))[key]
+        labels = {vid: v.values[v.rows[i]] for vid, v in self.views.items() if v.rows[i] >= 0}
+        return WordObservation(self.words[i], labels, self.priors[i])
+
+
+_NOT_LABELS = "view {!r} is {}, but an observation's label is not one of its labels"
+
+
+def as_observations(batch, scales: dict[str, ScaleFamily], lacks: str = "the model has no head for view {!r}"
+                    ) -> Observations:
+    """batch as Observations whose every view has its family in scales.
+
+    An Observations passes through once its views' families are checked.  A
+    list of WordObservation records is stacked view by view, each view's
+    labels in batch order, and its labels are checked against their view's
+    family.  A view that scales lacks is a ConfigError with the message lacks
+    (formatted with the view id), a view of another family or a label
+    outside its family one naming the view.
+    """
+    if isinstance(batch, Observations):
+        for vid, view in batch.views.items():
+            if vid not in scales:
+                raise ConfigError(lacks.format(vid))
+            if view.family != scales[vid]:
+                raise ConfigError(_NOT_LABELS.format(vid, scales[vid].header()))
+        return batch
+    index: dict[str, list[int]] = {}
+    labels: dict[str, list[np.ndarray]] = {}
+    for i, obs in enumerate(batch):
+        for vid, label in obs.labels.items():
+            index.setdefault(vid, []).append(i)
+            labels.setdefault(vid, []).append(label)
+    views = {}
+    for vid in sorted(index):
+        if vid not in scales:
+            raise ConfigError(lacks.format(vid))
+        scale = scales[vid]
+        try:
+            values = np.array(labels[vid], dtype=float)
+        except ValueError:  # rows of differing lengths
+            values = np.empty(0)
+        if values.shape != (len(index[vid]), scale.width) or out_of_domain(scale, values).any():
+            raise ConfigError(_NOT_LABELS.format(vid, scale.header()))
+        values.flags.writeable = False
+        rows = np.full(len(batch), -1, dtype=np.intp)
+        rows[index[vid]] = np.arange(len(values))
+        views[vid] = ObservedView(scale, rows, values)
+    return Observations([obs.word for obs in batch], np.array([obs.prior for obs in batch], dtype=float), views)
+
+
 @dataclass(eq=False)
 class ModelState:
     """All heads, keyed by view id; scales declare each view's label space,
@@ -156,9 +263,9 @@ class ModelState:
                         f"view {vid!r} ({scale.header()}) needs {kind} shapes (h, {n_in}), (h,), "
                         f"({n_out}, h), ({n_out},) for w1, b1, w2, b2, got {', '.join(map(str, got))}"
                     )
-        heads = [head for vid in self.view_ids() for head in (self.encoders[vid], self.decoders[vid])]
-        self.params = np.concatenate([np.ravel(a) for head in heads for a in head], dtype=float)
-        split = _split(self.params, self)
+        heads = self.heads()
+        self.params = np.concatenate([np.ravel(a) for head in heads.values() for a in head], dtype=float)
+        split = _split(self.params, heads)
         self.encoders = {vid: head for (kind, vid), _, head in split if kind == "enc"}
         self.decoders = {vid: head for (kind, vid), _, head in split if kind == "dec"}
 
@@ -170,6 +277,11 @@ class ModelState:
     def view_ids(self) -> list[str]:
         return sorted(self.scales)
 
+    def heads(self) -> dict[tuple[str, str], Head]:
+        """Every head keyed by ("enc" or "dec", view id), in params order."""
+        return {(kind, vid): head for vid in self.view_ids()
+                for kind, head in (("enc", self.encoders[vid]), ("dec", self.decoders[vid]))}
+
     def check_view(self, view_id: str, family: ScaleFamily) -> None:
         """Refuse a view whose family is not the one its head was built for."""
         trained = self.scales.get(view_id)
@@ -178,18 +290,23 @@ class ModelState:
             raise ConfigError(f"view {view_id!r} is {family.header()}, but the model has {has} for it")
 
 
-def _split(flat: np.ndarray, state: ModelState) -> list[tuple[tuple[str, str], slice, Head]]:
-    """Each head of state, keyed by ("enc" or "dec", view id), with its slice
-    of flat (laid out as params) and its arrays as views of flat."""
-    heads, start = [], 0
-    for vid in state.view_ids():
-        for kind, head in (("enc", state.encoders[vid]), ("dec", state.decoders[vid])):
-            arrays, first = [], start
-            for a in head:
-                arrays.append(flat[start : start + a.size].reshape(a.shape))
-                start += a.size
-            heads.append(((kind, vid), slice(first, start), Head(*arrays)))
-    return heads
+def _split(flat: np.ndarray, heads: dict) -> list[tuple[object, slice, Head]]:
+    """The heads laid out over flat in order, each its w1, b1, w2, b2: each
+    head's key, its slice of flat and its arrays as views of flat."""
+    split, start = [], 0
+    for key, head in heads.items():
+        arrays, first = [], start
+        for a in head:
+            arrays.append(flat[start : start + a.size].reshape(a.shape))
+            start += a.size
+        split.append((key, slice(first, start), Head(*arrays)))
+    return split
+
+
+def _bind(tape: tp.Tape, flat: np.ndarray, heads: dict) -> dict:
+    """Each of heads, keyed as in heads, as a HeadLeaf on tape: a leaf holding
+    its slice of flat, a copy of the heads laid out as _split lays them."""
+    return {key: HeadLeaf(tape.push(flat[span], (), None), arrays) for key, span, arrays in _split(flat, heads)}
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +324,7 @@ class ModelBinding:
     def __init__(self, tape: tp.Tape, state: ModelState):
         self.tape = tape
         self.state = state
-        self.heads: dict[tuple[str, str], HeadLeaf] = {}
-        flat = state.params.copy()
-        for key, span, head in _split(flat, state):
-            self.heads[key] = HeadLeaf(tape.push(flat[span], (), None), head)  # a leaf viewing the copy
+        self.heads: dict[tuple[str, str], HeadLeaf] = _bind(tape, state.params.copy(), state.heads())
 
     def gradient(self, adjoints: list) -> np.ndarray:
         """The flat parameter gradient (params order) from adjoints."""
@@ -271,15 +385,18 @@ def posterior_params(views: list[LexiconView], state: ModelState, vocab: Combine
     the vocabulary, one row per vocabulary word (the views' rows are
     vocab.rows), the views added in sorted view-id order.  Each view's
     encoder runs through encode_vars over export_blocks of its rows, each
-    block on a binding of its own, so that a block's activations go before
-    the next block runs.  A view that the state has no head of its family
-    for is a ConfigError (ModelState.check_view)."""
+    block with a copy of the view's encoder head alone bound on a fresh tape,
+    so that a block's activations go before the next block runs.  A
+    view that the state has no head of its family for is a ConfigError
+    (ModelState.check_view)."""
     beta = np.ones((len(vocab), 3))
     for view in sorted(views, key=lambda v: v.id):
         state.check_view(view.id, view.family)
         rows = vocab.rows[view.id]
+        enc = {view.id: state.encoders[view.id]}
+        flat = np.concatenate([a.ravel() for a in enc[view.id]])
         for block in export_blocks(len(view)):
-            head = ModelBinding(tp.Tape(), state).heads[("enc", view.id)]
+            head = _bind(tp.Tape(), flat, enc)[view.id]
             beta[rows[block]] += encode_vars(encoder_input(view.family, view.values[block]), head).value
     return beta
 
@@ -367,77 +484,65 @@ class BatchElbo:
     kl: np.ndarray  # (n,) per word
 
 
-def _refuse_non_finite(batch: list[WordObservation], **arrays: np.ndarray) -> None:
+def _refuse_non_finite(batch: Observations, **arrays: np.ndarray) -> None:
     """Raise NumericError for the first word in batch order with a non-finite row."""
     finite = [np.isfinite(a).reshape(len(batch), -1).all(axis=1) for a in arrays.values()]
     bad = ~np.logical_and.reduce(finite)
     if bad.any():
         i = int(np.argmax(bad))
         rows = ", ".join(f"{name}={a[i].tolist()!r}" for name, a in arrays.items())
-        raise NumericError(
-            f"non-finite ELBO for word {batch[i].word!r} (views {sorted(batch[i].labels)}): {rows}"
-        )
+        obs = batch[i]
+        raise NumericError(f"non-finite ELBO for word {obs.word!r} (views {sorted(obs.labels)}): {rows}")
 
 
-def elbo_batch(binding: ModelBinding, batch: list[WordObservation], us: np.ndarray) -> BatchElbo:
+def elbo_batch(binding: ModelBinding, batch: Observations | list[WordObservation], us: np.ndarray) -> BatchElbo:
     """The batch's ELBO on an existing binding, with explicit sampling noise.
 
-    us holds the batch's uniforms, (len(batch), n_mc, 3) with row i for
-    batch[i] and n_mc >= 1; any other shape is a ConfigError.
+    batch is an Observations, or a list of WordObservation records, which
+    as_observations stacks and checks against the binding's heads on each
+    call.  us holds the batch's uniforms, (len(batch), n_mc, 3) with row i
+    for word i of the batch and n_mc >= 1; any other shape is a ConfigError.
     Passing the same us twice makes the objective a deterministic function
     of the parameters (common random numbers), which both the finite-
     difference gradient checks and the frozen-noise training scheme rely
-    on.  Each view runs its encoder once over the batch rows it covers, beta
-    = 1 + the omegas added in sorted view order, and each sample runs each
-    view's decoder and emission once.  A headless view or a label row
-    outside its family is a ConfigError; a word whose beta, recon or kl is
-    not finite raises NumericError, naming the first such word in batch order.
+    on.  Each view gathers the label rows of the batch positions it covers,
+    in ascending order, runs its encoder once over them, beta = 1 + the
+    omegas added in sorted view order, and each sample runs each view's
+    decoder and emission once.  A headless view, a view of another family or
+    a label row outside its family is a ConfigError; a word whose beta, recon
+    or kl is not finite raises NumericError, naming the first such word in
+    batch order.
     """
     n_mc = np.shape(us)[1] if np.ndim(us) == 3 else 0
     if n_mc < 1 or np.shape(us) != (len(batch), n_mc, 3):
         raise ConfigError(f"a batch of {len(batch)} words needs one uniform per component per sample, shape "
                           f"({len(batch)}, n_mc >= 1, 3); got {np.shape(us)}")
-    scales = binding.state.scales
-    rows: dict[str, list[int]] = {}
-    labels: dict[str, list[np.ndarray]] = {}
-    for i, obs in enumerate(batch):
-        for vid, label in obs.labels.items():
-            rows.setdefault(vid, []).append(i)
-            labels.setdefault(vid, []).append(label)
+    batch = as_observations(batch, binding.state.scales)
     views = []
-    for vid in sorted(rows):
-        if vid not in scales:
-            raise ConfigError(f"the model has no head for view {vid!r}")
-        scale = scales[vid]
-        try:
-            values = np.array(labels[vid], dtype=float)
-        except ValueError:  # rows of differing lengths
-            values = np.empty(0)
-        if values.shape != (len(rows[vid]), scale.width) or out_of_domain(scale, values).any():
-            raise ConfigError(
-                f"view {vid!r} is {scale.header()}, but an observation's label is not one of its labels"
-            )
-        x = encoder_input(scale, values)
-        views.append((vid, np.array(rows[vid]), x, emission_targets(scale, values)))
+    for vid, view in batch.views.items():
+        r = np.flatnonzero(view.rows >= 0)
+        values = view.values[view.rows[r]]
+        x, y = encoder_input(view.family, values), emission_targets(view.family, values)
+        views.append((vid, view.family, r, x, y))
 
     n = len(batch)
-    beta = beta_var(n, [(r, encode_vars(x, binding.heads[("enc", vid)])) for vid, r, x, _ in views])
+    beta = beta_var(n, [(r, encode_vars(x, binding.heads[("enc", vid)])) for vid, _, r, x, _ in views])
     _refuse_non_finite(batch, beta=beta.value)
-    kl = dirichlet_kl_var(beta, np.array([obs.prior for obs in batch], dtype=float))
+    kl = dirichlet_kl_var(beta, batch.priors)
 
     lls = []
     recon = np.zeros(n)
     for s in range(n_mc):
         z = dirichlet_sample_vars(beta, us[:, s])
-        for vid, r, _, y in views:
-            rho = decode_vars(z, r, binding.heads[("dec", vid)], scales[vid])
-            ll = emission_ll_var(scales[vid], y, rho)
+        for vid, family, r, _, y in views:
+            rho = decode_vars(z, r, binding.heads[("dec", vid)], family)
+            ll = emission_ll_var(family, y, rho)
             np.add.at(recon, r, ll.value)
             lls.append(ll)
     recon /= n_mc
     _refuse_non_finite(batch, recon=recon, kl=kl.value)
 
-    sizes = [len(r) for _ in range(n_mc) for _, r, _, _ in views]
+    sizes = [len(r) for _ in range(n_mc) for _, _, r, _, _ in views]
 
     def vjp(g):
         return tuple(np.full(m, g / n_mc) for m in sizes) + (np.full(n, -g),)
@@ -446,14 +551,20 @@ def elbo_batch(binding: ModelBinding, batch: list[WordObservation], us: np.ndarr
     return BatchElbo(total=total, recon=recon, kl=kl.value)
 
 
-def observations_from_views(views, vocab, priors: dict[str, np.ndarray]) -> list[WordObservation]:
-    """One WordObservation per vocabulary word, in sorted word order, its
-    labels keyed by view id in sorted order."""
-    labels: list[dict[str, np.ndarray]] = [{} for _ in vocab.words]
-    for view in sorted(views, key=lambda v: v.id):
-        for row, value in zip(vocab.rows[view.id].tolist(), view.values):
-            labels[row][view.id] = value
-    return [WordObservation(word, by_view, priors[word]) for word, by_view in zip(vocab.words, labels)]
+def observations_from_views(views, vocab, priors: dict[str, np.ndarray]) -> Observations:
+    """The Observations of every vocabulary word, in sorted word order: its
+    words are vocab.words, not a copy, its prior table holds each word's
+    priors[word] and each view refers to its LexiconView's values, with each
+    word's row there or -1 (vocab.rows inverted).  list(obs) gives one
+    WordObservation per word, its labels keyed by view id in sorted order."""
+    n = len(vocab.words)
+    table = np.array([priors[word] for word in vocab.words], dtype=float).reshape(n, 3)
+    observed = {}
+    for view in views:
+        rows = np.full(n, -1, dtype=np.intp)
+        rows[vocab.rows[view.id]] = np.arange(len(view))
+        observed[view.id] = ObservedView(view.family, rows, view.values)
+    return Observations(vocab.words, table, observed)
 
 
 # ---------------------------------------------------------------------------

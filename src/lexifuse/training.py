@@ -15,9 +15,12 @@ minibatches then add up exactly to the full-batch gradient, and resuming
 from a checkpoint needs no RNG state beyond the seed, the epoch number and
 the noise scheme, which the checkpoint records.
 
-Each check on training input has one owner: `TrainConfig` its values,
-`train` repeated words and views the vocabulary lacks, `ModelState.check_view`
-that each view fits its head, and `elbo_batch` each batch's labels and ELBOs.
+Training reads its words as `model.Observations`, each batch an index array
+into them.  Each check on training input has one owner: `TrainConfig` its
+values, `train` repeated words and views the vocabulary lacks,
+`ModelState.check_view` that each view fits its head, `as_observations` the
+labels of WordObservation records, once per list it is given, and
+`elbo_batch` each batch's ELBOs.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from .model import (
     Head,
     ModelBinding,
     ModelState,
+    Observations,
     WordObservation,
+    as_observations,
     decoder_width,
     elbo_batch,
     save_checkpoint,
@@ -65,6 +70,9 @@ class TrainConfig:
         for name in ("learning_rate", "adam_eps", "weight_init_scale"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        for name in ("batch_size", "epochs", "n_mc", "hidden_dim", "seed"):
+            if type(getattr(self, name)) is not int:  # a bool is not a count
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("batch_size", "epochs", "n_mc", "hidden_dim"):
             if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -190,13 +198,15 @@ def frozen_noise(config: TrainConfig, words: list[str]) -> np.ndarray:
 
 
 def batch_gradient(
-    state: ModelState, batch: list[WordObservation], us: np.ndarray, scale: float
+    state: ModelState, batch: Observations | list[WordObservation], us: np.ndarray, scale: float
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Gradient of loss = -scale * sum over the batch of each word's ELBO
     (elbo_batch at the batch's uniforms us, which checks the batch).
 
-    Returns (flat gradient in params order, per-term sums).  Raises
-    NumericError if the gradient is non-finite.
+    batch is an Observations, or a list of WordObservation records, which
+    elbo_batch stacks and checks once per call.  Returns (flat gradient in
+    params order, per-term sums).  Raises NumericError if the gradient is
+    non-finite.
     """
     tape = Tape()
     binding = ModelBinding(tape, state)
@@ -230,7 +240,7 @@ def write_training_log(path: str | Path, rows: list[dict]) -> None:
 
 def train(
     vocab: CombinedVocabulary,
-    observations: list[WordObservation],
+    observations: Observations | list[WordObservation],
     config: TrainConfig,
     *,
     init_state: ModelState | None = None,
@@ -246,23 +256,28 @@ def train(
     the loss -(|W|/|batch|) * sum of word ELBOs, written into the state's
     params in place (a given init_state is the state trained).  The
     per-epoch log reports the mean ELBO over the epoch's own evaluations.
+
+    observations is an Observations (observations_from_views) or a list of
+    WordObservation records, which as_observations stacks once, checking
+    their labels against the vocabulary's families.  Words are trained in
+    sorted order, each batch an index array into them; given an
+    Observations, train builds no per-word record.
     """
     if not observations:
         raise ConfigError("train needs at least one observation")
-    obs = sorted(observations, key=lambda o: o.word)
-    words = [o.word for o in obs]
+    obs = as_observations(observations, vocab.families,
+                          "observations have labels of view {!r}, which the vocabulary lacks")
+    words = obs.words
     if len(set(words)) != len(words):
         raise ConfigError("duplicate words in observations")
-    scales: dict[str, ScaleFamily] = {}
-    for vid in sorted(set().union(*(o.labels for o in obs))):
-        scale = vocab.families.get(vid)
-        if scale is None:
-            raise ConfigError(f"observations have labels of view {vid!r}, which the vocabulary lacks")
-        scales[vid] = scale
+    if words != sorted(words):
+        obs = obs[sorted(range(len(words)), key=words.__getitem__)]
+        words = obs.words
+    scales = {vid: view.family for vid, view in obs.views.items()}
     if init_state is None:
         init_state = init_model(scales, config, stream_for(config.seed, "init"))
-    for vid in sorted(scales):
-        init_state.check_view(vid, vocab.families[vid])
+    for vid, family in scales.items():
+        init_state.check_view(vid, family)
     state = init_state
     params = state.params
     adam = init_adam if init_adam is not None else AdamState.zeros(params.size)
@@ -276,7 +291,7 @@ def train(
         elbo_acc = recon_acc = kl_acc = 0.0
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            batch = [obs[i] for i in idx]
+            batch = obs[idx]
             grad, stats = batch_gradient(state, batch, noise[idx], scale=n / len(batch))
             params[...] = adam_step(params, grad, adam, config)  # the heads view params
             elbo_acc += stats["elbo_sum"]

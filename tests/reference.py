@@ -3,9 +3,10 @@ Dirichlet draws (independent of the quantile route training runs), uniforms
 from a stream for hand-built batches, each word's training noise through
 numpy's own Philox generator, the Dirichlet KL and its Jacobian with one
 special-function call per component, array-tape leaves for constant inputs,
-the pathwise-gradient harness, a one-word ELBO on a fresh tape, the encoder
-as a plain numpy forward (independent of the tape), a fused lexicon built
-from pseudocounts, the text-by-text featurizer and the regex tokenizer.
+the pathwise-gradient harness, a one-word ELBO on a fresh tape, the
+observations built word by word, the encoder as a plain numpy forward
+(independent of the tape), a fused lexicon built from pseudocounts, the
+text-by-text featurizer and the regex tokenizer.
 """
 
 from __future__ import annotations
@@ -115,6 +116,17 @@ def elbo_word(obs: WordObservation, state: ModelState, n_mc: int, rng: RngStream
     if n_mc < 1:
         raise ConfigError(f"n_mc must be >= 1, got {n_mc}")
     return elbo_batch(ModelBinding(Tape(), state), [obs], np.array([elbo_noise(rng, n_mc)]))
+
+
+def observations_per_word(views, vocab, priors: dict[str, np.ndarray]) -> list[WordObservation]:
+    """One WordObservation per vocabulary word, in sorted word order, its
+    labels its rows of the views' values keyed by view id in sorted order and
+    its prior priors[word]: observations_from_views as a loop over words."""
+    labels: list[dict[str, np.ndarray]] = [{} for _ in vocab.words]
+    for view in sorted(views, key=lambda v: v.id):
+        for row, value in zip(vocab.rows[view.id].tolist(), view.values):
+            labels[row][view.id] = value
+    return [WordObservation(word, by_view, priors[word]) for word, by_view in zip(vocab.words, labels)]
 
 
 def encode(head: Head, x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ batch of a fixed synthetic training run, with sys.setprofile counting the
 calls into frames of lexifuse's own source files; numpy's Python wrappers
 are left out, since they change between numpy versions.  export_lexicon
 runs the same way on the views of a fixed synth, each longer than two
-export blocks, with model.encode_vars wrapped to record each call's rows.
+export blocks, with model.encode_vars wrapped to record each call's rows,
+and one CLI `lexifuse train` of one epoch on the view files of a fixed synth.
 The counts repeat exactly across runs and processes, so they show a change
 in the work even where wall time cannot.  They are pinned as upper bounds:
 a change that lowers a count lowers its pin.
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 import lexifuse
-from lexifuse import distributions, lexica, model, special, tape
+from lexifuse import cli, distributions, lexica, model, special, tape
 from lexifuse.evaluation import synth_generate
 from lexifuse.model import observations_from_views
 from lexifuse.rng import RngStream, stream_for
@@ -137,8 +138,9 @@ def test_column_passes_per_parse(tmp_path, monkeypatch, family):
 # into lexifuse frames.  One node per layer: 16 head leaves, 8 encoders, beta,
 # the KL, the draw, 8 times (decoder, emission) and the total.  Before layers
 # were single nodes: 147 nodes, 64 leaves, 1,212 calls; before each decoder
-# read its own rows of the draw: 52 nodes, 447 calls.
-BATCH_PINS = {"nodes": 44, "leaves": 16, "lexifuse_calls": 409}
+# read its own rows of the draw: 52 nodes, 447 calls; before the batch was an
+# index array into Observations: 409 calls.
+BATCH_PINS = {"nodes": 44, "leaves": 16, "lexifuse_calls": 402}
 
 
 def lexifuse_calls(fn) -> int:
@@ -163,16 +165,17 @@ def lexifuse_calls(fn) -> int:
 @pytest.fixture(scope="module")
 def first_batch():
     """batch_gradient's arguments for the first batch of epoch 0 of a
-    default-config run at seed 1 on a 2,000-word synth with 8 views."""
+    default-config run at seed 1 on a 2,000-word synth with 8 views, the
+    batch as train passes it: an index array into the Observations."""
     views = synth_generate(2000, 2, 0.1, 10, 5, RngStream(1)).views
     vocab = lexica.build_vocabulary(views)
     priors = {w: lexica.compute_prior(w, views, vocab) for w in vocab.sorted_words()}
     obs = observations_from_views(views, vocab, priors)
     config = TrainConfig(seed=1)
     idx = stream_for(1, "shuffle", 0).permutation(len(obs))[: config.batch_size]
-    noise = frozen_noise(config, [o.word for o in obs])[idx]
+    noise = frozen_noise(config, obs.words)[idx]
     state = init_model(views, config, stream_for(1, "init"))
-    return state, [obs[i] for i in idx], noise, len(obs) / len(idx)
+    return state, obs[idx], noise, len(obs) / len(idx)
 
 
 def test_batch_gradient_nodes_and_calls(monkeypatch, first_batch):
@@ -196,9 +199,10 @@ def test_batch_gradient_nodes_and_calls(monkeypatch, first_batch):
 
 # One export over 4 views of 2 to 3 blocks each: encode_vars calls (one per
 # block, the sum over views of max(1, n // EXPORT_BLOCK_ROWS)) and calls into
-# lexifuse frames.  Each block binds the state on a tape of its own (about 38
-# calls); one encoder call per view made 4 and 167.
-EXPORT_PINS = {"encode_calls": 9, "lexifuse_calls": 356}
+# lexifuse frames.  Each block binds the view's encoder head alone on a tape of
+# its own; one encoder call per view made 4 and 167, and a whole binding of
+# the state per block 9 and 356.
+EXPORT_PINS = {"encode_calls": 9, "lexifuse_calls": 171}
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +232,30 @@ def test_export_blocks_and_calls(monkeypatch, export_inputs):
     assert sum(rows) == sum(map(len, views))
     assert all(model.EXPORT_BLOCK_ROWS <= m < 2 * model.EXPORT_BLOCK_ROWS for m in rows), rows
     assert calls <= EXPORT_PINS["lexifuse_calls"], calls
+
+
+# One `lexifuse train` of one epoch at seed 1 on the 4 view files of a
+# 500-word synth at seed 1 (482 words, two batches): calls into lexifuse
+# frames from parsing the files to writing the checkpoint and the training
+# log, 482 of them compute_prior's, one per word.  With one WordObservation
+# per word and each batch a list of them: 3,269.
+TRAIN_PINS = {"lexifuse_calls": 1836}
+
+
+def test_cli_train_calls(tmp_path):
+    paths = []
+    for view in synth_generate(500, 1, 0.1, 1, 1, RngStream(1)).views:
+        paths.append(str(tmp_path / f"{view.id}.tsv"))
+        lexica.write_lexicon(view, paths[-1])
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = 1\n", encoding="utf-8")
+
+    def run(out):
+        argv = ["train", "--views", *paths, "--config", str(config), "--seed", "1", "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 0
+
+    calls = lexifuse_calls(lambda: run("first"))
+    assert lexifuse_calls(lambda: run("second")) == calls  # the counts repeat exactly
+    first, second = (tmp_path / out / "checkpoint.json" for out in ("first", "second"))
+    assert first.read_bytes() == second.read_bytes()
+    assert calls <= TRAIN_PINS["lexifuse_calls"], calls

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 import warnings
 import zlib
 
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexifuse import model
 from lexifuse.errors import ConfigError, LexifuseError, NumericError, UsageError
+from lexifuse.evaluation import synth_generate
 from lexifuse.lexica import (
     binary,
     build_vocabulary,
@@ -21,6 +24,7 @@ from lexifuse.lexica import (
     signed_continuous,
 )
 from lexifuse.model import (
+    Observations,
     load_checkpoint,
     observations_from_views,
     posterior_params,
@@ -42,6 +46,7 @@ from lexifuse.training import (
     training_extra,
 )
 from lexifuse.unified import export_lexicon
+from reference import observations_per_word
 from row_lexica import view_of
 
 ALL_SCALES = {
@@ -76,7 +81,7 @@ def make_corpus(n_words=10, seed=0, vids=("bin", "sig")):
     views = make_views(n_words, seed, vids)
     vocab = build_vocabulary(views)
     priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
-    return vocab, observations_from_views(views, vocab, priors)
+    return vocab, list(observations_from_views(views, vocab, priors))
 
 
 class TestTrainConfig:
@@ -96,6 +101,15 @@ class TestTrainConfig:
             {"hidden_dim": 0},
             {"adam_beta1": 1.0},
             {"adam_beta2": 0.0},
+            # counts must be ints, and a bool is not one
+            {"batch_size": 2.5},
+            {"hidden_dim": 2.5},
+            {"epochs": 2.5},
+            {"n_mc": 1.5},
+            {"seed": 1.5},
+            {"seed": True},
+            {"epochs": True},
+            {"batch_size": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -328,7 +342,7 @@ class TestBatchGradient:
         ],
     )
     def test_label_outside_view_refused(self, vid, label, family):
-        # elbo_batch checks the labels it stacks, so a direct caller is guarded too
+        # batch_gradient checks the labels it stacks, so a direct caller is guarded too
         vocab, obs = make_corpus(3, seed=8, vids=("bin", "pair"))
         cfg = TrainConfig(hidden_dim=4)
         state = init_model({"bin": binary(), "pair": pair_continuous()}, cfg, stream_for(0, "init"))
@@ -539,3 +553,113 @@ class TestTrain:
         assert back.step == 7 and next_epoch == 5
         with pytest.raises(ConfigError):
             adam_from_extra({"adam_m": [0.0]})
+
+
+def synth_observations(n_words, seed):
+    """(views, vocab, priors, Observations) of a synth with one view per
+    family, each covering some of the words."""
+    views = synth_generate(n_words, 1, 0.1, 1, 1, RngStream(seed)).views
+    vocab = build_vocabulary(views)
+    priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
+    return views, vocab, priors, observations_from_views(views, vocab, priors)
+
+
+class TestObservations:
+    def test_records_match_the_per_word_build(self):
+        views, vocab, priors, obs = synth_observations(300, seed=2)
+        want = observations_per_word(views, vocab, priors)
+        assert obs.words is vocab.words and len(obs) == len(want)
+        assert {len(o.labels) for o in want} == {1, 2, 3, 4}
+        reordered = observations_from_views(views[::-1], vocab, priors)
+        for got in (list(obs), [obs[i] for i in range(len(obs))], reordered):
+            for g, w in zip(got, want, strict=True):
+                assert g.word == w.word and list(g.labels) == list(w.labels)
+                for vid, label in w.labels.items():
+                    assert g.labels[vid].dtype == label.dtype and not g.labels[vid].flags.writeable
+                    np.testing.assert_array_equal(g.labels[vid], label, strict=True)
+                np.testing.assert_array_equal(g.prior, w.prior, strict=True)
+                assert not g.prior.flags.writeable
+
+    def test_sequence(self):
+        views, vocab, priors, obs = synth_observations(40, seed=3)
+        records = list(obs)
+        assert obs[-1].word == records[-1].word == vocab.words[-1]
+        with pytest.raises(IndexError):
+            obs[len(obs)]
+        for key in (slice(3, 30, 4), slice(None, None, -1), np.array([5, 1, 5])):
+            part = obs[key]
+            assert isinstance(part, Observations)
+            want = np.arange(len(obs))[key].tolist()
+            assert part.words == [vocab.words[i] for i in want]
+            for i, record in zip(want, part, strict=True):
+                assert record.word == records[i].word and list(record.labels) == list(records[i].labels)
+                np.testing.assert_array_equal(record.prior, records[i].prior)
+        # a view that covers none of the selected words is dropped
+        only = [i for i, r in enumerate(records) if list(r.labels) == ["bin0"]][:2]
+        assert list(obs[only].views) == ["bin0"]
+        with pytest.raises(ConfigError, match="has no observations"):
+            Observations(["w"], np.ones((1, 3)), {})
+
+    def test_batch_gradient_equals_records(self):
+        # all four families, each view covering some words of the batch
+        views, vocab, priors, obs = synth_observations(200, seed=4)
+        cfg = TrainConfig(hidden_dim=6, n_mc=2, seed=4)
+        state = init_model(views, cfg, stream_for(4, "init"))
+        state.params += np.random.default_rng(4).normal(0.0, 0.5, state.params.size)
+        idx = stream_for(4, "shuffle", 0).permutation(len(obs))[:64]
+        batch = obs[idx]
+        assert len(batch.views) == 4
+        noise = frozen_noise(cfg, batch.words)
+        grad, stats = batch_gradient(state, batch, noise, scale=2.0)
+        want, want_stats = batch_gradient(state, list(batch), noise, scale=2.0)
+        np.testing.assert_array_equal(grad, want, strict=True)
+        assert stats == want_stats
+
+    def test_disjoint_batches_add_up(self):
+        # the gradients of index-array batches drawn by a permutation add up
+        # to the full-batch gradient
+        views, vocab, priors, obs = synth_observations(60, seed=5)
+        cfg = TrainConfig(hidden_dim=4)
+        state = init_model(views, cfg, stream_for(5, "init"))
+        noise = frozen_noise(cfg, obs.words)
+        n = len(obs)
+        full, _ = batch_gradient(state, obs, noise, scale=1.0)
+        combined = np.zeros_like(full)
+        perm = stream_for(5, "shuffle", 0).permutation(n)
+        for lo in range(0, n, 16):
+            idx = perm[lo : lo + 16]
+            g, _ = batch_gradient(state, obs[idx], noise[idx], scale=n / len(idx))
+            combined += (len(idx) / n) * g
+        np.testing.assert_allclose(combined, full, rtol=1e-9, atol=1e-12)
+
+    def test_train_builds_no_record(self, monkeypatch):
+        views, vocab, priors, obs = synth_observations(80, seed=6)
+        cfg = TrainConfig(epochs=2, batch_size=16, hidden_dim=4, seed=6)
+        want = train(vocab, list(obs)[::-1], cfg).state.params
+        built = []
+        post_init = model.WordObservation.__post_init__
+
+        def counted(self):
+            built.append(self.word)
+            post_init(self)
+
+        monkeypatch.setattr(model.WordObservation, "__post_init__", counted)
+        got = train(vocab, obs, cfg).state.params
+        assert built == []
+        np.testing.assert_array_equal(got, want, strict=True)
+
+    def test_retained_memory(self):
+        # the words are vocab.words, and each view one row index per word
+        views = synth_generate(40000, 2, 0.1, 1, 1, RngStream(1)).views
+        vocab = build_vocabulary(views)
+        priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
+        assert len(views) == 8 and len(vocab) > 39000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            obs = observations_from_views(views, vocab, priors)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(obs) == len(vocab)
+        assert retained < 6e6, retained
