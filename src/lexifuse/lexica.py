@@ -136,12 +136,12 @@ def casefold_each(strings: list[str]) -> list[str]:
 class LexiconView:
     """One lexicon as columns: id, scale family, `words` (sorted, case-folded,
     unique) and `values`, an (n, width) float array holding word i's label in
-    row i, read-only.  The constructor takes the rows in file order, refuses
-    a word that parse_lexicon never yields (empty, starting with '#' or
-    holding whitespace, which a lexicon file cannot carry) with a ConfigError
-    and a row outside the family's domain with a DomainError, before it
-    resolves repeats, then case-folds, keeps a repeated word's last row and
-    sorts."""
+    row i, read-only.  The constructor takes the rows in file order and owns
+    the label checks: values not of that shape and a word that parse_lexicon
+    never yields (empty, starting with '#' or holding whitespace, which a
+    lexicon file cannot carry) are ConfigErrors, a row outside the family's
+    domain a DomainError, raised before it resolves repeats; it then
+    case-folds, keeps a repeated word's last row and sorts."""
 
     id: str
     family: ScaleFamily
@@ -150,10 +150,14 @@ class LexiconView:
 
     def __post_init__(self):
         words = list(self.words)
-        values = np.asarray(self.values, dtype=float)
         shape = (len(words), self.family.width)
-        if values.shape != shape and not (values.size == 0 == len(words)):
-            raise ConfigError(f"view {self.id!r} needs values of shape {shape}, got {values.shape}")
+        try:
+            values = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):  # rows of differing lengths, or not numbers
+            values = None
+        if values is None or values.shape != shape and not (values.size == 0 == len(words)):
+            got = "rows that do not stack as floats" if values is None else values.shape
+            raise ConfigError(f"view {self.id!r} ({self.family.header()}) needs values of shape {shape}, got {got}")
         values = values.reshape(shape)
         joined = "".join(words)  # splits into just itself only if no word holds whitespace
         if words and ("" in words or joined.split() != [joined] or "\n#" in "\n" + "\n".join(words)):

@@ -34,16 +34,17 @@ EXPORT_BLOCK_ROWS (export_blocks), each with only that view's encoder head
 bound on a tape of its own.  Both read a view's labels from its value columns
 (`encoder_input`, `emission_targets`).
 
-Training reads words as `Observations`: per view, each word's row of the
-view's values or -1, and a prior table, so a batch is an index array and a
-view's batch labels one gather; `WordObservation` is the per-word record
-built from it on demand.
+Training takes its words only as `Observations`: per view, the LexiconView
+and each word's row of its values or -1, and a prior table, so a batch is an
+index array and a view's batch labels one gather; `WordObservation` is the
+per-word record built from it on demand, an output only.
 
-`ModelState.check_view`, passed through by `train`, `export_lexicon` and
-`posterior_params`, is the one test that a view fits its head (it compares
-families, as a ModelState ties each head's widths to its family).
-`as_observations` checks the labels of WordObservation records as it stacks
-them, and `elbo_batch` that each word's beta, recon and kl are finite.
+Each check has one owner: the LexiconView constructor every label's domain,
+so training reads only checked labels; `Observations` its shapes and that
+each word has a label; `ModelState.check_view`, passed through by `train`,
+`elbo_batch`, `export_lexicon` and `posterior_params`, that a view fits its
+head (it compares families, as a ModelState ties each head's widths to its
+family); `elbo_batch` that each word's beta, recon and kl are finite.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .lexica import (
     CombinedVocabulary,
     LexiconView,
     ScaleFamily,
-    out_of_domain,
 )
 
 # Fixed per-component variance of the pair-continuous emission.
@@ -125,36 +125,33 @@ class HeadLeaf(NamedTuple):
 @dataclass(frozen=True)
 class WordObservation:
     """One word's labels across the views that contain it, each its row of
-    the view's values, plus its prior concentration (3,)."""
+    the view's values, plus its prior concentration (3,): a record that
+    Observations builds on demand."""
 
     word: str
     labels: dict[str, np.ndarray]
     prior: np.ndarray
 
-    def __post_init__(self):
-        if not self.labels:
-            raise ConfigError(f"word {self.word!r} has no observations")
-
 
 class ObservedView(NamedTuple):
-    """One view as observations hold it: its family, each observed word's row
-    of values or -1, and the view's read-only label rows (m, width)."""
+    """One view as observations hold it: the LexiconView, whose constructor
+    checked its labels, and each observed word's row of its values or -1."""
 
-    family: ScaleFamily
+    lexicon: LexiconView
     rows: np.ndarray
-    values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class Observations:
     """Words with their labels and priors, held as arrays: `words`, `priors`
     (n, 3), read-only, and `views`, an ObservedView per view id in sorted
-    order; a view that covers none of the words is dropped, and a word that
-    no view covers is a ConfigError.
+    order; a view that covers none of the words is dropped.  A prior table
+    of another shape, a view whose rows are not one integer per word in
+    [-1, len(view)) and a word that no view covers are ConfigErrors.
 
     A read-only sequence: len() counts the words, obs[i] and iteration build
     each word's WordObservation on demand, and obs[slice or index array] is
-    the Observations of those words in that order, sharing the views' values.
+    the Observations of those words in that order, sharing the views.
     """
 
     words: list[str]
@@ -162,13 +159,19 @@ class Observations:
     views: dict[str, ObservedView]
 
     def __post_init__(self):
+        n = len(self.words)
         priors = np.asarray(self.priors, dtype=float).view()
+        if priors.shape != (n, 3):
+            raise ConfigError(f"{n} words need a prior table of shape ({n}, 3), got {priors.shape}")
         priors.flags.writeable = False
-        covered, seen = {}, np.zeros(len(self.words), dtype=bool)
-        for vid, view in sorted(self.views.items()):
-            mask = view.rows >= 0
+        covered, seen = {}, np.zeros(n, dtype=bool)
+        for vid, (lexicon, rows) in sorted(self.views.items()):
+            rows, m = np.asarray(rows), len(lexicon.words)
+            if rows.shape != (n,) or rows.dtype.kind != "i" or ((rows < -1) | (rows >= m)).any():
+                raise ConfigError(f"view {vid!r} needs one row per word, each an integer in [-1, {m})")
+            mask = rows >= 0
             if mask.any():
-                covered[vid] = view
+                covered[vid] = ObservedView(lexicon, rows)
                 seen |= mask
         if not seen.all():
             raise ConfigError(f"word {self.words[int(np.argmin(seen))]!r} has no observations")
@@ -184,56 +187,11 @@ class Observations:
     def __getitem__(self, key):
         if isinstance(key, slice) or np.ndim(key):
             idx = np.arange(len(self))[key]
-            views = {vid: ObservedView(v.family, v.rows[idx], v.values) for vid, v in self.views.items()}
+            views = {vid: ObservedView(v.lexicon, v.rows[idx]) for vid, v in self.views.items()}
             return Observations(list(map(self.words.__getitem__, idx.tolist())), self.priors[idx], views)
         i = range(len(self))[key]
-        labels = {vid: v.values[v.rows[i]] for vid, v in self.views.items() if v.rows[i] >= 0}
+        labels = {vid: v.lexicon.values[v.rows[i]] for vid, v in self.views.items() if v.rows[i] >= 0}
         return WordObservation(self.words[i], labels, self.priors[i])
-
-
-_NOT_LABELS = "view {!r} is {}, but an observation's label is not one of its labels"
-
-
-def as_observations(batch, scales: dict[str, ScaleFamily], lacks: str = "the model has no head for view {!r}"
-                    ) -> Observations:
-    """batch as Observations whose every view has its family in scales.
-
-    An Observations passes through once its views' families are checked.  A
-    list of WordObservation records is stacked view by view, each view's
-    labels in batch order, and its labels are checked against their view's
-    family.  A view that scales lacks is a ConfigError with the message lacks
-    (formatted with the view id), a view of another family or a label
-    outside its family one naming the view.
-    """
-    if isinstance(batch, Observations):
-        for vid, view in batch.views.items():
-            if vid not in scales:
-                raise ConfigError(lacks.format(vid))
-            if view.family != scales[vid]:
-                raise ConfigError(_NOT_LABELS.format(vid, scales[vid].header()))
-        return batch
-    index: dict[str, list[int]] = {}
-    labels: dict[str, list[np.ndarray]] = {}
-    for i, obs in enumerate(batch):
-        for vid, label in obs.labels.items():
-            index.setdefault(vid, []).append(i)
-            labels.setdefault(vid, []).append(label)
-    views = {}
-    for vid in sorted(index):
-        if vid not in scales:
-            raise ConfigError(lacks.format(vid))
-        scale = scales[vid]
-        try:
-            values = np.array(labels[vid], dtype=float)
-        except ValueError:  # rows of differing lengths
-            values = np.empty(0)
-        if values.shape != (len(index[vid]), scale.width) or out_of_domain(scale, values).any():
-            raise ConfigError(_NOT_LABELS.format(vid, scale.header()))
-        values.flags.writeable = False
-        rows = np.full(len(batch), -1, dtype=np.intp)
-        rows[index[vid]] = np.arange(len(values))
-        views[vid] = ObservedView(scale, rows, values)
-    return Observations([obs.word for obs in batch], np.array([obs.prior for obs in batch], dtype=float), views)
 
 
 @dataclass(eq=False)
@@ -495,35 +453,33 @@ def _refuse_non_finite(batch: Observations, **arrays: np.ndarray) -> None:
         raise NumericError(f"non-finite ELBO for word {obs.word!r} (views {sorted(obs.labels)}): {rows}")
 
 
-def elbo_batch(binding: ModelBinding, batch: Observations | list[WordObservation], us: np.ndarray) -> BatchElbo:
+def elbo_batch(binding: ModelBinding, batch: Observations, us: np.ndarray) -> BatchElbo:
     """The batch's ELBO on an existing binding, with explicit sampling noise.
 
-    batch is an Observations, or a list of WordObservation records, which
-    as_observations stacks and checks against the binding's heads on each
-    call.  us holds the batch's uniforms, (len(batch), n_mc, 3) with row i
-    for word i of the batch and n_mc >= 1; any other shape is a ConfigError.
-    Passing the same us twice makes the objective a deterministic function
-    of the parameters (common random numbers), which both the finite-
-    difference gradient checks and the frozen-noise training scheme rely
-    on.  Each view gathers the label rows of the batch positions it covers,
-    in ascending order, runs its encoder once over them, beta = 1 + the
-    omegas added in sorted view order, and each sample runs each view's
-    decoder and emission once.  A headless view, a view of another family or
-    a label row outside its family is a ConfigError; a word whose beta, recon
-    or kl is not finite raises NumericError, naming the first such word in
-    batch order.
+    us holds the batch's uniforms, (len(batch), n_mc, 3) with row i for word
+    i of the batch and n_mc >= 1; any other shape is a ConfigError.  Passing
+    the same us twice makes the objective a deterministic function of the
+    parameters (common random numbers), which both the finite-difference
+    gradient checks and the frozen-noise training scheme rely on.  Each view
+    gathers the label rows of the batch positions it covers, in ascending
+    order, runs its encoder once over them, beta = 1 + the omegas added in
+    sorted view order, and each sample runs each view's decoder and emission
+    once.  A view without a head of its family is refused by
+    ModelState.check_view; a word whose beta, recon or kl is not finite
+    raises NumericError, naming the first such word in batch order.
     """
     n_mc = np.shape(us)[1] if np.ndim(us) == 3 else 0
     if n_mc < 1 or np.shape(us) != (len(batch), n_mc, 3):
         raise ConfigError(f"a batch of {len(batch)} words needs one uniform per component per sample, shape "
                           f"({len(batch)}, n_mc >= 1, 3); got {np.shape(us)}")
-    batch = as_observations(batch, binding.state.scales)
     views = []
-    for vid, view in batch.views.items():
-        r = np.flatnonzero(view.rows >= 0)
-        values = view.values[view.rows[r]]
-        x, y = encoder_input(view.family, values), emission_targets(view.family, values)
-        views.append((vid, view.family, r, x, y))
+    for vid, (lexicon, rows) in batch.views.items():
+        if lexicon.family != binding.state.scales.get(vid):
+            binding.state.check_view(vid, lexicon.family)
+        r = np.flatnonzero(rows >= 0)
+        values = lexicon.values[rows[r]]
+        x, y = encoder_input(lexicon.family, values), emission_targets(lexicon.family, values)
+        views.append((vid, lexicon.family, r, x, y))
 
     n = len(batch)
     beta = beta_var(n, [(r, encode_vars(x, binding.heads[("enc", vid)])) for vid, _, r, x, _ in views])
@@ -554,8 +510,8 @@ def elbo_batch(binding: ModelBinding, batch: Observations | list[WordObservation
 def observations_from_views(views, vocab, priors: dict[str, np.ndarray]) -> Observations:
     """The Observations of every vocabulary word, in sorted word order: its
     words are vocab.words, not a copy, its prior table holds each word's
-    priors[word] and each view refers to its LexiconView's values, with each
-    word's row there or -1 (vocab.rows inverted).  list(obs) gives one
+    priors[word] and each view refers to its LexiconView, with each word's
+    row there or -1 (vocab.rows inverted).  list(obs) gives one
     WordObservation per word, its labels keyed by view id in sorted order."""
     n = len(vocab.words)
     table = np.array([priors[word] for word in vocab.words], dtype=float).reshape(n, 3)
@@ -563,7 +519,7 @@ def observations_from_views(views, vocab, priors: dict[str, np.ndarray]) -> Obse
     for view in views:
         rows = np.full(n, -1, dtype=np.intp)
         rows[vocab.rows[view.id]] = np.arange(len(view))
-        observed[view.id] = ObservedView(view.family, rows, view.values)
+        observed[view.id] = ObservedView(view, rows)
     return Observations(vocab.words, table, observed)
 
 

@@ -15,11 +15,11 @@ minibatches then add up exactly to the full-batch gradient, and resuming
 from a checkpoint needs no RNG state beyond the seed, the epoch number and
 the noise scheme, which the checkpoint records.
 
-Training reads its words as `model.Observations`, each batch an index array
-into them.  Each check on training input has one owner: `TrainConfig` its
-values, `train` repeated words and views the vocabulary lacks,
-`ModelState.check_view` that each view fits its head, `as_observations` the
-labels of WordObservation records, once per list it is given, and
+Training takes its words only as `model.Observations`, each batch an index
+array into them.  Each check on training input has one owner: `TrainConfig`
+its values, the `LexiconView` constructor every label, `Observations` its
+shapes and that each word has a label, `train` repeated words and views the
+vocabulary lacks, `ModelState.check_view` that each view fits its head, and
 `elbo_batch` each batch's ELBOs.
 """
 
@@ -41,8 +41,6 @@ from .model import (
     ModelBinding,
     ModelState,
     Observations,
-    WordObservation,
-    as_observations,
     decoder_width,
     elbo_batch,
     save_checkpoint,
@@ -198,15 +196,14 @@ def frozen_noise(config: TrainConfig, words: list[str]) -> np.ndarray:
 
 
 def batch_gradient(
-    state: ModelState, batch: Observations | list[WordObservation], us: np.ndarray, scale: float
+    state: ModelState, batch: Observations, us: np.ndarray, scale: float
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Gradient of loss = -scale * sum over the batch of each word's ELBO
-    (elbo_batch at the batch's uniforms us, which checks the batch).
+    (elbo_batch at the batch's uniforms us, which checks the batch against
+    the heads).
 
-    batch is an Observations, or a list of WordObservation records, which
-    elbo_batch stacks and checks once per call.  Returns (flat gradient in
-    params order, per-term sums).  Raises NumericError if the gradient is
-    non-finite.
+    Returns (flat gradient in params order, per-term sums).  Raises
+    NumericError if the gradient is non-finite.
     """
     tape = Tape()
     binding = ModelBinding(tape, state)
@@ -240,7 +237,7 @@ def write_training_log(path: str | Path, rows: list[dict]) -> None:
 
 def train(
     vocab: CombinedVocabulary,
-    observations: Observations | list[WordObservation],
+    observations: Observations,
     config: TrainConfig,
     *,
     init_state: ModelState | None = None,
@@ -257,23 +254,23 @@ def train(
     params in place (a given init_state is the state trained).  The
     per-epoch log reports the mean ELBO over the epoch's own evaluations.
 
-    observations is an Observations (observations_from_views) or a list of
-    WordObservation records, which as_observations stacks once, checking
-    their labels against the vocabulary's families.  Words are trained in
-    sorted order, each batch an index array into them; given an
-    Observations, train builds no per-word record.
+    observations is an Observations (observations_from_views) whose every
+    view the vocabulary holds under the same family.  Words are trained in
+    sorted order, each batch an index array into them; train builds no
+    per-word record.
     """
     if not observations:
         raise ConfigError("train needs at least one observation")
-    obs = as_observations(observations, vocab.families,
-                          "observations have labels of view {!r}, which the vocabulary lacks")
-    words = obs.words
+    for vid, (lexicon, _) in observations.views.items():
+        if vocab.families.get(vid) != lexicon.family:
+            raise ConfigError(f"observations have view {vid!r} as {lexicon.family.header()}, not in the vocabulary")
+    obs, words = observations, observations.words
     if len(set(words)) != len(words):
         raise ConfigError("duplicate words in observations")
     if words != sorted(words):
         obs = obs[sorted(range(len(words)), key=words.__getitem__)]
         words = obs.words
-    scales = {vid: view.family for vid, view in obs.views.items()}
+    scales = {vid: view.lexicon.family for vid, view in obs.views.items()}
     if init_state is None:
         init_state = init_model(scales, config, stream_for(config.seed, "init"))
     for vid, family in scales.items():

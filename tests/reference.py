@@ -3,10 +3,11 @@ Dirichlet draws (independent of the quantile route training runs), uniforms
 from a stream for hand-built batches, each word's training noise through
 numpy's own Philox generator, the Dirichlet KL and its Jacobian with one
 special-function call per component, array-tape leaves for constant inputs,
-the pathwise-gradient harness, a one-word ELBO on a fresh tape, the
-observations built word by word, the encoder as a plain numpy forward
-(independent of the tape), a fused lexicon built from pseudocounts, the
-text-by-text featurizer and the regex tokenizer.
+the pathwise-gradient harness, Observations built from labels by word, a
+one-word ELBO on a fresh tape, the observation records built word by word,
+the encoder as a plain numpy forward (independent of the tape), a fused
+lexicon built from pseudocounts, the text-by-text featurizer and the regex
+tokenizer.
 """
 
 from __future__ import annotations
@@ -21,11 +22,22 @@ import numpy as np
 from lexifuse.distributions import dirichlet_sample_vars
 from lexifuse.errors import ConfigError, DomainError
 from lexifuse.evaluation import Featurizer, LabeledCorpus
-from lexifuse.model import BatchElbo, Head, ModelBinding, ModelState, WordObservation, elbo_batch
+from lexifuse.lexica import build_vocabulary
+from lexifuse.model import (
+    BatchElbo,
+    Head,
+    ModelBinding,
+    ModelState,
+    Observations,
+    WordObservation,
+    elbo_batch,
+    observations_from_views,
+)
 from lexifuse.rng import RngStream
 from lexifuse.special import digamma, lgamma, trigamma
 from lexifuse.tape import Node, Tape, rowwise
 from lexifuse.unified import UnifiedLexicon
+from row_lexica import PolarityLabel, view_of
 
 
 def sample_gamma(shape: float, rng: RngStream) -> float:
@@ -111,11 +123,27 @@ def dirichlet_kl_jacobian(beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return diff * trigamma(beta) - (trigamma(beta.sum(axis=1)) * diff.sum(axis=1))[:, None]
 
 
-def elbo_word(obs: WordObservation, state: ModelState, n_mc: int, rng: RngStream) -> BatchElbo:
-    """Single-word ELBO estimate on a fresh tape (see elbo_batch)."""
+def observations_of(labels: dict[str, dict[str, PolarityLabel]], priors: dict[str, Sequence[float]]
+                    ) -> Observations:
+    """The Observations of labels, word -> {view id: label}, through
+    observations_from_views: one view_of view per view id, holding the words
+    that have a label of it, and priors[word] passed through its priors
+    mapping."""
+    by_view: dict[str, dict[str, PolarityLabel]] = {}
+    for word, row in labels.items():
+        for vid, label in row.items():
+            by_view.setdefault(vid, {})[word] = label
+    views = [view_of(vid, next(iter(of.values())).family, of) for vid, of in sorted(by_view.items())]
+    table = {word: np.array(prior, dtype=float) for word, prior in priors.items()}
+    return observations_from_views(views, build_vocabulary(views), table)
+
+
+def elbo_word(obs: Observations, state: ModelState, n_mc: int, rng: RngStream) -> BatchElbo:
+    """Single-word ELBO estimate on a fresh tape (see elbo_batch) of the one
+    word of obs (observations_of builds it)."""
     if n_mc < 1:
         raise ConfigError(f"n_mc must be >= 1, got {n_mc}")
-    return elbo_batch(ModelBinding(Tape(), state), [obs], np.array([elbo_noise(rng, n_mc)]))
+    return elbo_batch(ModelBinding(Tape(), state), obs, np.array([elbo_noise(rng, n_mc)]))
 
 
 def observations_per_word(views, vocab, priors: dict[str, np.ndarray]) -> list[WordObservation]:

@@ -212,7 +212,7 @@ def elbo_word_on(binding: ModelBinding, obs: WordObservation, noise: list[list[f
     parameters (common random numbers), which both the finite-difference
     gradient checks and the frozen-noise training scheme rely on.  Each
     view's decoder and emission follow that view's scale in the binding's
-    state; train() checks once that every label shares it.
+    state, which elbo_batch checks against each view's family.
     """
     scales = binding.state.scales
     vids = sorted(obs.labels)
@@ -245,8 +245,9 @@ def elbo_word_on(binding: ModelBinding, obs: WordObservation, noise: list[list[f
     return WordElbo(total=recon - kl, recon=recon, kl=kl, beta=beta)
 
 
-def batch_gradient(state: ModelState, batch: list[WordObservation], noise, scale: float):
-    """(flat gradient of -scale * sum of word ELBOs, ELBO, recon and KL sums)."""
+def batch_gradient(state: ModelState, batch, noise, scale: float):
+    """(flat gradient of -scale * sum of word ELBOs, ELBO, recon and KL sums)
+    over the WordObservation records of batch, an Observations or a list."""
     tape = Tape()
     binding = ModelBinding(tape, state)
     words = [elbo_word_on(binding, obs, noise[obs.word]) for obs in batch]

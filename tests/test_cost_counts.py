@@ -1,7 +1,8 @@
 """Work counts that host load cannot blur: the incomplete-gamma evaluations
 of one Gamma draw, the whole-column passes of one lexicon parse, the tape
-nodes and lexifuse-frame calls of one training batch's gradient, and the
-encoder calls and lexifuse-frame calls of one export.
+nodes and lexifuse-frame calls of one training batch's gradient, the
+encoder calls and lexifuse-frame calls of one export, and the lexifuse-frame
+calls of one CLI train and one CLI export.
 
 gamma_quantile runs on a fixed 256x3 batch, the size of one training batch's
 Dirichlet shapes, with special.gammainc_p and special.gammainc_p_da wrapped
@@ -14,7 +15,8 @@ calls into frames of lexifuse's own source files; numpy's Python wrappers
 are left out, since they change between numpy versions.  export_lexicon
 runs the same way on the views of a fixed synth, each longer than two
 export blocks, with model.encode_vars wrapped to record each call's rows,
-and one CLI `lexifuse train` of one epoch on the view files of a fixed synth.
+and one CLI `lexifuse train` of one epoch on the view files of a fixed synth,
+then one CLI `lexifuse export` of its checkpoint.
 The counts repeat exactly across runs and processes, so they show a change
 in the work even where wall time cannot.  They are pinned as upper bounds:
 a change that lowers a count lowers its pin.
@@ -139,8 +141,9 @@ def test_column_passes_per_parse(tmp_path, monkeypatch, family):
 # the KL, the draw, 8 times (decoder, emission) and the total.  Before layers
 # were single nodes: 147 nodes, 64 leaves, 1,212 calls; before each decoder
 # read its own rows of the draw: 52 nodes, 447 calls; before the batch was an
-# index array into Observations: 409 calls.
-BATCH_PINS = {"nodes": 44, "leaves": 16, "lexifuse_calls": 402}
+# index array into Observations: 409 calls; with each batch's views checked
+# against the heads by a helper of their own: 402.
+BATCH_PINS = {"nodes": 44, "leaves": 16, "lexifuse_calls": 401}
 
 
 def lexifuse_calls(fn) -> int:
@@ -238,11 +241,19 @@ def test_export_blocks_and_calls(monkeypatch, export_inputs):
 # 500-word synth at seed 1 (482 words, two batches): calls into lexifuse
 # frames from parsing the files to writing the checkpoint and the training
 # log, 482 of them compute_prior's, one per word.  With one WordObservation
-# per word and each batch a list of them: 3,269.
-TRAIN_PINS = {"lexifuse_calls": 1836}
+# per word and each batch a list of them: 3,269; with each batch's views
+# checked against the heads by a helper of their own: 1,836.  Then one
+# `lexifuse export` of that checkpoint on the same files, from parsing them
+# to writing unified.tsv.
+TRAIN_PINS = {"lexifuse_calls": 1833}
+CLI_EXPORT_PINS = {"lexifuse_calls": 767}
 
 
-def test_cli_train_calls(tmp_path):
+@pytest.fixture(scope="module")
+def cli_train(tmp_path_factory):
+    """(directory, view file paths, lexifuse-frame calls of each of two CLI
+    train runs into first/ and second/ there)."""
+    tmp_path = tmp_path_factory.mktemp("cli")
     paths = []
     for view in synth_generate(500, 1, 0.1, 1, 1, RngStream(1)).views:
         paths.append(str(tmp_path / f"{view.id}.tsv"))
@@ -254,8 +265,25 @@ def test_cli_train_calls(tmp_path):
         argv = ["train", "--views", *paths, "--config", str(config), "--seed", "1", "--out", str(tmp_path / out)]
         assert cli.main(argv) == 0
 
-    calls = lexifuse_calls(lambda: run("first"))
-    assert lexifuse_calls(lambda: run("second")) == calls  # the counts repeat exactly
+    return tmp_path, paths, [lexifuse_calls(lambda: run(out)) for out in ("first", "second")]
+
+
+def test_cli_train_calls(cli_train):
+    tmp_path, _, (calls, again) = cli_train
+    assert again == calls  # the counts repeat exactly
     first, second = (tmp_path / out / "checkpoint.json" for out in ("first", "second"))
     assert first.read_bytes() == second.read_bytes()
     assert calls <= TRAIN_PINS["lexifuse_calls"], calls
+
+
+def test_cli_export_calls(cli_train):
+    tmp_path, paths, _ = cli_train
+    checkpoint = str(tmp_path / "first" / "checkpoint.json")
+
+    def run(out):
+        assert cli.main(["export", "--checkpoint", checkpoint, "--views", *paths, "--out", str(tmp_path / out)]) == 0
+
+    calls = lexifuse_calls(lambda: run("first.tsv"))
+    assert lexifuse_calls(lambda: run("second.tsv")) == calls  # the counts repeat exactly
+    assert (tmp_path / "first.tsv").read_bytes() == (tmp_path / "second.tsv").read_bytes()
+    assert calls <= CLI_EXPORT_PINS["lexifuse_calls"], calls

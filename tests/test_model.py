@@ -31,7 +31,6 @@ from lexifuse.model import (
     Head,
     ModelBinding,
     ModelState,
-    WordObservation,
     decode_vars,
     decoder_width,
     elbo_batch,
@@ -47,7 +46,7 @@ from lexifuse.model import (
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model
-from reference import elbo_noise, elbo_word, encode, leaf
+from reference import elbo_noise, elbo_word, encode, leaf, observations_of
 from row_lexica import PolarityLabel, view_of
 
 SMALL = TrainConfig(hidden_dim=4, seed=0)
@@ -380,9 +379,13 @@ class TestTapeFloatParity:
             np.testing.assert_array_equal(om_t.value[0], om_f)
 
 
+def _word_labels(vids=("bin", "sig", "pair", "rater")):
+    return {vid: example_label(ALL_SCALES[vid]) for vid in vids}
+
+
 def _word_obs(vids=("bin", "sig", "pair", "rater"), prior=(2.0, 1.0, 1.0)):
-    labels = {vid: rows_of(example_label(ALL_SCALES[vid]))[0] for vid in vids}
-    return WordObservation("w", labels, np.array(prior))
+    """The Observations of one word "w" with an example label in each view."""
+    return observations_of({"w": _word_labels(vids)}, {"w": prior})
 
 
 class TestElboWord:
@@ -406,8 +409,7 @@ class TestElboWord:
 
         cfg = TrainConfig(hidden_dim=4, weight_init_scale=0.0)
         state = init_model({"sig": signed_continuous()}, cfg, stream_for(0, "init"))
-        obs = WordObservation("w", {"sig": rows_of(example_label(signed_continuous()))[0]}, np.ones(3))
-        we = elbo_word(obs, state, 1, RngStream(2))
+        we = elbo_word(_word_obs(("sig",), prior=np.ones(3)), state, 1, RngStream(2))
         want = dirichlet_kl((4 / 3, 4 / 3, 4 / 3), (1.0, 1.0, 1.0))
         assert we.kl[0] == pytest.approx(want, rel=1e-9)
 
@@ -422,7 +424,7 @@ class TestElboWord:
 
         tape = Tape()
         binding = ModelBinding(tape, state)
-        we = elbo_batch(binding, [obs], us)
+        we = elbo_batch(binding, obs, us)
         grad = binding.gradient(tape.backward(we.total))
 
         base = state.params.copy()
@@ -430,7 +432,7 @@ class TestElboWord:
         def value_at(vec):
             s2 = copy.deepcopy(state)
             s2.params[...] = vec
-            return elbo_batch(ModelBinding(Tape(), s2), [obs], us).total.value
+            return elbo_batch(ModelBinding(Tape(), s2), obs, us).total.value
 
         h = 1e-5
         rng = np.random.default_rng(0)
@@ -461,19 +463,19 @@ class TestElboWord:
         # encoder forward per view over both) and each in a batch of its own.
         state = small_state()
         noise = elbo_noise(RngStream(4), 1)
-        obs_a = _word_obs(("bin", "sig"))
-        obs_b = WordObservation("w2", {"bin": rows_of(example_label(binary()))[0]}, np.ones(3))
+        both = observations_of({"w": _word_labels(("bin", "sig")), "w2": _word_labels(("bin",))},
+                               {"w": (2.0, 1.0, 1.0), "w2": (1.0, 1.0, 1.0)})
         us = np.array([noise, noise])
         shared_tape = Tape()
         shared = ModelBinding(shared_tape, state)
-        we = elbo_batch(shared, [obs_a, obs_b], us)
+        we = elbo_batch(shared, both, us)
         grad = shared.gradient(shared_tape.backward(we.total))
 
         totals, grad_sum = [], 0.0
-        for row, obs in enumerate((obs_a, obs_b)):
+        for row in range(2):
             tape = Tape()
             binding = ModelBinding(tape, state)
-            one = elbo_batch(binding, [obs], us[[row]])
+            one = elbo_batch(binding, both[[row]], us[[row]])
             totals.append(one.recon[0] - one.kl[0])
             grad_sum = grad_sum + binding.gradient(tape.backward(one.total))
         assert (we.recon - we.kl).tolist() == totals
@@ -482,8 +484,8 @@ class TestElboWord:
     def test_beta_non_finite_names_word(self):
         state = small_state()
         state.encoders["sig"].b2[0] = np.inf
-        second = WordObservation("w2", {"sig": rows_of(example_label(signed_continuous()))[0]}, np.ones(3))
-        batch = [_word_obs(("bin",)), second]
+        batch = observations_of({"w": _word_labels(("bin",)), "w2": _word_labels(("sig",))},
+                                {"w": (2.0, 1.0, 1.0), "w2": (1.0, 1.0, 1.0)})
         us = np.array([elbo_noise(RngStream(4), 1), elbo_noise(RngStream(5), 1)])
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -500,8 +502,8 @@ class TestElboWord:
         # word whose recon it makes NaN rather than returning it
         state = small_state()
         state.decoders["sig"].w1[0, 0] = np.nan
-        second = WordObservation("w2", {"sig": rows_of(example_label(signed_continuous()))[0]}, np.ones(3))
-        batch = [_word_obs(("bin",)), second]
+        batch = observations_of({"w": _word_labels(("bin",)), "w2": _word_labels(("sig",))},
+                                {"w": (2.0, 1.0, 1.0), "w2": (1.0, 1.0, 1.0)})
         us = np.array([elbo_noise(RngStream(4), 1), elbo_noise(RngStream(5), 1)])
         with pytest.raises(NumericError, match=r"non-finite ELBO for word 'w2' \(views \['sig'\]\): recon=nan"):
             elbo_batch(ModelBinding(Tape(), state), batch, us)
@@ -762,10 +764,6 @@ class TestCheckpointFuzz:
 
 
 class TestObservationAssembly:
-    def test_empty_labels_rejected(self):
-        with pytest.raises(ConfigError):
-            WordObservation("w", {}, np.ones(3))
-
     def test_state_key_mismatch_rejected(self):
         state = small_state()
         with pytest.raises(ConfigError):

@@ -16,7 +16,6 @@ import scalar_model
 import scalar_special
 import scalar_tape
 from lexifuse import special
-from lexifuse.model import WordObservation
 from lexifuse.rng import stream_for
 from lexifuse.special import gamma_quantile
 from lexifuse.training import TrainConfig, batch_gradient, frozen_noise, init_model
@@ -36,14 +35,11 @@ def moved_state(n_mc, seed=0):
 
 @pytest.mark.parametrize("n_mc", [1, 3])
 def test_batch_gradient_matches_scalar_tape(n_mc):
-    vocab, obs = make_corpus(40, seed=3, vids=VIEWS)
-    # words seen by some of the views only, so batch rows differ per view
-    obs = [
-        WordObservation(o.word, {v: o.labels[v] for v in VIEWS[: 1 + i % 4]}, o.prior)
-        for i, o in enumerate(obs)
-    ]
+    # word i is seen by views VIEWS[: 1 + i % 4] only, so batch rows differ per view
+    vocab, obs = make_corpus(40, seed=3, vids=VIEWS, covers=lambda i, k: k <= i % 4)
+    assert [len(o.labels) for o in obs[:8]] == [1, 2, 3, 4] * 2
     cfg, state = moved_state(n_mc)
-    words = [o.word for o in obs]
+    words = obs.words
     noise = frozen_noise(cfg, words)
     grad, stats = batch_gradient(state, obs, noise, scale=3.0)
     want, want_stats = scalar_model.batch_gradient(state, obs, dict(zip(words, noise.tolist())), scale=3.0)
@@ -56,13 +52,12 @@ def test_underflowing_softmax_gives_unit_shapes():
     # a binary encoder whose first logit is 800 above the others: exp of the
     # rest underflows to 0, so a word seen only by that view has beta
     # (2, 1, 1) exactly and two draws at shape exactly 1.0
-    vocab, obs = make_corpus(12, seed=4, vids=VIEWS)
-    obs = [WordObservation(o.word, {"bin": o.labels["bin"]}, o.prior) if i % 2 else o
-           for i, o in enumerate(obs)]
+    vocab, obs = make_corpus(12, seed=4, vids=VIEWS, covers=lambda i, k: VIEWS[k] == "bin" or i % 2 == 0)
+    assert list(obs[1].labels) == ["bin"]
     cfg, state = moved_state(3, seed=1)
     state.encoders["bin"].w2[...] = 0.0
     state.encoders["bin"].b2[...] = (800.0, 0.0, 0.0)
-    words = [o.word for o in obs]
+    words = obs.words
     noise = frozen_noise(cfg, words)
     by_word = dict(zip(words, noise.tolist()))
 

@@ -16,6 +16,7 @@ from lexifuse import model
 from lexifuse.errors import ConfigError, LexifuseError, NumericError, UsageError
 from lexifuse.evaluation import synth_generate
 from lexifuse.lexica import (
+    LexiconView,
     binary,
     build_vocabulary,
     compute_prior,
@@ -24,6 +25,7 @@ from lexifuse.lexica import (
     signed_continuous,
 )
 from lexifuse.model import (
+    ObservedView,
     Observations,
     load_checkpoint,
     observations_from_views,
@@ -46,8 +48,8 @@ from lexifuse.training import (
     training_extra,
 )
 from lexifuse.unified import export_lexicon
-from reference import observations_per_word
-from row_lexica import view_of
+from reference import observations_of, observations_per_word
+from row_lexica import label_of, view_of
 
 ALL_SCALES = {
     "bin": binary(),
@@ -77,11 +79,16 @@ def make_views(n_words=10, seed=0, vids=("bin", "sig")):
     return views
 
 
-def make_corpus(n_words=10, seed=0, vids=("bin", "sig")):
-    views = make_views(n_words, seed, vids)
+def make_corpus(n_words=10, seed=0, vids=("bin", "sig"), covers=lambda i, k: True):
+    """(vocab, Observations) of make_views' views, view k keeping the words
+    i for which covers(i, k) holds."""
+    views = []
+    for k, view in enumerate(make_views(n_words, seed, vids)):
+        keep = [i for i in range(n_words) if covers(i, k)]
+        views.append(LexiconView(view.id, view.family, [view.words[i] for i in keep], view.values[keep]))
     vocab = build_vocabulary(views)
     priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
-    return vocab, list(observations_from_views(views, vocab, priors))
+    return vocab, observations_from_views(views, vocab, priors)
 
 
 class TestTrainConfig:
@@ -342,15 +349,12 @@ class TestBatchGradient:
         ],
     )
     def test_label_outside_view_refused(self, vid, label, family):
-        # batch_gradient checks the labels it stacks, so a direct caller is guarded too
-        vocab, obs = make_corpus(3, seed=8, vids=("bin", "pair"))
-        cfg = TrainConfig(hidden_dim=4)
-        state = init_model({"bin": binary(), "pair": pair_continuous()}, cfg, stream_for(0, "init"))
-        obs[1].labels[vid] = np.array(label)
-        noise = frozen_noise(cfg, [o.word for o in obs])
-        message = f"view '{vid}' is #family={family}, but an observation's label is not one of its labels"
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            batch_gradient(state, obs, noise, scale=1.0)
+        # the view's constructor refuses the label, so no batch can carry it
+        view = {v.id: v for v in make_views(3, seed=8, vids=("bin", "pair"))}[vid]
+        values = view.values.tolist()
+        values[1] = label
+        with pytest.raises(LexifuseError, match=f"^view '{vid}'.*{family}"):
+            LexiconView(vid, view.family, view.words, values)
 
     @pytest.mark.parametrize(
         "rows",
@@ -492,8 +496,17 @@ class TestTrain:
 
     def test_duplicate_words_rejected(self):
         vocab, obs = make_corpus(3, seed=8)
-        with pytest.raises(ConfigError):
-            train(vocab, obs + [obs[0]], TrainConfig(epochs=1, hidden_dim=4))
+        with pytest.raises(ConfigError, match="duplicate words"):
+            train(vocab, obs[[0, 1, 2, 0]], TrainConfig(epochs=1, hidden_dim=4))
+
+    def test_view_the_vocabulary_lacks_refused(self):
+        # a view the vocabulary lacks, or holds under another family
+        views = make_views(3, seed=8)
+        vocab, obs = make_corpus(3, seed=8)
+        rater = view_of("sig", rater_histogram(10, 9), dict.fromkeys(views[1].words, (0,) * 10))
+        for other in (views[:1], [views[0], rater]):
+            with pytest.raises(ConfigError, match="view 'sig' as #family=SignedContinuous, not in the vocabulary"):
+                train(build_vocabulary(other), obs, TrainConfig(epochs=1, hidden_dim=4))
 
     def test_scale_mismatch_with_init_state(self):
         # the initial state has a rater head where the observations carry
@@ -510,19 +523,23 @@ class TestTrain:
             train(vocab, obs, cfg, init_state=init)
 
     def test_head_refusal_matches_export(self):
-        # train refuses a view that does not fit the initial state with the
-        # message export's posterior_params gives for the same view and state
+        # train and batch_gradient refuse a view that does not fit the
+        # initial state with the message export's posterior_params gives for
+        # the same view and state
         views = make_views(3, seed=8)
         vocab, obs = make_corpus(3, seed=8)
         cfg = TrainConfig(epochs=1, hidden_dim=4)
         init = init_model(
             {"bin": binary(), "sig": rater_histogram(10, 9)}, cfg, stream_for(cfg.seed, "init")
         )
+        noise = frozen_noise(cfg, obs.words)
         with pytest.raises(ConfigError) as refused:
             export_lexicon(init, views)
         assert "'sig' is #family=SignedContinuous" in str(refused.value)
         with pytest.raises(ConfigError, match=re.escape(str(refused.value))):
             train(vocab, obs, cfg, init_state=init)
+        with pytest.raises(ConfigError, match=re.escape(str(refused.value))):
+            batch_gradient(init, obs, noise, scale=1.0)
         # without a head, export skips the view's words; posterior_params refuses it
         del init.scales["sig"], init.encoders["sig"], init.decoders["sig"]
         with pytest.raises(ConfigError) as refused:
@@ -530,19 +547,23 @@ class TestTrain:
         assert "'sig' is #family=SignedContinuous, but the model has no head" in str(refused.value)
         with pytest.raises(ConfigError, match=re.escape(str(refused.value))):
             train(vocab, obs, cfg, init_state=init)
+        with pytest.raises(ConfigError, match=re.escape(str(refused.value))):
+            batch_gradient(init, obs, noise, scale=1.0)
 
     def test_mixed_families_in_one_view(self):
-        # a signed label (or a pair, or nan) where the binary view has 0 or 1
+        # a signed label (or a pair, or nan) where the binary view has 0 or 1:
+        # the view's constructor refuses it
+        view = make_views(3, seed=8)[0]
         for label in ([0.5], [0.0, 1.0], [np.nan]):
-            vocab, obs = make_corpus(3, seed=8)
-            obs[0].labels["bin"] = np.array(label)
-            with pytest.raises(ConfigError, match="'bin'"):
-                train(vocab, obs, TrainConfig(epochs=1, hidden_dim=4))
+            values = view.values.tolist()
+            values[0] = label
+            with pytest.raises(LexifuseError, match="^view 'bin'"):
+                LexiconView("bin", binary(), view.words, values)
 
     def test_empty_observations_rejected(self):
         vocab, obs = make_corpus(2, seed=9)
         with pytest.raises(ConfigError):
-            train(vocab, [], TrainConfig(epochs=1, hidden_dim=4))
+            train(vocab, obs[:0], TrainConfig(epochs=1, hidden_dim=4))
 
     def test_resume_state_roundtrip_helpers(self):
         adam = AdamState(m=np.array([1.0, 2.0]), v=np.array([3.0, 4.0]), step=7)
@@ -564,6 +585,18 @@ def synth_observations(n_words, seed):
     return views, vocab, priors, observations_from_views(views, vocab, priors)
 
 
+def assert_same_records(got, want):
+    """got and want hold the same WordObservation records, got's arrays
+    read-only."""
+    for g, w in zip(got, want, strict=True):
+        assert g.word == w.word and list(g.labels) == list(w.labels)
+        for vid, label in w.labels.items():
+            assert g.labels[vid].dtype == label.dtype and not g.labels[vid].flags.writeable
+            np.testing.assert_array_equal(g.labels[vid], label, strict=True)
+        np.testing.assert_array_equal(g.prior, w.prior, strict=True)
+        assert not g.prior.flags.writeable
+
+
 class TestObservations:
     def test_records_match_the_per_word_build(self):
         views, vocab, priors, obs = synth_observations(300, seed=2)
@@ -572,13 +605,33 @@ class TestObservations:
         assert {len(o.labels) for o in want} == {1, 2, 3, 4}
         reordered = observations_from_views(views[::-1], vocab, priors)
         for got in (list(obs), [obs[i] for i in range(len(obs))], reordered):
-            for g, w in zip(got, want, strict=True):
-                assert g.word == w.word and list(g.labels) == list(w.labels)
-                for vid, label in w.labels.items():
-                    assert g.labels[vid].dtype == label.dtype and not g.labels[vid].flags.writeable
-                    np.testing.assert_array_equal(g.labels[vid], label, strict=True)
-                np.testing.assert_array_equal(g.prior, w.prior, strict=True)
-                assert not g.prior.flags.writeable
+            assert_same_records(got, want)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(st.integers(5, 40), st.integers(1, 2), st.integers(0, 2**32 - 1), st.data())
+    def test_drawn_synths(self, n_words, per_family, seed, data):
+        # on a drawn synth, records equal the per-word build, for all words
+        # and for a drawn index array, and the gradients of a drawn partition
+        # of the words add up to the full-batch gradient
+        views = synth_generate(n_words, per_family, 0.1, 1, 1, RngStream(seed)).views
+        vocab = build_vocabulary(views)
+        priors = {w: compute_prior(w, views, vocab) for w in vocab.sorted_words()}
+        obs = observations_from_views(views, vocab, priors)
+        want = observations_per_word(views, vocab, priors)
+        assert_same_records(list(obs), want)
+        idx = data.draw(st.lists(st.integers(0, len(obs) - 1), max_size=2 * len(obs)))
+        assert_same_records(list(obs[np.array(idx, dtype=np.intp)]), [want[i] for i in idx])
+
+        cfg = TrainConfig(hidden_dim=4, seed=seed)
+        state = init_model(views, cfg, stream_for(seed, "init"))
+        noise = frozen_noise(cfg, obs.words)
+        part = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(obs), max_size=len(obs))))
+        full, _ = batch_gradient(state, obs, noise, scale=1.0)
+        combined = np.zeros_like(full)
+        for k in np.unique(part):
+            members = np.flatnonzero(part == k)
+            combined += batch_gradient(state, obs[members], noise[members], scale=1.0)[0]
+        np.testing.assert_allclose(combined, full, rtol=1e-9, atol=1e-12)
 
     def test_sequence(self):
         views, vocab, priors, obs = synth_observations(40, seed=3)
@@ -600,6 +653,20 @@ class TestObservations:
         with pytest.raises(ConfigError, match="has no observations"):
             Observations(["w"], np.ones((1, 3)), {})
 
+    @pytest.mark.parametrize("priors, rows, message", [
+        # a (1, 3) table once broadcast its row to every word
+        (np.ones((1, 3)), [0, 1], re.escape("2 words need a prior table of shape (2, 3), got (1, 3)")),
+        (np.ones((2, 3)), [0], "view 'bin' needs one row per word"),
+        (np.ones((2, 3)), [0, 2], re.escape("view 'bin' needs one row per word, each an integer in [-1, 2)")),
+        (np.ones((2, 3)), [-2, 0], "view 'bin' needs one row per word"),
+        (np.ones((2, 3)), [0.0, 1.0], "view 'bin' needs one row per word"),
+    ])
+    def test_shapes_refused(self, priors, rows, message):
+        view = view_of("bin", binary(), {"a": 1, "b": 0})
+        assert len(Observations(["a", "b"], np.ones((2, 3)), {"bin": ObservedView(view, np.array([0, 1]))})) == 2
+        with pytest.raises(ConfigError, match=message):
+            Observations(["a", "b"], priors, {"bin": ObservedView(view, np.array(rows))})
+
     def test_batch_gradient_equals_records(self):
         # all four families, each view covering some words of the batch
         views, vocab, priors, obs = synth_observations(200, seed=4)
@@ -611,7 +678,12 @@ class TestObservations:
         assert len(batch.views) == 4
         noise = frozen_noise(cfg, batch.words)
         grad, stats = batch_gradient(state, batch, noise, scale=2.0)
-        want, want_stats = batch_gradient(state, list(batch), noise, scale=2.0)
+        # the batch's records as Observations of views holding only their labels
+        families = {vid: view.lexicon.family for vid, view in batch.views.items()}
+        rebuilt = observations_of({r.word: {vid: label_of(families[vid], row) for vid, row in r.labels.items()}
+                                   for r in batch}, {r.word: r.prior for r in batch})
+        rebuilt = rebuilt[[rebuilt.words.index(word) for word in batch.words]]
+        want, want_stats = batch_gradient(state, rebuilt, noise, scale=2.0)
         np.testing.assert_array_equal(grad, want, strict=True)
         assert stats == want_stats
 
@@ -635,15 +707,17 @@ class TestObservations:
     def test_train_builds_no_record(self, monkeypatch):
         views, vocab, priors, obs = synth_observations(80, seed=6)
         cfg = TrainConfig(epochs=2, batch_size=16, hidden_dim=4, seed=6)
-        want = train(vocab, list(obs)[::-1], cfg).state.params
+        want = train(vocab, obs[::-1], cfg).state.params
         built = []
-        post_init = model.WordObservation.__post_init__
+        init = model.WordObservation.__init__
 
-        def counted(self):
-            built.append(self.word)
-            post_init(self)
+        def counted(self, word, *args):
+            built.append(word)
+            init(self, word, *args)
 
-        monkeypatch.setattr(model.WordObservation, "__post_init__", counted)
+        monkeypatch.setattr(model.WordObservation, "__init__", counted)
+        assert obs[0] and built == [obs.words[0]]
+        built.clear()
         got = train(vocab, obs, cfg).state.params
         assert built == []
         np.testing.assert_array_equal(got, want, strict=True)
