@@ -16,13 +16,16 @@ Shapes 1 + sum omega reach exactly 1.0 when a softmax component underflows;
 the quantile and its derivative hold there too.  A draw is the normalized
 quantiles as they are, with no clamp off the simplex boundary: nothing
 downstream takes log z.
+
+The two layers of the objective return their chain rule with their value,
+for model.elbo_batch to record on a tape.Tape: dirichlet_kl_var the KL's
+per-row Jacobian, dirichlet_sample_vars the draw's VJP.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import tape as tp
 from .errors import ConfigError, DomainError
 from .special import digamma, gamma_quantile, lgamma, trigamma
 
@@ -47,25 +50,25 @@ def dirichlet_kl(beta, alpha) -> np.ndarray:
     return acc
 
 
-def dirichlet_kl_var(beta: tp.Node, alpha: np.ndarray) -> tp.Node:
-    """KL(Dir(beta_i) || Dir(alpha_i)) per row as one tape node.
+def dirichlet_kl_var(beta: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KL(Dir(beta_i) || Dir(alpha_i)) per row of beta (n, k), and its
+    per-row Jacobian (n, k):
 
     d KL / d beta_k = (beta_k - alpha_k) psi'(beta_k)
                       - psi'(sum beta) * sum_j (beta_j - alpha_j).
     """
-    b = beta.value
-    diff = b - alpha
-    tg = trigamma(np.column_stack([b, b.sum(axis=1)]))
-    jac = diff * tg[:, :-1] - (tg[:, -1] * diff.sum(axis=1))[:, None]
-    return tp.rowwise(beta, dirichlet_kl(b, alpha), jac)
+    diff = beta - alpha
+    tg = trigamma(np.column_stack([beta, beta.sum(axis=1)]))
+    return dirichlet_kl(beta, alpha), diff * tg[:, :-1] - (tg[:, -1] * diff.sum(axis=1))[:, None]
 
 
-def dirichlet_sample_vars(beta: tp.Node, us: np.ndarray) -> tp.Node:
-    """One Dirichlet draw per row of beta at that row's uniforms, one tape node:
-    normalized per-component Gamma quantiles, with dy/d(shape) in its VJP."""
-    if us.shape != beta.value.shape:
+def dirichlet_sample_vars(beta: np.ndarray, us: np.ndarray):
+    """One Dirichlet draw per row of beta at that row's uniforms: (z, the VJP
+    from z's adjoint to beta's), normalized per-component Gamma quantiles
+    with dy/d(shape) in the VJP."""
+    if us.shape != beta.shape:
         raise ConfigError("dirichlet_sample_vars needs one uniform per component")
-    y, dy = gamma_quantile(beta.value, us)
+    y, dy = gamma_quantile(beta, us)
     total = y.sum(axis=1, keepdims=True)
     z = y / total
-    return beta.tape.push(z, (beta,), lambda g: (((g - (g * z).sum(axis=1, keepdims=True)) / total) * dy,))
+    return z, lambda g: ((g - (g * z).sum(axis=1, keepdims=True)) / total) * dy

@@ -478,7 +478,9 @@ def synth_generate(
     label for the truth class, flipped to a uniform expressible class with
     probability label_noise.  Texts are uniform bags of words labeled by
     the majority ground-truth polarity of their tokens; ties are resampled
-    so the corpus is a clean two-class problem.
+    so the corpus is a clean two-class problem, which needs a polar word:
+    if every word draws neutral, that is a ConfigError, raised before any
+    view or text is drawn.
     """
     if n_words < 1 or n_views_per_family < 1 or n_texts < 1 or text_len < 1:
         raise ConfigError("synth sizes must be positive")
@@ -488,6 +490,9 @@ def synth_generate(
     words = [f"word{i:04d}" for i in range(n_words)]
     truth_rng = rng.split("truth")
     word_classes = {w: int(truth_rng.integers(0, 3)) for w in words}
+    if not any(c in _POLAR for c in word_classes.values()):
+        raise ConfigError(f"every synth word ({n_words}) drew neutral, so no text can be labeled; "
+                          "use more words or another seed")
 
     views = []
     for stem, family in _synth_families():

@@ -21,18 +21,19 @@ The view's scale family alone picks the emission:
 - RaterHistogram: each rating drawn from one categorical over n_points,
   whose logits are the n_points raw decoder outputs.
 
-Each quantity has one numerical path, on the array tape.  Training builds a
-minibatch's ELBO there (ModelBinding + elbo_batch): a binding holds one leaf
-per head, and each layer function, looked up through this module, is one
-node whose VJP hands a head its gradient as one flat vector: encode_vars over
-the rows a view covers, beta_var adding the omegas at those rows,
-dirichlet_kl_var, dirichlet_sample_vars, and decode_vars reading its view's
-rows of the draw, then emission_ll_var (44 nodes for one sample of 8 views).
-Export needs only the encoder outputs, so `posterior_params` runs the same
-encode_vars, forward only, over equal blocks of each view's rows of at least
-EXPORT_BLOCK_ROWS (export_blocks), each with only that view's encoder head
-bound on a tape of its own.  Both read a view's labels from its value columns
-(`encoder_input`, `emission_targets`).
+Each quantity has one numerical path.  Each layer function, looked up
+through this module, runs on the state's head arrays and returns its value
+with its chain rule: encode_vars over the rows a view covers and decode_vars
+reading its view's rows of the draw return a VJP that hands the head its
+gradient as one flat vector, dirichlet_sample_vars a VJP, and
+dirichlet_kl_var and emission_ll_var a per-row Jacobian.  `elbo_batch`
+builds a minibatch's ELBO from them (beta = 1 + the omegas added at each
+view's rows) and records each chain rule on a tape.Tape, whose backward
+gives the gradient (28 layers for one sample of 8 views).  Export needs
+only the encoder outputs, so `posterior_params` runs the same encode_vars,
+forward only, over equal blocks of each view's rows of at least
+EXPORT_BLOCK_ROWS (export_blocks).  Both read a view's labels from its
+value columns (`encoder_input`, `emission_targets`).
 
 Training takes its words only as `Observations`: per view, the LexiconView
 and each word's row of its values or -1, and a prior table, so a batch is an
@@ -112,14 +113,6 @@ class Head(NamedTuple):
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (output, hidden)
     b2: np.ndarray  # (output,)
-
-
-class HeadLeaf(NamedTuple):
-    """A head on a tape: its leaf, whose value is the head's slice of a copy of
-    params, and its arrays as views of that slice."""
-
-    leaf: tp.Node
-    arrays: Head
 
 
 @dataclass(frozen=True)
@@ -221,11 +214,15 @@ class ModelState:
                         f"view {vid!r} ({scale.header()}) needs {kind} shapes (h, {n_in}), (h,), "
                         f"({n_out}, h), ({n_out},) for w1, b1, w2, b2, got {', '.join(map(str, got))}"
                     )
-        heads = self.heads()
+        heads, start = self.heads(), 0
         self.params = np.concatenate([np.ravel(a) for head in heads.values() for a in head], dtype=float)
-        split = _split(self.params, heads)
-        self.encoders = {vid: head for (kind, vid), _, head in split if kind == "enc"}
-        self.decoders = {vid: head for (kind, vid), _, head in split if kind == "dec"}
+        self.encoders, self.decoders = {}, {}
+        for (kind, vid), head in heads.items():
+            arrays = []
+            for a in head:
+                arrays.append(self.params[start : start + a.size].reshape(a.shape))
+                start += a.size
+            (self.encoders if kind == "enc" else self.decoders)[vid] = Head(*arrays)
 
     def __reduce__(self):
         # copy and pickle rebuild the state from its heads, so the copy's
@@ -248,56 +245,15 @@ class ModelState:
             raise ConfigError(f"view {view_id!r} is {family.header()}, but the model has {has} for it")
 
 
-def _split(flat: np.ndarray, heads: dict) -> list[tuple[object, slice, Head]]:
-    """The heads laid out over flat in order, each its w1, b1, w2, b2: each
-    head's key, its slice of flat and its arrays as views of flat."""
-    split, start = [], 0
-    for key, head in heads.items():
-        arrays, first = [], start
-        for a in head:
-            arrays.append(flat[start : start + a.size].reshape(a.shape))
-            start += a.size
-        split.append((key, slice(first, start), Head(*arrays)))
-    return split
-
-
-def _bind(tape: tp.Tape, flat: np.ndarray, heads: dict) -> dict:
-    """Each of heads, keyed as in heads, as a HeadLeaf on tape: a leaf holding
-    its slice of flat, a copy of the heads laid out as _split lays them."""
-    return {key: HeadLeaf(tape.push(flat[span], (), None), arrays) for key, span, arrays in _split(flat, heads)}
-
-
 # ---------------------------------------------------------------------------
-# Array-tape route: the encoder forward of export and the training objective.
+# The layers of export's encoder forward and of the training objective.
 
 
-class ModelBinding:
-    """All model parameters, copied once, on one tape, one leaf per head:
-    `heads` maps ("enc" or "dec", view id) to a HeadLeaf, in params order.
-
-    Build a fresh binding per optimization step (tapes are append-only and
-    single-use); `gradient` joins the leaves' adjoints in the same order.
-    """
-
-    def __init__(self, tape: tp.Tape, state: ModelState):
-        self.tape = tape
-        self.state = state
-        self.heads: dict[tuple[str, str], HeadLeaf] = _bind(tape, state.params.copy(), state.heads())
-
-    def gradient(self, adjoints: list) -> np.ndarray:
-        """The flat parameter gradient (params order) from adjoints."""
-        parts = []
-        for head in self.heads.values():
-            g = adjoints[head.leaf.idx]
-            parts.append(np.zeros(head.leaf.value.size) if g is None else g)
-        return np.concatenate(parts)
-
-
-def _mlp(layer: str, xv: np.ndarray, head: HeadLeaf):
+def _mlp(layer: str, xv: np.ndarray, head: Head):
     """w2 tanh(w1 x + b1) + b2 over the rows of xv: (the output, and the VJP
     from the output's adjoint to (the adjoint of w1 x + b1, the head's as one
     flat vector)).  Rows not as wide as w1's raise."""
-    w1, b1, w2, b2 = head.arrays
+    w1, b1, w2, b2 = head
     if xv.ndim != 2 or xv.shape[1] != w1.shape[1]:
         raise UsageError(f"{layer}: rows of width {w1.shape[1]} expected, got shape {xv.shape}")
     t = np.tanh(xv @ w1.T + b1)
@@ -309,23 +265,14 @@ def _mlp(layer: str, xv: np.ndarray, head: HeadLeaf):
     return t @ w2.T + b2, vjp
 
 
-def encode_vars(x: np.ndarray, head: HeadLeaf) -> tp.Node:
-    """omega = softmax(g(x)) for each row of encoder inputs, one node: (m, 3)."""
+def encode_vars(x: np.ndarray, head: Head):
+    """omega = softmax(g(x)) for each row of encoder inputs (m, 3), and the
+    VJP from omega's adjoint to the head's gradient as one flat vector."""
     raw, vjp = _mlp("encode_vars", np.asarray(x, dtype=float), head)
     with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row stays nan
         e = np.exp(raw - raw.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
-    return head.leaf.tape.push(s, (head.leaf,), lambda g: (vjp(s * (g - (g * s).sum(axis=1, keepdims=True)))[1],))
-
-
-def beta_var(n: int, parts: list[tuple[np.ndarray, tp.Node]]) -> tp.Node:
-    """beta = 1 + each part's omega rows added at its row indices, in part
-    order, one node: (n, 3)."""
-    beta = np.ones((n, 3))
-    for rows, omega in parts:
-        np.add.at(beta, rows, omega.value)
-    index = [rows for rows, _ in parts]
-    return parts[0][1].tape.push(beta, [omega for _, omega in parts], lambda g: tuple(g[rows] for rows in index))
+    return s, lambda g: vjp(s * (g - (g * s).sum(axis=1, keepdims=True)))[1]
 
 
 def export_blocks(n: int) -> list[slice]:
@@ -342,27 +289,25 @@ def posterior_params(views: list[LexiconView], state: ModelState, vocab: Combine
     """beta = 1 + sum of omega_d over the given views covering each word of
     the vocabulary, one row per vocabulary word (the views' rows are
     vocab.rows), the views added in sorted view-id order.  Each view's
-    encoder runs through encode_vars over export_blocks of its rows, each
-    block with a copy of the view's encoder head alone bound on a fresh tape,
-    so that a block's activations go before the next block runs.  A
+    encoder runs through encode_vars, forward only, over export_blocks of its
+    rows, so that a block's activations go before the next block runs.  A
     view that the state has no head of its family for is a ConfigError
     (ModelState.check_view)."""
     beta = np.ones((len(vocab), 3))
     for view in sorted(views, key=lambda v: v.id):
         state.check_view(view.id, view.family)
-        rows = vocab.rows[view.id]
-        enc = {view.id: state.encoders[view.id]}
-        flat = np.concatenate([a.ravel() for a in enc[view.id]])
+        rows, head = vocab.rows[view.id], state.encoders[view.id]
         for block in export_blocks(len(view)):
-            head = _bind(tp.Tape(), flat, enc)[view.id]
-            beta[rows[block]] += encode_vars(encoder_input(view.family, view.values[block]), head).value
+            beta[rows[block]] += encode_vars(encoder_input(view.family, view.values[block]), head)[0]
     return beta
 
 
-def decode_vars(z: tp.Node, rows: np.ndarray, head: HeadLeaf, scale: ScaleFamily) -> tp.Node:
+def decode_vars(z: np.ndarray, rows: np.ndarray, head: Head, scale: ScaleFamily):
     """The emission parameters rho of a view with this scale at the given rows
-    of z (n, 3), in that order; the VJP adds the rows' adjoints into z's."""
-    r, vjp = _mlp("decode_vars", z.value[rows], head)
+    of z (n, 3), in that order, and the VJP from rho's adjoint to (z's, which
+    holds the rows' adjoints added at their rows, the head's gradient as one
+    flat vector)."""
+    r, vjp = _mlp("decode_vars", z[rows], head)
     if scale.tag in (BINARY, PAIR_CONTINUOUS):
         rho = _sigmoid(r)
         slope = rho * (1.0 - rho)
@@ -374,7 +319,7 @@ def decode_vars(z: tp.Node, rows: np.ndarray, head: HeadLeaf, scale: ScaleFamily
         slope = np.column_stack([1.0 - t * t, _sigmoid(r[:, 1])])
     else:
         rho, slope = r, None
-    w1, shape = head.arrays.w1, z.value.shape
+    w1, shape = head.w1, z.shape
 
     def chain(g):
         ga, grad = vjp(g if slope is None else g * slope)
@@ -382,7 +327,7 @@ def decode_vars(z: tp.Node, rows: np.ndarray, head: HeadLeaf, scale: ScaleFamily
         np.add.at(gz, rows, ga @ w1)
         return gz, grad
 
-    return z.tape.push(rho, (z, head.leaf), chain)
+    return rho, chain
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -404,42 +349,44 @@ def emission_targets(scale: ScaleFamily, values: np.ndarray) -> np.ndarray:
     return counts
 
 
-def emission_ll_var(scale: ScaleFamily, y: np.ndarray, rho: tp.Node) -> tp.Node:
+def emission_ll_var(scale: ScaleFamily, y: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log P(label | rho) per row under the emission of this scale, for the
-    targets y of emission_targets; a zero-probability label gives -inf."""
-    r = rho.value
+    targets y of emission_targets, and its per-row Jacobian w.r.t. rho (the
+    rows r); a zero-probability label gives -inf."""
     with np.errstate(divide="ignore"):
         if scale.tag == BINARY:
             p = r[:, 0]
             one = y == 1.0
             q = np.where(one, p, 1.0 - p)
-            return tp.rowwise(rho, np.log(q), (np.where(one, 1.0, -1.0) / q)[:, None])
+            return np.log(q), (np.where(one, 1.0, -1.0) / q)[:, None]
     if scale.tag == SIGNED_CONTINUOUS:
         mean, var = r[:, 0], r[:, 1]
         d = mean - y
         ll = (np.log(var) + _LOG_2PI) * -0.5 - d * d / (2.0 * var)
-        return tp.rowwise(rho, ll, np.column_stack([-d / var, -0.5 / var + d * d / (2.0 * var * var)]))
+        return ll, np.column_stack([-d / var, -0.5 / var + d * d / (2.0 * var * var)])
     if scale.tag == PAIR_CONTINUOUS:
         c = -0.5 * (_LOG_2PI + math.log(PAIR_VARIANCE))
         inv2v = 0.5 / PAIR_VARIANCE
         d = r - y
         ll = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) * (-inv2v) + 2.0 * c
-        return tp.rowwise(rho, ll, d * (-2.0 * inv2v))
+        return ll, d * (-2.0 * inv2v)
     top = r.max(axis=1, keepdims=True)
     e = np.exp(r - top)
     total = e.sum(axis=1, keepdims=True)
     n = y.sum(axis=1)
     ll = (y * r).sum(axis=1) - n * (top[:, 0] + np.log(total[:, 0]))
-    return tp.rowwise(rho, ll, y - n[:, None] * (e / total))
+    return ll, y - n[:, None] * (e / total)
 
 
 @dataclass(eq=False)
 class BatchElbo:
-    """A minibatch's ELBO: total = sum over words of recon - kl, as a node."""
+    """A minibatch's ELBO, total = sum over words of recon - kl, and the tape
+    whose backward gives its gradient."""
 
-    total: tp.Node
+    total: float
     recon: np.ndarray  # (n,) per word
     kl: np.ndarray  # (n,) per word
+    tape: tp.Tape
 
 
 def _refuse_non_finite(batch: Observations, **arrays: np.ndarray) -> None:
@@ -453,8 +400,9 @@ def _refuse_non_finite(batch: Observations, **arrays: np.ndarray) -> None:
         raise NumericError(f"non-finite ELBO for word {obs.word!r} (views {sorted(obs.labels)}): {rows}")
 
 
-def elbo_batch(binding: ModelBinding, batch: Observations, us: np.ndarray) -> BatchElbo:
-    """The batch's ELBO on an existing binding, with explicit sampling noise.
+def elbo_batch(state: ModelState, batch: Observations, us: np.ndarray) -> BatchElbo:
+    """The batch's ELBO under the state's heads, with explicit sampling noise;
+    its tape's backward gives the total's gradient in params order.
 
     us holds the batch's uniforms, (len(batch), n_mc, 3) with row i for word
     i of the batch and n_mc >= 1; any other shape is a ConfigError.  Passing
@@ -474,37 +422,36 @@ def elbo_batch(binding: ModelBinding, batch: Observations, us: np.ndarray) -> Ba
                           f"({len(batch)}, n_mc >= 1, 3); got {np.shape(us)}")
     views = []
     for vid, (lexicon, rows) in batch.views.items():
-        if lexicon.family != binding.state.scales.get(vid):
-            binding.state.check_view(vid, lexicon.family)
+        if lexicon.family != state.scales.get(vid):
+            state.check_view(vid, lexicon.family)
         r = np.flatnonzero(rows >= 0)
         values = lexicon.values[rows[r]]
         x, y = encoder_input(lexicon.family, values), emission_targets(lexicon.family, values)
         views.append((vid, lexicon.family, r, x, y))
 
     n = len(batch)
-    beta = beta_var(n, [(r, encode_vars(x, binding.heads[("enc", vid)])) for vid, _, r, x, _ in views])
-    _refuse_non_finite(batch, beta=beta.value)
-    kl = dirichlet_kl_var(beta, batch.priors)
+    tape = tp.Tape({key: sum(map(np.size, head)) for key, head in state.heads().items()})
+    beta = np.ones((n, 3))
+    for vid, _, r, x, _ in views:
+        omega, vjp = encode_vars(x, state.encoders[vid])
+        np.add.at(beta, r, omega)
+        tape.encoders.append((("enc", vid), r, vjp))
+    _refuse_non_finite(batch, beta=beta)
+    kl, tape.kl = dirichlet_kl_var(beta, batch.priors)
 
-    lls = []
     recon = np.zeros(n)
     for s in range(n_mc):
-        z = dirichlet_sample_vars(beta, us[:, s])
+        z, draw = dirichlet_sample_vars(beta, us[:, s])
+        decoded = []
         for vid, family, r, _, y in views:
-            rho = decode_vars(z, r, binding.heads[("dec", vid)], family)
-            ll = emission_ll_var(family, y, rho)
-            np.add.at(recon, r, ll.value)
-            lls.append(ll)
+            rho, decode = decode_vars(z, r, state.decoders[vid], family)
+            ll, jac = emission_ll_var(family, y, rho)
+            np.add.at(recon, r, ll)
+            decoded.append((("dec", vid), decode, jac))
+        tape.samples.append((draw, decoded))
     recon /= n_mc
-    _refuse_non_finite(batch, recon=recon, kl=kl.value)
-
-    sizes = [len(r) for _ in range(n_mc) for _, _, r, _, _ in views]
-
-    def vjp(g):
-        return tuple(np.full(m, g / n_mc) for m in sizes) + (np.full(n, -g),)
-
-    total = binding.tape.push((recon - kl.value).sum(), lls + [kl], vjp)
-    return BatchElbo(total=total, recon=recon, kl=kl.value)
+    _refuse_non_finite(batch, recon=recon, kl=kl)
+    return BatchElbo(float((recon - kl).sum()), recon, kl, tape)
 
 
 def observations_from_views(views, vocab, priors: dict[str, np.ndarray]) -> Observations:

@@ -1,82 +1,65 @@
-"""Reverse-mode automatic differentiation on an array tape.
+"""The backward pass of one minibatch's ELBO.
 
-A Tape is an append-only record of structure: each node's parents and its
-vector-Jacobian product (VJP), a function from the adjoint of the node's
-value to the adjoints it sends each parent.  Appending keeps nodes in
-topological order, so the backward pass is a single reverse sweep.  A node
-is a whole layer over a batch (an encoder over every row a view covers, a
-Dirichlet draw per word) whose VJP is the layer's own chain rule, and a layer
-that reads or writes only some rows of its input does its own row
-bookkeeping.  A minibatch ELBO over 8 views with one sample is 44 nodes: 16
-head leaves, 8 encoders, beta, the KL, the draw, 8 decoders, 8 emissions and
-the total.  A leaf is a node pushed with no parents.
+The objective is one fixed graph per batch (model.elbo_batch): each view's
+encoder over the rows it covers, beta = 1 + the omegas added at those rows,
+the Dirichlet KL against the prior, and per Monte Carlo sample one Dirichlet
+draw z, each view's decoder at its rows of z and that view's emission
+log-likelihood; the total is the mean over samples of the emissions minus
+the KL.  Each layer returns its value with its own chain rule: a
+vector-Jacobian product (VJP), a function from the adjoint of the layer's
+output to the adjoints of its inputs, or for a layer that reduces each row
+to one number, the per-row Jacobian.  elbo_batch records them on a Tape,
+and Tape.backward replays them in the graph's one reverse order.
 
-Node is a handle (tape, index) that carries its value, an array.  A VJP
-closes over arrays, never over nodes, so a tape is freed as soon as the last
-handle to it goes, without waiting for the cycle collector.
+A batch of V views and n_mc samples is V + 3 + n_mc (1 + 2 V) layers, 28
+for one sample of 8 views: the encoders, beta, the KL and the total, and
+per sample the draw and each view's decoder and emission.  A VJP closes
+over arrays only, so a tape is freed as soon as the last reference to it
+goes, without waiting for the cycle collector.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import UsageError
-
 
 class Tape:
-    __slots__ = ("parents", "vjps")
+    """One batch's layers in forward order: `sizes`, each head's parameter
+    count keyed by ("enc" or "dec", view id) in params order; `encoders`, per
+    view (head key, the batch rows it covers, its VJP); `kl`, the KL's
+    (n, 3) Jacobian; and `samples`, per sample (the draw's VJP, per view
+    (head key, decoder VJP, emission Jacobian))."""
 
-    def __init__(self) -> None:
-        self.parents: list[tuple[int, ...]] = []
-        self.vjps: list[Callable | None] = []
+    __slots__ = ("sizes", "encoders", "kl", "samples")
+
+    def __init__(self, sizes: dict[tuple[str, str], int]) -> None:
+        self.sizes = sizes
+        self.encoders: list[tuple[tuple[str, str], np.ndarray, Callable]] = []
+        self.kl: np.ndarray | None = None
+        self.samples: list[tuple[Callable, list[tuple[tuple[str, str], Callable, np.ndarray]]]] = []
 
     def __len__(self) -> int:
-        return len(self.parents)
+        return len(self.encoders) + 3 + sum(1 + 2 * len(views) for _, views in self.samples)
 
-    def push(self, value, parents: Sequence["Node"], vjp: Callable | None) -> "Node":
-        """Append a node; vjp(adjoint) returns one adjoint (or None) per parent."""
-        for p in parents:
-            if p.tape is not self:
-                raise UsageError("cannot combine nodes from different tapes")
-        self.parents.append(tuple([p.idx for p in parents]))
-        self.vjps.append(vjp)
-        return Node(self, len(self.parents) - 1, np.asarray(value, dtype=float))
-
-    def backward(self, root: "Node") -> list[np.ndarray | None]:
-        """Adjoints of every node w.r.t. the scalar at `root`; None for a node
-        the root does not depend on.
-
-        Nodes appended after the root cannot influence it and are skipped.
-        """
-        if not isinstance(root, Node) or root.tape is not self:
-            raise UsageError("backward: root is not a node of this tape")
-        if root.value.size != 1:
-            raise UsageError(f"backward: root must be a scalar, has shape {root.value.shape}")
-        adj: list[np.ndarray | None] = [None] * len(self.parents)
-        adj[root.idx] = np.ones_like(root.value)
-        for i in range(root.idx, -1, -1):
-            g = adj[i]
-            ps = self.parents[i]
-            if g is None or not ps:
-                continue
-            for p, gp in zip(ps, self.vjps[i](g)):
-                if gp is not None:
-                    adj[p] = gp if adj[p] is None else adj[p] + gp
-        return adj
-
-
-class Node:
-    __slots__ = ("tape", "idx", "value")
-
-    def __init__(self, tape: Tape, idx: int, value: np.ndarray) -> None:
-        self.tape = tape
-        self.idx = idx
-        self.value = value
-
-
-def rowwise(x: Node, value, jac) -> Node:
-    """A node reducing each row of x (n, k) to one number: value (n,), jac (n, k)."""
-    return x.tape.push(value, (x,), lambda g: (g[:, None] * jac,))
-
+    def backward(self) -> np.ndarray:
+        """The total's gradient, flat in params order, with zeros for a head
+        no layer used.  Adjoints add up in reverse forward order: z's over a
+        sample's views, beta's over the samples and then the KL's, and a
+        decoder head's over the samples."""
+        grads: dict[tuple[str, str], np.ndarray] = {}
+        scale = 1.0 / len(self.samples)
+        g_beta = None
+        for draw, views in reversed(self.samples):
+            g_z = None
+            for key, decode, jac in reversed(views):
+                gz, g = decode(scale * jac)
+                g_z = gz if g_z is None else g_z + gz
+                grads[key] = grads[key] + g if key in grads else g
+            g = draw(g_z)
+            g_beta = g if g_beta is None else g_beta + g
+        g_beta = g_beta - self.kl
+        for key, rows, encode in reversed(self.encoders):
+            grads[key] = encode(g_beta[rows])
+        return np.concatenate([grads[key] if key in grads else np.zeros(size) for key, size in self.sizes.items()])

@@ -38,7 +38,6 @@ from .errors import FLOAT_FORMAT, ConfigError, NumericError, UsageError, read_li
 from .lexica import CombinedVocabulary, LexiconView, ScaleFamily
 from .model import (
     Head,
-    ModelBinding,
     ModelState,
     Observations,
     decoder_width,
@@ -46,7 +45,6 @@ from .model import (
     save_checkpoint,
 )
 from .rng import RngStream, philox_uniforms, stream_for
-from .tape import Tape
 
 log = logging.getLogger(__name__)
 
@@ -205,10 +203,8 @@ def batch_gradient(
     Returns (flat gradient in params order, per-term sums).  Raises
     NumericError if the gradient is non-finite.
     """
-    tape = Tape()
-    binding = ModelBinding(tape, state)
-    elbo = elbo_batch(binding, batch, us)
-    grad = binding.gradient(tape.backward(elbo.total)) * (-scale)
+    elbo = elbo_batch(state, batch, us)
+    grad = elbo.tape.backward() * (-scale)
     if not np.isfinite(grad).all():
         raise NumericError(f"non-finite gradient in batch starting at word {batch[0].word!r}")
     recon_sum = float(elbo.recon.sum())

@@ -2,10 +2,10 @@
 Dirichlet draws (independent of the quantile route training runs), uniforms
 from a stream for hand-built batches, each word's training noise through
 numpy's own Philox generator, the Dirichlet KL and its Jacobian with one
-special-function call per component, array-tape leaves for constant inputs,
-the pathwise-gradient harness, Observations built from labels by word, a
-one-word ELBO on a fresh tape, the observation records built word by word,
-the encoder as a plain numpy forward (independent of the tape), a fused
+special-function call per component, the pathwise-gradient harness and its
+objectives, Observations built from labels by word, a one-word ELBO, the
+observation records built word by word, the encoder as a plain numpy
+forward (independent of its VJP), a fused
 lexicon built from pseudocounts, the text-by-text featurizer and the regex
 tokenizer.
 """
@@ -26,7 +26,6 @@ from lexifuse.lexica import build_vocabulary
 from lexifuse.model import (
     BatchElbo,
     Head,
-    ModelBinding,
     ModelState,
     Observations,
     WordObservation,
@@ -35,7 +34,6 @@ from lexifuse.model import (
 )
 from lexifuse.rng import RngStream
 from lexifuse.special import digamma, lgamma, trigamma
-from lexifuse.tape import Node, Tape, rowwise
 from lexifuse.unified import UnifiedLexicon
 from row_lexica import PolarityLabel, view_of
 
@@ -117,7 +115,7 @@ def dirichlet_kl_per_component(beta, alpha) -> np.ndarray:
 
 
 def dirichlet_kl_jacobian(beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The (n, k) Jacobian dirichlet_kl_var puts on the tape, with trigamma
+    """The (n, k) Jacobian dirichlet_kl_var returns, with trigamma
     called on the components and on the row sums apart."""
     diff = beta - alpha
     return diff * trigamma(beta) - (trigamma(beta.sum(axis=1)) * diff.sum(axis=1))[:, None]
@@ -139,11 +137,11 @@ def observations_of(labels: dict[str, dict[str, PolarityLabel]], priors: dict[st
 
 
 def elbo_word(obs: Observations, state: ModelState, n_mc: int, rng: RngStream) -> BatchElbo:
-    """Single-word ELBO estimate on a fresh tape (see elbo_batch) of the one
-    word of obs (observations_of builds it)."""
+    """Single-word ELBO estimate (see elbo_batch) of the one word of obs
+    (observations_of builds it)."""
     if n_mc < 1:
         raise ConfigError(f"n_mc must be >= 1, got {n_mc}")
-    return elbo_batch(ModelBinding(Tape(), state), obs, np.array([elbo_noise(rng, n_mc)]))
+    return elbo_batch(state, obs, np.array([elbo_noise(rng, n_mc)]))
 
 
 def observations_per_word(views, vocab, priors: dict[str, np.ndarray]) -> list[WordObservation]:
@@ -166,18 +164,20 @@ def encode(head: Head, x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def reparam_grad_samples(
-    per_sample_objective: Callable[[Node], Node],
-    beta: Sequence[float],
-    n_samples: int,
-    rng: RngStream,
-) -> np.ndarray:
+# An objective maps draws z (n, k) to (one value per draw, its per-row
+# Jacobian (n, k)), as dirichlet_kl_var and emission_ll_var do.
+Objective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def reparam_grad_samples(per_sample_objective: Objective, beta: Sequence[float], n_samples: int,
+                         rng: RngStream) -> np.ndarray:
     """Pathwise stochastic gradients of E_{Dir(beta)}[objective(z)] w.r.t.
     beta, one row per draw: (n_samples, len(beta)).
 
-    One tape holds every draw: a beta leaf per draw, Dirichlet draws through
-    the implicit-gradient route, the objective (one value per draw), one
-    backward pass.  Draw i reads the i-th len(beta) uniforms of the stream.
+    All draws go through the implicit-gradient route at once, beta tiled
+    once per draw, and the draw's VJP takes the objective's Jacobian: the
+    gradient of the sum of the per-draw values.  Draw i reads the i-th
+    len(beta) uniforms of the stream.
     """
     if n_samples < 1:
         raise ConfigError(f"reparam_grad_elbo requires n_samples >= 1, got {n_samples}")
@@ -185,50 +185,32 @@ def reparam_grad_samples(
         if not b > 0.0:
             raise DomainError("reparam_grad_elbo requires positive beta")
     us = np.clip(rng.numpy().random((n_samples, len(beta))), 1e-12, 1.0 - 1e-12)
-    tape = Tape()
-    leaves = leaf(tape, np.tile(np.asarray(beta, dtype=float), (n_samples, 1)))
-    adj = tape.backward(summed(per_sample_objective(dirichlet_sample_vars(leaves, us))))[leaves.idx]
-    return np.zeros((n_samples, len(beta))) if adj is None else adj
+    z, vjp = dirichlet_sample_vars(np.tile(np.asarray(beta, dtype=float), (n_samples, 1)), us)
+    return vjp(per_sample_objective(z)[1])
 
 
-def reparam_grad_elbo(
-    per_sample_objective: Callable[[Node], Node],
-    beta: Sequence[float],
-    n_samples: int,
-    rng: RngStream,
-) -> np.ndarray:
+def reparam_grad_elbo(per_sample_objective: Objective, beta: Sequence[float], n_samples: int,
+                      rng: RngStream) -> np.ndarray:
     """The mean of reparam_grad_samples over n_samples draws."""
     return reparam_grad_samples(per_sample_objective, beta, n_samples, rng).mean(axis=0)
 
 
-def leaf(tape: Tape, value) -> Node:
-    """A differentiable input node (no parents) holding a copy of value."""
-    return tape.push(np.array(value, dtype=float), (), None)
-
-
-def summed(x: Node) -> Node:
-    """The sum of every element of x, as a scalar node."""
-    shape = x.value.shape
-    return x.tape.push(x.value.sum(), (x,), lambda g: (np.full(shape, g),))
-
-
-def linear_objective(coeffs: Sequence[float]) -> Callable[[Node], Node]:
+def linear_objective(coeffs: Sequence[float]) -> Objective:
     """z -> coeffs . z per draw."""
     c = np.asarray(coeffs, dtype=float)
-    return lambda z: rowwise(z, z.value @ c, np.broadcast_to(c, z.value.shape))
+    return lambda z: (z @ c, np.broadcast_to(c, z.shape))
 
 
-def sum_of_squares(z: Node) -> Node:
+def sum_of_squares(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """z -> sum_k z_k^2 per draw."""
-    return rowwise(z, (z.value * z.value).sum(axis=1), 2.0 * z.value)
+    return (z * z).sum(axis=1), 2.0 * z
 
 
-def product01(z: Node) -> Node:
+def product01(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """z -> z_0 * z_1 per draw."""
-    v = z.value
-    jac = np.zeros_like(v)
-    jac[:, 0], jac[:, 1] = v[:, 1], v[:, 0]
-    return rowwise(z, v[:, 0] * v[:, 1], jac)
+    jac = np.zeros_like(z)
+    jac[:, 0], jac[:, 1] = z[:, 1], z[:, 0]
+    return z[:, 0] * z[:, 1], jac
 
 
 def lexicon_from_betas(rows) -> UnifiedLexicon:

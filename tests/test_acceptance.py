@@ -41,7 +41,6 @@ from lexifuse.lexica import (
     signed_continuous,
 )
 from lexifuse.model import (
-    ModelBinding,
     decode_vars,
     emission_ll_var,
     emission_targets,
@@ -52,10 +51,9 @@ from lexifuse.model import (
 )
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.special import digamma
-from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model, train
 from lexifuse.unified import UnifiedLexicon, export_lexicon
-from reference import encode, leaf, linear_objective, reparam_grad_samples, sample_dirichlet, sum_of_squares, summed
+from reference import encode, linear_objective, reparam_grad_samples, sample_dirichlet, sum_of_squares
 from row_lexica import PolarityLabel, view_of
 
 ALL_SCALES = {
@@ -183,12 +181,9 @@ class TestCriterion3:
             z0 = (0.5, 0.3, 0.2)
 
             # encoder network through the softmax, weighted readout objective
-            tape = Tape()
-            binding = ModelBinding(tape, state)
             x = encoder_input(scale, np.array([label.row]))
-            omegas = encode_vars(x, binding.heads[("enc", vid)])
-            root = summed(linear_objective([1.0, 2.0, 3.0])(omegas))
-            grad = binding.gradient(tape.backward(root))[:n_enc]
+            _, vjp = encode_vars(x, state.encoders[vid])
+            grad = vjp(np.array([[1.0, 2.0, 3.0]]))
 
             base = state.params.copy()
 
@@ -206,22 +201,15 @@ class TestCriterion3:
 
             # decoder network composed with the emission log-likelihood
             y = emission_targets(scale, np.array([label.row]))
-            tape = Tape()
-            binding = ModelBinding(tape, state)
-            zs = leaf(tape, [z0])
-            rho = decode_vars(zs, np.array([0]), binding.heads[("dec", vid)], scale)
-            root = summed(emission_ll_var(scale, y, rho))
-            adjoints = tape.backward(root)
-            grad_dec = binding.gradient(adjoints)[n_enc:]
-            grad_z = adjoints[zs.idx][0]
+            rho, vjp = decode_vars(np.array([z0]), np.array([0]), state.decoders[vid], scale)
+            grad_z, grad_dec = vjp(emission_ll_var(scale, y, rho)[1])
+            grad_z = grad_z[0]
 
             def dec_value(vec, z=z0):
                 s2 = copy.deepcopy(state)
                 s2.params[...] = vec
-                t2 = Tape()
-                b2 = ModelBinding(t2, s2)
-                r = decode_vars(leaf(t2, [z]), np.array([0]), b2.heads[("dec", vid)], scale)
-                return emission_ll_var(scale, y, r).value[0]
+                r, _ = decode_vars(np.array([z], dtype=float), np.array([0]), s2.decoders[vid], scale)
+                return emission_ll_var(scale, y, r)[0][0]
 
             fd_dec = np.array([
                 (dec_value(_shift(base, n_enc + i, h)) - dec_value(_shift(base, n_enc + i, -h)))

@@ -236,6 +236,18 @@ class TestErrorExits:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_synth_with_no_polar_word_refused(self, tmp_path, seed):
+        # one word that draws neutral: no text has a majority polarity, so
+        # the text loop would redraw forever
+        out = tmp_path / "d"
+        r = subprocess.run(BASE + ["synth", "--n-words", "1", "--seed", seed, "--out", str(out)],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 2
+        assert r.stderr == ("error: every synth word (1) drew neutral, so no text can be labeled; "
+                            "use more words or another seed\n")
+        assert not out.exists()
+
     def test_usage_error_exit_2(self):
         r = run_cli()
         assert r.returncode == 2

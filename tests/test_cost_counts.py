@@ -1,13 +1,16 @@
 """Work counts that host load cannot blur: the incomplete-gamma evaluations
-of one Gamma draw, the whole-column passes of one lexicon parse, the tape
-nodes and lexifuse-frame calls of one training batch's gradient, the
+and solver blocks of one Gamma draw, the whole-column passes of one lexicon
+parse, the tape layers and lexifuse-frame calls of one training batch's
+gradient, the
 encoder calls and lexifuse-frame calls of one export, and the lexifuse-frame
 calls of one CLI train and one CLI export.
 
 gamma_quantile runs on a fixed 256x3 batch, the size of one training batch's
 Dirichlet shapes, with special.gammainc_p and special.gammainc_p_da wrapped
 in every lexifuse module that holds them.  Each wrapper counts its calls and
-the elements each call gets.  parse_lexicon runs on fixed hand-written files
+the elements each call gets.  The same draw runs again with special._iterate
+wrapped, counting its calls and the blocks each runs by solver name.
+parse_lexicon runs on fixed hand-written files
 of the four families, with lexica.casefold_each and lexica.out_of_domain
 wrapped and their calls counted.  batch_gradient runs on the first 256-word
 batch of a fixed synthetic training run, with sys.setprofile counting the
@@ -86,6 +89,43 @@ def test_incomplete_gamma_work_per_draw(monkeypatch):
     assert sum(map(sum, sizes.values())) <= PINS["elements"], sizes
 
 
+# (_iterate calls, blocks over all calls) per solver name: the quantile's
+# Halley rounds, and the incomplete gamma's series and continued-fraction
+# blocks of gammainc_p's round 1 and gammainc_p_da's three calls.
+ITERATE_PINS = {"gamma_quantile": (1, 3), special._SER: (4, 10), special._CF: (4, 12)}
+
+
+def counted_blocks(monkeypatch) -> dict[str, list[int]]:
+    """The blocks each special._iterate call runs, in call order, by solver
+    name, over one gamma_quantile on the batch."""
+    blocks: dict[str, list[int]] = {}
+    inner = special._iterate
+
+    def counted(block, state, n_blocks, n_out, name, **inputs):
+        seen = blocks.setdefault(name, [])
+        seen.append(0)
+
+        def each(j, state):
+            seen[-1] += 1
+            return block(j, state)
+
+        return inner(each, state, n_blocks, n_out, name, **inputs)
+
+    monkeypatch.setattr(special, "_iterate", counted)
+    distributions.gamma_quantile(*batch())
+    monkeypatch.undo()
+    return blocks
+
+
+def test_solver_blocks_per_draw(monkeypatch):
+    blocks = counted_blocks(monkeypatch)
+    assert counted_blocks(monkeypatch) == blocks  # the counts repeat exactly
+    assert set(blocks) == set(ITERATE_PINS), blocks
+    for name, (calls, total) in ITERATE_PINS.items():
+        assert len(blocks[name]) <= calls, blocks
+        assert sum(blocks[name]) <= total, blocks
+
+
 
 # Fixed files of each family, each with an upper-case word, a repeat and a
 # multi-word entry: (file text, schema or None for the header's family).
@@ -136,14 +176,15 @@ def test_column_passes_per_parse(tmp_path, monkeypatch, family):
         assert calls[name] <= pin, calls
 
 
-# One batch's gradient: tape nodes, of them leaves (one per head), and calls
-# into lexifuse frames.  One node per layer: 16 head leaves, 8 encoders, beta,
-# the KL, the draw, 8 times (decoder, emission) and the total.  Before layers
-# were single nodes: 147 nodes, 64 leaves, 1,212 calls; before each decoder
-# read its own rows of the draw: 52 nodes, 447 calls; before the batch was an
-# index array into Observations: 409 calls; with each batch's views checked
-# against the heads by a helper of their own: 402.
-BATCH_PINS = {"nodes": 44, "leaves": 16, "lexifuse_calls": 401}
+# One batch's gradient: tape layers, len(tape) at backward, and calls into
+# lexifuse frames.  28 layers: 8 encoders, beta, the KL, the draw, 8 times
+# (decoder, emission) and the total.  Before layers were single nodes: 147
+# nodes, 64 leaves, 1,212 calls; before each decoder read its own rows of the
+# draw: 52 nodes, 447 calls; before the batch was an index array into
+# Observations: 409 calls; with each batch's views checked against the heads
+# by a helper of their own: 402; on a general node tape with one leaf per
+# head: 44 nodes, 16 of them leaves, 401 calls.
+BATCH_PINS = {"nodes": 28, "lexifuse_calls": 223}
 
 
 def lexifuse_calls(fn) -> int:
@@ -188,24 +229,24 @@ def test_batch_gradient_nodes_and_calls(monkeypatch, first_batch):
     sizes = []
     backward = tape.Tape.backward
 
-    def counted(self, root):
-        sizes.append((len(self), sum(not parents for parents in self.parents)))
-        return backward(self, root)
+    def counted(self):
+        sizes.append(len(self))
+        return backward(self)
 
     monkeypatch.setattr(tape.Tape, "backward", counted)
     batch_gradient(*first_batch)
-    (nodes, leaves), = sizes
+    (nodes,) = sizes
     assert nodes <= BATCH_PINS["nodes"], sizes
-    assert leaves <= BATCH_PINS["leaves"], sizes
     assert calls <= BATCH_PINS["lexifuse_calls"], calls
 
 
 # One export over 4 views of 2 to 3 blocks each: encode_vars calls (one per
 # block, the sum over views of max(1, n // EXPORT_BLOCK_ROWS)) and calls into
-# lexifuse frames.  Each block binds the view's encoder head alone on a tape of
-# its own; one encoder call per view made 4 and 167, and a whole binding of
-# the state per block 9 and 356.
-EXPORT_PINS = {"encode_calls": 9, "lexifuse_calls": 171}
+# lexifuse frames.  Each block runs on the view's encoder head as the state
+# holds it; one encoder call per view made 4 and 167, a whole binding of the
+# state on a tape per block 9 and 356, and the view's head alone bound on a
+# tape per block 9 and 171.
+EXPORT_PINS = {"encode_calls": 9, "lexifuse_calls": 77}
 
 
 @pytest.fixture(scope="module")
@@ -242,11 +283,12 @@ def test_export_blocks_and_calls(monkeypatch, export_inputs):
 # frames from parsing the files to writing the checkpoint and the training
 # log, 482 of them compute_prior's, one per word.  With one WordObservation
 # per word and each batch a list of them: 3,269; with each batch's views
-# checked against the heads by a helper of their own: 1,836.  Then one
-# `lexifuse export` of that checkpoint on the same files, from parsing them
-# to writing unified.tsv.
-TRAIN_PINS = {"lexifuse_calls": 1833}
-CLI_EXPORT_PINS = {"lexifuse_calls": 767}
+# checked against the heads by a helper of their own: 1,836; on a general
+# node tape: 1,833.  Then one `lexifuse export` of that checkpoint on the
+# same files, from parsing them to writing unified.tsv: 767 on a general
+# node tape.
+TRAIN_PINS = {"lexifuse_calls": 1629}
+CLI_EXPORT_PINS = {"lexifuse_calls": 723}
 
 
 @pytest.fixture(scope="module")

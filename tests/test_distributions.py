@@ -15,11 +15,9 @@ from lexifuse.distributions import (
 from lexifuse.errors import ConfigError, DomainError
 from lexifuse.rng import RngStream
 from lexifuse.special import gamma_quantile
-from lexifuse.tape import Tape
 from reference import (
     dirichlet_kl_jacobian,
     dirichlet_kl_per_component,
-    leaf,
     linear_objective,
     product01,
     reparam_grad_elbo,
@@ -27,7 +25,6 @@ from reference import (
     sample_dirichlet,
     sample_gamma,
     sum_of_squares,
-    summed,
 )
 
 pos_param = st.floats(min_value=0.3, max_value=20.0)
@@ -139,11 +136,9 @@ class TestDirichletKlAgainstPerComponent:
         beta, alpha = kl_cases()[case]
         want = dirichlet_kl_per_component(beta, alpha)
         assert dirichlet_kl(beta, alpha).tobytes() == want.tobytes()
-        tape = Tape()
-        beta_leaf = leaf(tape, beta)
-        node = dirichlet_kl_var(beta_leaf, alpha)
-        assert node.value.tobytes() == want.tobytes()
-        assert tape.backward(summed(node))[beta_leaf.idx].tobytes() == dirichlet_kl_jacobian(beta, alpha).tobytes()
+        kl, jac = dirichlet_kl_var(beta, alpha)
+        assert kl.tobytes() == want.tobytes()
+        assert jac.tobytes() == dirichlet_kl_jacobian(beta, alpha).tobytes()
 
     def test_one_dimensional_bitwise(self):
         for beta, alpha in [((4 / 3, 4 / 3, 4 / 3), (1.0, 1.0, 1.0)), ((1.0, 1.0, 1.0), (2.5, 1.0, 1.0)),
@@ -163,11 +158,9 @@ class TestDirichletKlVar:
     )
     @settings(max_examples=100)
     def test_value_and_gradient(self, beta, alpha):
-        tape = Tape()
-        beta_leaf = leaf(tape, [beta])
-        node = dirichlet_kl_var(beta_leaf, np.array([alpha]))
-        assert node.value[0] == pytest.approx(dirichlet_kl(beta, alpha), rel=1e-12)
-        adj = tape.backward(node)[beta_leaf.idx][0]
+        kl, jac = dirichlet_kl_var(np.array([beta]), np.array([alpha]))
+        assert kl[0] == pytest.approx(dirichlet_kl(beta, alpha), rel=1e-12)
+        adj = jac[0]
         h = 1e-6
         for k in range(3):
             up = list(beta)
@@ -180,16 +173,11 @@ class TestDirichletKlVar:
     def test_rows_independent(self):
         beta = np.array([[2.0, 1.5, 1.2], [1.0, 1.0, 4.0], [3.0, 2.0, 1.0]])
         alpha = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 3.0]])
-        tape = Tape()
-        beta_leaf = leaf(tape, beta)
-        node = dirichlet_kl_var(beta_leaf, alpha)
-        adj = tape.backward(summed(node))
+        kl, jac = dirichlet_kl_var(beta, alpha)
         for i in range(3):
-            t1 = Tape()
-            one = leaf(t1, beta[i : i + 1])
-            kl = dirichlet_kl_var(one, alpha[i : i + 1])
-            assert node.value[i] == kl.value[0]
-            np.testing.assert_array_equal(adj[beta_leaf.idx][i], t1.backward(kl)[one.idx][0])
+            one, one_jac = dirichlet_kl_var(beta[i : i + 1], alpha[i : i + 1])
+            assert kl[i] == one[0]
+            np.testing.assert_array_equal(jac[i], one_jac[0])
 
 
 class TestGammaSampleVar:
@@ -220,8 +208,7 @@ class TestDirichletSampleVars:
     @settings(max_examples=100)
     def test_matches_float_twin(self, beta, us):
         # the float computation: Gamma quantiles normalized onto the simplex
-        tape = Tape()
-        zs = dirichlet_sample_vars(leaf(tape, [beta]), np.array([us])).value[0]
+        zs = dirichlet_sample_vars(np.array([beta]), np.array([us]))[0][0]
         ys = [float(gamma_quantile(b, u)[0]) for b, u in zip(beta, us)]
         want = [y / sum(ys) for y in ys]
         np.testing.assert_allclose(zs, want, rtol=1e-12)
@@ -230,14 +217,12 @@ class TestDirichletSampleVars:
     def test_gradient_vs_float_twin_fd(self):
         beta = [2.0, 1.3, 4.0]
         us = np.array([[0.3, 0.7, 0.52]])
-        tape = Tape()
-        beta_leaf = leaf(tape, [beta])
-        zs = dirichlet_sample_vars(beta_leaf, us)
+        _, vjp = dirichlet_sample_vars(np.array([beta]), us)
         # differentiate z_0 w.r.t. each beta_k
-        adj = tape.backward(linear_objective([1.0, 0.0, 0.0])(zs))[beta_leaf.idx][0]
+        adj = vjp(np.array([[1.0, 0.0, 0.0]]))[0]
 
         def z0_value(b):
-            return dirichlet_sample_vars(leaf(Tape(), [b]), us).value[0, 0]
+            return dirichlet_sample_vars(np.array([b]), us)[0][0, 0]
 
         h = 1e-6
         for k in range(3):
@@ -253,7 +238,7 @@ class TestDirichletSampleVars:
         beta = np.array([[2.0, 1.3, 4.0], [1.0, shape, 3.0]])
         us = np.array([[0.3, 0.7, 0.52], [0.5, 0.5, 0.5]])
         with pytest.raises(DomainError, match="requires shape >= 1"):
-            dirichlet_sample_vars(leaf(Tape(), beta), us)
+            dirichlet_sample_vars(beta, us)
         with pytest.raises(DomainError, match="requires shape >= 1"):
             gamma_quantile(shape, 0.5)
 
@@ -274,7 +259,7 @@ def score_function_samples(objective_f, beta, n, rng):
 class TestReparamGradElbo:
     def test_constant_objective_exactly_zero(self):
         g = reparam_grad_elbo(
-            lambda z: leaf(z.tape, np.full(len(z.value), 5.0)), (2.0, 2.0, 2.0), 16, RngStream(5)
+            lambda z: (np.full(len(z), 5.0), np.zeros_like(z)), (2.0, 2.0, 2.0), 16, RngStream(5)
         )
         np.testing.assert_array_equal(g, np.zeros(3))
 

@@ -628,6 +628,13 @@ class TestSynthGenerate:
             assert va.id == vb.id and va.words == vb.words
             assert va.values.tobytes() == vb.values.tobytes()
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_polar_word_refused(self, seed):
+        with pytest.raises(ConfigError, match=r"every synth word \(1\) drew neutral"):
+            synth_generate(1, 1, 0.1, 5, 5, RngStream(seed))
+        # a seed whose one word is polar still generates
+        assert synth_generate(1, 1, 0.1, 5, 5, RngStream(0)).word_classes["word0000"] in (0, 1)
+
     def test_binary_views_polar_domain(self):
         data = synth_generate(90, 2, 0.3, 5, 5, RngStream(2))
         bins = [v for v in data.views if v.family.tag == "Binary"]

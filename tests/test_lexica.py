@@ -10,6 +10,7 @@ from lexifuse.errors import ConfigError, DomainError, ParseError
 from lexifuse.lexica import (
     COMPONENTS,
     DEFAULT_TAU,
+    DEFAULT_TAU_R,
     LexiconView,
     ScaleFamily,
     ViewSchema,
@@ -495,6 +496,25 @@ class TestCoarseSentiment:
         assert signed(np.nextafter(DEFAULT_TAU, 1.0)) == "positive"
         assert signed(-DEFAULT_TAU) == "neutral"
         assert signed(np.nextafter(-DEFAULT_TAU, -1.0)) == "negative"
+
+        # a pair whose margin is exactly DEFAULT_TAU either way is neutral
+        def pair(pos, neg):
+            return coarse(pair_continuous(), (float(pos), float(neg)))
+
+        assert pair(DEFAULT_TAU, 0.0) == "neutral"
+        assert pair(np.nextafter(DEFAULT_TAU, 1.0), 0.0) == "positive"
+        assert pair(0.0, DEFAULT_TAU) == "neutral"
+        assert pair(0.0, np.nextafter(DEFAULT_TAU, 1.0)) == "negative"
+
+        # 10 raters on 9 points: midpoint 4, so a mean of exactly 4 +- 0.5 is neutral
+        def raters(*counts):
+            return coarse(rater_histogram(10, 9), sum(((rating,) * n for rating, n in counts), ()))
+
+        assert DEFAULT_TAU_R == 0.5
+        assert raters((4, 5), (5, 5)) == "neutral"  # sum 45, mean 4.5
+        assert raters((4, 4), (5, 6)) == "positive"  # sum 46
+        assert raters((3, 5), (4, 5)) == "neutral"  # sum 35, mean 3.5
+        assert raters((3, 6), (4, 4)) == "negative"  # sum 34
 
     @given(ANY_FAMILY.flatmap(label_strategy))
     def test_total_and_deterministic(self, label):

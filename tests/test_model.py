@@ -29,7 +29,6 @@ from lexifuse.lexica import (
 from lexifuse.model import (
     EXPORT_BLOCK_ROWS,
     Head,
-    ModelBinding,
     ModelState,
     decode_vars,
     decoder_width,
@@ -46,7 +45,7 @@ from lexifuse.model import (
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.tape import Tape
 from lexifuse.training import TrainConfig, init_model
-from reference import elbo_noise, elbo_word, encode, leaf, observations_of
+from reference import elbo_noise, elbo_word, encode, observations_of
 from row_lexica import PolarityLabel, view_of
 
 SMALL = TrainConfig(hidden_dim=4, seed=0)
@@ -97,25 +96,23 @@ def encode_one(label, state, vid):
     return encode_words(state, vid, [label])[0]
 
 
-def decode_on_tape(state, vid, z):
-    """rho from view vid's decoder at constant z, as a (1, width) node."""
-    tape = Tape()
-    binding = ModelBinding(tape, state)
-    return decode_vars(leaf(tape, [z]), np.array([0]), binding.heads[("dec", vid)], state.scales[vid])
+def decode_rho(state, vid, z):
+    """rho (1, width) from view vid's decoder at z."""
+    return decode_vars(np.array([z], dtype=float), np.array([0]), state.decoders[vid], state.scales[vid])[0]
 
 
 def decode_values(state, vid, z):
-    return tuple(decode_on_tape(state, vid, z).value[0])
+    return tuple(decode_rho(state, vid, z)[0])
 
 
-def label_ll_var(label, rho):
-    """log P_d(x_d | rho) of one label, from a (1, width) rho node."""
-    return emission_ll_var(label.family, emission_targets(label.family, rows_of(label)), rho)
+def label_ll(label, rho):
+    """log P_d(x_d | rho) of one label, from rho (1, width): (1,)."""
+    return emission_ll_var(label.family, emission_targets(label.family, rows_of(label)), rho)[0]
 
 
 def emission_ll(label, rho):
-    """log P_d(x_d | rho) at constant rho."""
-    return label_ll_var(label, leaf(Tape(), [rho])).value[0]
+    """log P_d(x_d | rho) at one rho."""
+    return label_ll(label, np.array([rho], dtype=float))[0]
 
 
 class TestDecoderWidth:
@@ -261,8 +258,8 @@ class TestExportBlocks:
         vocab = build_vocabulary(views)
         want = np.ones((len(vocab), 3))
         for view in sorted(views, key=lambda v: v.id):
-            head = ModelBinding(Tape(), state).heads[("enc", view.id)]
-            want[vocab.rows[view.id]] += encode_vars(encoder_input(view.family, view.values), head).value
+            head = state.encoders[view.id]
+            want[vocab.rows[view.id]] += encode_vars(encoder_input(view.family, view.values), head)[0]
         calls = []
 
         def counted(x, head):
@@ -316,7 +313,7 @@ class TestDecode:
     def test_dim_mismatch(self):
         state = small_state()
         with pytest.raises(ConfigError):
-            decode_on_tape(state, "sig", (0.5, 0.5))
+            decode_rho(state, "sig", (0.5, 0.5))
         # a one-output Bernoulli decoder cannot serve a signed view, which
         # needs a mean and a variance; the state refuses it once, up front
         with pytest.raises(ConfigError):
@@ -362,9 +359,9 @@ class TestEmissionLogLikelihood:
         scale = ALL_SCALES[key]
         state = small_state()
         state.decoders[key].b2[...] = raw_scale
-        rho = decode_on_tape(state, key, (1 / 3, 1 / 3, 1 / 3))
-        ll = label_ll_var(example_label(scale), rho)
-        assert math.isfinite(ll.value[0])
+        rho = decode_rho(state, key, (1 / 3, 1 / 3, 1 / 3))
+        ll = label_ll(example_label(scale), rho)
+        assert math.isfinite(ll[0])
 
 
 class TestTapeFloatParity:
@@ -372,11 +369,9 @@ class TestTapeFloatParity:
         state = small_state()
         for vid, scale in ALL_SCALES.items():
             label = example_label(scale)
-            tape = Tape()
-            binding = ModelBinding(tape, state)
-            om_t = encode_vars(encoder_input(scale, rows_of(label)), binding.heads[("enc", vid)])
+            om_t, _ = encode_vars(encoder_input(scale, rows_of(label)), state.encoders[vid])
             om_f = encode(state.encoders[vid], encoder_input(scale, rows_of(label)))[0]
-            np.testing.assert_array_equal(om_t.value[0], om_f)
+            np.testing.assert_array_equal(om_t[0], om_f)
 
 
 def _word_labels(vids=("bin", "sig", "pair", "rater")):
@@ -392,12 +387,12 @@ class TestElboWord:
     def test_decomposition_exact(self):
         state = small_state()
         we = elbo_word(_word_obs(), state, n_mc=2, rng=RngStream(1))
-        assert we.total.value == we.recon[0] - we.kl[0]
+        assert we.total == we.recon[0] - we.kl[0]
 
     def test_reproducible(self):
         state = small_state()
-        a = elbo_word(_word_obs(), state, 1, RngStream(5)).total.value
-        b = elbo_word(_word_obs(), state, 1, RngStream(5)).total.value
+        a = elbo_word(_word_obs(), state, 1, RngStream(5)).total
+        b = elbo_word(_word_obs(), state, 1, RngStream(5)).total
         assert a == b
 
     def test_kl_zero_when_beta_matches_prior(self):
@@ -422,17 +417,14 @@ class TestElboWord:
         obs = _word_obs()
         us = np.array([elbo_noise(RngStream(3), 2)])
 
-        tape = Tape()
-        binding = ModelBinding(tape, state)
-        we = elbo_batch(binding, obs, us)
-        grad = binding.gradient(tape.backward(we.total))
+        grad = elbo_batch(state, obs, us).tape.backward()
 
         base = state.params.copy()
 
         def value_at(vec):
             s2 = copy.deepcopy(state)
             s2.params[...] = vec
-            return elbo_batch(ModelBinding(Tape(), s2), obs, us).total.value
+            return elbo_batch(s2, obs, us).total
 
         h = 1e-5
         rng = np.random.default_rng(0)
@@ -451,7 +443,7 @@ class TestElboWord:
 
         def mc_mean(seed, k=400):
             rng = RngStream(seed)
-            vals = np.array([elbo_word(obs, state, 1, rng).total.value for _ in range(k)])
+            vals = np.array([elbo_word(obs, state, 1, rng).total for _ in range(k)])
             return vals.mean(), vals.std() / math.sqrt(k)
 
         m1, se1 = mc_mean(101)
@@ -466,18 +458,14 @@ class TestElboWord:
         both = observations_of({"w": _word_labels(("bin", "sig")), "w2": _word_labels(("bin",))},
                                {"w": (2.0, 1.0, 1.0), "w2": (1.0, 1.0, 1.0)})
         us = np.array([noise, noise])
-        shared_tape = Tape()
-        shared = ModelBinding(shared_tape, state)
-        we = elbo_batch(shared, both, us)
-        grad = shared.gradient(shared_tape.backward(we.total))
+        we = elbo_batch(state, both, us)
+        grad = we.tape.backward()
 
         totals, grad_sum = [], 0.0
         for row in range(2):
-            tape = Tape()
-            binding = ModelBinding(tape, state)
-            one = elbo_batch(binding, both[[row]], us[[row]])
+            one = elbo_batch(state, both[[row]], us[[row]])
             totals.append(one.recon[0] - one.kl[0])
-            grad_sum = grad_sum + binding.gradient(tape.backward(one.total))
+            grad_sum = grad_sum + one.tape.backward()
         assert (we.recon - we.kl).tolist() == totals
         np.testing.assert_allclose(grad, grad_sum, rtol=1e-12, atol=1e-15)
 
@@ -490,7 +478,7 @@ class TestElboWord:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             with pytest.raises(NumericError, match="'w2'"):
-                elbo_batch(ModelBinding(Tape(), state), batch, us)
+                elbo_batch(state, batch, us)
             # the typed error is all a user sees: numpy prints no warning first
             view = view_of("sig", signed_continuous(), {"w": 0.5})
             (beta,) = posterior_params([view], state, build_vocabulary([view]))
@@ -506,7 +494,7 @@ class TestElboWord:
                                 {"w": (2.0, 1.0, 1.0), "w2": (1.0, 1.0, 1.0)})
         us = np.array([elbo_noise(RngStream(4), 1), elbo_noise(RngStream(5), 1)])
         with pytest.raises(NumericError, match=r"non-finite ELBO for word 'w2' \(views \['sig'\]\): recon=nan"):
-            elbo_batch(ModelBinding(Tape(), state), batch, us)
+            elbo_batch(state, batch, us)
 
 
 def pack_order(encoders, decoders) -> np.ndarray:
@@ -577,29 +565,40 @@ class TestPackUnpack:
         assert not any(a.any() for a in twin_arrays)
         np.testing.assert_array_equal(state.params, before)
 
-    def test_binding_gradient_alignment(self):
-        # d/dw of (first w1 entry of the first view's encoder * 2) must land
-        # at flat index 0, and the last decoder's last bias at the last index
+    def test_backward_gradient_alignment(self):
+        # a head's flat gradient lands at its slice of params: the first
+        # view's encoder's first entry (w1[0, 0]) at flat index 0, and the
+        # last view's decoder's last entry (b2[-1]) at the last index
         state = small_state()
-        tape = Tape()
-        binding = ModelBinding(tape, state)
+        heads = state.heads()
+        sizes = {key: sum(a.size for a in head) for key, head in heads.items()}
+        assert sum(sizes.values()) == state.params.size
         vids = state.view_ids()
 
-        def scaled_entry(leaf, index, c):
-            mask = np.zeros(leaf.value.shape)
-            mask[index] = c
-            return tape.push((mask * leaf.value).sum(), (leaf,), lambda g: (g * mask,))
+        def scaled_entry(key, index, c):
+            g = np.zeros(sizes[key])
+            g[index] = c
+            return g
 
-        # one flat leaf per head: w1[0, 0] is its first entry, b2[-1] its last
-        first = scaled_entry(binding.heads[("enc", vids[0])].leaf, 0, 2.0)
-        last = scaled_entry(binding.heads[("dec", vids[-1])].leaf, -1, 3.0)
-        grad = binding.gradient(tape.backward(first))
+        def tape_of(encoders=(), decoded=()):
+            """A one-word, one-sample tape of the given layers, the rest zero."""
+            tape = Tape(sizes)
+            tape.encoders.extend(encoders)
+            tape.kl = np.zeros((1, 3))
+            tape.samples.append((lambda g: np.zeros((1, 3)), list(decoded)))
+            return tape
+
+        first = (("enc", vids[0]), np.array([0]), lambda g: scaled_entry(("enc", vids[0]), 0, 2.0))
+        grad = tape_of(encoders=[first]).backward()
+        assert grad.shape == state.params.shape
         assert grad[0] == 2.0
         assert np.count_nonzero(grad) == 1
-        grad = binding.gradient(tape.backward(last))
+        last = (("dec", vids[-1]), lambda g: (np.zeros((1, 3)), scaled_entry(("dec", vids[-1]), -1, 3.0)),
+                np.zeros((1, 1)))
+        grad = tape_of(decoded=[last]).backward()
         assert grad[-1] == 3.0
         assert np.count_nonzero(grad) == 1
-        flat = np.concatenate([h.leaf.value for h in binding.heads.values()])
+        flat = np.concatenate([a.ravel() for head in heads.values() for a in head])
         np.testing.assert_array_equal(flat, state.params)
 
 

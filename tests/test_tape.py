@@ -1,6 +1,6 @@
-"""The array tape of the library and its one-node layers (TestArray*), and
-the scalar tape the tests keep as their gradient oracle (the other classes),
-each against finite differences."""
+"""The library's layers and the tape that replays their chain rules
+(TestArray*), and the scalar tape the tests keep as their gradient oracle
+(the other classes), each against finite differences."""
 
 import math
 
@@ -14,8 +14,11 @@ from lexifuse import tape as at
 from lexifuse.distributions import dirichlet_sample_vars
 from lexifuse.errors import NumericError, UsageError
 from lexifuse.lexica import binary, pair_continuous, rater_histogram, signed_continuous
-from lexifuse.model import Head, HeadLeaf, beta_var, decode_vars, decoder_width, encode_vars
-from reference import leaf
+from lexifuse.model import Head, decode_vars, decoder_width, elbo_batch, encode_vars
+from lexifuse.rng import RngStream, stream_for
+from lexifuse.training import TrainConfig, init_model
+from reference import elbo_noise, observations_of
+from row_lexica import PolarityLabel
 from scalar_tape import Tape
 
 
@@ -305,27 +308,20 @@ def array_fd(f, x, h=1e-6):
     return out
 
 
-def weighted(node, c):
-    """sum(c * node) as a scalar node, c an array of node's shape."""
-    return node.tape.push((c * node.value).sum(), (node,), lambda g: (g * c,))
-
-
 def check_vjp(op, xs, h=1e-6, rtol=1e-6, atol=1e-8):
-    """op(*leaves) -> node: its VJP against central differences of a random
-    weighted readout, for every input array."""
-    tape = at.Tape()
-    leaves = [leaf(tape, x) for x in xs]
-    out = op(*leaves)
-    c = np.random.default_rng(0).normal(size=out.value.shape)
-    adj = tape.backward(weighted(out, c))
+    """op(*arrays) -> (output, VJP), the VJP returning one adjoint per array
+    (a tuple, or the one adjoint of a single array): its adjoints against
+    central differences of a random weighted readout, for every input array."""
+    xs = [np.array(x, dtype=float) for x in xs]
+    out, vjp = op(*xs)
+    c = np.random.default_rng(0).normal(size=out.shape)
+    adj = vjp(c)
+    adj = adj if len(xs) > 1 else (adj,)
     for k, x in enumerate(xs):
         def f(v, k=k):
-            t = at.Tape()
-            args = [leaf(t, v if j == k else y) for j, y in enumerate(xs)]
-            return float((c * op(*args).value).sum())
+            return float((c * op(*[v if j == k else y for j, y in enumerate(xs)])[0]).sum())
 
-        np.testing.assert_allclose(adj[leaves[k].idx], array_fd(f, np.array(xs[k], dtype=float), h),
-                                   rtol=rtol, atol=atol)
+        np.testing.assert_allclose(adj[k], array_fd(f, x, h), rtol=rtol, atol=atol)
 
 
 def head_shapes(n_in, n_out, hidden=4):
@@ -333,11 +329,10 @@ def head_shapes(n_in, n_out, hidden=4):
     return [(hidden, n_in), (hidden,), (n_out, hidden), (n_out,)]
 
 
-def bound(leaf, shapes):
-    """A head leaf (its flat parameters) with its arrays as views of it."""
+def bound(flat, shapes):
+    """A head whose arrays are views of flat, in order."""
     ends = np.cumsum([math.prod(shape) for shape in shapes])
-    return HeadLeaf(leaf, Head._make(leaf.value[end - math.prod(shape):end].reshape(shape)
-                                     for shape, end in zip(shapes, ends)))
+    return Head._make(flat[end - math.prod(shape):end].reshape(shape) for shape, end in zip(shapes, ends))
 
 
 def flat_head(gen, shapes):
@@ -354,20 +349,16 @@ class TestArrayOps:
         x = gen.normal(size=(5, 2))
         shapes = head_shapes(2, 3)
         check_vjp(lambda head: encode_vars(x, bound(head, shapes)), [flat_head(gen, shapes)])
-        t = at.Tape()
-        head = bound(leaf(t, flat_head(gen, shapes)), shapes)
-        encode_vars(x, head)
-        assert len(t) == 2  # the head's leaf and one layer node
         with pytest.raises(UsageError, match="encode_vars: rows of width 2"):
-            encode_vars(np.zeros((5, 3)), head)
+            encode_vars(np.zeros((5, 3)), bound(flat_head(gen, shapes), shapes))
 
     def test_encode_vars_softmax_rows(self):
         gen = np.random.default_rng(4)
         x = gen.normal(size=(6, 2)) * 3.0
         shapes = head_shapes(2, 3)
         check_vjp(lambda head: encode_vars(x, bound(head, shapes)), [flat_head(gen, shapes)])
-        omega = encode_vars(x, bound(leaf(at.Tape(), flat_head(gen, shapes)), shapes))
-        np.testing.assert_allclose(omega.value.sum(axis=1), 1.0, rtol=1e-15)
+        omega, _ = encode_vars(x, bound(flat_head(gen, shapes), shapes))
+        np.testing.assert_allclose(omega.sum(axis=1), 1.0, rtol=1e-15)
 
     @pytest.mark.parametrize("family", sorted(DECODER_SCALES))
     def test_decode_vars_node_input(self, family):
@@ -377,12 +368,8 @@ class TestArrayOps:
         rows = np.arange(5)
         check_vjp(lambda z, head: decode_vars(z, rows, bound(head, shapes), scale),
                   [gen.normal(size=(5, 3)), flat_head(gen, shapes)])
-        t = at.Tape()
-        z = leaf(t, np.zeros((5, 3)))
-        decode_vars(z, rows, bound(leaf(t, flat_head(gen, shapes)), shapes), scale)
-        assert len(t) == 3  # z, the head's leaf and one layer node
         with pytest.raises(UsageError, match="decode_vars: rows of width 3"):
-            decode_vars(leaf(t, np.zeros((5, 2))), rows, bound(leaf(t, flat_head(gen, shapes)), shapes), scale)
+            decode_vars(np.zeros((5, 2)), rows, bound(flat_head(gen, shapes), shapes), scale)
 
     def test_decode_vars_rows_repeats_and_order(self):
         # row 1 is not read, so its adjoint is zero; row 2 is read twice
@@ -392,73 +379,91 @@ class TestArrayOps:
         shapes = head_shapes(3, decoder_width(scale))
         check_vjp(lambda z, head: decode_vars(z, rows, bound(head, shapes), scale),
                   [gen.normal(size=(4, 3)), flat_head(gen, shapes)])
-        t = at.Tape()
-        z = leaf(t, gen.normal(size=(4, 3)))
-        rho = decode_vars(z, rows, bound(leaf(t, flat_head(gen, shapes)), shapes), scale)
-        np.testing.assert_array_equal(rho.value[0], rho.value[2])
-        assert not t.backward(weighted(rho, np.ones((4, 2))))[z.idx][1].any()
+        rho, vjp = decode_vars(gen.normal(size=(4, 3)), rows, bound(flat_head(gen, shapes), shapes), scale)
+        np.testing.assert_array_equal(rho[0], rho[2])
+        assert not vjp(np.ones((4, 2)))[0][1].any()
 
     def test_dirichlet_sample_vars(self):
         gen = np.random.default_rng(4)
         beta = 1.0 + 4.0 * gen.random((5, 3))
         us = gen.random((5, 3))
         check_vjp(lambda b: dirichlet_sample_vars(b, us), [beta])
-        t = at.Tape()
-        z = dirichlet_sample_vars(leaf(t, beta), us)
-        np.testing.assert_allclose(z.value.sum(axis=1), 1.0, rtol=1e-15)
-        assert len(t) == 2
+        z, _ = dirichlet_sample_vars(beta, us)
+        np.testing.assert_allclose(z.sum(axis=1), 1.0, rtol=1e-15)
 
-    def test_beta_var(self):
-        r1, r2 = np.array([0, 2, 3]), np.array([3, 1])
-        gen = np.random.default_rng(6)
-        check_vjp(lambda a, b: beta_var(5, [(r1, a), (r2, b)]), [gen.normal(size=(3, 3)), gen.normal(size=(2, 3))])
-        t = at.Tape()
-        out = beta_var(5, [(r1, leaf(t, np.ones((3, 3)))), (r2, leaf(t, np.ones((2, 3))))])
-        np.testing.assert_array_equal(out.value[:, 0], [2.0, 2.0, 2.0, 3.0, 1.0])
-        assert len(t) == 3  # two leaves and one layer node
 
-    def test_rowwise(self):
-        x = np.random.default_rng(7).normal(size=(4, 3))
-        check_vjp(lambda n: at.rowwise(n, (n.value ** 2).sum(axis=1), 2.0 * n.value), [x])
+def recorded(calls, name, out):
+    """A VJP that records (name, its adjoint) in calls and returns out."""
+    def vjp(g):
+        calls.append((name, np.array(g)))
+        return out
+
+    return vjp
 
 
 class TestArrayTapeStructure:
     def test_topological_and_node_count(self):
-        t = at.Tape()
-        x = leaf(t, np.ones((2, 3)))
-        y = at.rowwise(x, x.value.sum(axis=1), np.ones_like(x.value))
-        z = weighted(y, np.ones(2))
-        assert len(t) == 3 and z.idx == 2
-        for i, ps in enumerate(t.parents):
-            assert all(p < i for p in ps)
+        # a batch records its layers in forward order: the encoders and each
+        # sample's decoders in sorted view order, the samples in order
+        scales = {"bin": binary(), "pair": pair_continuous(), "rater": rater_histogram(10, 9),
+                  "sig": signed_continuous()}
+        state = init_model(scales, TrainConfig(hidden_dim=4), stream_for(0, "init"))
+        labels = {"bin": PolarityLabel(scales["bin"], 1), "pair": PolarityLabel(scales["pair"], (0.75, 0.125)),
+                  "rater": PolarityLabel(scales["rater"], (4, 5, 3, 4, 6, 4, 4, 2, 4, 4)),
+                  "sig": PolarityLabel(scales["sig"], 0.65)}
+        obs = observations_of({"w": labels, "v": {"sig": labels["sig"]}}, {"w": (2.0, 1.0, 1.0), "v": (1.0, 1.0, 1.0)})
+        tape = elbo_batch(state, obs, np.array([elbo_noise(RngStream(1), 2), elbo_noise(RngStream(2), 2)])).tape
+        vids = sorted(scales)
+        assert len(tape) == 4 + 3 + 2 * (1 + 2 * 4) == 25
+        assert [key for key, _, _ in tape.encoders] == [("enc", vid) for vid in vids]
+        assert len(tape.samples) == 2
+        for _, views in tape.samples:
+            assert [key for key, _, _ in views] == [("dec", vid) for vid in vids]
+        assert list(tape.sizes) == list(state.heads())
+        # each encoder covers its view's rows of the batch, in ascending order
+        rows = {key[1]: r.tolist() for key, r, _ in tape.encoders}
+        assert rows == {"bin": [1], "pair": [1], "rater": [1], "sig": [0, 1]}
 
-    def test_backward_skips_nodes_after_root_and_unrelated_leaves(self):
-        t = at.Tape()
-        x = leaf(t, np.array([2.0, 3.0]))
-        other = leaf(t, np.array([1.0]))
-        y = weighted(x, np.array([1.0, 2.0]))
-        _ = weighted(x, np.array([5.0, 7.0]))  # appended after the root
-        adj = t.backward(y)
-        np.testing.assert_array_equal(adj[x.idx], [1.0, 2.0])
-        assert adj[other.idx] is None
+    def test_unused_head_gets_zeros(self):
+        # a batch that no word of the "pair" view is in leaves its two heads'
+        # slices of the gradient zero, and every other head's nonzero
+        scales = {"bin": binary(), "pair": pair_continuous(), "sig": signed_continuous()}
+        state = init_model(scales, TrainConfig(hidden_dim=4), stream_for(0, "init"))
+        obs = observations_of({"w": {"bin": PolarityLabel(scales["bin"], 1), "sig": PolarityLabel(scales["sig"], 0.5)}},
+                              {"w": (2.0, 1.0, 1.0)})
+        elbo = elbo_batch(state, obs, np.array([elbo_noise(RngStream(3), 1)]))
+        grad = elbo.tape.backward()
+        assert grad.shape == state.params.shape
+        start = 0
+        for key, head in state.heads().items():
+            size = sum(a.size for a in head)
+            assert grad[start : start + size].any() == (key[1] != "pair"), key
+            start += size
 
     def test_fanout_accumulates(self):
-        t = at.Tape()
-        x = leaf(t, np.array([[0.3, -0.2, 0.1]]))
-        squares = at.rowwise(x, (x.value ** 2).sum(axis=1), 2.0 * x.value)
-        sums = at.rowwise(x, x.value.sum(axis=1), np.ones_like(x.value))
-        y = t.push(squares.value + sums.value, (squares, sums), lambda g: (g, g))
-        adj = t.backward(weighted(y, np.ones(1)))
-        np.testing.assert_allclose(adj[x.idx], 2.0 * x.value + 1.0, rtol=1e-15)
-
-    def test_rejects_foreign_root_non_scalar_root_and_mixed_tapes(self):
-        t1, t2 = at.Tape(), at.Tape()
-        x = leaf(t1, np.ones(3))
-        with pytest.raises(UsageError):
-            t2.backward(weighted(x, np.ones(3)))
-        with pytest.raises(UsageError):
-            t1.backward(x)  # three elements, not a scalar
-        with pytest.raises(UsageError):
-            t1.backward(3.0)
-        with pytest.raises(UsageError):
-            t1.push(x.value, (x, leaf(t2, np.ones(3))), None)
+        # two samples of two views: z's adjoint adds up over a sample's views,
+        # beta's over the samples and then the KL's, a decoder head's over the
+        # samples, and each VJP runs once, in reverse forward order
+        calls = []
+        sizes = {("enc", "a"): 2, ("dec", "a"): 1, ("enc", "b"): 2, ("dec", "b"): 1}
+        tape = at.Tape(sizes)
+        rows = {"a": np.array([0, 1]), "b": np.array([1])}
+        tape.encoders += [(("enc", "a"), rows["a"], recorded(calls, "enc a", np.array([1.0, 2.0]))),
+                          (("enc", "b"), rows["b"], recorded(calls, "enc b", np.array([3.0, 4.0])))]
+        tape.kl = np.full((2, 3), 0.5)
+        for s in range(2):
+            decoded = [(("dec", v), recorded(calls, f"dec {v}{s}", (np.full((2, 3), 1.0 + i), np.array([10.0 ** s]))),
+                        np.full((len(rows[v]), 1), 2.0)) for i, v in enumerate("ab")]
+            tape.samples.append((recorded(calls, f"draw {s}", np.full((2, 3), 100.0 * (s + 1))), decoded))
+        assert len(tape) == 2 + 3 + 2 * (1 + 2 * 2)
+        grad = tape.backward()
+        assert [name for name, _ in calls] == ["dec b1", "dec a1", "draw 1", "dec b0", "dec a0", "draw 0",
+                                               "enc b", "enc a"]
+        adjoints = dict(calls)
+        for v, s in (("a", 0), ("a", 1), ("b", 0), ("b", 1)):  # 1 / n_mc times the emission's Jacobian
+            np.testing.assert_array_equal(adjoints[f"dec {v}{s}"], np.full((len(rows[v]), 1), 1.0))
+        for s in range(2):  # the two views' z adjoints, 2 + 1
+            np.testing.assert_array_equal(adjoints[f"draw {s}"], np.full((2, 3), 3.0))
+        np.testing.assert_array_equal(adjoints["enc a"], np.full((2, 3), 299.5))  # 200 + 100 - 0.5
+        np.testing.assert_array_equal(adjoints["enc b"], np.full((1, 3), 299.5))
+        np.testing.assert_array_equal(grad, [1.0, 2.0, 11.0, 3.0, 4.0, 11.0])
