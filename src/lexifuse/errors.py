@@ -106,12 +106,14 @@ _DATA_START = np.array([0x20 < b < 0x7F and b != ord("#") for b in range(256)])
 
 
 class Rows:
-    """An input file's data rows, split into tab-separated fields in one pass.
+    """An input file's data rows, to be split into tab-separated fields.
 
     The data rows are the lines (as read_lines gives them) that are neither
     blank nor a comment by str.lstrip().  `numbers` holds each row's line
-    number, `fields` all rows' fields one row after another, `counts` each
-    row's number of fields, and `others` each other line by its number.
+    number, `counts` each row's number of fields, and `others` each other
+    line by its number.  The rows are kept joined by tabs, as one string,
+    and split only when asked: a run of rows at a time (split), whole
+    columns from one split (columns), or one row at a time (walk).
     """
 
     def __init__(self, path: Path, what: str):
@@ -126,21 +128,30 @@ class Rows:
         self.numbers = np.flatnonzero(data) + 1
         self.counts = np.diff(tabs, prepend=0)[data] + 1
         self.others = {i + 1: lines[i] for i in np.flatnonzero(~data).tolist()}
-        joined = "\t".join(compress(lines, data.tolist()))
-        del raw, lines  # freed before the fields exist, which hold the same text
-        self.fields = joined.split("\t") if len(self.numbers) else []
+        del raw  # freed before the rows are joined
+        kept = list(compress(lines, data.tolist()))
+        self._text = "\t".join(kept)
+        # row i is _text[_starts[i]:_starts[i + 1] - 1]
+        self._starts = np.concatenate(([0], np.cumsum(np.fromiter(map(len, kept), np.intp, len(kept)) + 1)))
 
-    def column(self, c: int) -> list[str]:
-        """Field c of every row; every row must have more than c fields."""
-        k = self.counts
-        return list(map(self.fields.__getitem__, (np.cumsum(k) - k + c).tolist()))
+    def split(self, start: int, stop: int) -> list[str]:
+        """The fields of rows start to stop, one row after another."""
+        return self._text[self._starts[start]:self._starts[stop] - 1].split("\t") if stop > start else []
+
+    def columns(self, *cs: int) -> list[list[str]]:
+        """Field c of every row, for each c given, from one split of all rows;
+        every row must have more than max(cs) fields."""
+        fields, k = self.split(0, len(self.numbers)), self.counts
+        first = np.cumsum(k) - k
+        columns = []
+        for c in cs:
+            columns.append(list(map(fields.__getitem__, (first + c).tolist())))
+        return columns
 
     def walk(self):
         """Each row's line number and fields, in file order."""
-        start = 0
-        for line, count in zip(self.numbers.tolist(), self.counts.tolist()):
-            yield line, self.fields[start:start + count]
-            start += count
+        for i, line in enumerate(self.numbers.tolist()):
+            yield line, self.split(i, i + 1)
 
 
 @contextlib.contextmanager
@@ -195,7 +206,7 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write `lines` to `path` through atomic_write, each followed by a line
     feed; lines from an iterator are formatted as they are written."""
     with atomic_write(path) as f:
-        f.writelines(line + "\n" for line in lines)
+        f.writelines(map("{}\n".format, lines))
 
 
 def header(title: str, *, seed: int | None = None, config_hash: str | None = None) -> list[str]:

@@ -125,10 +125,15 @@ def _domain_message(family: ScaleFamily, value) -> str:
 
 
 def casefold_each(strings: list[str]) -> list[str]:
-    """Each string case-folded.  Folding goes character by character and never
-    makes or removes a line feed, so unless a string holds one, folding the
-    strings joined by line feeds in one call and splitting gives the same."""
-    folded = "\n".join(strings).casefold().split("\n") if strings else []
+    """Each string case-folded: `strings` itself when folding changes none of
+    them, so that folded words are not copied.  Folding goes character by
+    character and never makes or removes a line feed, so unless a string
+    holds one, folding the strings joined by line feeds in one call and
+    splitting gives the same."""
+    joined = "\n".join(strings)
+    if (folded := joined.casefold()) == joined:
+        return strings
+    folded = folded.split("\n")
     return folded if len(folded) == len(strings) else [s.casefold() for s in strings]
 
 
@@ -459,10 +464,11 @@ def parse_lexicon(path: str | Path, schema: ViewSchema | None = None) -> Lexicon
     needed = max(schema.word_col, schema.value_col, schema.neg_col or 0) + 1
     view = None
     if not len(rows.counts) or rows.counts.min() >= needed:
-        words = list(map(str.strip, rows.column(schema.word_col)))
-        tokens = list(map(str.strip, rows.column(schema.value_col)))
-        if schema.neg_col is not None:
-            tokens = list(map("{},{}".format, tokens, map(str.strip, rows.column(schema.neg_col))))
+        words, tokens, *neg = rows.columns(schema.word_col, schema.value_col,
+                                           *([] if schema.neg_col is None else [schema.neg_col]))
+        words, tokens = list(map(str.strip, words)), list(map(str.strip, tokens))
+        if neg:
+            tokens = list(map("{},{}".format, tokens, map(str.strip, neg[0])))
         n_rows, n_hashed = len(words), 0
         # stripped words joined split into more than one part only if one holds whitespace; a
         # word can start with '#' only off column 0, as a data line never starts with one

@@ -144,7 +144,8 @@ class Observations:
 
     A read-only sequence: len() counts the words, obs[i] and iteration build
     each word's WordObservation on demand, and obs[slice or index array] is
-    the Observations of those words in that order, sharing the views.
+    the Observations of those words in that order, sharing the views, built
+    without checking again what the constructor checked.
     """
 
     words: list[str]
@@ -179,9 +180,19 @@ class Observations:
 
     def __getitem__(self, key):
         if isinstance(key, slice) or np.ndim(key):
+            # rows taken from checked rows need no check of their own: only
+            # views that cover none of the words are dropped
             idx = np.arange(len(self))[key]
-            views = {vid: ObservedView(v.lexicon, v.rows[idx]) for vid, v in self.views.items()}
-            return Observations(list(map(self.words.__getitem__, idx.tolist())), self.priors[idx], views)
+            priors = self.priors[idx]
+            priors.flags.writeable = False
+            part = object.__new__(Observations)
+            object.__setattr__(part, "words", list(map(self.words.__getitem__, idx.tolist())))
+            object.__setattr__(part, "priors", priors)
+            object.__setattr__(part, "views", {})
+            for vid, v in self.views.items():
+                if (rows := v.rows[idx]).max(initial=-1) >= 0:
+                    part.views[vid] = ObservedView(v.lexicon, rows)
+            return part
         i = range(len(self))[key]
         labels = {vid: v.lexicon.values[v.rows[i]] for vid, v in self.views.items() if v.rows[i] >= 0}
         return WordObservation(self.words[i], labels, self.priors[i])

@@ -14,7 +14,7 @@ once per block, so an element stops at the end of the first block in which
 its own test passes: it may take a few more terms than a term-by-term loop
 would, never fewer, and which block that is depends on its (a, x) alone.
 Sums over a block's terms are taken in a fixed order for the same reason.
-An element still iterating at the cap (400 steps, 200 Halley rounds) is a
+An element still iterating at the cap (2,000 steps, 200 Halley rounds) is a
 NumericError naming the solver and that element, never a returned value.
 
 The shape-derivative of P is what makes pathwise (implicit
@@ -55,7 +55,7 @@ _LANCZOS = (
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 _EPS = 1e-15
-_ITMAX = 400
+_ITMAX = 2000
 
 
 def _check(name: str, what: str, x: np.ndarray, ok: np.ndarray) -> None:
@@ -85,13 +85,14 @@ def lgamma(x):
 
 
 def _shift_to_ten(x: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
-    """(x shifted up by whole steps until >= 10, sum of step(x) over the shifts)."""
-    x = x.copy()
+    """(x shifted up by whole steps until >= 10, sum of step(x) over the shifts).
+    Each round adds step(x) and 1.0 to the elements still below 10 only, so
+    an element's sums do not depend on what shares the call."""
     acc = np.zeros_like(x)
     low = x < 10.0
     while low.any():
-        acc[low] += step(x[low])
-        x[low] += 1.0
+        acc = np.where(low, acc + step(x), acc)
+        x = np.where(low, x + 1.0, x)
         low = x < 10.0
     return x, acc
 

@@ -8,13 +8,15 @@ starts with `#` (after any leading whitespace), which its file would read
 as a comment, every beta component is finite and >= 1, n_views >= 1,
 sum(beta) - 3 equals n_views, and mean equals beta / sum(beta).
 Each test is written to pass only on a good value, so nan and inf fail it.
-`read_unified` splits the file in one pass (errors.Rows) and converts each
-value column whole; when a row does not read, a word repeats or a check
-fails, it reports the first failing row as a ParseError at its line.
+`read_unified` finds the file's rows in one pass (errors.Rows) and splits
+and converts them in blocks of _BLOCK_ROWS rows, so it never holds a string
+per field of the whole file; when a row does not read, a word repeats or a
+check fails, it reports the first failing row as a ParseError at its line.
 
 The on-disk form is a UTF-8 TSV with the `#` attribution header (tool
 version, seed, config hash) and values printed with errors.FLOAT_FORMAT, one
-row per word in the lexicon's order.  A value read back can differ from the
+row per word in the lexicon's order, formatted by write_unified in the same
+blocks.  A value read back can differ from the
 exported one in its 12th significant digit, but rewriting a file that was
 read back reproduces it byte for byte.
 """
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from functools import cached_property
+from itertools import chain, compress, count, islice
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,9 @@ from .lexica import LexiconView, build_vocabulary, casefold_each
 from .model import ModelState, posterior_params
 
 log = logging.getLogger(__name__)
+
+# Rows formatted by write_unified, and converted by read_unified, at a time.
+_BLOCK_ROWS = 4096
 
 _COLUMNS = (
     "word",
@@ -89,9 +95,10 @@ def _check_rows(words: list[str], beta: np.ndarray, mean: np.ndarray, n_views: n
 
 class UnifiedLexicon:
     """A fused lexicon as parallel arrays sorted by case-folded word; `_index`
-    maps each case-folded word to its row, for the fused featurizers.  The
-    rows may come in any order; a word that repeats (after case-folding) or
-    that write_unified cannot write on a line of its own is a ConfigError."""
+    maps each case-folded word to its row, for the fused featurizers, and is
+    built on its first use.  The rows may come in any order; a word that
+    repeats (after case-folding) or that write_unified cannot write on a line
+    of its own is a ConfigError."""
 
     def __init__(self, words, beta, mean, n_views, meta: dict[str, str] | None = None):
         beta, mean = np.asarray(beta, dtype=float), np.asarray(mean, dtype=float)
@@ -108,17 +115,20 @@ class UnifiedLexicon:
             raise _InvalidRow(f"word {words[i]!r} starts with '#' or holds a tab or line feed, so no "
                               "unified lexicon file can carry it", i)
         _check_rows(words, beta, mean, n_views)
-        keys = casefold_each(list(words))
-        order = sorted(range(n), key=keys.__getitem__)
-        self._index: dict[str, int] = dict(zip(map(keys.__getitem__, order), range(n)))
-        if len(self._index) < n:
-            first: dict[str, int] = {}
-            for row, i in enumerate(order):
-                if first.setdefault(keys[i], row) != row:
-                    raise _InvalidRow(f"word {words[i]!r} repeats", i)
+        keys = casefold_each(words)
+        order = sorted(range(n), key=keys.__getitem__)  # stable: a repeat's rows stay in input order
+        folded = list(map(keys.__getitem__, order))
+        repeat = next(compress(count(1), map(str.__eq__, islice(folded, 1, None), folded)), None)
+        if repeat is not None:  # the second row of the first repeated word in sorted order
+            i = order[repeat]
+            raise _InvalidRow(f"word {words[i]!r} repeats", i)
         self.words = list(map(words.__getitem__, order))
         self.beta, self.mean, self.n_views = beta[order], mean[order], n_views[order]
         self.meta = dict(meta or {})
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(casefold_each(self.words), range(len(self.words))))
 
     def _entry(self, row: int) -> UnifiedEntry:
         beta, mean = tuple(self.beta[row].tolist()), tuple(self.mean[row].tolist())
@@ -152,6 +162,7 @@ def export_lexicon(model: ModelState, views: list[LexiconView]) -> UnifiedLexico
         log.warning("export skipped %d of %d words: no head for views %s; first skipped %s",
                     len(lost), len(vocab), missing, ", ".join(repr(words[row]) for row in lost[:5]))
         words, beta, n_views = list(compress(words, keep)), beta[keep], n_views[keep]
+    del vocab  # its word index and view rows go before the lexicon sorts the words
     mean = beta / beta.sum(axis=1, keepdims=True)
     return UnifiedLexicon(words, beta, mean, n_views)
 
@@ -165,8 +176,13 @@ def write_unified(
 ) -> None:
     head = [*header("unified polarity lexicon", seed=seed, config_hash=config_hash), "\t".join(_COLUMNS)]
     row = "\t".join(["%s", *[FLOAT_FORMAT] * 6, "%d"])
-    columns = [lexicon.words, *np.hstack([lexicon.beta, lexicon.mean]).T.tolist(), lexicon.n_views.tolist()]
-    write_lines(path, chain(head, map(row.__mod__, zip(*columns))))
+
+    def block(start: int):  # the lines of rows start to start + _BLOCK_ROWS, formatted as written
+        rows = slice(start, start + _BLOCK_ROWS)
+        values = np.hstack([lexicon.beta[rows], lexicon.mean[rows]]).T.tolist()
+        return map(row.__mod__, zip(lexicon.words[rows], *values, lexicon.n_views[rows].tolist()))
+
+    write_lines(path, chain(head, chain.from_iterable(map(block, range(0, len(lexicon), _BLOCK_ROWS)))))
 
 
 def _first_bad_row(rows: Rows, path: Path) -> None:
@@ -189,25 +205,29 @@ def _first_bad_row(rows: Rows, path: Path) -> None:
 
 def read_unified(path: str | Path) -> UnifiedLexicon:
     """Read a unified lexicon file: `#` comments give the meta, the first
-    row is the column header.  Each value column is converted whole; only
-    when that or the lexicon's checks fail are the rows walked in file
-    order, to raise the first bad row's ParseError at its line."""
+    row is the column header.  The value columns are converted in blocks of
+    rows; only when that or the lexicon's checks fail are the rows walked in
+    file order, to raise the first bad row's ParseError at its line."""
     path = Path(path)
     rows = Rows(path, "unified lexicon file")
     if not len(rows.numbers):
         raise ParseError("missing header row", path=str(path), line=1)
-    if tuple(names := rows.fields[:rows.counts[0]]) != _COLUMNS:
+    if tuple(names := rows.split(0, 1)) != _COLUMNS:
         raw = "\t".join(names)
         raise ParseError(f"expected header {' '.join(_COLUMNS)!r}, got {raw!r}", path=str(path),
                          line=int(rows.numbers[0]))
     try:
         if (rows.counts != len(_COLUMNS)).any():
             raise ValueError("a row's column count differs")
-        width = len(_COLUMNS)  # every row has it: each column is a slice, past the header row
-        columns = [rows.fields[width + c::width] for c in range(width)]
-        values = np.array(columns[1:7], dtype=float)
-        n_views = np.array(list(map(int, columns[7])), dtype=np.int64)
-        return UnifiedLexicon(columns[0], values[:3].T, values[3:].T, n_views, header_meta(rows.others.values()))
+        n, width = len(rows.numbers) - 1, len(_COLUMNS)  # every row has the width: a column is a slice
+        words, values, n_views = [], np.empty((6, n)), np.empty(n, dtype=np.int64)
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            fields = rows.split(1 + start, 1 + stop)  # past the header row
+            words += fields[::width]
+            values[:, start:stop] = np.array([fields[c::width] for c in range(1, 7)], dtype=float)
+            n_views[start:stop] = list(map(int, fields[7::width]))  # OverflowError beyond int64
+        return UnifiedLexicon(words, values[:3].T, values[3:].T, n_views, header_meta(rows.others.values()))
     except (ValueError, OverflowError, ConfigError) as e:
         _first_bad_row(rows, path)  # raises unless every row reads and no word repeats
         at = int(rows.numbers[e.row + 1]) if isinstance(e, _InvalidRow) else None

@@ -19,25 +19,29 @@ are left out, since they change between numpy versions.  export_lexicon
 runs the same way on the views of a fixed synth, each longer than two
 export blocks, with model.encode_vars wrapped to record each call's rows,
 and one CLI `lexifuse train` of one epoch on the view files of a fixed synth,
-then one CLI `lexifuse export` of its checkpoint.
+then one CLI `lexifuse export` of its checkpoint.  read_unified runs on the
+file of a fixed 20,000-word lexicon, counted the same way, and under
+tracemalloc, whose traced peak is bounded against the file's size; so is
+write_unified's, against that of writing two blocks' rows.
 The counts repeat exactly across runs and processes, so they show a change
 in the work even where wall time cannot.  They are pinned as upper bounds:
 a change that lowers a count lowers its pin.
 """
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lexifuse
-from lexifuse import cli, distributions, lexica, model, special, tape
+from lexifuse import cli, distributions, lexica, model, special, tape, unified
 from lexifuse.evaluation import synth_generate
 from lexifuse.model import observations_from_views
 from lexifuse.rng import RngStream, stream_for
 from lexifuse.training import TrainConfig, batch_gradient, frozen_noise, init_model
-from lexifuse.unified import export_lexicon
+from lexifuse.unified import UnifiedLexicon, export_lexicon, read_unified, write_unified
 
 # (calls, elements over all calls) per function, and elements over both:
 # gammainc_p runs Halley round 1, gammainc_p_da rounds 2 and 3 and the dP/da
@@ -284,11 +288,14 @@ def test_export_blocks_and_calls(monkeypatch, export_inputs):
 # log, 482 of them compute_prior's, one per word.  With one WordObservation
 # per word and each batch a list of them: 3,269; with each batch's views
 # checked against the heads by a helper of their own: 1,836; on a general
-# node tape: 1,833.  Then one `lexifuse export` of that checkpoint on the
-# same files, from parsing them to writing unified.tsv: 767 on a general
-# node tape.
-TRAIN_PINS = {"lexifuse_calls": 1629}
-CLI_EXPORT_PINS = {"lexifuse_calls": 723}
+# node tape: 1,833; with each batch slice of Observations checked again,
+# and a generator frame resumed per line that errors.write_lines wrote:
+# 1,626.  Then one `lexifuse export` of that checkpoint on the same files,
+# from parsing them to writing unified.tsv: 767 on a general node tape, and
+# 720 with that generator frame resumed per row of unified.tsv; its rows
+# are now formatted in blocks and written through C-level maps.
+TRAIN_PINS = {"lexifuse_calls": 1619}
+CLI_EXPORT_PINS = {"lexifuse_calls": 235}
 
 
 @pytest.fixture(scope="module")
@@ -329,3 +336,59 @@ def test_cli_export_calls(cli_train):
     assert lexifuse_calls(lambda: run("second.tsv")) == calls  # the counts repeat exactly
     assert (tmp_path / "first.tsv").read_bytes() == (tmp_path / "second.tsv").read_bytes()
     assert calls <= CLI_EXPORT_PINS["lexifuse_calls"], calls
+
+
+# One read_unified of a 20,000-row file (5 blocks of at most
+# unified._BLOCK_ROWS rows): calls into lexifuse frames, and the traced peak
+# of the read against the file's size.  With each value column converted
+# whole, from all rows' fields split at once, it took 10 calls and peaked at
+# 8.8 times the file's size; split and converted in blocks it takes one
+# split and one column list per block, and peaks at about 4.6 times.
+READ_PINS = {"lexifuse_calls": 20, "peak_per_file_byte": 6.0}
+
+
+@pytest.fixture(scope="module")
+def unified_20k(tmp_path_factory):
+    """A fixed 20,000-word fused lexicon, and the file write_unified makes of it."""
+    gen = np.random.default_rng(0)
+    n_views = gen.integers(1, 9, size=20000)
+    beta = 1.0 + n_views[:, None] * gen.dirichlet((1.0, 1.0, 1.0), size=20000)
+    lexicon = UnifiedLexicon([f"word{i:06d}" for i in range(20000)], beta,
+                             beta / beta.sum(axis=1, keepdims=True), n_views)
+    path = tmp_path_factory.mktemp("unified") / "u.tsv"
+    write_unified(path, lexicon)
+    return lexicon, path
+
+
+def traced_peak(fn) -> int:
+    """The peak of traced allocations, in bytes, while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_unified_calls_and_peak(unified_20k):
+    lexicon, path = unified_20k
+    calls = lexifuse_calls(lambda: read_unified(path))
+    assert lexifuse_calls(lambda: read_unified(path)) == calls  # the counts repeat exactly
+    assert read_unified(path).words == lexicon.words
+    assert calls <= READ_PINS["lexifuse_calls"], calls
+    peak = traced_peak(lambda: read_unified(path))
+    assert peak <= READ_PINS["peak_per_file_byte"] * path.stat().st_size, peak
+
+
+def test_write_unified_peak_stays_at_two_blocks(unified_20k, tmp_path):
+    # writing 5 blocks' rows peaks no higher than writing 2 blocks': with
+    # the six value columns as whole float lists the peak grew with the
+    # rows, 2.0 MB for 2 blocks' rows and 4.8 MB for all 20,000
+    lexicon, path = unified_20k
+    rows = 2 * unified._BLOCK_ROWS
+    two_blocks = UnifiedLexicon(lexicon.words[:rows], lexicon.beta[:rows], lexicon.mean[:rows],
+                                lexicon.n_views[:rows])
+    small = traced_peak(lambda: write_unified(tmp_path / "small.tsv", two_blocks))
+    whole = traced_peak(lambda: write_unified(tmp_path / "whole.tsv", lexicon))
+    assert (tmp_path / "whole.tsv").read_bytes() == path.read_bytes()
+    assert whole <= 1.05 * small, (whole, small)

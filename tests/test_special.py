@@ -75,6 +75,38 @@ class TestTrigamma:
         assert trigamma(x) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+def masked_shift_to_ten(x, step):
+    """The shift as a loop over boolean-mask gathers, one + 1.0 per round on
+    the elements still below 10: the oracle for _shift_to_ten's bits."""
+    x = np.array(x, dtype=float)
+    acc = np.zeros_like(x)
+    low = x < 10.0
+    while low.any():
+        acc[low] += step(x[low])
+        x[low] += 1.0
+        low = x < 10.0
+    return x, acc
+
+
+class TestShiftToTen:
+    # just below 10 (one shift), exactly 10 (none), tiny (ten shifts, the
+    # first of them huge), and points in between
+    X = np.array([np.nextafter(10.0, 0.0), 10.0, 1e-150, 3e-8, 0.3, 1.0, 2.5, 9.5, 9.999, 10.5, 123.0])
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    def test_array_equals_per_element_calls(self, fn):
+        np.testing.assert_array_equal(fn(self.X), [fn(x) for x in self.X])
+        np.testing.assert_array_equal(fn(self.X[::-1].reshape(1, -1))[0], fn(self.X)[::-1])
+
+    @pytest.mark.parametrize("step", [lambda v: -1.0 / v, lambda v: 1.0 / (v * v)], ids=["digamma", "trigamma"])
+    def test_same_bits_as_masked_loop(self, step):
+        x, acc = special._shift_to_ten(self.X, step)
+        want_x, want_acc = masked_shift_to_ten(self.X, step)
+        np.testing.assert_array_equal(x, want_x)
+        np.testing.assert_array_equal(acc, want_acc)
+        assert x[1] == 10.0 and acc[1] == 0.0 and (x >= 10.0).all()
+
+
 class TestGammaincP:
     def test_known_values(self):
         # P(1, x) = 1 - exp(-x)
@@ -150,14 +182,14 @@ class TestGammaincPDa:
 
 class TestRefusedAtCap:
     # An element still iterating when its budget runs out is refused, never
-    # returned unconverged: at a = x = 1e5 the series needs thousands of
-    # terms against its 400 (its 400-term partial sum gives P = 0.3977,
-    # against 0.5004).
+    # returned unconverged: at a = x = 1e5 the series needs about 2,400
+    # terms against its 2,000 (with 400 terms its partial sum gave
+    # P = 0.3977, against 0.5004).
     @pytest.mark.parametrize("call", [
         lambda: gammainc_p(1e5, 1e5),
         lambda: gammainc_p(1e5, 1e5, upper=True),
         lambda: gammainc_p_da(1e5, 1e5),
-        lambda: gamma_quantile(1e4, 0.5),
+        lambda: gamma_quantile(1e5, 0.5),
     ], ids=["p", "q", "p-da", "quantile"])
     def test_large_shape_raises(self, call):
         with pytest.raises(NumericError, match="failed to converge"):
@@ -170,6 +202,22 @@ class TestRefusedAtCap:
         assert np.isfinite(call(2.0, 30.0, upper=True)).all()
         with pytest.raises(NumericError, match=r"continued fraction failed to converge \(a=50.0, x=52.0, 1 elements\)"):
             call([2.0, 50.0], [30.0, 52.0], upper=True)
+
+
+class TestLargeShapes:
+    # The series needs about sqrt(69 a) terms near x = a, so shapes up to
+    # 10^4 converge within the 2,000-step cap (at 400 steps, a = 3000 did not).
+    @pytest.mark.parametrize("a", [2500.0, 3000.0, 5000.0, 1e4])
+    @pytest.mark.parametrize("scale", [0.99, 1.0, "a+1", 1.01])
+    def test_p_and_q_match_scipy(self, a, scale):
+        x = a + 1.0 if scale == "a+1" else scale * a
+        np.testing.assert_allclose(gammainc_p(a, x), sps.gammainc(a, x), rtol=1e-10)
+        np.testing.assert_allclose(gammainc_p(a, x, upper=True), sps.gammaincc(a, x), rtol=1e-10)
+
+    @pytest.mark.parametrize("a", [3000.0, 1e4])
+    @pytest.mark.parametrize("u", [0.01, 0.5, 0.99])
+    def test_quantile_matches_scipy(self, a, u):
+        np.testing.assert_allclose(gamma_quantile(a, u)[0], sps.gammaincinv(a, u), rtol=1e-10)
 
 
 class TestNormalQuantile:

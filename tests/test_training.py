@@ -653,6 +653,29 @@ class TestObservations:
         with pytest.raises(ConfigError, match="has no observations"):
             Observations(["w"], np.ones((1, 3)), {})
 
+    def test_slice_skips_checks_and_equals_constructor(self, monkeypatch):
+        # a slice's rows come from checked rows, so it runs no check, yet it
+        # equals what the checking constructor builds from the same rows
+        views, vocab, priors, obs = synth_observations(60, seed=5)
+        checks = []
+        post_init = Observations.__post_init__
+        monkeypatch.setattr(Observations, "__post_init__", lambda self: checks.append(1) or post_init(self))
+        only = [i for i, r in enumerate(obs) if list(r.labels) == ["bin0"]][:2]
+        for key in (slice(3, 30, 4), slice(None, None, -1), np.array([5, 1, 5]), np.array(only),
+                    np.array([], dtype=np.intp)):
+            part = obs[key]
+            assert not checks
+            idx = np.arange(len(obs))[key]
+            want = Observations([obs.words[i] for i in idx], obs.priors[idx],
+                                {vid: ObservedView(v.lexicon, v.rows[idx]) for vid, v in obs.views.items()})
+            checks.clear()
+            assert part.words == want.words and not part.priors.flags.writeable
+            np.testing.assert_array_equal(part.priors, want.priors)
+            assert list(part.views) == list(want.views)
+            for vid, view in part.views.items():
+                assert view.lexicon is want.views[vid].lexicon
+                np.testing.assert_array_equal(view.rows, want.views[vid].rows)
+
     @pytest.mark.parametrize("priors, rows, message", [
         # a (1, 3) table once broadcast its row to every word
         (np.ones((1, 3)), [0, 1], re.escape("2 words need a prior table of shape (2, 3), got (1, 3)")),

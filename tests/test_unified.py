@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexifuse import unified
 from lexifuse.errors import ConfigError, LexifuseError, ParseError
 from lexifuse.evaluation import make_featurizer
 from lexifuse.lexica import (
@@ -409,3 +410,85 @@ class TestReadUnifiedAgainstOracle:
         got = _read(read_unified, p)
         assert got == _read(row_read_unified, p)
         assert got[1:] == (ParseError, f"{p}:19991: could not convert string to float: 'x'", 19_991)
+
+
+# ---------------------------------------------------------------------------
+# Drawn lexica across the write and read blocks
+
+BLOCK = unified._BLOCK_ROWS
+ROW_COUNTS = [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
+@st.composite
+def drawn_lexica(draw):
+    """(words, beta, n_views) of a lexicon whose row count straddles the
+    block sizes: words unique once case-folded, in no order, some upper-
+    case, and beta of 1 + k / 8 per component, which prints exactly."""
+    n = draw(st.sampled_from(ROW_COUNTS) | st.integers(0, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = gen.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    words = [f"w{i}x" for i in gen.permutation(n)]
+    words = [w.upper() if up else w for w, up in zip(words, upper)]
+    n_views = gen.integers(1, 9, size=n)
+    cuts = np.sort(gen.integers(0, 8 * n_views[:, None] + 1, size=(n, 2)), axis=1)
+    eighths = np.column_stack([cuts[:, 0], cuts[:, 1] - cuts[:, 0], 8 * n_views - cuts[:, 1]])
+    return words, 1.0 + eighths / 8.0, n_views
+
+
+def first_repeat_row(words):
+    """The row the lexicon constructor names for a repeated word: of the
+    case-folded words that repeat, the least, at its second row in input
+    order."""
+    rows: dict[str, list[int]] = {}
+    for i, w in enumerate(words):
+        rows.setdefault(w.casefold(), []).append(i)
+    return min((key, at[1]) for key, at in rows.items() if len(at) > 1)[1]
+
+
+class TestDrawnRoundTrip:
+    @given(drawn_lexica())
+    @settings(max_examples=30, deadline=None)
+    def test_write_then_read(self, tmp_path_factory, drawn):
+        words, beta, n_views = drawn
+        lexicon = UnifiedLexicon(words, beta, beta / beta.sum(axis=1, keepdims=True), n_views)
+        assert lexicon.words == sorted(words, key=str.casefold)
+        path = tmp_path_factory.mktemp("uni") / "u.tsv"
+        write_unified(path, lexicon, seed=5)
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3 + len(words)
+        back = read_unified(path)
+        assert back.words == lexicon.words and back.meta == {"seed": "5"}
+        np.testing.assert_array_equal(back.beta, lexicon.beta)
+        np.testing.assert_allclose(back.mean, lexicon.mean, rtol=1e-11)
+        np.testing.assert_array_equal(back.n_views, lexicon.n_views)
+        again = path.with_name("again.tsv")
+        write_unified(again, back, seed=5)
+        assert again.read_bytes() == path.read_bytes()
+
+    @given(drawn_lexica().filter(lambda d: len(d[0]) > 1), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_repeated_word_refused_where_it_was(self, tmp_path_factory, drawn, data):
+        # a row that repeats another's word in another case: the constructor
+        # names the second row of the least repeated word, and the file
+        # reader the line of the first repeat in file order, as the
+        # line-by-line reader does
+        words, beta, n_views = drawn
+        src, dst = data.draw(st.lists(st.integers(0, len(words) - 1), min_size=2, max_size=2, unique=True))
+        words = list(words)
+        words[dst] = words[src].swapcase()
+        mean = beta / beta.sum(axis=1, keepdims=True)
+        row = first_repeat_row(words)
+        with pytest.raises(ConfigError, match=re.escape(f"word {words[row]!r} repeats")) as e:
+            UnifiedLexicon(words, beta, mean, n_views)
+        assert e.value.row == row
+        head = "\t".join(["word", "beta_pos", "beta_neg", "beta_neu", "mean_pos", "mean_neg", "mean_neu",
+                          "n_views"])
+        lines = ["# unified polarity lexicon", head]
+        for w, b, m, k in zip(words, beta.tolist(), mean.tolist(), n_views.tolist()):
+            lines.append("\t".join([w, *("%.12g" % x for x in b + m), str(k)]))
+        path = tmp_path_factory.mktemp("uni") / "u.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        first, second = sorted((src, dst))
+        got = _read(read_unified, path)
+        assert got == _read(row_read_unified, path)
+        assert got[1:] == (ParseError, f"{path}:{second + 3}: word {words[second]!r} repeats line {first + 3}",
+                           second + 3)
